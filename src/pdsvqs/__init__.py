@@ -1,10 +1,11 @@
 """Moment-functional variational quantum solver.
 
-The package simulates parametrized circuits on a statevector, expands
-Hamiltonian powers in an exact Pauli algebra, evaluates a moment-functional
-ground-state energy estimate of configurable order together with its parameter
-gradient, and drives metric-preconditioned gradient descent.  A measurement
-cost model and a small CLI round out the library.
+The package simulates parametrized circuits on a statevector, evaluates a
+moment-functional ground-state energy estimate of configurable order together
+with its parameter gradient from Krylov vectors of the Hamiltonian, and drives
+metric-preconditioned gradient descent.  Hamiltonian powers expanded in an
+exact Pauli algebra feed a measurement cost model and finite-shot emulation;
+a small CLI rounds out the library.
 """
 
 from .pauli import PauliSum, PauliTerm, multiply, power, qwc_groups

@@ -21,7 +21,7 @@ import numpy as np
 
 from .measure import estimate_measurements, reduction_stats
 from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
-from .moments import hamiltonian_powers, moment_table
+from .moments import moment_table
 from .optim import run as run_loop
 from .pauli import qwc_groups, power
 from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator, pds_solve
@@ -229,7 +229,7 @@ def _cmd_scan(args) -> int:
     grid = np.array(
         [-math.pi + (k + 0.5) * 2.0 * math.pi / args.grid for k in range(args.grid)]
     )
-    powers = hamiltonian_powers(hamiltonian, max(1, 2 * order - 1))
+    max_order = max(1, 2 * order - 1)
     policy = _policy_from_args(args)
 
     start_lines = [SCHEMA_LINE, "theta_i0,theta_j0,status,iterations,final_energy,final_fidelity"]
@@ -242,7 +242,7 @@ def _cmd_scan(args) -> int:
                 functional=args.functional, order=order, metric_kind=args.metric,
                 eta=eta, schedule=schedule, max_iters=args.max_iters,
                 grad_tol=args.grad_tol, pds_policy=policy,
-                metric_eps=args.metric_eps, powers=powers, ground_basis=ground,
+                metric_eps=args.metric_eps, ground_basis=ground,
             )
             final = trajectory.records[-1] if trajectory.records else None
             start_lines.append(
@@ -260,7 +260,7 @@ def _cmd_scan(args) -> int:
         for tj in grid:
             theta = theta0.copy()
             theta[pi], theta[pj] = ti, tj
-            table = moment_table(circuit, theta, powers=powers)
+            table = moment_table(circuit, theta, hamiltonian, max_order)
             expval = table.values[1]
             if args.functional == "vqe":
                 surface_lines.append(

@@ -1,11 +1,17 @@
 """Hamiltonian moments, their parameter derivatives, and shot-noise emulation.
 
 The moment table collects ``<psi(theta)| H^n |psi(theta)>`` for n up to a
-configured order, with the powers expanded once in the exact Pauli algebra and
-reused across trial states.  Derivative rows come either from the analytic
-form ``2 Re <d_k psi| H^n |psi>`` or from the two-point rotation shift rule
-applied per gate occurrence; controlled rotations are rewritten to one-qubit
-rotations before shifting.
+configured order.  Exact moments need only H applied to a vector: with the
+Krylov vectors ``v_j = H^j psi`` of the compiled H, ``<H^n>`` is
+``<v_floor(n/2)| v_ceil(n/2)>``, so orders up to ``2K - 1`` cost K
+applications.  Derivative rows come either from the analytic form
+``2 Re <d_k psi| v_n>``, which continues the same Krylov list to ``v_{2K-1}``,
+or from the two-point rotation shift rule applied per gate occurrence;
+controlled rotations are rewritten to one-qubit rotations before shifting.
+
+Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
+measurement side only: the cost model and the finite-shot emulation, which
+measure every string of every power.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, power, qwc_groups
+from .pauli import PauliSum, PauliTerm, qwc_groups
 from .statesim import (
     Circuit,
+    CompiledSum,
     State,
     apply_circuit,
-    apply_pauli_sum,
     state_derivative,
     _index_masks,
     _parity,
@@ -63,11 +69,36 @@ def hamiltonian_powers(
     return powers
 
 
-def _values_from_state(amps: np.ndarray, powers: list[PauliSum]) -> np.ndarray:
-    values = np.empty(len(powers))
+def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
+    """Compiled ``h`` for the exact moments, after the argument checks."""
+    if h is None or max_order is None:
+        raise ValueError("need both h and max_order")
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    if not h.is_hermitian():
+        raise ValueError("moments require a Hermitian operator")
+    return CompiledSum(h)
+
+
+class _Krylov:
+    """Krylov vectors ``v_j = H^j psi`` of one state, each applied on first use."""
+
+    def __init__(self, op: CompiledSum, amps: np.ndarray) -> None:
+        self.op = op
+        self.vectors = [amps]
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        while len(self.vectors) <= j:
+            self.vectors.append(self.op.apply(self.vectors[-1]))
+        return self.vectors[j]
+
+
+def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
+    # <H^n> = <v_floor(n/2) | v_ceil(n/2)>, so order 2K-1 needs K applications.
+    values = np.empty(max_order + 1)
     values[0] = 1.0
-    for n in range(1, len(powers)):
-        values[n] = np.vdot(amps, apply_pauli_sum(amps, powers[n])).real
+    for n in range(1, max_order + 1):
+        values[n] = np.vdot(krylov[n // 2], krylov[(n + 1) // 2]).real
     return values
 
 
@@ -76,58 +107,43 @@ def moment_table(
     theta: np.ndarray,
     h: PauliSum | None = None,
     max_order: int | None = None,
-    powers: list[PauliSum] | None = None,
-    drop_tol: float = 1e-12,
 ) -> MomentTable:
     """Evaluate ``<H^n>`` for ``n = 0 .. max_order`` at one parameter point.
 
-    Either pass ``h`` and ``max_order`` or a precomputed ``powers`` list; the
-    zeroth entry is exactly 1 for the normalized circuit state.
+    The zeroth entry is exactly 1 for the normalized circuit state.
     """
-    if powers is None:
-        if h is None or max_order is None:
-            raise ValueError("need either powers or (h, max_order)")
-        powers = hamiltonian_powers(h, max_order, drop_tol)
+    op = _operator(h, max_order)
     state = apply_circuit(circuit, np.asarray(theta, dtype=float))
-    return MomentTable(len(powers) - 1, _values_from_state(state.amplitudes, powers))
+    return MomentTable(
+        max_order, _values_from_state(_Krylov(op, state.amplitudes), max_order)
+    )
 
 
 def _analytic_rows(
-    circuit: Circuit,
-    theta: np.ndarray,
-    powers: list[PauliSum],
-    derivs: list[np.ndarray] | None = None,
-    amps: np.ndarray | None = None,
+    krylov: _Krylov, derivs: list[np.ndarray], max_order: int
 ) -> np.ndarray:
-    if amps is None:
-        amps = apply_circuit(circuit, theta).amplitudes
-    if derivs is None:
-        derivs = [
-            state_derivative(circuit, theta, k).amplitudes
-            for k in range(circuit.n_params)
-        ]
-    rows = np.zeros((circuit.n_params, len(powers)))
-    for n in range(1, len(powers)):
-        w = apply_pauli_sum(amps, powers[n])
+    rows = np.zeros((len(derivs), max_order + 1))
+    for n in range(1, max_order + 1):
+        v = krylov[n]
         for k, d in enumerate(derivs):
-            rows[k, n] = 2.0 * np.vdot(d, w).real
+            rows[k, n] = 2.0 * np.vdot(d, v).real
     return rows
 
 
 def _shift_rows(
-    circuit: Circuit, theta: np.ndarray, powers: list[PauliSum]
+    circuit: Circuit, theta: np.ndarray, op: CompiledSum, max_order: int
 ) -> np.ndarray:
     decomposed = circuit.decompose_controlled()
-    rows = np.zeros((circuit.n_params, len(powers)))
+    rows = np.zeros((circuit.n_params, max_order + 1))
     for k in range(circuit.n_params):
         for pos, mult in decomposed.occurrences(k):
             plus = decomposed.with_offset_shift(pos, math.pi / 2.0)
             minus = decomposed.with_offset_shift(pos, -math.pi / 2.0)
             v_plus = _values_from_state(
-                apply_circuit(plus, theta).amplitudes, powers
+                _Krylov(op, apply_circuit(plus, theta).amplitudes), max_order
             )
             v_minus = _values_from_state(
-                apply_circuit(minus, theta).amplitudes, powers
+                _Krylov(op, apply_circuit(minus, theta).amplitudes), max_order
             )
             rows[k] += 0.5 * mult * (v_plus - v_minus)
     rows[:, 0] = 0.0
@@ -140,8 +156,6 @@ def moment_gradients(
     h: PauliSum | None = None,
     max_order: int | None = None,
     method: str = "analytic",
-    powers: list[PauliSum] | None = None,
-    drop_tol: float = 1e-12,
 ) -> np.ndarray:
     """Matrix of ``d<H^n>/d theta_k`` with shape (n_params, max_order + 1).
 
@@ -150,14 +164,16 @@ def moment_gradients(
     exists so the gradient pipeline mirrors what hardware can measure.
     """
     theta = np.asarray(theta, dtype=float)
-    if powers is None:
-        if h is None or max_order is None:
-            raise ValueError("need either powers or (h, max_order)")
-        powers = hamiltonian_powers(h, max_order, drop_tol)
+    op = _operator(h, max_order)
     if method == "analytic":
-        return _analytic_rows(circuit, theta, powers)
+        amps = apply_circuit(circuit, theta).amplitudes
+        derivs = [
+            state_derivative(circuit, theta, k).amplitudes
+            for k in range(circuit.n_params)
+        ]
+        return _analytic_rows(_Krylov(op, amps), derivs, max_order)
     if method == "shift":
-        return _shift_rows(circuit, theta, powers)
+        return _shift_rows(circuit, theta, op, max_order)
     raise ValueError(f"unknown gradient method {method!r}")
 
 

@@ -19,10 +19,11 @@ decreases the functional sufficiently,
 and otherwise takes the plain step ``theta - eta grad``.  A solver failure
 at the trial point counts as a rejection.  The rule looks only at the
 current point, so a run restarted from any recorded iterate reproduces the
-rest of the trajectory.  An accepted trial point's state and moments are
-reused as the next iterate's, so only a rejected step costs an extra
-(energy-only) evaluation.  Plain gradient descent and finite-shot runs, whose
-functional values are estimates, always take the step as computed.
+rest of the trajectory.  An accepted trial point's state, Krylov vectors
+and moments are reused as the next iterate's, so only a rejected step costs
+an extra (energy-only) evaluation.  Plain gradient descent and finite-shot
+runs, whose functional values are estimates, always take the step as
+computed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import MomentTable, hamiltonian_powers, sampled_moments
-from .moments import _analytic_rows, _shift_rows, _values_from_state
+from .moments import _Krylov, _analytic_rows, _operator, _shift_rows
+from .moments import _values_from_state
 from .pauli import PauliSum
 from .pds import (
     ComplexRoots,
@@ -192,9 +194,7 @@ def run(
     gradient_method: str = "analytic",
     shots: int | None = None,
     seed: int = 0,
-    powers: list[PauliSum] | None = None,
     ground_basis: np.ndarray | None = None,
-    drop_tol: float = 1e-12,
 ) -> Trajectory:
     """Drive the optimization loop and record the full trajectory.
 
@@ -202,9 +202,12 @@ def run(
     ``"vqe"`` (plain energy expectation; equivalent to order 1).  The schedule
     is a constant step size or ``eta / iteration``.  With ``shots`` set, the
     moments and their shift-rule gradients are estimated from simulated
-    measurements seeded per (seed, iteration); otherwise they are exact, and
+    measurements of every string of the expanded powers of H, seeded per
+    (seed, iteration).  Otherwise they are exact: H is compiled once, and
+    each iterate's moments and analytic gradient rows come from one list of
+    Krylov vectors ``H^j psi``, ``2K - 1`` applications of H in all;
     ``ngd``/``ite`` steps follow the sufficient-decrease rule of the module
-    docstring.
+    docstring, and an accepted trial point hands its Krylov list on.
 
     Solver failures do not raise: the trajectory comes back with
     ``status="error"`` and the records collected so far.
@@ -225,21 +228,22 @@ def run(
     if theta.shape != (circuit.n_params,):
         raise ValueError("theta0 does not match the circuit parameter count")
     max_order = max(1, 2 * order - 1)
-    if powers is None:
-        powers = hamiltonian_powers(hamiltonian, max_order, drop_tol)
-    elif len(powers) - 1 < max_order:
-        raise ValueError("precomputed powers do not reach the needed order")
+    if shots is None:
+        op = _operator(hamiltonian, max_order)
+    else:
+        powers = hamiltonian_powers(hamiltonian, max_order)
     if ground_basis is None and hamiltonian.n_qubits <= 12:
         _, ground_basis = exact_eigensystem(hamiltonian)
 
     def functional_at(point: np.ndarray):
-        """State, exact moments, PDS result (None for vqe) and value at a point."""
+        """State, Krylov list, exact moments, PDS result (None for vqe) and value."""
         state = apply_circuit(circuit, point)
-        values = _values_from_state(state.amplitudes, powers)
+        krylov = _Krylov(op, state.amplitudes)
+        values = _values_from_state(krylov, max_order)
         if functional == "vqe":
-            return state, values, None, float(values[1])
+            return state, krylov, values, None, float(values[1])
         result = pds_solve(MomentTable(max_order, values), order, pds_policy)
-        return state, values, result, result.energy
+        return state, krylov, values, result, result.energy
 
     trajectory = Trajectory()
     n_params = circuit.n_params
@@ -247,22 +251,21 @@ def run(
     for iteration in range(max_iters + 1):
         try:
             if shots is None:
-                state, values, result, _ = accepted or functional_at(theta)
+                state, krylov, values, result, _ = accepted or functional_at(theta)
                 accepted = None
-                derivs = [
-                    state_derivative(circuit, theta, k).amplitudes
-                    for k in range(n_params)
-                ]
                 if gradient_method == "analytic":
-                    rows = _analytic_rows(
-                        circuit, theta, powers, derivs=derivs, amps=state.amplitudes
-                    )
+                    derivs = [
+                        state_derivative(circuit, theta, k).amplitudes
+                        for k in range(n_params)
+                    ]
+                    rows = _analytic_rows(krylov, derivs, max_order)
                 else:
-                    rows = _shift_rows(circuit, theta, powers)
+                    derivs = None
+                    rows = _shift_rows(circuit, theta, op, max_order)
             else:
                 state = apply_circuit(circuit, theta)
                 values, rows = _sampled_table(
-                    circuit, theta, powers, shots, seed, iteration
+                    circuit, theta, state, powers, shots, seed, iteration
                 )
                 derivs = None
                 result = None
@@ -332,7 +335,7 @@ def run(
         except _SOLVER_ERRORS:
             accepted = None
         bound = energy - SUFFICIENT_DECREASE * float(grad @ (theta - trial))
-        if accepted is not None and accepted[3] <= bound:
+        if accepted is not None and accepted[4] <= bound:
             theta = trial
         else:
             accepted = None
@@ -343,13 +346,17 @@ def run(
 def _sampled_table(
     circuit: Circuit,
     theta: np.ndarray,
+    state: State,
     powers: list[PauliSum],
     shots: int,
     seed: int,
     iteration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Moment values and shift-rule gradient rows from simulated shots."""
-    state = apply_circuit(circuit, theta)
+    """Moment values and shift-rule gradient rows from simulated shots.
+
+    ``state`` is the circuit's state at ``theta``, which the caller has
+    already simulated.
+    """
     values, _ = sampled_moments(state, powers, shots, seed=_mix(seed, iteration, 0))
     decomposed = circuit.decompose_controlled()
     rows = np.zeros((circuit.n_params, len(powers)))

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import _PHASES, PauliSum
 
 __all__ = [
     "Gate",
     "Circuit",
     "State",
     "apply_circuit",
+    "CompiledSum",
     "apply_pauli_sum",
     "expectation",
     "state_derivative",
@@ -226,33 +227,47 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+class CompiledSum:
+    """A Pauli sum as (flip index, diagonal) pairs, one pair per X-mask.
 
-# Below this register size a sum is applied through a dense matrix memoized on
-# the sum itself; coefficients are never mutated after construction, so the
-# cache cannot go stale.
-_DENSE_APPLY_LIMIT = 6
+    A string with X-mask ``x`` sends basis index ``i ^ x`` to ``i`` with a
+    phase that depends only on ``i``, so all strings sharing ``x`` add into
+    one complex diagonal ``d_x`` and the sum acts as
+    ``out[i] = sum_x d_x[i] * amps[i ^ x]``: one gather and one multiply per
+    distinct X-mask, however many strings share it.  The diagonal pair
+    (``x = 0``) carries no flip index.
+    """
+
+    def __init__(self, s: PauliSum) -> None:
+        n = s.n_qubits
+        self.n_qubits = n
+        idx = np.arange(1 << n)
+        diagonals: dict[int, np.ndarray] = {}
+        for term in s.terms():
+            x_idx, z_idx = _index_masks(term.x_mask, term.z_mask, n)
+            front = _PHASES[(term.x_mask & term.z_mask).bit_count() % 4]
+            signs = 1.0 - 2.0 * _parity((idx ^ x_idx) & z_idx)
+            if x_idx not in diagonals:
+                diagonals[x_idx] = np.zeros(idx.size, dtype=complex)
+            diagonals[x_idx] += (term.coefficient * front) * signs
+        self.pairs = [
+            (None if x_idx == 0 else idx ^ x_idx, diag)
+            for x_idx, diag in sorted(diagonals.items())
+        ]
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """Return the sum applied to an amplitude vector."""
+        if amps.size != 1 << self.n_qubits:
+            raise ValueError("state size does not match operator register")
+        out = np.zeros(amps.shape, dtype=complex)
+        for flip, diag in self.pairs:
+            out += diag * (amps if flip is None else amps[flip])
+        return out
 
 
 def apply_pauli_sum(amps: np.ndarray, s: PauliSum) -> np.ndarray:
     """Return ``s`` applied to an amplitude vector."""
-    n = s.n_qubits
-    if amps.size != 1 << n:
-        raise ValueError("state size does not match operator register")
-    if n <= _DENSE_APPLY_LIMIT:
-        mat = getattr(s, "_dense_apply", None)
-        if mat is None:
-            mat = dense_matrix(s)
-            s._dense_apply = mat
-        return mat @ amps
-    idx = np.arange(amps.size)
-    out = np.zeros_like(amps)
-    for term in s.terms():
-        x_idx, z_idx = _index_masks(term.x_mask, term.z_mask, n)
-        front = _PHASES[(term.x_mask & term.z_mask).bit_count() % 4]
-        signs = 1.0 - 2.0 * _parity((idx ^ x_idx) & z_idx)
-        out += (term.coefficient * front) * signs * amps[idx ^ x_idx]
-    return out
+    return CompiledSum(s).apply(amps)
 
 
 def expectation(state: State, s: PauliSum) -> float:
@@ -318,15 +333,11 @@ def fidelity(state: State, basis: np.ndarray) -> float:
 
 def dense_matrix(s: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum in the computational basis."""
-    n = s.n_qubits
-    dim = 1 << n
+    dim = 1 << s.n_qubits
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for term in s.terms():
-        x_idx, z_idx = _index_masks(term.x_mask, term.z_mask, n)
-        front = _PHASES[(term.x_mask & term.z_mask).bit_count() % 4]
-        signs = 1.0 - 2.0 * _parity(idx & z_idx)
-        out[idx ^ x_idx, idx] += (term.coefficient * front) * signs
+    for flip, diag in CompiledSum(s).pairs:
+        out[idx, idx if flip is None else flip] += diag
     return out
 
 

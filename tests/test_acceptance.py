@@ -40,7 +40,7 @@ def grid_starts(n=8):
     return [-np.pi + (k + 0.5) * 2.0 * np.pi / n for k in range(n)]
 
 
-def reaches_ground(model, metric_kind, theta_start, powers,
+def reaches_ground(model, metric_kind, theta_start,
                    tol=1e-6, max_iters=2000, chunk=250):
     """Whether a second-order descent hits the ground energy within budget.
 
@@ -56,7 +56,7 @@ def reaches_ground(model, metric_kind, theta_start, powers,
         traj = run(
             model.hamiltonian, model.circuit, theta,
             order=2, metric_kind=metric_kind, eta=0.05,
-            max_iters=n, grad_tol=0.0, powers=powers,
+            max_iters=n, grad_tol=0.0,
             ground_basis=model.ground_basis,
         )
         if not traj.records:
@@ -184,12 +184,11 @@ def test_criterion_5a_second_order_grid_robustness():
     counts = {}
     for name in ("toy_a", "toy_b"):
         model = build_model(name)
-        powers = hamiltonian_powers(model.hamiltonian, 3)
         for kind in ("gd", "ngd", "ite"):
             hits = 0
             for ti in grid_starts():
                 for tj in grid_starts():
-                    converged, _ = reaches_ground(model, kind, (ti, tj), powers)
+                    converged, _ = reaches_ground(model, kind, (ti, tj))
                     hits += converged
             counts[name, kind] = hits
     detail = ", ".join(f"{n}/{k}={c}/64" for (n, k), c in counts.items())
@@ -327,19 +326,18 @@ def test_criterion_7c_gradient_vs_finite_differences():
     worst_overall, lines = 0.0, []
     for name in MODELS:
         model = build_model(name)
-        powers = hamiltonian_powers(model.hamiltonian, 7)
         npar = model.circuit.n_params
 
-        def energy_at(theta, pw, k):
-            return pds_solve(moment_table(model.circuit, theta, powers=pw), k).energy
+        def energy_at(theta, k):
+            table = moment_table(model.circuit, theta, model.hamiltonian, 2 * k - 1)
+            return pds_solve(table, k).energy
 
         for k in (1, 2, 3, 4):
-            pw = powers[: 2 * k]
             tested, draws, worst = 0, 0, 0.0
             while tested < 50 and draws < 500:
                 draws += 1
                 theta = rng.uniform(-np.pi, np.pi, size=npar)
-                table = moment_table(model.circuit, theta, powers=pw)
+                table = moment_table(model.circuit, theta, model.hamiltonian, 2 * k - 1)
                 try:
                     res = pds_solve(table, k)
                 except (SingularMoments, ComplexRoots):
@@ -352,10 +350,10 @@ def test_criterion_7c_gradient_vs_finite_differences():
                     e = np.eye(npar)[p]
                     try:
                         fd[p] = (
-                            -energy_at(theta + 2 * h * e, pw, k)
-                            + 8 * energy_at(theta + h * e, pw, k)
-                            - 8 * energy_at(theta - h * e, pw, k)
-                            + energy_at(theta - 2 * h * e, pw, k)
+                            -energy_at(theta + 2 * h * e, k)
+                            + 8 * energy_at(theta + h * e, k)
+                            - 8 * energy_at(theta - h * e, k)
+                            + energy_at(theta - 2 * h * e, k)
                         ) / (12 * h)
                     except (SingularMoments, ComplexRoots):
                         usable = False
@@ -363,7 +361,7 @@ def test_criterion_7c_gradient_vs_finite_differences():
                 if not usable or np.linalg.norm(fd) < 1e-2:
                     continue
                 table.gradients = moment_gradients(
-                    model.circuit, theta, powers=pw
+                    model.circuit, theta, model.hamiltonian, 2 * k - 1
                 )
                 grad = pds_gradient(table, k, res)
                 worst = max(
@@ -386,14 +384,13 @@ def test_criterion_7d_shift_rule_matches_analytic():
     worst = 0.0
     for name in MODELS:
         model = build_model(name)
-        powers = hamiltonian_powers(model.hamiltonian, 7)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
             analytic = moment_gradients(
-                model.circuit, theta, powers=powers, method="analytic"
+                model.circuit, theta, model.hamiltonian, 7, method="analytic"
             )
             shifted = moment_gradients(
-                model.circuit, theta, powers=powers, method="shift"
+                model.circuit, theta, model.hamiltonian, 7, method="shift"
             )
             worst = max(worst, float(np.abs(analytic - shifted).max()))
     ok = worst <= 1e-10
@@ -476,7 +473,7 @@ def test_criterion_8_shot_noise_consistency():
         model = build_model(name)
         powers = hamiltonian_powers(model.hamiltonian, 7)
         state = apply_circuit(model.circuit, model.theta0)
-        exact = moment_table(model.circuit, model.theta0, powers=powers).values
+        exact = moment_table(model.circuit, model.theta0, model.hamiltonian, 7).values
         values, errors = sampled_moments(state, powers, shots=10**6, seed=7)
         for n in range(1, 8):
             if errors[n] == 0.0:

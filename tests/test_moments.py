@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 
 from helpers import dense_from_pairs, dense_of, pairs_of, random_pairs
-from pdsvqs.models import build_model
+from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
     hamiltonian_powers,
     moment_gradients,
@@ -15,7 +15,14 @@ from pdsvqs.moments import (
     union_of_powers,
 )
 from pdsvqs.pauli import PauliSum, qwc_groups
-from pdsvqs.statesim import Circuit, Gate, State, apply_circuit
+from pdsvqs.statesim import (
+    Circuit,
+    Gate,
+    State,
+    apply_circuit,
+    apply_pauli_sum,
+    state_derivative,
+)
 
 
 MODEL_NAMES_ALL = ("toy_a", "toy_b", "h2", "heisenberg")
@@ -90,10 +97,13 @@ class TestMomentTable:
         assert np.allclose(table.values, e ** np.arange(7), atol=1e-12)
 
     def test_precomputed_powers_path(self, h2):
+        # The expanded Pauli powers, applied string by string, are the
+        # reference for the Krylov moments.
         powers = hamiltonian_powers(h2.hamiltonian, 5)
-        a = moment_table(h2.circuit, h2.theta0, powers=powers)
-        b = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5)
-        assert np.array_equal(a.values, b.values)
+        amps = apply_circuit(h2.circuit, h2.theta0).amplitudes
+        expanded = [np.vdot(amps, apply_pauli_sum(amps, p)).real for p in powers]
+        table = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5)
+        assert np.allclose(table.values, expanded, rtol=0.0, atol=1e-12)
 
     def test_missing_inputs(self, h2):
         with pytest.raises(ValueError):
@@ -108,34 +118,32 @@ class TestMomentTable:
 
 
 class TestMomentGradients:
-    def _fd_rows(self, circuit, theta, powers, h=1e-6):
-        rows = np.zeros((circuit.n_params, len(powers)))
+    def _fd_rows(self, circuit, theta, ham, max_order, h=1e-6):
+        rows = np.zeros((circuit.n_params, max_order + 1))
         for k in range(circuit.n_params):
             e = np.eye(circuit.n_params)[k]
-            up = moment_table(circuit, theta + h * e, powers=powers).values
-            down = moment_table(circuit, theta - h * e, powers=powers).values
+            up = moment_table(circuit, theta + h * e, ham, max_order).values
+            down = moment_table(circuit, theta - h * e, ham, max_order).values
             rows[k] = (up - down) / (2 * h)
         return rows
 
     @pytest.mark.parametrize("name", MODEL_NAMES_ALL)
     def test_analytic_matches_finite_differences(self, name, rng):
         model = build_model(name)
-        powers = hamiltonian_powers(model.hamiltonian, 3)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            analytic = moment_gradients(model.circuit, theta, powers=powers)
-            fd = self._fd_rows(model.circuit, theta, powers)
+            analytic = moment_gradients(model.circuit, theta, model.hamiltonian, 3)
+            fd = self._fd_rows(model.circuit, theta, model.hamiltonian, 3)
             assert np.allclose(analytic, fd, atol=5e-9)
 
     @pytest.mark.parametrize("name", MODEL_NAMES_ALL)
     def test_shift_rule_matches_analytic(self, name, rng):
         model = build_model(name)
-        powers = hamiltonian_powers(model.hamiltonian, 4)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            analytic = moment_gradients(model.circuit, theta, powers=powers)
+            analytic = moment_gradients(model.circuit, theta, model.hamiltonian, 4)
             shifted = moment_gradients(
-                model.circuit, theta, powers=powers, method="shift"
+                model.circuit, theta, model.hamiltonian, 4, method="shift"
             )
             assert np.allclose(analytic, shifted, atol=1e-10)
 
@@ -161,6 +169,114 @@ class TestMomentGradients:
             up = moment_table(toy_a.circuit, theta + h * e, toy_a.hamiltonian, 1).values[1]
             down = moment_table(toy_a.circuit, theta - h * e, toy_a.hamiltonian, 1).values[1]
             assert rows[k, 1] == approx((up - down) / (2 * h), abs=1e-8)
+
+
+def _chain(n):
+    """Open Heisenberg chain sum_i (XX + YY + ZZ)_{i,i+1} + 0.5 sum_i Z_i."""
+    pairs = []
+    for i in range(n - 1):
+        for letter in "XYZ":
+            label = ["I"] * n
+            label[i] = label[i + 1] = letter
+            pairs.append((1.0, "".join(label)))
+    for i in range(n):
+        label = ["I"] * n
+        label[i] = "Z"
+        pairs.append((0.5, "".join(label)))
+    return PauliSum.from_terms(pairs)
+
+
+def _krylov_cases():
+    """(Hamiltonian, circuit, theta, order checked against expanded powers)."""
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for name in ("h2", "heisenberg"):
+        model = build_model(name)
+        theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
+        cases[name] = (model.hamiltonian, model.circuit, theta, 7)
+    random5 = PauliSum.from_terms(random_pairs(rng, 5, 12))
+    circuit5 = hardware_efficient_ansatz(5, 1)
+    cases["random5"] = (
+        random5, circuit5, rng.uniform(-np.pi, np.pi, circuit5.n_params), 5
+    )
+    circuit8 = hardware_efficient_ansatz(8, 1)
+    cases["chain8"] = (
+        _chain(8), circuit8, rng.uniform(-np.pi, np.pi, circuit8.n_params), 3
+    )
+    return cases
+
+
+KRYLOV_CASES = _krylov_cases()
+
+
+class TestKrylovMoments:
+    """Krylov moments and rows against dense powers and expanded Pauli powers.
+
+    Errors are measured against the scale ``rho**n`` of order n, where rho is
+    the spectral radius of H, so the tolerance is relative for every order.
+    """
+
+    MAX_ORDER = 13  # past the order-12 cap of the expanded powers
+
+    @staticmethod
+    def _oracle(circuit, theta, max_order, apply):
+        amps = apply_circuit(circuit, theta).amplitudes
+        derivs = [
+            state_derivative(circuit, theta, k).amplitudes
+            for k in range(circuit.n_params)
+        ]
+        values = np.ones(max_order + 1)
+        rows = np.zeros((circuit.n_params, max_order + 1))
+        for n in range(1, max_order + 1):
+            w = apply(n, amps)
+            values[n] = np.vdot(amps, w).real
+            rows[:, n] = [2.0 * np.vdot(d, w).real for d in derivs]
+        return values, rows
+
+    @staticmethod
+    def _scale(h, max_order):
+        rho = max(1.0, float(np.abs(np.linalg.eigvalsh(dense_of(h))).max()))
+        return rho ** np.arange(max_order + 1)
+
+    @pytest.mark.parametrize("name", sorted(KRYLOV_CASES))
+    def test_match_dense_powers(self, name):
+        h, circuit, theta, _ = KRYLOV_CASES[name]
+        dense = dense_of(h)
+        values, rows = self._oracle(
+            circuit, theta, self.MAX_ORDER,
+            lambda n, v: np.linalg.matrix_power(dense, n) @ v,
+        )
+        tol = 1e-10 * self._scale(h, self.MAX_ORDER)
+        table = moment_table(circuit, theta, h, self.MAX_ORDER)
+        assert table.max_order == self.MAX_ORDER
+        assert np.all(np.abs(table.values - values) <= tol)
+        for method in ("analytic", "shift"):
+            got = moment_gradients(circuit, theta, h, self.MAX_ORDER, method=method)
+            assert np.all(np.abs(got - rows) <= tol), method
+
+    @pytest.mark.parametrize("name", sorted(KRYLOV_CASES))
+    def test_match_expanded_powers(self, name):
+        h, circuit, theta, order = KRYLOV_CASES[name]
+        powers = hamiltonian_powers(h, order)
+        values, rows = self._oracle(
+            circuit, theta, order, lambda n, v: apply_pauli_sum(v, powers[n])
+        )
+        tol = 1e-10 * self._scale(h, order)
+        table = moment_table(circuit, theta, h, order)
+        assert np.all(np.abs(table.values - values) <= tol)
+        got = moment_gradients(circuit, theta, h, order)
+        assert np.all(np.abs(got - rows) <= tol)
+
+    def test_rejects_non_hermitian(self, h2):
+        h = PauliSum.from_terms([(1.0, "XX"), (1j, "ZI")])
+        with pytest.raises(ValueError):
+            moment_table(h2.circuit, h2.theta0, h, 3)
+        with pytest.raises(ValueError):
+            moment_gradients(h2.circuit, h2.theta0, h, 3)
+
+    def test_rejects_order_below_one(self, h2):
+        with pytest.raises(ValueError):
+            moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 0)
 
 
 class TestUnionOfPowers:
@@ -254,7 +370,7 @@ class TestSampledMoments:
     def test_matches_exact_within_errors(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         powers = hamiltonian_powers(h2.hamiltonian, 5)
-        exact = moment_table(h2.circuit, h2.theta0, powers=powers).values
+        exact = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5).values
         est, se = sampled_moments(state, powers, shots=200000, seed=5)
         assert est[0] == 1.0 and se[0] == 0.0
         for n in range(1, 6):

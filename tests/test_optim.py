@@ -5,10 +5,12 @@ import pytest
 from pytest import approx
 
 from helpers import dense_of
-from pdsvqs.moments import hamiltonian_powers, moment_gradients, moment_table
+from pdsvqs import moments, optim
+from pdsvqs.moments import moment_gradients, moment_table
 from pdsvqs.optim import IterationRecord, Trajectory, metric, run, step
+from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import RegPolicy, pds_gradient, pds_solve
-from pdsvqs.statesim import Circuit, Gate
+from pdsvqs.statesim import Circuit, Gate, apply_circuit
 
 
 class TestMetric:
@@ -275,10 +277,9 @@ class TestRunDriver:
 class TestPreconditionedStepRule:
     @staticmethod
     def energy_and_gradient(model, theta):
-        powers = hamiltonian_powers(model.hamiltonian, 3)
-        table = moment_table(model.circuit, theta, powers=powers)
+        table = moment_table(model.circuit, theta, model.hamiltonian, 3)
         result = pds_solve(table, 2, RegPolicy.auto())
-        table.gradients = moment_gradients(model.circuit, theta, powers=powers)
+        table.gradients = moment_gradients(model.circuit, theta, model.hamiltonian, 3)
         return result.energy, pds_gradient(table, 2, result)
 
     @pytest.mark.parametrize("name", ["toy_a", "toy_b"])
@@ -327,6 +328,63 @@ class TestPreconditionedStepRule:
         )
         assert tail.thetas == approx(whole.thetas[20:], abs=0)
         assert tail.energies == approx(whole.energies[20:], abs=0)
+
+
+class TestHamiltonianWork:
+    """Exact runs apply the compiled H; only shot runs expand its powers."""
+
+    @pytest.mark.parametrize("kind", ["gd", "ngd"])
+    @pytest.mark.parametrize("method", ["analytic", "shift"])
+    def test_exact_run_never_expands_powers(
+        self, heisenberg, kind, method, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact run expanded Hamiltonian powers")
+
+        monkeypatch.setattr(optim, "hamiltonian_powers", refuse)
+        monkeypatch.setattr(moments, "hamiltonian_powers", refuse)
+        traj = run(
+            heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
+            order=3, metric_kind=kind, gradient_method=method,
+            max_iters=3, grad_tol=0.0,
+        )
+        assert traj.status == "max_iters" and len(traj.records) == 4
+
+    def test_shot_run_expands_powers_once(self, heisenberg, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moments.hamiltonian_powers(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "hamiltonian_powers", counted)
+        run(
+            heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
+            order=3, shots=500, max_iters=2, grad_tol=0.0,
+        )
+        assert len(calls) == 1
+
+    def test_shot_iteration_simulates_the_circuit_once_per_point(
+        self, heisenberg, monkeypatch
+    ):
+        # The state at theta plus the two shifted circuits of its one angle.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return apply_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "apply_circuit", counted)
+        run(
+            heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
+            order=3, shots=500, max_iters=0, grad_tol=0.0,
+        )
+        assert len(calls) == 3
+
+    def test_exact_run_rejects_non_hermitian(self, toy_a):
+        h = PauliSum.from_terms([(1.0, "ZZ"), (1j, "XI")])
+        with pytest.raises(ValueError, match="Hermitian"):
+            run(h, toy_a.circuit, toy_a.theta0)
 
 
 class TestTrajectoryContainer:

@@ -6,7 +6,7 @@ from pytest import approx
 
 from helpers import dense_of
 from pdsvqs.models import build_model
-from pdsvqs.moments import MomentTable, hamiltonian_powers, moment_gradients, moment_table
+from pdsvqs.moments import MomentTable, moment_gradients, moment_table
 from pdsvqs.pds import (
     ComplexRoots,
     PdsResult,
@@ -204,9 +204,8 @@ class TestStartPointAnchors:
 
     @pytest.fixture(autouse=True)
     def _tables(self, h2):
-        powers = hamiltonian_powers(h2.hamiltonian, 8)
         self.tables = {
-            k: moment_table(h2.circuit, h2.theta0, powers=powers[: 2 * k])
+            k: moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 2 * k - 1)
             for k in (2, 3, 4)
         }
 
@@ -316,14 +315,13 @@ class TestGradientAgainstDifferences:
     @pytest.mark.parametrize("name", ["toy_a", "toy_b", "h2", "heisenberg"])
     def test_second_order_gradient(self, name):
         model = build_model(name)
-        powers = hamiltonian_powers(model.hamiltonian, 4)[:4]
         rng = np.random.default_rng(5)
         npar = model.circuit.n_params
         h = 1e-4
         tested = 0
         while tested < 10:
             theta = rng.uniform(-np.pi, np.pi, size=npar)
-            table = moment_table(model.circuit, theta, powers=powers)
+            table = moment_table(model.circuit, theta, model.hamiltonian, 3)
             try:
                 res = pds_solve(table, 2)
             except (SingularMoments, ComplexRoots):
@@ -337,7 +335,7 @@ class TestGradientAgainstDifferences:
 
                 def energy(t):
                     return pds_solve(
-                        moment_table(model.circuit, t, powers=powers), 2
+                        moment_table(model.circuit, t, model.hamiltonian, 3), 2
                     ).energy
 
                 try:
@@ -352,7 +350,9 @@ class TestGradientAgainstDifferences:
                     break
             if not ok or np.linalg.norm(fd) < 1e-2:
                 continue
-            table.gradients = moment_gradients(model.circuit, theta, powers=powers)
+            table.gradients = moment_gradients(
+                model.circuit, theta, model.hamiltonian, 3
+            )
             grad = pds_gradient(table, 2, res)
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
             tested += 1
@@ -360,17 +360,16 @@ class TestGradientAgainstDifferences:
     def test_flat_surface_has_zero_gradient(self, h2):
         # The fourth-order functional is exact on this model, so the energy
         # root cannot respond to the parameters anywhere.
-        powers = hamiltonian_powers(h2.hamiltonian, 8)
         rng = np.random.default_rng(3)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=4)
-            table = moment_table(h2.circuit, theta, powers=powers)
+            table = moment_table(h2.circuit, theta, h2.hamiltonian, 8)
             try:
                 res = pds_solve(table, 4)
             except (SingularMoments, ComplexRoots):
                 continue
             if res.cond_m >= 1e4:
                 continue
-            table.gradients = moment_gradients(h2.circuit, theta, powers=powers)
+            table.gradients = moment_gradients(h2.circuit, theta, h2.hamiltonian, 8)
             grad = pds_gradient(table, 4, res)
             assert np.linalg.norm(grad) < 1e-6

@@ -161,7 +161,7 @@ class TestApplyPauliSum:
             assert np.allclose(got, dense_from_pairs(pairs, n) @ v, atol=1e-12)
 
     def test_matches_dense_above_cache_limit(self, rng):
-        # 7 qubits goes through the term loop rather than the memoized matrix
+        # a register wider than the random small-register cases above
         pairs = random_pairs(rng, 7, 4)
         s = PauliSum.from_terms(pairs)
         v = random_state_vector(rng, 1 << 7)
