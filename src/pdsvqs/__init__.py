@@ -4,11 +4,12 @@ The package simulates parametrized circuits on a statevector, evaluates a
 moment-functional ground-state energy estimate of configurable order together
 with its parameter gradient from Krylov vectors of the Hamiltonian, and drives
 metric-preconditioned gradient descent.  Hamiltonian powers expanded in an
-exact Pauli algebra feed a measurement cost model and finite-shot emulation;
+exact Pauli algebra feed a measurement cost model and finite-shot emulation,
+which groups the strings of every power once per run into a measurement plan;
 a small CLI rounds out the library.
 """
 
-from .pauli import PauliSum, PauliTerm, multiply, power, qwc_groups
+from .pauli import PauliSum, PauliTerm, qwc_groups
 from .statesim import (
     Circuit,
     Gate,
@@ -38,8 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PauliSum",
     "PauliTerm",
-    "multiply",
-    "power",
     "qwc_groups",
     "Circuit",
     "Gate",

@@ -21,9 +21,9 @@ import numpy as np
 
 from .measure import estimate_measurements, reduction_stats
 from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
-from .moments import moment_table
+from .moments import hamiltonian_powers, moment_table
 from .optim import run as run_loop
-from .pauli import qwc_groups, power
+from .pauli import qwc_groups
 from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator, pds_solve
 from .statesim import exact_eigensystem
 
@@ -98,34 +98,47 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _load_problem(args):
-    """Resolve --model/--file into (hamiltonian, circuit, theta0, defaults)."""
+def _build_model(args):
+    """The --model bundle, with --j/--b passed on for heisenberg only."""
+    options = {}
+    if args.model == "heisenberg":
+        if args.j is not None:
+            options["j"] = args.j
+        if args.b is not None:
+            options["b"] = args.b
+    return build_model(args.model, **options)
+
+
+def _hamiltonian_only(args):
     if args.model is not None:
-        options = {}
-        if args.model == "heisenberg":
-            if args.j is not None:
-                options["j"] = args.j
-            if args.b is not None:
-                options["b"] = args.b
-        bundle = build_model(args.model, **options)
-        return (
-            bundle.hamiltonian,
-            bundle.circuit,
-            bundle.theta0,
-            bundle.eta,
-            bundle.schedule,
-            bundle.reference_energy,
-            bundle.ground_basis,
-        )
-    hamiltonian = load_hamiltonian(args.file)
-    circuit = hardware_efficient_ansatz(hamiltonian.n_qubits, args.layers)
-    theta0 = np.full(circuit.n_params, 1e-3)
-    if hamiltonian.n_qubits <= 12:
-        eigenvalues, ground = exact_eigensystem(hamiltonian)
-        reference = float(eigenvalues[0])
+        return _build_model(args).hamiltonian
+    return load_hamiltonian(args.file)
+
+
+def _load_problem(args):
+    """Resolve --model/--file and the --theta0/--eta/--schedule overrides into
+    (hamiltonian, circuit, theta0, eta, schedule, reference, ground basis)."""
+    if args.model is not None:
+        bundle = _build_model(args)
+        hamiltonian, circuit = bundle.hamiltonian, bundle.circuit
+        theta0, eta, schedule = bundle.theta0, bundle.eta, bundle.schedule
+        reference, ground = bundle.reference_energy, bundle.ground_basis
     else:
-        reference, ground = math.nan, None
-    return hamiltonian, circuit, theta0, 0.05, "constant", reference, ground
+        hamiltonian = load_hamiltonian(args.file)
+        circuit = hardware_efficient_ansatz(hamiltonian.n_qubits, args.layers)
+        theta0, eta, schedule = np.full(circuit.n_params, 1e-3), 0.05, "constant"
+        if hamiltonian.n_qubits <= 12:
+            eigenvalues, ground = exact_eigensystem(hamiltonian)
+            reference = float(eigenvalues[0])
+        else:
+            reference, ground = math.nan, None
+    if args.theta0 is not None:
+        theta0 = parse_angles(args.theta0, circuit.n_params)
+    if args.eta is not None:
+        eta = args.eta
+    if args.schedule is not None:
+        schedule = args.schedule.replace("-", "_")
+    return hamiltonian, circuit, theta0, eta, schedule, reference, ground
 
 
 def _policy_from_args(args) -> RegPolicy:
@@ -168,12 +181,6 @@ def _write_trajectory(path, trajectory, order, n_params, reference) -> None:
 def _cmd_run(args) -> int:
     problem = _load_problem(args)
     hamiltonian, circuit, theta0, eta, schedule, reference, ground = problem
-    if args.theta0 is not None:
-        theta0 = parse_angles(args.theta0, circuit.n_params)
-    if args.eta is not None:
-        eta = args.eta
-    if args.schedule is not None:
-        schedule = args.schedule.replace("-", "_")
     order = 1 if args.functional == "vqe" else args.order
     trajectory = run_loop(
         hamiltonian,
@@ -213,12 +220,6 @@ def _cmd_run(args) -> int:
 def _cmd_scan(args) -> int:
     problem = _load_problem(args)
     hamiltonian, circuit, theta0, eta, schedule, reference, ground = problem
-    if args.theta0 is not None:
-        theta0 = parse_angles(args.theta0, circuit.n_params)
-    if args.eta is not None:
-        eta = args.eta
-    if args.schedule is not None:
-        schedule = args.schedule.replace("-", "_")
     try:
         pi, pj = (int(p) for p in args.params.split(","))
     except ValueError:
@@ -304,11 +305,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.power < 1:
+        raise ValueError(f"--power must be at least 1, got {args.power}")
     hamiltonian = _hamiltonian_only(args)
-    target = power(hamiltonian, args.power) if args.power > 1 else hamiltonian.simplify()
+    target = hamiltonian_powers(hamiltonian, args.power)[args.power]
     groups = qwc_groups(target)
     shots = estimate_measurements(
-        target, args.epsilon, covariance=args.covariance
+        target, args.epsilon, groups=groups, covariance=args.covariance
     )
     print(
         f"power={args.power} groups={len(groups)} epsilon={_fmt(args.epsilon)} "
@@ -323,18 +326,6 @@ def _cmd_eig(args) -> int:
     print(" ".join(format(v, "g") for v in eigenvalues))
     print(f"ground={_fmt(eigenvalues[0])} degeneracy={ground.shape[1]}")
     return 0
-
-
-def _hamiltonian_only(args):
-    if args.model is not None:
-        options = {}
-        if args.model == "heisenberg":
-            if args.j is not None:
-                options["j"] = args.j
-            if args.b is not None:
-                options["b"] = args.b
-        return build_model(args.model, **options).hamiltonian
-    return load_hamiltonian(args.file)
 
 
 def _add_problem_flags(parser) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moments import union_of_powers
+from .moments import hamiltonian_powers, union_of_powers
 from .pauli import PauliSum, PauliTerm, qwc_groups
 
 __all__ = ["CostReport", "estimate_measurements", "reduction_stats"]
@@ -83,13 +83,7 @@ def estimate_measurements(
     return (total / epsilon) ** 2
 
 
-def reduction_stats(
-    h: PauliSum,
-    max_order: int,
-    epsilon: float = 1e-3,
-    drop_tol: float = 1e-12,
-    max_power: int = 12,
-) -> CostReport:
+def reduction_stats(h: PauliSum, max_order: int, epsilon: float = 1e-3) -> CostReport:
     """String growth and worst-case shot budget across moment orders.
 
     Reports, for each order n up to ``max_order``, the simplified string
@@ -97,9 +91,7 @@ def reduction_stats(
     the qubit-wise commuting group count of the cumulative union, and the
     worst-case measurement estimate for each order at precision ``epsilon``.
     """
-    from .moments import hamiltonian_powers
-
-    powers = hamiltonian_powers(h, max_order, drop_tol, max_power)
+    powers = hamiltonian_powers(h, max_order)
     per_order = [len(powers[n]) for n in range(1, max_order + 1)]
     seen: set[tuple[int, int]] = set()
     cumulative = []

@@ -11,7 +11,9 @@ controlled rotations are rewritten to one-qubit rotations before shifting.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
-measure every string of every power.
+measure every string of every power.  A ``MeasurementPlan`` groups the union
+of those strings into qubit-wise commuting sets once; every sampled circuit
+then costs one multinomial draw per group and one dot product per order.
 """
 
 from __future__ import annotations
@@ -34,13 +36,18 @@ from .statesim import (
 
 __all__ = [
     "MomentTable",
+    "MeasurementPlan",
     "hamiltonian_powers",
     "moment_table",
     "moment_gradients",
     "union_of_powers",
-    "sampled_expectation",
     "sampled_moments",
 ]
+
+# Expanded powers drop strings whose coefficient magnitude is at most this.
+DROP_TOL = 1e-12
+# Highest power ``hamiltonian_powers`` expands; string counts grow fast.
+MAX_POWER = 12
 
 
 @dataclass
@@ -52,20 +59,21 @@ class MomentTable:
     gradients: np.ndarray | None = None
 
 
-def hamiltonian_powers(
-    h: PauliSum, max_order: int, drop_tol: float = 1e-12, max_power: int = 12
-) -> list[PauliSum]:
-    """Pauli expansions of ``h**n`` for ``n = 0 .. max_order``."""
+def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
+    """Pauli expansions of ``h**n`` for ``n = 0 .. max_order``.
+
+    Every product is pruned at ``DROP_TOL``; orders above ``MAX_POWER`` raise.
+    """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     powers = [PauliSum.identity(h.n_qubits)]
-    base = h.simplify(drop_tol)
+    base = h.simplify(DROP_TOL)
     if not base.is_hermitian():
         raise ValueError("moment powers require a Hermitian operator")
-    if max_order > max_power:
-        raise ValueError(f"max_order {max_order} exceeds the power cap {max_power}")
+    if max_order > MAX_POWER:
+        raise ValueError(f"max_order {max_order} exceeds the power cap {MAX_POWER}")
     for _ in range(max_order):
-        powers.append((powers[-1] * base).simplify(drop_tol))
+        powers.append((powers[-1] * base).simplify(DROP_TOL))
     return powers
 
 
@@ -130,22 +138,33 @@ def _analytic_rows(
     return rows
 
 
-def _shift_rows(
-    circuit: Circuit, theta: np.ndarray, op: CompiledSum, max_order: int
-) -> np.ndarray:
+def _shifted_pairs(circuit: Circuit):
+    """Yield ``(k, weight, plus, minus)`` for each occurrence of parameter k.
+
+    ``plus`` and ``minus`` shift that occurrence by +-pi/2 in the circuit with
+    controlled rotations rewritten; ``weight`` is ``0.5 * multiplier``, so the
+    derivative of any expectation is the weighted sum of its differences.
+    """
     decomposed = circuit.decompose_controlled()
-    rows = np.zeros((circuit.n_params, max_order + 1))
     for k in range(circuit.n_params):
         for pos, mult in decomposed.occurrences(k):
             plus = decomposed.with_offset_shift(pos, math.pi / 2.0)
             minus = decomposed.with_offset_shift(pos, -math.pi / 2.0)
-            v_plus = _values_from_state(
-                _Krylov(op, apply_circuit(plus, theta).amplitudes), max_order
-            )
-            v_minus = _values_from_state(
-                _Krylov(op, apply_circuit(minus, theta).amplitudes), max_order
-            )
-            rows[k] += 0.5 * mult * (v_plus - v_minus)
+            yield k, 0.5 * mult, plus, minus
+
+
+def _shift_rows(
+    circuit: Circuit, theta: np.ndarray, op: CompiledSum, max_order: int
+) -> np.ndarray:
+    rows = np.zeros((circuit.n_params, max_order + 1))
+    for k, weight, plus, minus in _shifted_pairs(circuit):
+        v_plus = _values_from_state(
+            _Krylov(op, apply_circuit(plus, theta).amplitudes), max_order
+        )
+        v_minus = _values_from_state(
+            _Krylov(op, apply_circuit(minus, theta).amplitudes), max_order
+        )
+        rows[k] += weight * (v_plus - v_minus)
     rows[:, 0] = 0.0
     return rows
 
@@ -231,109 +250,91 @@ def _rotated_probabilities(amps: np.ndarray, letters: list[str]) -> np.ndarray:
 
 
 def _term_signs(term: PauliTerm, n: int, idx: np.ndarray) -> np.ndarray:
-    support_idx, _ = _index_masks(
-        term.x_mask | term.z_mask, 0, n
-    )
+    support_idx, _ = _index_masks(term.x_mask | term.z_mask, 0, n)
     return 1.0 - 2.0 * _parity(idx & support_idx)
 
 
-def _sample_group_counts(
-    amps: np.ndarray, group: list[PauliTerm], shots: int, rng: np.random.Generator
-) -> tuple[np.ndarray, list[str]]:
-    n = int(round(math.log2(amps.size)))
-    letters = _group_basis(group, n)
-    probs = _rotated_probabilities(amps, letters)
-    counts = rng.multinomial(shots, probs)
-    return counts, letters
+class MeasurementPlan:
+    """Grouped measurement of every string of ``powers[1:]``, built once.
 
-
-def sampled_expectation(
-    state: State, groups: list[list[PauliTerm]], shots: int, seed: int = 0
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
-    """Estimate every grouped term from simulated projective measurements.
-
-    Each group is rotated into its shared product basis, ``shots`` bitstrings
-    are drawn from the exact outcome distribution with a seed derived from
-    (seed, group index), and member expectations are reconstructed from the
-    outcome counts.  Returns per-term estimates and standard errors keyed by
-    the term's mask pair.
+    The union of the strings is split into qubit-wise commuting groups
+    (``qwc_groups`` of ``union_of_powers``).  Per group the plan keeps the
+    shared basis letters and, for each order whose power has strings in the
+    group, the identity constant and the outcome row ``sum_P c_P s_P`` (with
+    ``s_P`` the +-1 eigenvalue of string P on each basis outcome) together
+    with its square.  Sampling a state is then one multinomial draw per group
+    and one dot product per order.
     """
-    if shots < 2:
-        raise ValueError("need at least two shots for a standard error")
-    amps = state.amplitudes
-    n = state.n_qubits
-    idx = np.arange(amps.size)
-    estimates: dict[tuple[int, int], float] = {}
-    errors: dict[tuple[int, int], float] = {}
-    for gi, group in enumerate(groups):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
-        counts, _ = _sample_group_counts(amps, group, shots, rng)
-        for term in group:
-            if term.is_identity():
-                estimates[term.key] = 1.0
-                errors[term.key] = 0.0
-                continue
-            signs = _term_signs(term, n, idx)
-            mean = float(counts @ signs) / shots
-            var = max(0.0, (float(counts @ signs**2) - shots * mean**2)) / (
-                shots - 1
-            )
-            estimates[term.key] = mean
-            errors[term.key] = math.sqrt(var / shots)
-    return estimates, errors
+
+    def __init__(self, powers: list[PauliSum]) -> None:
+        groups = qwc_groups(union_of_powers(powers))
+        self.n_qubits = n = powers[1].n_qubits
+        self.orders = len(powers)
+        idx = np.arange(1 << n)
+        coeff_maps = [{t.key: t.coefficient.real for t in s.terms()} for s in powers]
+        # Per group: (basis letters, [(order, identity constant or None,
+        # outcome row or None, row squared or None), ...]).
+        self.groups: list[tuple[list[str], list[tuple]]] = []
+        for group in groups:
+            sign_rows = {
+                term.key: _term_signs(term, n, idx)
+                for term in group
+                if not term.is_identity()
+            }
+            readout = []
+            for order in range(1, self.orders):
+                cmap = coeff_maps[order]
+                constant = None
+                row = np.zeros(idx.size)
+                active = False
+                for term in group:
+                    c = cmap.get(term.key)
+                    if c is None:
+                        continue
+                    if term.is_identity():
+                        constant = c
+                        continue
+                    row += c * sign_rows[term.key]
+                    active = True
+                if active:
+                    readout.append((order, constant, row, row**2))
+                elif constant is not None:
+                    readout.append((order, constant, None, None))
+            self.groups.append((_group_basis(group, n), readout))
 
 
 def sampled_moments(
     state: State,
-    powers: list[PauliSum],
+    plan: MeasurementPlan,
     shots: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moment estimates with standard errors from a shared measurement pass.
 
-    The union of all strings over the given powers is grouped once; each group
-    is sampled once and every ``<H^n>`` is assembled from the same counts, so
-    covariances between strings measured together propagate into the per-order
-    standard errors exactly as they would on hardware.
+    Each group of ``plan`` is sampled once, ``shots`` outcomes drawn from the
+    exact distribution in its rotated basis with a generator seeded by
+    (seed, group index), and every ``<H^n>`` is assembled from the same
+    counts, so covariances between strings measured together propagate into
+    the per-order standard errors exactly as they would on hardware.
     """
     if shots < 2:
         raise ValueError("need at least two shots for a standard error")
+    if state.n_qubits != plan.n_qubits:
+        raise ValueError("state and measurement plan differ in qubit count")
     amps = state.amplitudes
-    n = state.n_qubits
-    idx = np.arange(amps.size)
-    groups = qwc_groups(union_of_powers(powers))
-    orders = len(powers)
-    values = np.zeros(orders)
-    variances = np.zeros(orders)
+    values = np.zeros(plan.orders)
+    variances = np.zeros(plan.orders)
     values[0] = 1.0
-    coeff_maps = [
-        {t.key: t.coefficient.real for t in s.terms()} for s in powers
-    ]
-    for gi, group in enumerate(groups):
+    for gi, (letters, readout) in enumerate(plan.groups):
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
-        counts, _ = _sample_group_counts(amps, group, shots, rng)
-        sign_rows = {
-            term.key: _term_signs(term, n, idx)
-            for term in group
-            if not term.is_identity()
-        }
-        for order in range(1, orders):
-            cmap = coeff_maps[order]
-            row = np.zeros(amps.size)
-            active = False
-            for term in group:
-                c = cmap.get(term.key)
-                if c is None:
-                    continue
-                if term.is_identity():
-                    values[order] += c
-                    continue
-                row += c * sign_rows[term.key]
-                active = True
-            if not active:
+        counts = rng.multinomial(shots, _rotated_probabilities(amps, letters))
+        for order, constant, row, row_sq in readout:
+            if constant is not None:
+                values[order] += constant
+            if row is None:
                 continue
             mean = float(counts @ row) / shots
-            second = float(counts @ row**2) / shots
+            second = float(counts @ row_sq) / shots
             values[order] += mean
             variances[order] += max(0.0, second - mean**2) * shots / (shots - 1)
     return values, np.sqrt(variances / shots)

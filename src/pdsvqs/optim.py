@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import MomentTable, hamiltonian_powers, sampled_moments
+from .moments import MeasurementPlan, MomentTable
+from .moments import hamiltonian_powers, sampled_moments
 from .moments import _Krylov, _analytic_rows, _operator, _shift_rows
-from .moments import _values_from_state
+from .moments import _shifted_pairs, _values_from_state
 from .pauli import PauliSum
 from .pds import (
     ComplexRoots,
@@ -203,9 +204,11 @@ def run(
     is a constant step size or ``eta / iteration``.  With ``shots`` set, the
     moments and their shift-rule gradients are estimated from simulated
     measurements of every string of the expanded powers of H, seeded per
-    (seed, iteration).  Otherwise they are exact: H is compiled once, and
-    each iterate's moments and analytic gradient rows come from one list of
-    Krylov vectors ``H^j psi``, ``2K - 1`` applications of H in all;
+    (seed, iteration); the powers are expanded and grouped into one
+    ``MeasurementPlan`` per call, which every sampled circuit reuses.
+    Otherwise they are exact: H is compiled once, and each iterate's moments
+    and analytic gradient rows come from one list of Krylov vectors
+    ``H^j psi``, ``2K - 1`` applications of H in all;
     ``ngd``/``ite`` steps follow the sufficient-decrease rule of the module
     docstring, and an accepted trial point hands its Krylov list on.
 
@@ -231,7 +234,7 @@ def run(
     if shots is None:
         op = _operator(hamiltonian, max_order)
     else:
-        powers = hamiltonian_powers(hamiltonian, max_order)
+        plan = MeasurementPlan(hamiltonian_powers(hamiltonian, max_order))
     if ground_basis is None and hamiltonian.n_qubits <= 12:
         _, ground_basis = exact_eigensystem(hamiltonian)
 
@@ -265,7 +268,7 @@ def run(
             else:
                 state = apply_circuit(circuit, theta)
                 values, rows = _sampled_table(
-                    circuit, theta, state, powers, shots, seed, iteration
+                    circuit, theta, state, plan, shots, seed, iteration
                 )
                 derivs = None
                 result = None
@@ -347,7 +350,7 @@ def _sampled_table(
     circuit: Circuit,
     theta: np.ndarray,
     state: State,
-    powers: list[PauliSum],
+    plan: MeasurementPlan,
     shots: int,
     seed: int,
     iteration: int,
@@ -357,22 +360,19 @@ def _sampled_table(
     ``state`` is the circuit's state at ``theta``, which the caller has
     already simulated.
     """
-    values, _ = sampled_moments(state, powers, shots, seed=_mix(seed, iteration, 0))
-    decomposed = circuit.decompose_controlled()
-    rows = np.zeros((circuit.n_params, len(powers)))
+    values, _ = sampled_moments(state, plan, shots, seed=_mix(seed, iteration, 0))
+    rows = np.zeros((circuit.n_params, plan.orders))
     tag = 1
-    for k in range(circuit.n_params):
-        for pos, mult in decomposed.occurrences(k):
-            for sign in (1.0, -1.0):
-                shifted = decomposed.with_offset_shift(pos, sign * math.pi / 2.0)
-                est, _ = sampled_moments(
-                    apply_circuit(shifted, theta),
-                    powers,
-                    shots,
-                    seed=_mix(seed, iteration, tag),
-                )
-                rows[k] += 0.5 * mult * sign * est
-                tag += 1
+    for k, weight, plus, minus in _shifted_pairs(circuit):
+        for sign, shifted in ((1.0, plus), (-1.0, minus)):
+            est, _ = sampled_moments(
+                apply_circuit(shifted, theta),
+                plan,
+                shots,
+                seed=_mix(seed, iteration, tag),
+            )
+            rows[k] += weight * sign * est
+            tag += 1
     rows[:, 0] = 0.0
     return values, rows
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "PauliTerm",
     "PauliSum",
-    "multiply",
-    "power",
     "qwc_groups",
     "qubitwise_commutes",
 ]
@@ -273,41 +271,6 @@ class PauliSum:
         if width is None:
             raise ValueError("no Pauli terms found in text")
         return cls(width, coeffs)
-
-
-def multiply(a, b):
-    """Exact product of terms or sums; sums of strings close under this."""
-    return a * b
-
-
-def power(
-    h: PauliSum, n: int, drop_tol: float = 1e-12, max_power: int = 12
-) -> PauliSum:
-    """Compute the Pauli expansion of ``h**n`` by iterated multiplication.
-
-    Every intermediate product is simplified with ``drop_tol`` so the term
-    count stays bounded by cancellation instead of growing combinatorially.
-
-    Args:
-        h: Hermitian operator to raise to a power.
-        n: Non-negative exponent.
-        drop_tol: Pruning threshold applied after each multiplication.
-        max_power: Guard against runaway expansions; exceeding it raises.
-
-    Returns:
-        ``h**n`` as a simplified ``PauliSum``; the zeroth power is the identity.
-    """
-    if n < 0:
-        raise ValueError("power requires a non-negative exponent")
-    if n > max_power:
-        raise ValueError(f"power {n} exceeds the configured cap {max_power}")
-    if not h.is_hermitian():
-        raise ValueError("power expects a Hermitian operator")
-    acc = PauliSum.identity(h.n_qubits)
-    base = h.simplify(drop_tol)
-    for _ in range(n):
-        acc = (acc * base).simplify(drop_tol)
-    return acc
 
 
 def qubitwise_commutes(a: PauliTerm, b: PauliTerm) -> bool:

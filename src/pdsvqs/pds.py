@@ -141,6 +141,23 @@ def _hankel_system(table: MomentTable, order: int) -> tuple[np.ndarray, np.ndarr
     return matrix, rhs
 
 
+def _regularized_solve(
+    matrix: np.ndarray, rhs: np.ndarray, kind: str | None, magnitude: float
+) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` directly (``kind`` None), with every
+    eigenvalue shifted by ``magnitude``, or by a singular-value truncation
+    at relative ``magnitude``."""
+    if kind is None:
+        return np.linalg.solve(matrix, rhs)
+    if kind == "shift":
+        return np.linalg.solve(matrix + magnitude * np.eye(matrix.shape[0]), rhs)
+    u, s, vt = np.linalg.svd(matrix)
+    keep = s > magnitude * s[0]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return vt.T @ (inv * (u.T @ rhs))
+
+
 def _solve(
     matrix: np.ndarray, rhs: np.ndarray, policy: RegPolicy
 ) -> tuple[np.ndarray, float, str | None, float]:
@@ -153,56 +170,21 @@ def _solve(
     smax = svals[0]
     smin = svals[-1]
     cond = float("inf") if smin == 0.0 else float(smax / smin)
-
-    def direct() -> np.ndarray:
+    direct = policy.kind == "none" or (
+        policy.kind == "auto" and np.isfinite(cond) and cond <= policy.cond_threshold
+    )
+    if direct:
         if smax == 0.0 or smin <= smax * _HARD_SINGULAR:
             raise SingularMoments(
                 f"moment matrix is rank-deficient (cond ~ {cond:.3g}); "
                 "the trial state spans too few eigenvectors"
             )
-        return np.linalg.solve(matrix, rhs)
-
-    def truncated(rcond: float) -> np.ndarray:
-        u, s, vt = np.linalg.svd(matrix)
-        keep = s > rcond * s[0]
-        inv = np.zeros_like(s)
-        inv[keep] = 1.0 / s[keep]
-        return vt.T @ (inv * (u.T @ rhs))
-
-    if policy.kind == "none":
-        return direct(), cond, None, 0.0
-    if policy.kind == "shift":
-        shifted = matrix + policy.shift_eps * np.eye(matrix.shape[0])
-        return (
-            np.linalg.solve(shifted, rhs),
-            cond,
-            "shift",
-            policy.shift_eps,
-        )
-    if policy.kind == "truncate":
-        return truncated(policy.rcond), cond, "truncate", policy.rcond
-    # auto
-    if np.isfinite(cond) and cond <= policy.cond_threshold:
-        return direct(), cond, None, 0.0
-    shifted = matrix + policy.shift_eps * np.eye(matrix.shape[0])
-    return np.linalg.solve(shifted, rhs), cond, "shift", policy.shift_eps
-
-
-def _replay_solve(
-    matrix: np.ndarray, rhs: np.ndarray, result: "PdsResult"
-) -> np.ndarray:
-    """Solve another right-hand side the same way the energy solve went."""
-    if not result.regularization_applied:
-        return np.linalg.solve(matrix, rhs)
-    if result.applied_kind == "shift":
-        return np.linalg.solve(
-            matrix + result.applied_magnitude * np.eye(matrix.shape[0]), rhs
-        )
-    u, s, vt = np.linalg.svd(matrix)
-    keep = s > result.applied_magnitude * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return vt.T @ (inv * (u.T @ rhs))
+        kind, magnitude = None, 0.0
+    elif policy.kind == "truncate":
+        kind, magnitude = "truncate", policy.rcond
+    else:
+        kind, magnitude = "shift", policy.shift_eps
+    return _regularized_solve(matrix, rhs, kind, magnitude), cond, kind, magnitude
 
 
 def pds_solve(
@@ -286,6 +268,8 @@ def pds_gradient(
         d_matrix = g[2 * k - rows[:, None] - rows[None, :]]
         d_rhs = g[2 * k - rows]
         rhs = -d_rhs - d_matrix @ result.x
-        dx = _replay_solve(matrix, rhs, result)
+        dx = _regularized_solve(
+            matrix, rhs, result.applied_kind, result.applied_magnitude
+        )
         grad[p] = -float(powers_vec @ dx) / denom
     return grad

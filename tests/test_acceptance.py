@@ -13,6 +13,7 @@ from helpers import PAULI, dense_of, kron_all, random_pairs
 from pdsvqs.measure import estimate_measurements
 from pdsvqs.models import build_model
 from pdsvqs.moments import (
+    MeasurementPlan,
     MomentTable,
     hamiltonian_powers,
     moment_gradients,
@@ -20,7 +21,7 @@ from pdsvqs.moments import (
     sampled_moments,
 )
 from pdsvqs.optim import run
-from pdsvqs.pauli import PauliSum, power
+from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import (
     ComplexRoots,
     RegPolicy,
@@ -407,18 +408,20 @@ def test_criterion_7e_pauli_power_vs_dense():
     for name in MODELS:
         h = build_model(name).hamiltonian
         dense = dense_of(h)
+        powers = hamiltonian_powers(h, 4)
         for n in range(5):
             diff = np.abs(
-                dense_of(power(h, n)) - np.linalg.matrix_power(dense, n)
+                dense_of(powers[n]) - np.linalg.matrix_power(dense, n)
             ).max()
             worst = max(worst, float(diff))
     for _ in range(20):
         n_qubits = int(rng.integers(1, 5))
         s = PauliSum.from_terms(random_pairs(rng, n_qubits, 5))
         dense = dense_of(s)
+        powers = hamiltonian_powers(s, 3)
         for n in range(4):
             diff = np.abs(
-                dense_of(power(s, n)) - np.linalg.matrix_power(dense, n)
+                dense_of(powers[n]) - np.linalg.matrix_power(dense, n)
             ).max()
             worst = max(worst, float(diff))
     ok = worst <= 1e-10
@@ -474,7 +477,8 @@ def test_criterion_8_shot_noise_consistency():
         powers = hamiltonian_powers(model.hamiltonian, 7)
         state = apply_circuit(model.circuit, model.theta0)
         exact = moment_table(model.circuit, model.theta0, model.hamiltonian, 7).values
-        values, errors = sampled_moments(state, powers, shots=10**6, seed=7)
+        plan = MeasurementPlan(powers)
+        values, errors = sampled_moments(state, plan, shots=10**6, seed=7)
         for n in range(1, 8):
             if errors[n] == 0.0:
                 assert values[n] == approx(exact[n], abs=1e-9)

@@ -212,6 +212,13 @@ class TestReportCommands:
         out = capsys.readouterr().out
         assert "groups=2" in out and "power=1" in out
 
+    @pytest.mark.parametrize("power", ["0", "-1"])
+    def test_estimate_rejects_power_below_one(self, capsys, power):
+        code = main(["estimate", "--model", "h2", "--power", power])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and "--power must be at least 1" in captured.err
+
     def test_eig_prints_spectrum(self, capsys):
         code = main(["eig", "--model", "toy_a"])
         lines = capsys.readouterr().out.splitlines()

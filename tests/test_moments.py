@@ -7,14 +7,14 @@ from pytest import approx
 from helpers import dense_from_pairs, dense_of, pairs_of, random_pairs
 from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
+    MeasurementPlan,
     hamiltonian_powers,
     moment_gradients,
     moment_table,
-    sampled_expectation,
     sampled_moments,
     union_of_powers,
 )
-from pdsvqs.pauli import PauliSum, qwc_groups
+from pdsvqs.pauli import PauliSum
 from pdsvqs.statesim import (
     Circuit,
     Gate,
@@ -46,9 +46,25 @@ class TestHamiltonianPowers:
         powers = hamiltonian_powers(h, 5)
         assert np.allclose(dense_of(powers[5]), np.linalg.matrix_power(dense, 5), atol=1e-9)
 
+    def test_zeroth_power_is_identity(self):
+        s = PauliSum.from_terms([(0.7, "XY")])
+        assert np.allclose(dense_of(hamiltonian_powers(s, 1)[0]), np.eye(4))
+
+    def test_involution_squares_to_identity(self):
+        s = PauliSum.from_terms([(1.0, "XZ")])
+        sq = hamiltonian_powers(s, 2)[2]
+        assert len(sq) == 1
+        assert sq.coefficient("II") == approx(1.0)
+
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hamiltonian_powers(PauliSum.from_terms([(1j, "X")]), 2)
+        for label in ("X", "Z"):
+            with pytest.raises(ValueError):
+                hamiltonian_powers(PauliSum.from_terms([(1j, label)]), 2)
+
+    def test_rejects_order_below_one(self):
+        for max_order in (0, -1):
+            with pytest.raises(ValueError):
+                hamiltonian_powers(PauliSum.from_terms([(1.0, "Z")]), max_order)
 
     def test_power_cap(self):
         h = PauliSum.from_terms([(1.0, "Z")])
@@ -301,77 +317,78 @@ class TestUnionOfPowers:
             union_of_powers([PauliSum.identity(2)])
 
 
+def _plan(h, max_order=1):
+    return MeasurementPlan(hamiltonian_powers(h, max_order))
+
+
 class TestSampledExpectation:
+    """Order-1 readout: ``<H>`` sampled through a plan of H alone."""
+
     def test_deterministic_given_seed(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
-        groups = qwc_groups(h2.hamiltonian)
-        est1, err1 = sampled_expectation(state, groups, shots=400, seed=11)
-        est2, err2 = sampled_expectation(state, groups, shots=400, seed=11)
-        assert est1 == est2 and err1 == err2
+        plan = _plan(h2.hamiltonian)
+        est1, err1 = sampled_moments(state, plan, shots=400, seed=11)
+        est2, err2 = sampled_moments(state, plan, shots=400, seed=11)
+        assert np.array_equal(est1, est2) and np.array_equal(err1, err2)
 
     def test_seed_changes_draws(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
-        groups = qwc_groups(h2.hamiltonian)
-        est1, _ = sampled_expectation(state, groups, shots=400, seed=1)
-        est2, _ = sampled_expectation(state, groups, shots=400, seed=2)
-        assert est1 != est2
+        plan = _plan(h2.hamiltonian)
+        est1, _ = sampled_moments(state, plan, shots=400, seed=1)
+        est2, _ = sampled_moments(state, plan, shots=400, seed=2)
+        assert est1[1] != est2[1]
 
     def test_basis_state_measured_exactly(self):
         # Z-basis strings on a computational basis state have zero variance
         circuit = Circuit(n_qubits=2, n_params=0, gates=(), initial_bits="10")
         state = apply_circuit(circuit, np.array([]))
-        h = PauliSum.from_terms([(1.0, "ZI"), (1.0, "IZ"), (0.5, "ZZ")])
-        est, err = sampled_expectation(state, qwc_groups(h), shots=64, seed=0)
-        zi = PauliSum.from_terms([(1.0, "ZI")]).terms()[0].key
-        iz = PauliSum.from_terms([(1.0, "IZ")]).terms()[0].key
-        assert est[zi] == approx(-1.0)
-        assert est[iz] == approx(1.0)
-        assert err[zi] == 0.0 and err[iz] == 0.0
+        for label, expected in (("ZI", -1.0), ("IZ", 1.0), ("ZZ", -1.0)):
+            h = PauliSum.from_terms([(1.0, label)])
+            est, err = sampled_moments(state, _plan(h), shots=64, seed=0)
+            assert est[1] == approx(expected) and err[1] == 0.0, label
 
     def test_plus_state_x_measured_exactly(self):
+        # The X string is read out after rotating |+> into the Z basis.
         circuit = Circuit(
             n_qubits=1, n_params=0,
             gates=(Gate("ry", 0, offset=np.pi / 2),),
         )
         state = apply_circuit(circuit, np.array([]))
         h = PauliSum.from_terms([(1.0, "X")])
-        est, err = sampled_expectation(state, qwc_groups(h), shots=32, seed=0)
-        key = h.terms()[0].key
-        assert est[key] == approx(1.0)
-        assert err[key] == 0.0
+        est, err = sampled_moments(state, _plan(h), shots=32, seed=0)
+        assert est[1] == approx(1.0)
+        assert err[1] == 0.0
 
     def test_estimates_near_exact(self, heisenberg):
+        # Each string separately, so that errors cannot cancel in the sum.
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
-        groups = qwc_groups(heisenberg.hamiltonian)
-        est, err = sampled_expectation(state, groups, shots=20000, seed=3)
         from pdsvqs.statesim import expectation
 
-        for group in groups:
-            for term in group:
-                exact = expectation(state, PauliSum(term.n_qubits, {term.key: 1.0}))
-                scale = max(err[term.key], 1e-3)
-                assert abs(est[term.key] - exact) <= 6 * scale
+        for term in heisenberg.hamiltonian.terms():
+            string = PauliSum(term.n_qubits, {term.key: 1.0})
+            est, err = sampled_moments(state, _plan(string), shots=20000, seed=3)
+            exact = expectation(state, string)
+            assert abs(est[1] - exact) <= 6 * max(err[1], 1e-3), term.key
 
     def test_identity_term_is_free(self):
+        # An identity string is a constant of every order, never sampled.
         circuit = Circuit(n_qubits=1, n_params=0, gates=())
         state = apply_circuit(circuit, np.array([]))
         h = PauliSum.from_terms([(2.0, "I")])
-        est, err = sampled_expectation(state, qwc_groups(h), shots=16, seed=0)
-        key = (0, 0)
-        assert est[key] == 1.0 and err[key] == 0.0
+        est, err = sampled_moments(state, _plan(h, 2), shots=16, seed=0)
+        assert list(est) == [1.0, 2.0, 4.0] and list(err) == [0.0, 0.0, 0.0]
 
     def test_too_few_shots(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         with pytest.raises(ValueError):
-            sampled_expectation(state, qwc_groups(h2.hamiltonian), shots=1)
+            sampled_moments(state, _plan(h2.hamiltonian), shots=1)
 
 
 class TestSampledMoments:
     def test_matches_exact_within_errors(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
-        powers = hamiltonian_powers(h2.hamiltonian, 5)
         exact = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5).values
-        est, se = sampled_moments(state, powers, shots=200000, seed=5)
+        est, se = sampled_moments(state, _plan(h2.hamiltonian, 5), shots=200000, seed=5)
         assert est[0] == 1.0 and se[0] == 0.0
         for n in range(1, 6):
             slack = 5 * se[n] if se[n] > 0 else 1e-12
@@ -379,18 +396,18 @@ class TestSampledMoments:
 
     def test_error_shrinks_with_shots(self, heisenberg):
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
-        powers = hamiltonian_powers(heisenberg.hamiltonian, 3)
-        _, se_small = sampled_moments(state, powers, shots=1000, seed=9)
-        _, se_big = sampled_moments(state, powers, shots=100000, seed=9)
+        plan = _plan(heisenberg.hamiltonian, 3)
+        _, se_small = sampled_moments(state, plan, shots=1000, seed=9)
+        _, se_big = sampled_moments(state, plan, shots=100000, seed=9)
         # 100x the shots should cut the standard error by roughly 10x
         for n in range(1, 4):
             assert se_big[n] < 0.3 * se_small[n]
 
     def test_deterministic_given_seed(self, heisenberg):
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
-        powers = hamiltonian_powers(heisenberg.hamiltonian, 2)
-        a = sampled_moments(state, powers, shots=500, seed=21)
-        b = sampled_moments(state, powers, shots=500, seed=21)
+        plan = _plan(heisenberg.hamiltonian, 2)
+        a = sampled_moments(state, plan, shots=500, seed=21)
+        b = sampled_moments(state, plan, shots=500, seed=21)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_eigenstate_zero_error(self):
@@ -398,14 +415,17 @@ class TestSampledMoments:
         circuit = Circuit(n_qubits=2, n_params=0, gates=(), initial_bits="01")
         state = apply_circuit(circuit, np.array([]))
         h = PauliSum.from_terms([(1.5, "II"), (0.5, "IZ"), (-1.0, "ZZ")])
-        powers = hamiltonian_powers(h, 3)
-        est, se = sampled_moments(state, powers, shots=50, seed=0)
+        est, se = sampled_moments(state, _plan(h, 3), shots=50, seed=0)
         assert np.allclose(se, 0.0)
         # |01> sits at diagonal entry 2 of diag(1,2,3,0)
         assert np.allclose(est, 2.0 ** np.arange(4), atol=1e-12)
 
     def test_too_few_shots(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
-        powers = hamiltonian_powers(h2.hamiltonian, 2)
         with pytest.raises(ValueError):
-            sampled_moments(state, powers, shots=1)
+            sampled_moments(state, _plan(h2.hamiltonian, 2), shots=1)
+
+    def test_plan_width_must_match_state(self, h2, heisenberg):
+        state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
+        with pytest.raises(ValueError, match="qubit count"):
+            sampled_moments(state, _plan(h2.hamiltonian), shots=10)

@@ -364,6 +364,28 @@ class TestHamiltonianWork:
         )
         assert len(calls) == 1
 
+    def test_shot_run_groups_the_power_union_once(self, heisenberg, monkeypatch):
+        # Every sampled circuit of every iteration reuses one measurement plan.
+        calls = {"union_of_powers": 0, "qwc_groups": 0}
+
+        def counted(name):
+            original = getattr(moments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(moments, name, counted(name))
+        traj = run(
+            heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
+            order=3, shots=500, max_iters=2, grad_tol=0.0,
+        )
+        assert len(traj.records) == 3
+        assert calls == {"union_of_powers": 1, "qwc_groups": 1}
+
     def test_shot_iteration_simulates_the_circuit_once_per_point(
         self, heisenberg, monkeypatch
     ):

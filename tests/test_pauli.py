@@ -5,11 +5,10 @@ import pytest
 from pytest import approx
 
 from helpers import dense_from_pairs, dense_of, random_pairs
+from pdsvqs.moments import hamiltonian_powers
 from pdsvqs.pauli import (
     PauliSum,
     PauliTerm,
-    multiply,
-    power,
     qubitwise_commutes,
     qwc_groups,
 )
@@ -144,34 +143,11 @@ class TestPower:
         pairs = random_pairs(rng, 2, 4)
         s = PauliSum.from_terms(pairs)
         dense = dense_from_pairs(pairs, 2)
+        powers = hamiltonian_powers(s, 4)
         acc = np.eye(4, dtype=complex)
         for n in range(5):
-            assert np.allclose(dense_of(power(s, n)), acc, atol=1e-10)
+            assert np.allclose(dense_of(powers[n]), acc, atol=1e-10)
             acc = acc @ dense
-
-    def test_zeroth_power_is_identity(self):
-        s = PauliSum.from_terms([(0.7, "XY")])
-        assert np.allclose(dense_of(power(s, 0)), np.eye(4))
-
-    def test_involution_squares_to_identity(self):
-        s = PauliSum.from_terms([(1.0, "XZ")])
-        sq = power(s, 2)
-        assert len(sq) == 1
-        assert sq.coefficient("II") == approx(1.0)
-
-    def test_guards(self):
-        s = PauliSum.from_terms([(1.0, "Z")])
-        with pytest.raises(ValueError):
-            power(s, -1)
-        with pytest.raises(ValueError):
-            power(s, 13)
-        with pytest.raises(ValueError):
-            power(PauliSum.from_terms([(1j, "Z")]), 2)
-
-    def test_multiply_alias(self):
-        a = PauliSum.from_terms([(2.0, "X")])
-        b = PauliSum.from_terms([(3.0, "Z")])
-        assert np.allclose(dense_of(multiply(a, b)), dense_of(a * b))
 
 
 class TestGrouping:
