@@ -218,6 +218,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     problem = _load_problem(args)
     hamiltonian, circuit, theta0, eta, schedule, reference, ground = problem
     try:

@@ -8,6 +8,8 @@ applications.  Derivative rows come either from the analytic form
 ``2 Re <d_k psi| v_n>``, which continues the same Krylov list to ``v_{2K-1}``,
 or from the two-point rotation shift rule applied per gate occurrence;
 controlled rotations are rewritten to one-qubit rotations before shifting.
+One shift-rule loop serves exact and sampled moments alike: it is handed the
+function that gives a shifted state's moment values.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -29,7 +31,8 @@ from .statesim import (
     CompiledSum,
     State,
     apply_circuit,
-    state_derivative,
+    _apply_single,
+    _derivative_states,
     _index_masks,
     _parity,
 )
@@ -110,6 +113,11 @@ def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
     return values
 
 
+def _exact_moments(op: CompiledSum, max_order: int):
+    """``moments_of`` for ``_shift_rows``: the exact moments of a state."""
+    return lambda state: _values_from_state(_Krylov(op, state.amplitudes), max_order)
+
+
 def moment_table(
     circuit: Circuit,
     theta: np.ndarray,
@@ -122,9 +130,7 @@ def moment_table(
     """
     op = _operator(h, max_order)
     state = apply_circuit(circuit, np.asarray(theta, dtype=float))
-    return MomentTable(
-        max_order, _values_from_state(_Krylov(op, state.amplitudes), max_order)
-    )
+    return MomentTable(max_order, _exact_moments(op, max_order)(state))
 
 
 def _analytic_rows(
@@ -138,33 +144,23 @@ def _analytic_rows(
     return rows
 
 
-def _shifted_pairs(circuit: Circuit):
-    """Yield ``(k, weight, plus, minus)`` for each occurrence of parameter k.
+def _shift_rows(
+    circuit: Circuit, theta: np.ndarray, moments_of, width: int
+) -> np.ndarray:
+    """Shift-rule rows ``d m_n / d theta_k`` of shape (n_params, width).
 
-    ``plus`` and ``minus`` shift that occurrence by +-pi/2 in the circuit with
-    controlled rotations rewritten; ``weight`` is ``0.5 * multiplier``, so the
-    derivative of any expectation is the weighted sum of its differences.
+    ``moments_of`` gives the moments (exact or sampled) of each state shifted
+    by +pi/2, then -pi/2, at one occurrence of k; each adds with weight
+    ``0.5 * multiplier * sign``.  Controlled rotations are rewritten first.
     """
+    rows = np.zeros((circuit.n_params, width))
     decomposed = circuit.decompose_controlled()
     for k in range(circuit.n_params):
         for pos, mult in decomposed.occurrences(k):
-            plus = decomposed.with_offset_shift(pos, math.pi / 2.0)
-            minus = decomposed.with_offset_shift(pos, -math.pi / 2.0)
-            yield k, 0.5 * mult, plus, minus
-
-
-def _shift_rows(
-    circuit: Circuit, theta: np.ndarray, op: CompiledSum, max_order: int
-) -> np.ndarray:
-    rows = np.zeros((circuit.n_params, max_order + 1))
-    for k, weight, plus, minus in _shifted_pairs(circuit):
-        v_plus = _values_from_state(
-            _Krylov(op, apply_circuit(plus, theta).amplitudes), max_order
-        )
-        v_minus = _values_from_state(
-            _Krylov(op, apply_circuit(minus, theta).amplitudes), max_order
-        )
-        rows[k] += weight * (v_plus - v_minus)
+            for sign in (1.0, -1.0):
+                shifted = decomposed.with_offset_shift(pos, sign * math.pi / 2.0)
+                est = moments_of(apply_circuit(shifted, theta))
+                rows[k] += 0.5 * mult * sign * est
     rows[:, 0] = 0.0
     return rows
 
@@ -185,14 +181,10 @@ def moment_gradients(
     theta = np.asarray(theta, dtype=float)
     op = _operator(h, max_order)
     if method == "analytic":
-        amps = apply_circuit(circuit, theta).amplitudes
-        derivs = [
-            state_derivative(circuit, theta, k).amplitudes
-            for k in range(circuit.n_params)
-        ]
-        return _analytic_rows(_Krylov(op, amps), derivs, max_order)
+        krylov = _Krylov(op, apply_circuit(circuit, theta).amplitudes)
+        return _analytic_rows(krylov, _derivative_states(circuit, theta), max_order)
     if method == "shift":
-        return _shift_rows(circuit, theta, op, max_order)
+        return _shift_rows(circuit, theta, _exact_moments(op, max_order), max_order + 1)
     raise ValueError(f"unknown gradient method {method!r}")
 
 
@@ -214,38 +206,19 @@ def union_of_powers(powers: list[PauliSum]) -> PauliSum:
     return PauliSum(n, {k: complex(w) for k, w in weights.items()})
 
 
-def _group_basis(group: list[PauliTerm], n_qubits: int) -> list[str]:
-    letters = ["I"] * n_qubits
-    for term in group:
-        for q in range(n_qubits):
-            x = (term.x_mask >> q) & 1
-            z = (term.z_mask >> q) & 1
-            if (x, z) == (0, 0):
-                continue
-            letter = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(x, z)]
-            if letters[q] not in ("I", letter):
-                raise ValueError("group is not qubit-wise commuting")
-            letters[q] = letter
-    return letters
+# Basis changes that turn X and Y readout into Z readout.
+_X_TO_Z = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_Y_TO_Z = _X_TO_Z @ np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_SDG = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-
-
-def _rotated_probabilities(amps: np.ndarray, letters: list[str]) -> np.ndarray:
-    n = len(letters)
-    work = amps
-    for q, letter in enumerate(letters):
-        if letter == "X":
-            u = _HADAMARD
-        elif letter == "Y":
-            u = _HADAMARD @ _SDG
-        else:
-            continue
-        block = work.reshape(1 << q, 2, -1)
-        work = np.einsum("ab,xbz->xaz", u, block).reshape(-1)
-    probs = np.abs(work) ** 2
+def _rotated_probabilities(
+    amps: np.ndarray, n: int, x_mask: int, z_mask: int
+) -> np.ndarray:
+    for q in range(n):
+        if (x_mask >> q) & 1:
+            u = _Y_TO_Z if (z_mask >> q) & 1 else _X_TO_Z
+            amps = _apply_single(amps, n, q, u)
+    probs = np.abs(amps) ** 2
     return probs / probs.sum()
 
 
@@ -259,11 +232,12 @@ class MeasurementPlan:
 
     The union of the strings is split into qubit-wise commuting groups
     (``qwc_groups`` of ``union_of_powers``).  Per group the plan keeps the
-    shared basis letters and, for each order whose power has strings in the
-    group, the identity constant and the outcome row ``sum_P c_P s_P`` (with
-    ``s_P`` the +-1 eigenvalue of string P on each basis outcome) together
-    with its square.  Sampling a state is then one multinomial draw per group
-    and one dot product per order.
+    OR-ed ``(x_mask, z_mask)`` of its strings, which fix the shared basis,
+    and, for each order whose power has strings in the group, the identity
+    constant and the outcome row ``sum_P c_P s_P`` (with ``s_P`` the +-1
+    eigenvalue of string P on each basis outcome) together with its square.
+    Sampling a state is then one multinomial draw per group and one dot
+    product per order.
     """
 
     def __init__(self, powers: list[PauliSum]) -> None:
@@ -272,9 +246,9 @@ class MeasurementPlan:
         self.orders = len(powers)
         idx = np.arange(1 << n)
         coeff_maps = [{t.key: t.coefficient.real for t in s.terms()} for s in powers]
-        # Per group: (basis letters, [(order, identity constant or None,
+        # Per group: (x_mask, z_mask, [(order, identity constant or None,
         # outcome row or None, row squared or None), ...]).
-        self.groups: list[tuple[list[str], list[tuple]]] = []
+        self.groups: list[tuple[int, int, list[tuple]]] = []
         for group in groups:
             sign_rows = {
                 term.key: _term_signs(term, n, idx)
@@ -300,7 +274,11 @@ class MeasurementPlan:
                     readout.append((order, constant, row, row**2))
                 elif constant is not None:
                     readout.append((order, constant, None, None))
-            self.groups.append((_group_basis(group, n), readout))
+            x_mask = z_mask = 0
+            for term in group:
+                x_mask |= term.x_mask
+                z_mask |= term.z_mask
+            self.groups.append((x_mask, z_mask, readout))
 
 
 def sampled_moments(
@@ -325,9 +303,10 @@ def sampled_moments(
     values = np.zeros(plan.orders)
     variances = np.zeros(plan.orders)
     values[0] = 1.0
-    for gi, (letters, readout) in enumerate(plan.groups):
+    for gi, (x_mask, z_mask, readout) in enumerate(plan.groups):
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
-        counts = rng.multinomial(shots, _rotated_probabilities(amps, letters))
+        probs = _rotated_probabilities(amps, plan.n_qubits, x_mask, z_mask)
+        counts = rng.multinomial(shots, probs)
         for order, constant, row, row_sq in readout:
             if constant is not None:
                 values[order] += constant

@@ -28,6 +28,7 @@ computed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +36,8 @@ import numpy as np
 
 from .moments import MeasurementPlan, MomentTable
 from .moments import hamiltonian_powers, sampled_moments
-from .moments import _Krylov, _analytic_rows, _operator, _shift_rows
-from .moments import _shifted_pairs, _values_from_state
+from .moments import _Krylov, _analytic_rows, _exact_moments, _operator
+from .moments import _shift_rows, _values_from_state
 from .pauli import PauliSum
 from .pds import (
     ComplexRoots,
@@ -51,8 +52,8 @@ from .statesim import (
     State,
     apply_circuit,
     exact_eigensystem,
-    fidelity,
-    state_derivative,
+    _basis_adjoint,
+    _derivative_states,
 )
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 _METRIC_KINDS = ("gd", "ngd", "ite")
+_GRADIENT_METHODS = ("analytic", "shift")
 _SCHEDULES = ("constant", "inv_iter")
 _SOLVER_ERRORS = (SingularMoments, ComplexRoots, VanishingDenominator)
 
@@ -91,9 +93,7 @@ def metric(
         return np.eye(n)
     theta = np.asarray(theta, dtype=float)
     if derivs is None:
-        derivs = [
-            state_derivative(circuit, theta, k).amplitudes for k in range(n)
-        ]
+        derivs = _derivative_states(circuit, theta)
     matrix = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -211,6 +211,9 @@ def run(
     ``H^j psi``, ``2K - 1`` applications of H in all;
     ``ngd``/``ite`` steps follow the sufficient-decrease rule of the module
     docstring, and an accepted trial point hands its Krylov list on.
+    Sampled and ``gradient_method="shift"`` rows share one shift-rule loop.
+    Derivative states are built once per iterate, and ``ground_basis`` (by
+    default the exact ground space up to 12 qubits) is checked once, on entry.
 
     Solver failures do not raise: the trajectory comes back with
     ``status="error"`` and the records collected so far.
@@ -221,6 +224,10 @@ def run(
         raise ValueError(f"unknown schedule {schedule!r}")
     if metric_kind not in _METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
+    if gradient_method not in _GRADIENT_METHODS:
+        raise ValueError(f"unknown gradient method {gradient_method!r}")
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
     if functional == "vqe":
         order = 1
     if order < 1:
@@ -237,52 +244,51 @@ def run(
         plan = MeasurementPlan(hamiltonian_powers(hamiltonian, max_order))
     if ground_basis is None and hamiltonian.n_qubits <= 12:
         _, ground_basis = exact_eigensystem(hamiltonian)
+    if ground_basis is not None:
+        ground_adjoint = _basis_adjoint(ground_basis, 1 << circuit.n_qubits)
+
+    def solved(values: np.ndarray):
+        """PDS result (None for vqe) and functional value of the moments."""
+        if functional == "vqe":
+            return None, float(values[1])
+        result = pds_solve(MomentTable(max_order, values), order, pds_policy)
+        return result, result.energy
 
     def functional_at(point: np.ndarray):
-        """State, Krylov list, exact moments, PDS result (None for vqe) and value."""
+        """State, Krylov list, exact moments, PDS result and value at a point."""
         state = apply_circuit(circuit, point)
         krylov = _Krylov(op, state.amplitudes)
         values = _values_from_state(krylov, max_order)
-        if functional == "vqe":
-            return state, krylov, values, None, float(values[1])
-        result = pds_solve(MomentTable(max_order, values), order, pds_policy)
-        return state, krylov, values, result, result.energy
+        return state, krylov, values, *solved(values)
 
     trajectory = Trajectory()
-    n_params = circuit.n_params
     accepted = None
     for iteration in range(max_iters + 1):
+        derivs = None
+        # Built once per iterate, for the analytic rows and the ngd/ite metric.
+        if metric_kind != "gd" or (shots is None and gradient_method == "analytic"):
+            derivs = _derivative_states(circuit, theta)
         try:
             if shots is None:
-                state, krylov, values, result, _ = accepted or functional_at(theta)
+                state, krylov, values, result, energy = accepted or functional_at(theta)
                 accepted = None
                 if gradient_method == "analytic":
-                    derivs = [
-                        state_derivative(circuit, theta, k).amplitudes
-                        for k in range(n_params)
-                    ]
                     rows = _analytic_rows(krylov, derivs, max_order)
                 else:
-                    derivs = None
-                    rows = _shift_rows(circuit, theta, op, max_order)
+                    moments_of = _exact_moments(op, max_order)
+                    rows = _shift_rows(circuit, theta, moments_of, max_order + 1)
             else:
                 state = apply_circuit(circuit, theta)
                 values, rows = _sampled_table(
                     circuit, theta, state, plan, shots, seed, iteration
                 )
-                derivs = None
-                result = None
-            table = MomentTable(max_order, values, rows)
+                result, energy = solved(values)
             if functional == "vqe":
-                energy = float(values[1])
                 grad = rows[:, 1].copy()
                 roots = np.array([energy])
             else:
-                if result is None:
-                    result = pds_solve(table, order, pds_policy)
-                grad = pds_gradient(table, order, result)
+                grad = pds_gradient(MomentTable(max_order, values, rows), order, result)
                 roots = _pad_roots(result.roots, order)
-                energy = result.energy
         except _SOLVER_ERRORS as exc:
             trajectory.status = "error"
             trajectory.message = f"iteration {iteration}: {exc}"
@@ -292,20 +298,15 @@ def run(
             metric_matrix = None
             metric_cond = 1.0
         else:
-            if derivs is None:
-                derivs = [
-                    state_derivative(circuit, theta, k).amplitudes
-                    for k in range(n_params)
-                ]
             metric_matrix = metric(
                 circuit, theta, metric_kind, derivs=derivs, amps=state.amplitudes
             )
             w = np.linalg.eigvalsh(metric_matrix)
             metric_cond = float("inf") if w[0] <= 0 else float(w[-1] / w[0])
 
-        fid = (
-            fidelity(state, ground_basis) if ground_basis is not None else float("nan")
-        )
+        fid = float("nan")
+        if ground_basis is not None:
+            fid = float(np.sum(np.abs(ground_adjoint @ state.amplitudes) ** 2))
         grad_norm = float(np.linalg.norm(grad))
         eta_k = eta if schedule == "constant" else eta / (iteration + 1)
         trajectory.records.append(
@@ -321,12 +322,8 @@ def run(
                 step_size=eta_k,
             )
         )
-        if grad_norm < grad_tol:
-            trajectory.status = "converged"
-            trajectory.records[-1].step_size = math.nan
-            return trajectory
-        if iteration == max_iters:
-            trajectory.status = "max_iters"
+        if grad_norm < grad_tol or iteration == max_iters:
+            trajectory.status = "converged" if grad_norm < grad_tol else "max_iters"
             trajectory.records[-1].step_size = math.nan
             return trajectory
         trial = step(theta, grad, metric_matrix, eta_k, metric_eps)
@@ -358,23 +355,15 @@ def _sampled_table(
     """Moment values and shift-rule gradient rows from simulated shots.
 
     ``state`` is the circuit's state at ``theta``, which the caller has
-    already simulated.
+    already simulated.  Each sampled state gets its own seed, tagged 0 for
+    ``state`` and 1, 2, ... for the shifted states in ``_shift_rows`` order.
     """
-    values, _ = sampled_moments(state, plan, shots, seed=_mix(seed, iteration, 0))
-    rows = np.zeros((circuit.n_params, plan.orders))
-    tag = 1
-    for k, weight, plus, minus in _shifted_pairs(circuit):
-        for sign, shifted in ((1.0, plus), (-1.0, minus)):
-            est, _ = sampled_moments(
-                apply_circuit(shifted, theta),
-                plan,
-                shots,
-                seed=_mix(seed, iteration, tag),
-            )
-            rows[k] += weight * sign * est
-            tag += 1
-    rows[:, 0] = 0.0
-    return values, rows
+    seeds = (_mix(seed, iteration, tag) for tag in itertools.count())
+
+    def sampled(point: State) -> np.ndarray:
+        return sampled_moments(point, plan, shots, seed=next(seeds))[0]
+
+    return sampled(state), _shift_rows(circuit, theta, sampled, plan.orders)
 
 
 def _mix(seed: int, iteration: int, tag: int) -> int:

@@ -317,17 +317,28 @@ def state_derivative(circuit: Circuit, theta: np.ndarray, param: int) -> State:
     return State(total)
 
 
+def _derivative_states(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray]:
+    """Amplitudes of ``state_derivative`` for each parameter in turn."""
+    n = circuit.n_params
+    return [state_derivative(circuit, theta, k).amplitudes for k in range(n)]
+
+
+def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:
+    """Conjugate transpose of orthonormal ``dim``-vectors given as columns or rows."""
+    basis = np.atleast_2d(np.asarray(basis, dtype=complex))
+    if basis.shape[0] != dim:
+        basis = basis.T
+    if basis.shape[0] != dim:
+        raise ValueError("basis dimension does not match the state")
+    adjoint = basis.conj().T
+    if not np.allclose(adjoint @ basis, np.eye(basis.shape[1]), atol=1e-8):
+        raise ValueError("basis columns are not orthonormal")
+    return adjoint
+
+
 def fidelity(state: State, basis: np.ndarray) -> float:
     """Squared overlap of ``state`` with the span of orthonormal columns."""
-    basis = np.atleast_2d(np.asarray(basis, dtype=complex))
-    if basis.shape[0] != state.amplitudes.size:
-        basis = basis.T
-    if basis.shape[0] != state.amplitudes.size:
-        raise ValueError("basis dimension does not match the state")
-    gram = basis.conj().T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-8):
-        raise ValueError("basis columns are not orthonormal")
-    overlaps = basis.conj().T @ state.amplitudes
+    overlaps = _basis_adjoint(basis, state.amplitudes.size) @ state.amplitudes
     return float(np.sum(np.abs(overlaps) ** 2))
 
 

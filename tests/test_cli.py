@@ -132,6 +132,15 @@ class TestRunCommand:
         assert code == 2
         assert "status=error" in capsys.readouterr().out
 
+    def test_negative_max_iters_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(
+            ["run", "--model", "toy_a", "--max-iters", "-1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "max_iters must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_problem_source_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run", "--max-iters", "2"])
@@ -182,6 +191,16 @@ class TestScanCommand:
         _, rows = read_csv(tmp_path / "v_surface.csv")
         for r in rows:
             assert float(r[2]) == approx(float(r[3]), abs=0)
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exits_one(self, tmp_path, capsys, grid):
+        code = main(
+            ["scan", "--model", "toy_a", "--grid", grid, "--out", str(tmp_path / "g")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and "--grid must be at least 1" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_param_index_validation(self, capsys, tmp_path):
         base = ["scan", "--model", "toy_a", "--out", str(tmp_path / "x")]

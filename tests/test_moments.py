@@ -348,16 +348,25 @@ class TestSampledExpectation:
             assert est[1] == approx(expected) and err[1] == 0.0, label
 
     def test_plus_state_x_measured_exactly(self):
-        # The X string is read out after rotating |+> into the Z basis.
-        circuit = Circuit(
-            n_qubits=1, n_params=0,
-            gates=(Gate("ry", 0, offset=np.pi / 2),),
+        # X and Y strings are read out after rotating their eigenstates into
+        # the Z basis: |+> = RY(pi/2)|0>, |+i> = RX(-pi/2)|0>, and a product
+        # of |+>, |+i> and |1> for XYZ.
+        cases = (
+            (1, "0", (Gate("ry", 0, offset=np.pi / 2),), "X", 1.0),
+            (1, "0", (Gate("rx", 0, offset=-np.pi / 2),), "Y", 1.0),
+            (
+                3, "001",
+                (Gate("ry", 0, offset=np.pi / 2), Gate("rx", 1, offset=-np.pi / 2)),
+                "XYZ", -1.0,
+            ),
         )
-        state = apply_circuit(circuit, np.array([]))
-        h = PauliSum.from_terms([(1.0, "X")])
-        est, err = sampled_moments(state, _plan(h), shots=32, seed=0)
-        assert est[1] == approx(1.0)
-        assert err[1] == 0.0
+        for n, bits, gates, label, expected in cases:
+            circuit = Circuit(n_qubits=n, n_params=0, gates=gates, initial_bits=bits)
+            state = apply_circuit(circuit, np.array([]))
+            h = PauliSum.from_terms([(1.0, label)])
+            est, err = sampled_moments(state, _plan(h), shots=32, seed=0)
+            assert est[1] == approx(expected), label
+            assert err[1] == 0.0, label
 
     def test_estimates_near_exact(self, heisenberg):
         # Each string separately, so that errors cannot cancel in the sum.

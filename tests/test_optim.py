@@ -5,12 +5,12 @@ import pytest
 from pytest import approx
 
 from helpers import dense_of
-from pdsvqs import moments, optim
+from pdsvqs import moments, optim, statesim
 from pdsvqs.moments import moment_gradients, moment_table
 from pdsvqs.optim import IterationRecord, Trajectory, metric, run, step
 from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import RegPolicy, pds_gradient, pds_solve
-from pdsvqs.statesim import Circuit, Gate, apply_circuit
+from pdsvqs.statesim import Circuit, Gate, apply_circuit, fidelity
 
 
 class TestMetric:
@@ -251,6 +251,53 @@ class TestRunDriver:
         with pytest.raises(ValueError, match="at least 1"):
             run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, order=0)
 
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_rejects_unknown_gradient_method(self, toy_a, shots):
+        with pytest.raises(ValueError, match="unknown gradient method"):
+            run(
+                toy_a.hamiltonian, toy_a.circuit, toy_a.theta0,
+                gradient_method="bogus", shots=shots, max_iters=2,
+            )
+
+    def test_rejects_negative_max_iters(self, toy_a):
+        with pytest.raises(ValueError, match="max_iters must be non-negative"):
+            run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, max_iters=-1)
+        traj = run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, max_iters=0)
+        assert len(traj.records) == 1 and traj.status == "max_iters"
+
+    def test_non_orthonormal_ground_basis_rejected_before_simulating(
+        self, toy_a, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a circuit was simulated")
+
+        monkeypatch.setattr(optim, "apply_circuit", refuse)
+        monkeypatch.setattr(moments, "apply_circuit", refuse)
+        monkeypatch.setattr(statesim, "state_derivative", refuse)
+        basis = np.array([[1.0, 1.0, 0.0, 0.0]]).T
+        with pytest.raises(ValueError, match="orthonormal"):
+            run(
+                toy_a.hamiltonian, toy_a.circuit, toy_a.theta0,
+                metric_kind="ngd", ground_basis=basis,
+            )
+
+    def test_ground_basis_checked_once_per_run(self, h2, monkeypatch):
+        checks = []
+
+        def counted(*args, **kwargs):
+            checks.append(args)
+            return statesim._basis_adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "_basis_adjoint", counted)
+        traj = run(
+            h2.hamiltonian, h2.circuit, h2.theta0, order=2, metric_kind="ngd",
+            max_iters=4, grad_tol=0.0, ground_basis=h2.ground_basis,
+        )
+        assert len(checks) == 1 and len(traj.records) == 5
+        for rec in traj.records:
+            state = apply_circuit(h2.circuit, rec.theta)
+            assert rec.fidelity == fidelity(state, h2.ground_basis)
+
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_moment_functional_escapes_vqe_trap_points(self, toy_b, sign):
         # Plain energy descent with a metric stalls near these starts; the
@@ -389,7 +436,8 @@ class TestHamiltonianWork:
     def test_shot_iteration_simulates_the_circuit_once_per_point(
         self, heisenberg, monkeypatch
     ):
-        # The state at theta plus the two shifted circuits of its one angle.
+        # The state at theta plus the two shifted circuits of its one angle,
+        # counted wherever the driver and the shift-rule loop simulate.
         calls = []
 
         def counted(*args, **kwargs):
@@ -397,6 +445,7 @@ class TestHamiltonianWork:
             return apply_circuit(*args, **kwargs)
 
         monkeypatch.setattr(optim, "apply_circuit", counted)
+        monkeypatch.setattr(moments, "apply_circuit", counted)
         run(
             heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
             order=3, shots=500, max_iters=0, grad_tol=0.0,
