@@ -21,10 +21,11 @@ import numpy as np
 
 from .measure import estimate_measurements, reduction_stats
 from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
-from .moments import hamiltonian_powers, moment_table
+from .moments import hamiltonian_powers
+from .optim import evaluate, run_batch
 from .optim import run as run_loop
 from .pauli import qwc_groups
-from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator, pds_solve
+from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator
 from .statesim import exact_eigensystem
 
 __all__ = ["main"]
@@ -229,61 +230,43 @@ def _cmd_scan(args) -> int:
     if not (0 <= pi < circuit.n_params and 0 <= pj < circuit.n_params and pi != pj):
         raise ValueError("--params indices out of range or equal")
     order = 1 if args.functional == "vqe" else args.order
-    grid = np.array(
-        [-math.pi + (k + 0.5) * 2.0 * math.pi / args.grid for k in range(args.grid)]
-    )
-    max_order = max(1, 2 * order - 1)
+    grid = [-math.pi + (k + 0.5) * 2.0 * math.pi / args.grid for k in range(args.grid)]
+    pairs = [(ti, tj) for ti in grid for tj in grid]
+    thetas = np.repeat(theta0[None], len(pairs), axis=0)
+    thetas[:, [pi, pj]] = pairs
     policy = _policy_from_args(args)
+    trajectories = run_batch(
+        hamiltonian, circuit, thetas,
+        functional=args.functional, order=order, metric_kind=args.metric,
+        eta=eta, schedule=schedule, max_iters=args.max_iters,
+        grad_tol=args.grad_tol, pds_policy=policy,
+        metric_eps=args.metric_eps, ground_basis=ground,
+    )
+    energies, expvals, errors = evaluate(
+        hamiltonian, circuit, thetas,
+        functional=args.functional, order=order, pds_policy=policy,
+    )
 
     start_lines = [SCHEMA_LINE, "theta_i0,theta_j0,status,iterations,final_energy,final_fidelity"]
-    for ti in grid:
-        for tj in grid:
-            theta = theta0.copy()
-            theta[pi], theta[pj] = ti, tj
-            trajectory = run_loop(
-                hamiltonian, circuit, theta,
-                functional=args.functional, order=order, metric_kind=args.metric,
-                eta=eta, schedule=schedule, max_iters=args.max_iters,
-                grad_tol=args.grad_tol, pds_policy=policy,
-                metric_eps=args.metric_eps, ground_basis=ground,
-            )
-            final = trajectory.records[-1] if trajectory.records else None
-            start_lines.append(
-                ",".join(
-                    [
-                        _fmt(ti), _fmt(tj), trajectory.status,
-                        str(final.iteration if final else -1),
-                        _fmt(final.energy if final else math.nan),
-                        _fmt(final.fidelity if final else math.nan),
-                    ]
-                )
-            )
     surface_lines = [SCHEMA_LINE, "theta_i,theta_j,energy,expval_H,flag"]
-    for ti in grid:
-        for tj in grid:
-            theta = theta0.copy()
-            theta[pi], theta[pj] = ti, tj
-            table = moment_table(circuit, theta, hamiltonian, max_order)
-            expval = table.values[1]
-            if args.functional == "vqe":
-                surface_lines.append(
-                    ",".join([_fmt(ti), _fmt(tj), _fmt(expval), _fmt(expval), "ok"])
-                )
-                continue
-            try:
-                result = pds_solve(table, order, policy)
-                surface_lines.append(
-                    ",".join(
-                        [_fmt(ti), _fmt(tj), _fmt(result.energy), _fmt(expval), "ok"]
-                    )
-                )
-            except (SingularMoments, ComplexRoots) as exc:
-                surface_lines.append(
-                    ",".join(
-                        [_fmt(ti), _fmt(tj), _fmt(math.nan), _fmt(expval),
-                         type(exc).__name__]
-                    )
-                )
+    for (ti, tj), trajectory, energy, expval, error in zip(
+        pairs, trajectories, energies, expvals, errors
+    ):
+        final = trajectory.records[-1] if trajectory.records else None
+        start_lines.append(
+            ",".join(
+                [
+                    _fmt(ti), _fmt(tj), trajectory.status,
+                    str(final.iteration if final else -1),
+                    _fmt(final.energy if final else math.nan),
+                    _fmt(final.fidelity if final else math.nan),
+                ]
+            )
+        )
+        flag = "ok" if error is None else type(error).__name__
+        surface_lines.append(
+            ",".join([_fmt(ti), _fmt(tj), _fmt(energy), _fmt(expval), flag])
+        )
     Path(f"{args.out}_starts.csv").write_text("\n".join(start_lines) + "\n")
     Path(f"{args.out}_surface.csv").write_text("\n".join(surface_lines) + "\n")
     print(

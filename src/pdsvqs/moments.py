@@ -9,7 +9,9 @@ applications.  Derivative rows come either from the analytic form
 or from the two-point rotation shift rule applied per gate occurrence;
 controlled rotations are rewritten to one-qubit rotations before shifting.
 One shift-rule loop serves exact and sampled moments alike: it is handed the
-function that gives a shifted state's moment values.
+function that gives a shifted state's moment values.  These routines act on
+stacks of states, one row per parameter point; ``moment_table`` and
+``moment_gradients`` are their one-point calls.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -30,11 +32,13 @@ from .statesim import (
     Circuit,
     CompiledSum,
     State,
-    apply_circuit,
     _apply_single,
     _derivative_states,
     _index_masks,
+    _one_row,
     _parity,
+    _simulate,
+    _vdot,
 )
 
 __all__ = [
@@ -92,11 +96,15 @@ def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
 
 
 class _Krylov:
-    """Krylov vectors ``v_j = H^j psi`` of one state, each applied on first use."""
+    """Krylov vectors ``v_j = H^j psi``, each applied on first use.
 
-    def __init__(self, op: CompiledSum, amps: np.ndarray) -> None:
+    ``vectors`` starts as ``[psi]`` or as a list already extended; every
+    vector holds one row per state, shape (..., 2**n).
+    """
+
+    def __init__(self, op: CompiledSum, vectors: list[np.ndarray]) -> None:
         self.op = op
-        self.vectors = [amps]
+        self.vectors = list(vectors)
 
     def __getitem__(self, j: int) -> np.ndarray:
         while len(self.vectors) <= j:
@@ -106,16 +114,16 @@ class _Krylov:
 
 def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
     # <H^n> = <v_floor(n/2) | v_ceil(n/2)>, so order 2K-1 needs K applications.
-    values = np.empty(max_order + 1)
-    values[0] = 1.0
+    values = np.empty(krylov.vectors[0].shape[:-1] + (max_order + 1,))
+    values[..., 0] = 1.0
     for n in range(1, max_order + 1):
-        values[n] = np.vdot(krylov[n // 2], krylov[(n + 1) // 2]).real
+        values[..., n] = _vdot(krylov[n // 2], krylov[(n + 1) // 2]).real
     return values
 
 
 def _exact_moments(op: CompiledSum, max_order: int):
-    """``moments_of`` for ``_shift_rows``: the exact moments of a state."""
-    return lambda state: _values_from_state(_Krylov(op, state.amplitudes), max_order)
+    """``moments_of`` for ``_shift_rows``: the exact moments of amplitude rows."""
+    return lambda amps: _values_from_state(_Krylov(op, [amps]), max_order)
 
 
 def moment_table(
@@ -129,39 +137,40 @@ def moment_table(
     The zeroth entry is exactly 1 for the normalized circuit state.
     """
     op = _operator(h, max_order)
-    state = apply_circuit(circuit, np.asarray(theta, dtype=float))
-    return MomentTable(max_order, _exact_moments(op, max_order)(state))
+    amps = _simulate(circuit, _one_row(circuit, theta))
+    return MomentTable(max_order, _exact_moments(op, max_order)(amps)[0])
 
 
 def _analytic_rows(
-    krylov: _Krylov, derivs: list[np.ndarray], max_order: int
+    krylov: _Krylov, derivs: np.ndarray, max_order: int
 ) -> np.ndarray:
-    rows = np.zeros((len(derivs), max_order + 1))
+    """Rows ``2 Re <d_k psi| v_n>`` of shape (..., n_params, max_order + 1)
+    from derivative states ``derivs`` of shape (..., n_params, 2**n)."""
+    rows = np.zeros(derivs.shape[:-1] + (max_order + 1,))
     for n in range(1, max_order + 1):
-        v = krylov[n]
-        for k, d in enumerate(derivs):
-            rows[k, n] = 2.0 * np.vdot(d, v).real
+        rows[..., n] = 2.0 * _vdot(derivs, krylov[n][..., None, :]).real
     return rows
 
 
 def _shift_rows(
-    circuit: Circuit, theta: np.ndarray, moments_of, width: int
+    circuit: Circuit, thetas: np.ndarray, moments_of, width: int
 ) -> np.ndarray:
-    """Shift-rule rows ``d m_n / d theta_k`` of shape (n_params, width).
+    """Shift-rule rows ``d m_n / d theta_k`` of shape (B, n_params, width).
 
-    ``moments_of`` gives the moments (exact or sampled) of each state shifted
-    by +pi/2, then -pi/2, at one occurrence of k; each adds with weight
-    ``0.5 * multiplier * sign``.  Controlled rotations are rewritten first.
+    ``moments_of`` gives the moments (exact or sampled), shape (B, width), of
+    the amplitude rows shifted by +pi/2, then -pi/2, at one occurrence of k;
+    each adds with weight ``0.5 * multiplier * sign``.  Controlled rotations
+    are rewritten first.
     """
-    rows = np.zeros((circuit.n_params, width))
+    rows = np.zeros((len(thetas), circuit.n_params, width))
     decomposed = circuit.decompose_controlled()
     for k in range(circuit.n_params):
         for pos, mult in decomposed.occurrences(k):
             for sign in (1.0, -1.0):
-                shifted = decomposed.with_offset_shift(pos, sign * math.pi / 2.0)
-                est = moments_of(apply_circuit(shifted, theta))
-                rows[k] += 0.5 * mult * sign * est
-    rows[:, 0] = 0.0
+                shift = (pos, sign * math.pi / 2.0)
+                est = moments_of(_simulate(decomposed, thetas, shift))
+                rows[:, k] += 0.5 * mult * sign * est
+    rows[..., 0] = 0.0
     return rows
 
 
@@ -178,13 +187,15 @@ def moment_gradients(
     shift rule; the two agree to near machine precision and the shift path
     exists so the gradient pipeline mirrors what hardware can measure.
     """
-    theta = np.asarray(theta, dtype=float)
+    thetas = _one_row(circuit, theta)
     op = _operator(h, max_order)
     if method == "analytic":
-        krylov = _Krylov(op, apply_circuit(circuit, theta).amplitudes)
-        return _analytic_rows(krylov, _derivative_states(circuit, theta), max_order)
+        krylov = _Krylov(op, [_simulate(circuit, thetas)])
+        derivs = _derivative_states(circuit, thetas)
+        return _analytic_rows(krylov, derivs, max_order)[0]
     if method == "shift":
-        return _shift_rows(circuit, theta, _exact_moments(op, max_order), max_order + 1)
+        moments_of = _exact_moments(op, max_order)
+        return _shift_rows(circuit, thetas, moments_of, max_order + 1)[0]
     raise ValueError(f"unknown gradient method {method!r}")
 
 
@@ -217,7 +228,7 @@ def _rotated_probabilities(
     for q in range(n):
         if (x_mask >> q) & 1:
             u = _Y_TO_Z if (z_mask >> q) & 1 else _X_TO_Z
-            amps = _apply_single(amps, n, q, u)
+            amps = _apply_single(amps, q, u)
     probs = np.abs(amps) ** 2
     return probs / probs.sum()
 

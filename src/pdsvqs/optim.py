@@ -24,36 +24,42 @@ and moments are reused as the next iterate's, so only a rejected step costs
 an extra (energy-only) evaluation.  Plain gradient descent and finite-shot
 runs, whose functional values are estimates, always take the step as
 computed.
+
+``run_batch`` advances many starting points in lockstep, each layer acting on
+one stack of rows, and applies the rule above row by row; ``run`` is its
+one-start case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .moments import MeasurementPlan, MomentTable
+from .moments import MeasurementPlan
 from .moments import hamiltonian_powers, sampled_moments
 from .moments import _Krylov, _analytic_rows, _exact_moments, _operator
 from .moments import _shift_rows, _values_from_state
 from .pauli import PauliSum
 from .pds import (
-    ComplexRoots,
     RegPolicy,
-    SingularMoments,
-    VanishingDenominator,
-    pds_gradient,
-    pds_solve,
+    _SolvedRows,
+    _gradient_rows,
+    _no_error,
+    _solve_rows,
 )
 from .statesim import (
     Circuit,
     State,
-    apply_circuit,
     exact_eigensystem,
     _basis_adjoint,
     _derivative_states,
+    _one_row,
+    _simulate,
+    _vdot,
 )
 
 __all__ = [
@@ -61,17 +67,28 @@ __all__ = [
     "step",
     "IterationRecord",
     "Trajectory",
+    "evaluate",
     "run",
+    "run_batch",
 ]
 
 _METRIC_KINDS = ("gd", "ngd", "ite")
 _GRADIENT_METHODS = ("analytic", "shift")
 _SCHEDULES = ("constant", "inv_iter")
-_SOLVER_ERRORS = (SingularMoments, ComplexRoots, VanishingDenominator)
 
 # Fraction of the first-order decrease ``grad . (theta - trial)`` that a
 # preconditioned step must realise to be accepted (the Armijo constant).
 SUFFICIENT_DECREASE = 1e-4
+
+
+def _metric_rows(kind: str, derivs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Metrics (B, P, P) from derivative states (B, P, 2**n) and states (B, 2**n)."""
+    matrix = _vdot(derivs[..., :, None, :], derivs[..., None, :, :]).real
+    if kind == "ngd":
+        overlaps = _vdot(amps[..., None, :], derivs)
+        matrix = matrix - np.real(overlaps.conj()[..., :, None] * overlaps[..., None, :])
+        matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
+    return matrix
 
 
 def metric(
@@ -88,23 +105,12 @@ def metric(
     """
     if kind not in _METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
-    n = circuit.n_params
     if kind == "gd":
-        return np.eye(n)
-    theta = np.asarray(theta, dtype=float)
-    if derivs is None:
-        derivs = _derivative_states(circuit, theta)
-    matrix = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = np.vdot(derivs[i], derivs[j]).real
-    if kind == "ngd":
-        if amps is None:
-            amps = apply_circuit(circuit, theta).amplitudes
-        overlaps = np.array([np.vdot(amps, d) for d in derivs])
-        matrix = matrix - np.real(np.outer(overlaps.conj(), overlaps))
-        matrix = 0.5 * (matrix + matrix.T)
-    return matrix
+        return np.eye(circuit.n_params)
+    thetas = _one_row(circuit, theta)
+    derivs = _derivative_states(circuit, thetas) if derivs is None else np.asarray(derivs)[None]
+    amps = _simulate(circuit, thetas) if amps is None else np.asarray(amps)[None]
+    return _metric_rows(kind, derivs, amps)[0]
 
 
 def step(
@@ -114,28 +120,34 @@ def step(
     eta: float,
     eps: float = 1e-6,
 ) -> np.ndarray:
-    """One preconditioned descent update.
+    """One preconditioned descent update, of one point or of a stack of rows.
 
     ``metric_matrix=None`` means plain gradient descent and reproduces
     ``theta - eta * grad`` exactly.  Otherwise the (symmetric positive
     semidefinite) metric is inverted through its eigendecomposition; when the
     smallest eigenvalue falls to ``eps`` relative scale, ``eps`` is added to
     all eigenvalues, so near-null directions get amplified rather than
-    crashing the solve.
+    crashing the solve.  ``theta`` and ``grad`` are (..., P) and the metric
+    (..., P, P).
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if metric_matrix is None:
         return theta - eta * grad
-    w, v = np.linalg.eigh(0.5 * (metric_matrix + metric_matrix.T))
-    if w[0] <= eps * max(1.0, float(w[-1])):
-        w = w + eps
-    direction = v @ ((v.T @ grad) / w)
+    w, v = np.linalg.eigh(0.5 * (metric_matrix + np.swapaxes(metric_matrix, -1, -2)))
+    lift = w[..., :1] <= eps * np.maximum(1.0, w[..., -1:])
+    w = np.where(lift, w + eps, w)
+    along = (np.swapaxes(v, -1, -2) @ grad[..., None])[..., 0] / w
+    direction = (v @ along[..., None])[..., 0]
     return theta - eta * direction
 
 
 @dataclass
 class IterationRecord:
+    """One iterate.  ``preconditioned`` tells an accepted (True) from a
+    rejected (False) ngd/ite trial step; it is None for gd, finite-shot runs
+    and the final record."""
+
     iteration: int
     theta: np.ndarray
     energy: float
@@ -145,6 +157,47 @@ class IterationRecord:
     grad_norm: float
     metric_cond: float
     step_size: float
+    preconditioned: bool | None = None
+
+
+class _Records(Sequence):
+    """The records of one ``run_batch`` trajectory, each built on access.
+
+    A batch keeps its iterates as one float array per iteration, shared by
+    its rows: the parameters, the roots, then energy, ``<H>``, fidelity,
+    gradient norm, metric condition number, step size and ``preconditioned``
+    (1, 0, or NaN for None).  ``rows[i]`` is this trajectory's row in the
+    array of iteration i.  Holding arrays rather than record objects keeps a
+    many-start batch as small as its numbers.
+    """
+
+    def __init__(self, blocks: list[np.ndarray], rows: list[int], n_params: int) -> None:
+        self.blocks = blocks
+        self.rows = rows
+        self.n_params = n_params
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        row = self.blocks[i][self.rows[i]]
+        p, k = self.n_params, row.size - self.n_params - 7
+        energy, expval, fid, grad_norm, cond, step_size, pre = row[p + k :].tolist()
+        return IterationRecord(
+            i, row[:p].copy(), energy, row[p : p + k].copy(), expval, fid,
+            grad_norm, cond, step_size, None if math.isnan(pre) else bool(pre),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _Records)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass
@@ -153,10 +206,12 @@ class Trajectory:
 
     ``status`` is ``"converged"`` (gradient norm under tolerance),
     ``"max_iters"``, or ``"error"`` with the failure message; on error the
-    records cover every successfully evaluated iterate.
+    records cover every successfully evaluated iterate.  ``records`` is a
+    list or, from ``run_batch``, a sequence that builds each record when
+    it is read.
     """
 
-    records: list[IterationRecord] = field(default_factory=list)
+    records: Sequence[IterationRecord] = field(default_factory=list)
     status: str = "max_iters"
     message: str = ""
 
@@ -173,16 +228,132 @@ class Trajectory:
         return self.records[-1]
 
 
-def _pad_roots(roots: np.ndarray, order: int) -> np.ndarray:
-    padded = np.full(order, np.nan)
-    padded[: roots.size] = roots
-    return padded
+@dataclass
+class _Points:
+    """The functional at a stack of points: every field has one row per point.
+
+    ``krylov`` holds the Krylov vectors the moments used (empty in shot mode),
+    ``solved`` the PDS rows (None for vqe) and ``errors`` each row's solver
+    error or None.
+    """
+
+    amps: np.ndarray
+    krylov: list[np.ndarray]
+    values: np.ndarray
+    solved: _SolvedRows | None
+    energy: np.ndarray
+    errors: np.ndarray
+
+
+def _take(obj, rows):
+    """``obj`` (array, list of arrays or dataclass of those) at ``rows``;
+    anything else is shared by every row and passes through."""
+    if isinstance(obj, np.ndarray):
+        return obj[rows]
+    if isinstance(obj, list):
+        return [_take(item, rows) for item in obj]
+    if is_dataclass(obj):
+        return type(obj)(**{f.name: _take(getattr(obj, f.name), rows) for f in fields(obj)})
+    return obj
+
+
+def _put(dst, rows, src):
+    """Write ``src`` into the ``rows`` of ``dst``, in place; returns ``dst``."""
+    if isinstance(dst, list):
+        for d, v in zip(dst, src):
+            _put(d, rows, v)
+    elif is_dataclass(dst):
+        for f in fields(dst):
+            _put(getattr(dst, f.name), rows, getattr(src, f.name))
+    elif isinstance(dst, np.ndarray):
+        dst[rows] = src
+    return dst
+
+
+def _solve(values: np.ndarray, functional: str, order: int, policy: RegPolicy):
+    """PDS rows (None for vqe), functional values and solver errors of moment rows."""
+    if functional == "vqe":
+        return None, values[:, 1].copy(), np.full(len(values), None, dtype=object)
+    solved = _solve_rows(values, order, policy)
+    return solved, solved.energy, solved.errors
+
+
+def _exact_points(op, circuit, thetas, functional, order, policy) -> _Points:
+    """Circuit states, Krylov vectors, exact moments and functional at ``thetas``."""
+    amps = _simulate(circuit, thetas)
+    krylov = _Krylov(op, [amps])
+    values = _values_from_state(krylov, max(1, 2 * order - 1))
+    return _Points(amps, krylov.vectors, values, *_solve(values, functional, order, policy))
+
+
+def _functional_order(functional: str, order: int) -> int:
+    """The order the functional is evaluated at (1 for vqe), after checks."""
+    if functional not in ("pds", "vqe"):
+        raise ValueError(f"unknown functional {functional!r}")
+    if functional == "vqe":
+        order = 1
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return order
+
+
+def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
+    thetas = np.array(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
+        raise ValueError(
+            f"thetas must have shape (B, {circuit.n_params}), got {thetas.shape}"
+        )
+    if len(thetas) == 0:
+        raise ValueError("thetas holds no starting points")
+    return thetas
+
+
+def evaluate(
+    hamiltonian: PauliSum,
+    circuit: Circuit,
+    thetas,
+    functional: str = "pds",
+    order: int = 2,
+    pds_policy: RegPolicy | None = None,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Exact functional values, ``<H>`` and solver errors at each row of ``thetas``.
+
+    ``thetas`` has shape (B, n_params).  A row whose solve fails has a NaN
+    value and its ``SingularMoments`` or ``ComplexRoots`` in the error list,
+    which is None elsewhere.  This is the evaluation ``run_batch`` applies
+    to its iterates.
+    """
+    order = _functional_order(functional, order)
+    thetas = _check_thetas(circuit, thetas)
+    op = _operator(hamiltonian, max(1, 2 * order - 1))
+    policy = RegPolicy.auto() if pds_policy is None else pds_policy
+    points = _exact_points(op, circuit, thetas, functional, order, policy)
+    return points.energy, points.values[:, 1].copy(), list(points.errors)
 
 
 def run(
     hamiltonian: PauliSum,
     circuit: Circuit,
     theta0,
+    **options,
+) -> Trajectory:
+    """Drive the optimization loop from one start and record its trajectory.
+
+    ``run`` is ``run_batch`` with one starting point; it takes the same
+    keyword options, documented there.  With ``shots`` set, ``ngd`` and
+    ``ite`` runs estimate the moments and the gradient from shots but still
+    precondition with the exact statevector metric.
+    """
+    theta = np.asarray(theta0, dtype=float)
+    if theta.shape != (circuit.n_params,):
+        raise ValueError("theta0 does not match the circuit parameter count")
+    return run_batch(hamiltonian, circuit, theta[None], **options)[0]
+
+
+def run_batch(
+    hamiltonian: PauliSum,
+    circuit: Circuit,
+    thetas,
     functional: str = "pds",
     order: int = 2,
     metric_kind: str = "gd",
@@ -196,8 +367,14 @@ def run(
     shots: int | None = None,
     seed: int = 0,
     ground_basis: np.ndarray | None = None,
-) -> Trajectory:
-    """Drive the optimization loop and record the full trajectory.
+) -> list[Trajectory]:
+    """Run the optimization from every row of ``thetas`` (B, P) in lockstep.
+
+    Returns B trajectories; trajectory b is the one ``run`` gives from
+    ``thetas[b]`` (with ``seed + b`` in shot mode).  Every layer, from the
+    circuit simulation to the PDS solve, the metric and the step, acts on one
+    stack of the live rows; a row leaves the stack when it converges, reaches
+    ``max_iters`` or hits a solver error.
 
     ``functional`` is ``"pds"`` (moment functional of the given order) or
     ``"vqe"`` (plain energy expectation; equivalent to order 1).  The schedule
@@ -206,20 +383,22 @@ def run(
     measurements of every string of the expanded powers of H, seeded per
     (seed, iteration); the powers are expanded and grouped into one
     ``MeasurementPlan`` per call, which every sampled circuit reuses.
-    Otherwise they are exact: H is compiled once, and each iterate's moments
-    and analytic gradient rows come from one list of Krylov vectors
-    ``H^j psi``, ``2K - 1`` applications of H in all;
-    ``ngd``/``ite`` steps follow the sufficient-decrease rule of the module
-    docstring, and an accepted trial point hands its Krylov list on.
-    Sampled and ``gradient_method="shift"`` rows share one shift-rule loop.
-    Derivative states are built once per iterate, and ``ground_basis`` (by
-    default the exact ground space up to 12 qubits) is checked once, on entry.
+    ``ngd``/``ite`` shot runs still precondition with the exact statevector
+    metric, built from simulated derivative states, not with a measured one.
+    Otherwise the moments are exact: H is compiled once, and each iterate's
+    moments and analytic gradient rows come from one list of Krylov vectors
+    ``H^j psi``, ``2K - 1`` applications of H in all; ``ngd``/``ite`` steps
+    follow the sufficient-decrease rule of the module docstring, row by row,
+    and an accepted trial point hands its Krylov vectors on.  Sampled and
+    ``gradient_method="shift"`` rows share one shift-rule loop.  Derivative
+    states are built once per iterate, and ``ground_basis`` (by default the
+    exact ground space up to 12 qubits) is checked once, on entry.
 
-    Solver failures do not raise: the trajectory comes back with
-    ``status="error"`` and the records collected so far.
+    Solver failures do not raise: that row's trajectory comes back with
+    ``status="error"`` and the records collected so far.  ``thetas`` of
+    another shape, or with no rows, raises ``ValueError``.
     """
-    if functional not in ("pds", "vqe"):
-        raise ValueError(f"unknown functional {functional!r}")
+    order = _functional_order(functional, order)
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if metric_kind not in _METRIC_KINDS:
@@ -228,15 +407,9 @@ def run(
         raise ValueError(f"unknown gradient method {gradient_method!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
-    if functional == "vqe":
-        order = 1
-    if order < 1:
-        raise ValueError("order must be at least 1")
     if pds_policy is None:
         pds_policy = RegPolicy.auto()
-    theta = np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (circuit.n_params,):
-        raise ValueError("theta0 does not match the circuit parameter count")
+    theta = _check_thetas(circuit, thetas)
     max_order = max(1, 2 * order - 1)
     if shots is None:
         op = _operator(hamiltonian, max_order)
@@ -247,123 +420,132 @@ def run(
     if ground_basis is not None:
         ground_adjoint = _basis_adjoint(ground_basis, 1 << circuit.n_qubits)
 
-    def solved(values: np.ndarray):
-        """PDS result (None for vqe) and functional value of the moments."""
-        if functional == "vqe":
-            return None, float(values[1])
-        result = pds_solve(MomentTable(max_order, values), order, pds_policy)
-        return result, result.energy
-
-    def functional_at(point: np.ndarray):
-        """State, Krylov list, exact moments, PDS result and value at a point."""
-        state = apply_circuit(circuit, point)
-        krylov = _Krylov(op, state.amplitudes)
-        values = _values_from_state(krylov, max_order)
-        return state, krylov, values, *solved(values)
-
-    trajectory = Trajectory()
-    accepted = None
+    blocks: list[np.ndarray] = []  # one record array per iteration
+    slots: list[list[int]] = [[] for _ in theta]  # each start's row in them
+    status, message = ["max_iters"] * len(theta), [""] * len(theta)
+    live = np.arange(len(theta))  # start index of each row in the stack
+    points = None  # accepted trial points, handed on row by row
+    carried = np.zeros(len(theta), dtype=bool)
     for iteration in range(max_iters + 1):
         derivs = None
         # Built once per iterate, for the analytic rows and the ngd/ite metric.
         if metric_kind != "gd" or (shots is None and gradient_method == "analytic"):
             derivs = _derivative_states(circuit, theta)
-        try:
-            if shots is None:
-                state, krylov, values, result, energy = accepted or functional_at(theta)
-                accepted = None
-                if gradient_method == "analytic":
-                    rows = _analytic_rows(krylov, derivs, max_order)
-                else:
-                    moments_of = _exact_moments(op, max_order)
-                    rows = _shift_rows(circuit, theta, moments_of, max_order + 1)
-            else:
-                state = apply_circuit(circuit, theta)
-                values, rows = _sampled_table(
-                    circuit, theta, state, plan, shots, seed, iteration
+        if shots is None:
+            if not carried.all():
+                fresh = _exact_points(
+                    op, circuit, theta[~carried], functional, order, pds_policy
                 )
-                result, energy = solved(values)
-            if functional == "vqe":
-                grad = rows[:, 1].copy()
-                roots = np.array([energy])
+                points = _put(points, ~carried, fresh) if carried.any() else fresh
+            if gradient_method == "analytic":
+                krylov = _Krylov(op, points.krylov)
+                rows = _analytic_rows(krylov, derivs, max_order)
             else:
-                grad = pds_gradient(MomentTable(max_order, values, rows), order, result)
-                roots = _pad_roots(result.roots, order)
-        except _SOLVER_ERRORS as exc:
-            trajectory.status = "error"
-            trajectory.message = f"iteration {iteration}: {exc}"
-            return trajectory
+                moments_of = _exact_moments(op, max_order)
+                rows = _shift_rows(circuit, theta, moments_of, max_order + 1)
+        else:
+            amps = _simulate(circuit, theta)
+            seeds = [seed + int(b) for b in live]
+            values, rows = _sampled_table(
+                circuit, theta, amps, plan, shots, seeds, iteration
+            )
+            points = _Points(amps, [], values, *_solve(values, functional, order, pds_policy))
+        if functional == "vqe":
+            grad, errors = rows[:, :, 1].copy(), points.errors
+            roots = points.energy[:, None].copy()
+        else:
+            grad, errors = _gradient_rows(points.values, rows, points.solved)
+            roots = points.solved.roots.copy()
+        failed = ~_no_error(errors)
+        if failed.any():
+            for i in np.flatnonzero(failed):
+                status[live[i]] = "error"
+                message[live[i]] = f"iteration {iteration}: {errors[i]}"
+            # The rows that evaluated go on to their records and steps.
+            keep = ~failed
+            if not keep.any():
+                break
+            theta, grad, roots, live = theta[keep], grad[keep], roots[keep], live[keep]
+            points, derivs = _take(points, keep), _take(derivs, keep)
 
         if metric_kind == "gd":
             metric_matrix = None
-            metric_cond = 1.0
+            metric_cond = np.ones(len(theta))
         else:
-            metric_matrix = metric(
-                circuit, theta, metric_kind, derivs=derivs, amps=state.amplitudes
-            )
+            metric_matrix = _metric_rows(metric_kind, derivs, points.amps)
             w = np.linalg.eigvalsh(metric_matrix)
-            metric_cond = float("inf") if w[0] <= 0 else float(w[-1] / w[0])
-
-        fid = float("nan")
-        if ground_basis is not None:
-            fid = float(np.sum(np.abs(ground_adjoint @ state.amplitudes) ** 2))
-        grad_norm = float(np.linalg.norm(grad))
-        eta_k = eta if schedule == "constant" else eta / (iteration + 1)
-        trajectory.records.append(
-            IterationRecord(
-                iteration=iteration,
-                theta=theta.copy(),
-                energy=energy,
-                roots=roots,
-                expval_h=float(values[1]),
-                fidelity=fid,
-                grad_norm=grad_norm,
-                metric_cond=metric_cond,
-                step_size=eta_k,
+            metric_cond = np.divide(
+                w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0
             )
-        )
-        if grad_norm < grad_tol or iteration == max_iters:
-            trajectory.status = "converged" if grad_norm < grad_tol else "max_iters"
-            trajectory.records[-1].step_size = math.nan
-            return trajectory
+        fid = np.full(len(theta), np.nan)
+        if ground_basis is not None:
+            overlaps = (ground_adjoint @ points.amps[..., None])[..., 0]
+            fid = np.sum(np.abs(overlaps) ** 2, axis=-1)
+        grad_norm = np.sqrt(_vdot(grad, grad))
+        eta_k = eta if schedule == "constant" else eta / (iteration + 1)
+        block = np.column_stack([
+            theta, roots, points.energy, points.values[:, 1], fid, grad_norm,
+            metric_cond, np.full(len(theta), eta_k), np.full(len(theta), np.nan),
+        ])
+        blocks.append(block)
+        for r, b in enumerate(live.tolist()):
+            slots[b].append(r)
+        done = (grad_norm < grad_tol) | (iteration == max_iters)
+        if done.any():
+            for i in np.flatnonzero(done):
+                status[live[i]] = "converged" if grad_norm[i] < grad_tol else "max_iters"
+            block[done, -2] = math.nan
+            # The rows that go on take their step.
+            go = ~done
+            if not go.any():
+                break
+            theta, grad, live = theta[go], grad[go], live[go]
+            points, metric_matrix = _take(points, go), _take(metric_matrix, go)
+        stepping = np.flatnonzero(~done)
         trial = step(theta, grad, metric_matrix, eta_k, metric_eps)
         if metric_matrix is None or shots is not None:
             theta = trial
+            points, carried = None, np.zeros(len(theta), dtype=bool)
             continue
-        try:
-            accepted = functional_at(trial)
-        except _SOLVER_ERRORS:
-            accepted = None
-        bound = energy - SUFFICIENT_DECREASE * float(grad @ (theta - trial))
-        if accepted is not None and accepted[4] <= bound:
-            theta = trial
-        else:
-            accepted = None
-            theta = step(theta, grad, None, eta_k)
-    return trajectory
+        bound = points.energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
+        points = _exact_points(op, circuit, trial, functional, order, pds_policy)
+        carried = _no_error(points.errors) & (points.energy <= bound)
+        if not carried.all():
+            trial[~carried] = step(theta[~carried], grad[~carried], None, eta_k)
+        theta = trial
+        block[stepping, -1] = carried
+    return [
+        Trajectory(_Records(blocks, r, circuit.n_params), st, msg)
+        for r, st, msg in zip(slots, status, message)
+    ]
 
 
 def _sampled_table(
     circuit: Circuit,
-    theta: np.ndarray,
-    state: State,
+    thetas: np.ndarray,
+    amps: np.ndarray,
     plan: MeasurementPlan,
     shots: int,
-    seed: int,
+    seeds: list[int],
     iteration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Moment values and shift-rule gradient rows from simulated shots.
+    """Moment values (B, m) and shift-rule gradient rows (B, P, m) from shots.
 
-    ``state`` is the circuit's state at ``theta``, which the caller has
-    already simulated.  Each sampled state gets its own seed, tagged 0 for
-    ``state`` and 1, 2, ... for the shifted states in ``_shift_rows`` order.
+    ``amps`` are the circuit states at ``thetas``, which the caller has
+    already simulated.  Row b is sampled on its own with seed ``seeds[b]``:
+    each sampled state gets its own seed, tagged 0 for the state and 1, 2,
+    ... for the shifted states in ``_shift_rows`` order.
     """
-    seeds = (_mix(seed, iteration, tag) for tag in itertools.count())
+    tags = itertools.count()
 
-    def sampled(point: State) -> np.ndarray:
-        return sampled_moments(point, plan, shots, seed=next(seeds))[0]
+    def sampled(states: np.ndarray) -> np.ndarray:
+        tag = next(tags)
+        return np.array([
+            sampled_moments(State(a), plan, shots, seed=_mix(s, iteration, tag))[0]
+            for a, s in zip(states, seeds)
+        ])
 
-    return sampled(state), _shift_rows(circuit, theta, sampled, plan.orders)
+    return sampled(amps), _shift_rows(circuit, thetas, sampled, plan.orders)
 
 
 def _mix(seed: int, iteration: int, tag: int) -> int:

@@ -18,10 +18,15 @@ strict policy surfaces the singularity, an eigenvalue shift or a
 singular-value truncation keeps the solve defined, and the adaptive policy
 only shifts once the condition number crosses a threshold so that
 well-conditioned solves stay exact.
+
+The solve and the gradient each act on a stack of moment rows at once and
+record a failing row's error in place of raising it; ``pds_solve`` and
+``pds_gradient`` are their one-row calls, which raise.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,66 +130,175 @@ class PdsResult:
     applied_magnitude: float
 
 
-def _hankel_system(table: MomentTable, order: int) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class _SolvedRows:
+    """The functional at a stack of moment rows, one entry per row.
+
+    Row b failed when ``errors[b]`` holds the solver error it would raise;
+    its other entries are then NaN.  ``roots[b]`` holds that row's real roots
+    in ascending order, NaN-padded to the order.  ``applied[b]`` tells whether
+    row b was solved with the policy's regularization, ``kind`` at
+    ``magnitude``, rather than directly.
+    """
+
+    order: int
+    x: np.ndarray
+    roots: np.ndarray
+    energy: np.ndarray
+    cond_m: np.ndarray
+    imag_residue: np.ndarray
+    applied: np.ndarray
+    kind: str
+    magnitude: float
+    errors: np.ndarray
+
+    def result(self, b: int) -> PdsResult:
+        """Row ``b`` as a ``PdsResult``; raises the row's solver error."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        roots = self.roots[b]
+        applied = bool(self.applied[b])
+        return PdsResult(
+            order=self.order,
+            x=self.x[b],
+            roots=roots[~np.isnan(roots)],
+            energy=float(self.energy[b]),
+            cond_m=float(self.cond_m[b]),
+            imag_residue=float(self.imag_residue[b]),
+            regularization_applied=applied,
+            applied_kind=self.kind if applied else None,
+            applied_magnitude=self.magnitude if applied else 0.0,
+        )
+
+
+def _no_error(errors: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose error entry is None."""
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _check_order(max_order: int, order: int) -> None:
     if order < 1:
         raise ValueError("order must be at least 1")
-    if table.max_order < 2 * order - 1:
+    if max_order < 2 * order - 1:
         raise ValueError(
             f"order {order} needs moments up to {2 * order - 1}, "
-            f"table holds {table.max_order}"
+            f"table holds {max_order}"
         )
-    m = table.values
-    k = order
-    rows = np.arange(1, k + 1)
-    matrix = m[2 * k - rows[:, None] - rows[None, :]]
-    rhs = m[2 * k - rows]
-    return matrix, rhs
+
+
+@functools.cache
+def _hankel_index(order: int) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.arange(1, order + 1)
+    return 2 * order - rows[:, None] - rows[None, :], 2 * order - rows
+
+
+def _hankel(m: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``M`` (..., K, K) and ``Y`` (..., K) of moment rows ``m`` (..., 2K)."""
+    matrix_index, rhs_index = _hankel_index(order)
+    # Contiguous, so every product with M is one BLAS call per matrix.
+    return np.ascontiguousarray(m[..., matrix_index]), m[..., rhs_index]
+
+
+def _where(mask: np.ndarray):
+    """Index of the rows in ``mask``: a plain slice when it holds them all."""
+    return slice(None) if mask.all() else mask
 
 
 def _regularized_solve(
-    matrix: np.ndarray, rhs: np.ndarray, kind: str | None, magnitude: float
+    matrix: np.ndarray, rhs: np.ndarray, applied: np.ndarray, kind: str, magnitude: float
 ) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` directly (``kind`` None), with every
-    eigenvalue shifted by ``magnitude``, or by a singular-value truncation
-    at relative ``magnitude``."""
-    if kind is None:
-        return np.linalg.solve(matrix, rhs)
-    if kind == "shift":
-        return np.linalg.solve(matrix + magnitude * np.eye(matrix.shape[0]), rhs)
-    u, s, vt = np.linalg.svd(matrix)
-    keep = s > magnitude * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return vt.T @ (inv * (u.T @ rhs))
+    """Solve ``matrix[b] @ x = rhs[b, p]`` for every row b and right side p.
 
-
-def _solve(
-    matrix: np.ndarray, rhs: np.ndarray, policy: RegPolicy
-) -> tuple[np.ndarray, float, str | None, float]:
-    """Solve ``matrix @ x = rhs`` under the policy.
-
-    Returns (x, cond, applied_kind, applied_magnitude) where applied_kind is
-    None for an unregularized solve.
+    ``matrix`` is (B, K, K) and ``rhs`` (B, P, K).  A row is solved directly
+    unless ``applied``: then with every eigenvalue shifted by ``magnitude``
+    (kind ``"shift"``), or by a singular-value truncation at relative
+    ``magnitude`` (kind ``"truncate"``).  Each right side is its own
+    single-vector solve.
     """
+    eye = np.eye(matrix.shape[-1])
+    if kind != "truncate":
+        shifted = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * eye
+        return np.linalg.solve(shifted[:, None], rhs[..., None])[..., 0]
+    x = np.empty(rhs.shape)
+    direct = ~applied
+    if direct.any():
+        x[direct] = np.linalg.solve(matrix[direct][:, None], rhs[direct][..., None])[..., 0]
+    if applied.any():
+        u, s, vt = np.linalg.svd(matrix[applied])
+        keep = s > magnitude * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        proj = np.swapaxes(u, -1, -2)[:, None] @ rhs[applied][..., None]
+        x[applied] = (np.swapaxes(vt, -1, -2)[:, None] @ (inv[:, None, :, None] * proj))[..., 0]
+    return x
+
+
+def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRows:
+    """Evaluate the order-K functional at each row of ``values`` (B, >= 2K).
+
+    Per row: the Hankel system is solved under the policy, the monic
+    polynomial's roots are the eigenvalues of its companion matrix,
+    roundoff-sized imaginary parts are truncated and the smallest real root
+    is the energy.  A row whose M is rank-deficient under a direct solve, whose
+    coefficients are not finite, or whose roots are all complex records
+    ``SingularMoments`` or ``ComplexRoots`` instead.
+    """
+    b, k = len(values), order
+    matrix, rhs = _hankel(values, k)
     svals = np.linalg.svd(matrix, compute_uv=False)
-    smax = svals[0]
-    smin = svals[-1]
-    cond = float("inf") if smin == 0.0 else float(smax / smin)
-    direct = policy.kind == "none" or (
-        policy.kind == "auto" and np.isfinite(cond) and cond <= policy.cond_threshold
-    )
-    if direct:
-        if smax == 0.0 or smin <= smax * _HARD_SINGULAR:
-            raise SingularMoments(
-                f"moment matrix is rank-deficient (cond ~ {cond:.3g}); "
-                "the trial state spans too few eigenvectors"
-            )
-        kind, magnitude = None, 0.0
-    elif policy.kind == "truncate":
+    smax, smin = svals[:, 0], svals[:, -1]
+    cond = np.divide(smax, smin, out=np.full(b, np.inf), where=smin != 0.0)
+    if policy.kind == "auto":
+        applied = ~(cond <= policy.cond_threshold)  # an infinite cond is applied
+    else:
+        applied = np.full(b, policy.kind != "none")
+    if policy.kind == "truncate":
         kind, magnitude = "truncate", policy.rcond
     else:
         kind, magnitude = "shift", policy.shift_eps
-    return _regularized_solve(matrix, rhs, kind, magnitude), cond, kind, magnitude
+    errors = np.full(b, None, dtype=object)
+    singular = ~applied & (smin <= smax * _HARD_SINGULAR)  # also when smax is 0
+    for i in np.flatnonzero(singular):
+        errors[i] = SingularMoments(
+            f"moment matrix is rank-deficient (cond ~ {cond[i]:.3g}); "
+            "the trial state spans too few eigenvectors"
+        )
+    x = np.full((b, k), np.nan)
+    rows = _where(~singular)
+    x[rows] = _regularized_solve(
+        matrix[rows], -rhs[rows][:, None], applied[rows], kind, magnitude
+    )[:, 0]
+    ok = np.isfinite(x).all(axis=1)
+    for i in np.flatnonzero(~ok & ~singular):
+        errors[i] = SingularMoments("moment solve produced non-finite coefficients")
+
+    rows = _where(ok)
+    companion = np.zeros((b, k, k))[rows]
+    companion[:, 0] = -x[rows]
+    companion[:, 1:, :-1] = np.eye(k - 1)
+    raw = np.linalg.eigvals(companion)
+    imag = np.abs(raw.imag)
+    keep = imag <= _IMAG_TOL * np.maximum(1.0, np.abs(raw.real))
+    real = np.sort(np.where(keep, raw.real, np.inf), axis=1)
+    roots = np.full((b, k), np.nan)
+    roots[rows] = np.where(real == np.inf, np.nan, real)
+    imag_residue = np.full(b, np.nan)
+    imag_residue[rows] = imag.max(axis=1)
+    for i in np.flatnonzero(ok & np.isnan(roots[:, 0])):
+        errors[i] = ComplexRoots(
+            f"all roots kept imaginary parts up to {imag_residue[i]:.3g}"
+        )
+    return _SolvedRows(
+        order=k,
+        x=x,
+        roots=roots,
+        energy=roots[:, 0].copy(),
+        cond_m=cond,
+        imag_residue=imag_residue,
+        applied=applied,
+        kind=kind,
+        magnitude=magnitude,
+        errors=errors,
+    )
 
 
 def pds_solve(
@@ -200,39 +314,48 @@ def pds_solve(
         SingularMoments: M is rank-deficient under the strict policy.
         ComplexRoots: every root kept a large imaginary part.
     """
-    matrix, rhs = _hankel_system(table, order)
-    x, cond, applied_kind, applied_magnitude = _solve(matrix, -rhs, policy)
-    if not np.all(np.isfinite(x)):
-        raise SingularMoments("moment solve produced non-finite coefficients")
-    raw_roots = np.roots(np.concatenate(([1.0], x)))
-    imag_residue = float(np.max(np.abs(raw_roots.imag))) if raw_roots.size else 0.0
-    keep = np.abs(raw_roots.imag) <= _IMAG_TOL * np.maximum(
-        1.0, np.abs(raw_roots.real)
-    )
-    real_roots = np.sort(raw_roots.real[keep])
-    if real_roots.size == 0:
-        raise ComplexRoots(
-            f"all roots kept imaginary parts up to {imag_residue:.3g}"
-        )
-    return PdsResult(
-        order=order,
-        x=x,
-        roots=real_roots,
-        energy=float(real_roots[0]),
-        cond_m=cond,
-        imag_residue=imag_residue,
-        regularization_applied=applied_kind is not None,
-        applied_kind=applied_kind,
-        applied_magnitude=applied_magnitude,
-    )
+    _check_order(table.max_order, order)
+    return _solve_rows(np.asarray(table.values)[None], order, policy).result(0)
 
 
-def _poly_derivative_at(x: np.ndarray, energy: float) -> float:
-    k = x.size
-    value = k * energy ** (k - 1)
+def _gradient_rows(
+    values: np.ndarray, grads: np.ndarray, solved: _SolvedRows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Root gradients (B, P) of solved moment rows, plus each row's error.
+
+    ``values`` (B, m) and ``grads`` (B, P, m) are the moment rows and their
+    derivatives, ``solved`` their solve.  Every parameter's
+    ``M dX = -dY - dM X`` is one solve of one stack.  A row that failed its
+    solve keeps its error, a row whose ``P'(E)`` vanishes records
+    ``VanishingDenominator``; both get a NaN gradient.
+    """
+    errors = solved.errors.copy()
+    k = solved.order
+    rows = _where(_no_error(errors))
+    x, energy = solved.x[rows], solved.energy[rows]
+    # P'(E) = sum_i (K - i) X_i E^(K-i-1) with X_0 = 1; float_power is the C
+    # library's pow, the one Python's float power uses.
+    powers = np.float_power(energy[:, None], np.arange(k))
+    denom = k * powers[:, k - 1]
     for i in range(1, k):
-        value += (k - i) * x[i - 1] * energy ** (k - i - 1)
-    return float(value)
+        denom = denom + (k - i) * x[:, i - 1] * powers[:, k - i - 1]
+    vanishing = np.abs(denom) < 1e-12
+    if vanishing.any():
+        index = np.arange(len(errors))[rows]
+        for i in np.flatnonzero(vanishing):
+            errors[index[i]] = VanishingDenominator(
+                f"polynomial derivative {denom[i]:.3g} at the root; gradient undefined"
+            )
+        keep = ~vanishing
+        rows, x, energy, denom = index[keep], x[keep], energy[keep], denom[keep]
+    matrix, _ = _hankel(values[rows], k)
+    d_matrix, d_rhs = _hankel(grads[rows], k)
+    rhs = -d_rhs - (d_matrix @ x[:, None, :, None])[..., 0]
+    dx = _regularized_solve(matrix, rhs, solved.applied[rows], solved.kind, solved.magnitude)
+    powers_vec = energy[:, None] ** np.arange(k - 1, -1, -1)
+    grad = np.full(grads.shape[:2], np.nan)
+    grad[rows] = -(powers_vec[:, None, None, :] @ dx[..., None])[..., 0, 0] / denom[:, None]
+    return grad, errors
 
 
 def pds_gradient(
@@ -253,23 +376,22 @@ def pds_gradient(
     """
     if table.gradients is None:
         raise ValueError("moment table carries no gradient rows")
-    matrix, _ = _hankel_system(table, order)
-    k = order
-    denom = _poly_derivative_at(result.x, result.energy)
-    if abs(denom) < 1e-12:
-        raise VanishingDenominator(
-            f"polynomial derivative {denom:.3g} at the root; gradient undefined"
-        )
-    powers_vec = result.energy ** np.arange(k - 1, -1, -1)
-    rows = np.arange(1, k + 1)
-    grad = np.zeros(table.gradients.shape[0])
-    for p in range(table.gradients.shape[0]):
-        g = table.gradients[p]
-        d_matrix = g[2 * k - rows[:, None] - rows[None, :]]
-        d_rhs = g[2 * k - rows]
-        rhs = -d_rhs - d_matrix @ result.x
-        dx = _regularized_solve(
-            matrix, rhs, result.applied_kind, result.applied_magnitude
-        )
-        grad[p] = -float(powers_vec @ dx) / denom
-    return grad
+    _check_order(table.max_order, order)
+    solved = _SolvedRows(
+        order=order,
+        x=np.asarray(result.x)[None],
+        roots=np.asarray(result.roots)[None],
+        energy=np.array([result.energy]),
+        cond_m=np.array([result.cond_m]),
+        imag_residue=np.array([result.imag_residue]),
+        applied=np.array([result.applied_kind is not None]),
+        kind=result.applied_kind,
+        magnitude=result.applied_magnitude,
+        errors=np.array([None], dtype=object),
+    )
+    grad, errors = _gradient_rows(
+        np.asarray(table.values)[None], np.asarray(table.gradients)[None], solved
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return grad[0]

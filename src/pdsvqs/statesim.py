@@ -10,6 +10,7 @@ qubit 0 in ``|0>``.  Rotation gates use the half-angle convention
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +38,7 @@ _FIXED_KINDS = ("x", "cnot")
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_I = np.eye(2)
 _GENERATORS = {"rx": _X, "ry": _Y, "rz": _Z, "cry": _Y}
 
 
@@ -90,6 +92,20 @@ class Circuit:
             if g.param is not None and not 0 <= g.param < self.n_params:
                 raise ValueError("gate parameter index out of range")
 
+    @functools.cached_property
+    def _rotations(self) -> tuple:
+        """Positions, parameter columns (``n_params`` for a frozen rotation),
+        multipliers, offsets and generators of the rotation gates."""
+        rotations = [(pos, g) for pos, g in enumerate(self.gates) if g.kind in _ROTATION_KINDS]
+        frozen = self.n_params
+        return (
+            [pos for pos, _ in rotations],
+            np.array([frozen if g.param is None else g.param for _, g in rotations], dtype=int),
+            np.array([0.0 if g.param is None else g.multiplier for _, g in rotations]),
+            np.array([g.offset for _, g in rotations]),
+            np.array([_GENERATORS[g.kind] for _, g in rotations]).reshape(-1, 2, 2),
+        )
+
     def occurrences(self, param: int) -> list[tuple[int, float]]:
         """Positions and angle multipliers of every gate bound to ``param``."""
         return [
@@ -112,6 +128,10 @@ class Circuit:
         two half-rotations inherit the parameter binding with halved
         multipliers, which is what the shift rule differentiates.
         """
+        return self._decomposed
+
+    @functools.cached_property
+    def _decomposed(self) -> "Circuit":
         gates: list[Gate] = []
         for g in self.gates:
             if g.kind != "cry":
@@ -150,64 +170,110 @@ class State:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind in ("ry", "cry"):
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "rz":
-        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]], dtype=complex)
-    raise ValueError(f"not a rotation kind: {kind!r}")
+# The gate kernels act on one amplitude vector or on rows (B, 2**n); ``u`` is
+# one (2, 2) matrix or one per row, (B, 2, 2).  The einsum subscripts are
+# spelled out per (u.ndim, amps.ndim): an ellipsis costs time on every call.
+_SINGLE = {(2, 1): "ab,xbz->xaz", (2, 2): "ab,wxbz->wxaz", (3, 2): "wab,wxbz->wxaz"}
+_CONTROL_LOW = {
+    (2, 1): "ab,xybz->xyaz", (2, 2): "ab,wxybz->wxyaz", (3, 2): "wab,wxybz->wxyaz",
+}
+_CONTROL_HIGH = {
+    (2, 1): "ab,xbyz->xayz", (2, 2): "ab,wxbyz->wxayz", (3, 2): "wab,wxbyz->wxayz",
+}
 
 
-def _apply_single(amps: np.ndarray, n: int, target: int, u: np.ndarray) -> np.ndarray:
-    block = amps.reshape(1 << target, 2, -1)
-    return np.einsum("ab,xbz->xaz", u, block).reshape(-1)
+def _apply_single(amps: np.ndarray, target: int, u: np.ndarray) -> np.ndarray:
+    block = amps.reshape(amps.shape[:-1] + (1 << target, 2, -1))
+    return np.einsum(_SINGLE[u.ndim, amps.ndim], u, block).reshape(amps.shape)
+
+
+def _control_half(amps: np.ndarray, control: int, bit: int) -> np.ndarray:
+    """View of the amplitudes whose ``control`` qubit reads ``bit``."""
+    return amps.reshape(amps.shape[:-1] + (1 << control, 2, -1))[..., bit, :]
 
 
 def _apply_controlled(
-    amps: np.ndarray, n: int, control: int, target: int, u: np.ndarray
+    amps: np.ndarray, control: int, target: int, u: np.ndarray
 ) -> np.ndarray:
-    tensor = amps.reshape((2,) * n).copy()
-    sel: list = [slice(None)] * n
-    sel[control] = 1
-    axis = target - 1 if control < target else target
-    sub = np.moveaxis(tensor[tuple(sel)], axis, 0)
-    sub = np.einsum("ab,b...->a...", u, sub)
-    tensor[tuple(sel)] = np.moveaxis(sub, 0, axis)
-    return tensor.reshape(-1)
+    """Apply ``u`` to ``target`` where ``control`` is 1, in place on ``amps``."""
+    lo, hi = sorted((control, target))
+    view = amps.reshape(amps.shape[:-1] + (1 << lo, 2, 1 << (hi - lo - 1), 2, -1))
+    if control == lo:
+        sub = view[..., 1, :, :, :]
+        sub[...] = np.einsum(_CONTROL_LOW[u.ndim, amps.ndim], u, sub)
+    else:
+        sub = view[..., 1, :]
+        sub[...] = np.einsum(_CONTROL_HIGH[u.ndim, amps.ndim], u, sub)
+    return view.reshape(amps.shape)
 
 
-def _apply_gate(amps: np.ndarray, n: int, gate: Gate, theta: np.ndarray) -> np.ndarray:
-    if gate.kind == "x":
-        return _apply_single(amps, n, gate.target, _X)
-    if gate.kind == "cnot":
-        return _apply_controlled(amps, n, gate.control, gate.target, _X)
-    u = _rotation_matrix(gate.kind, gate.angle(theta))
-    if gate.kind == "cry":
-        return _apply_controlled(amps, n, gate.control, gate.target, u)
-    return _apply_single(amps, n, gate.target, u)
+def _gate_matrices(circuit: Circuit, thetas: np.ndarray, shift=None) -> list:
+    """Every gate's matrix at the rows of ``thetas`` (B, n_params): (B, 2, 2)
+    for a rotation, one shared X otherwise.
+
+    All rotation angles come from one product: column ``n_params`` of the
+    padded parameters reads 0, so a frozen rotation's angle is its offset.
+    ``R(a) = cos(a/2) I - i sin(a/2) G`` for the generator G.  ``shift``
+    ``(pos, delta)`` adds ``delta`` to the offset of the rotation at ``pos``,
+    as ``Circuit.with_offset_shift`` would.
+    """
+    positions, columns, multipliers, offsets, generators = circuit._rotations
+    if shift is not None:
+        offsets = offsets.copy()
+        offsets[positions.index(shift[0])] += shift[1]
+    padded = np.concatenate([thetas, np.zeros((len(thetas), 1))], axis=1)
+    half = (padded[:, columns] * multipliers + offsets) / 2.0
+    u = np.cos(half)[..., None, None] * _I - (1j * np.sin(half))[..., None, None] * generators
+    matrices = [_X] * len(circuit.gates)
+    for j, pos in enumerate(positions):
+        matrices[pos] = u[:, j]
+    return matrices
 
 
-def _initial_amplitudes(circuit: Circuit) -> np.ndarray:
-    amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
-    amps[int(circuit.initial_bits, 2)] = 1.0
+def _run_gates(amps: np.ndarray, gates, matrices) -> np.ndarray:
+    for gate, u in zip(gates, matrices):
+        if gate.control is None:
+            amps = _apply_single(amps, gate.target, u)
+        else:
+            amps = _apply_controlled(amps, gate.control, gate.target, u)
     return amps
 
 
-def apply_circuit(circuit: Circuit, theta: np.ndarray) -> State:
-    """Run the circuit on its initial basis state and return the final state."""
+def _initial_amplitudes(circuit: Circuit, rows: int) -> np.ndarray:
+    amps = np.zeros((rows, 1 << circuit.n_qubits), dtype=complex)
+    amps[:, int(circuit.initial_bits, 2)] = 1.0
+    return amps
+
+
+def _one_row(circuit: Circuit, theta) -> np.ndarray:
+    """One parameter point as a stack of one row, shape (1, n_params)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.n_params,):
         raise ValueError(
             f"expected {circuit.n_params} parameters, got shape {theta.shape}"
         )
-    amps = _initial_amplitudes(circuit)
-    for gate in circuit.gates:
-        amps = _apply_gate(amps, circuit.n_qubits, gate, theta)
-    return State(amps)
+    return theta[None]
+
+
+def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
+    """Final amplitudes, shape (B, 2**n), at each row of ``thetas`` (B, n_params),
+    with one rotation's offset shifted as ``_gate_matrices`` takes it."""
+    amps = _initial_amplitudes(circuit, len(thetas))
+    return _run_gates(amps, circuit.gates, _gate_matrices(circuit, thetas, shift))
+
+
+def apply_circuit(circuit: Circuit, theta: np.ndarray) -> State:
+    """Run the circuit on its initial basis state and return the final state."""
+    return State(_simulate(circuit, _one_row(circuit, theta))[0])
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``<a|b>`` over the last axis, broadcast over the leading ones.
+
+    Each product is one BLAS dot, so a row gets exactly the bits ``np.vdot``
+    gives it, whatever the stacking.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _index_masks(term_x: int, term_z: int, n: int) -> tuple[int, int]:
@@ -221,9 +287,12 @@ def _index_masks(term_x: int, term_z: int, n: int) -> tuple[int, int]:
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    for shift in (16, 8, 4, 2, 1):
+    """Bit parity of non-negative integers, folding every bit of their dtype."""
+    v = np.array(values)
+    shift = v.dtype.itemsize * 4
+    while shift:
         v ^= v >> shift
+        shift //= 2
     return v & 1
 
 
@@ -256,12 +325,12 @@ class CompiledSum:
         ]
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Return the sum applied to an amplitude vector."""
-        if amps.size != 1 << self.n_qubits:
+        """Return the sum applied to amplitude rows of shape (..., 2**n)."""
+        if amps.shape[-1] != 1 << self.n_qubits:
             raise ValueError("state size does not match operator register")
         out = np.zeros(amps.shape, dtype=complex)
         for flip, diag in self.pairs:
-            out += diag * (amps if flip is None else amps[flip])
+            out += diag * (amps if flip is None else amps[..., flip])
         return out
 
 
@@ -278,6 +347,31 @@ def expectation(state: State, s: PauliSum) -> float:
     return float(value.real)
 
 
+def _derivative_rows(
+    circuit: Circuit, matrices: list[np.ndarray], rows: int, param: int
+) -> np.ndarray:
+    """``state_derivative`` amplitudes, shape (rows, 2**n), from the gate
+    matrices of ``rows`` parameter points."""
+    n = circuit.n_qubits
+    gates = circuit.gates
+    total = np.zeros((rows, 1 << n), dtype=complex)
+    for pos, mult in circuit.occurrences(param):
+        amps = _initial_amplitudes(circuit, rows)
+        amps = _run_gates(amps, gates[: pos + 1], matrices[: pos + 1])
+        gen_gate = gates[pos]
+        gen = _GENERATORS[gen_gate.kind]
+        if gen_gate.kind == "cry":
+            # Projector-controlled generator: zero the control-0 block, apply
+            # the generator in the control-1 block.
+            _control_half(amps, gen_gate.control, 0)[...] = 0.0
+            amps = _apply_controlled(amps, gen_gate.control, gen_gate.target, gen)
+        else:
+            amps = _apply_single(amps, gen_gate.target, gen)
+        amps *= -0.5j * mult
+        total += _run_gates(amps, gates[pos + 1 :], matrices[pos + 1 :])
+    return total
+
+
 def state_derivative(circuit: Circuit, theta: np.ndarray, param: int) -> State:
     """Unnormalized derivative of the circuit state with respect to one parameter.
 
@@ -287,40 +381,20 @@ def state_derivative(circuit: Circuit, theta: np.ndarray, param: int) -> State:
     projector-controlled form ``|1><1| (x) G_target``.  Occurrence
     contributions add by the product rule.
     """
-    theta = np.asarray(theta, dtype=float)
     if not 0 <= param < circuit.n_params:
         raise ValueError("parameter index out of range")
-    n = circuit.n_qubits
-    total = np.zeros(1 << n, dtype=complex)
-    for pos, mult in circuit.occurrences(param):
-        amps = _initial_amplitudes(circuit)
-        for gate in circuit.gates[: pos + 1]:
-            amps = _apply_gate(amps, n, gate, theta)
-        gen_gate = circuit.gates[pos]
-        gen = _GENERATORS[gen_gate.kind]
-        if gen_gate.kind == "cry":
-            # Projector-controlled generator: zero the control-0 block, apply
-            # the generator in the control-1 block.
-            tensor = amps.reshape((2,) * n).copy()
-            sel: list = [slice(None)] * n
-            sel[gen_gate.control] = 0
-            tensor[tuple(sel)] = 0.0
-            amps = _apply_controlled(
-                tensor.reshape(-1), n, gen_gate.control, gen_gate.target, gen
-            )
-        else:
-            amps = _apply_single(amps, n, gen_gate.target, gen)
-        amps *= -0.5j * mult
-        for gate in circuit.gates[pos + 1 :]:
-            amps = _apply_gate(amps, n, gate, theta)
-        total += amps
-    return State(total)
+    matrices = _gate_matrices(circuit, _one_row(circuit, theta))
+    return State(_derivative_rows(circuit, matrices, 1, param)[0])
 
 
-def _derivative_states(circuit: Circuit, theta: np.ndarray) -> list[np.ndarray]:
-    """Amplitudes of ``state_derivative`` for each parameter in turn."""
-    n = circuit.n_params
-    return [state_derivative(circuit, theta, k).amplitudes for k in range(n)]
+def _derivative_states(circuit: Circuit, thetas: np.ndarray) -> np.ndarray:
+    """Derivative amplitudes of every parameter, shape (B, n_params, 2**n)."""
+    rows = len(thetas)
+    matrices = _gate_matrices(circuit, thetas)
+    out = np.empty((rows, circuit.n_params, 1 << circuit.n_qubits), dtype=complex)
+    for k in range(circuit.n_params):
+        out[:, k] = _derivative_rows(circuit, matrices, rows, k)
+    return out
 
 
 def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from pdsvqs.moments import (
     moment_table,
     sampled_moments,
 )
-from pdsvqs.optim import run
+from pdsvqs.optim import run, run_batch
 from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import (
     ComplexRoots,
@@ -41,36 +41,44 @@ def grid_starts(n=8):
     return [-np.pi + (k + 0.5) * 2.0 * np.pi / n for k in range(n)]
 
 
-def reaches_ground(model, metric_kind, theta_start,
+def reaches_ground(model, metric_kind, starts,
                    tol=1e-6, max_iters=2000, chunk=250):
-    """Whether a second-order descent hits the ground energy within budget.
+    """Whether a second-order descent from each start hits the ground energy
+    within budget.
 
-    Runs in restartable chunks (the constant-step update depends only on the
-    current point, so chunking reproduces the straight-through iterates) and
-    stops at the first record within ``tol`` of the reference energy.
+    All starts advance together through ``run_batch``, in restartable chunks
+    (the constant-step update depends only on the current point, so chunking
+    reproduces the straight-through iterates).  A start stops at the first
+    record within ``tol`` of the reference energy, or on a solver error.
+    Returns one flag and the best deviation seen per start.
     """
-    theta = np.asarray(theta_start, dtype=float)
+    thetas = np.array(starts, dtype=float)
+    reached = np.zeros(len(thetas), dtype=bool)
+    best = np.full(len(thetas), np.inf)
+    pending = list(range(len(thetas)))
     todo = max_iters
-    best = np.inf
-    while todo > 0:
+    while todo > 0 and pending:
         n = min(chunk, todo)
-        traj = run(
-            model.hamiltonian, model.circuit, theta,
+        trajectories = run_batch(
+            model.hamiltonian, model.circuit, thetas[pending],
             order=2, metric_kind=metric_kind, eta=0.05,
             max_iters=n, grad_tol=0.0,
             ground_basis=model.ground_basis,
         )
-        if not traj.records:
-            return False, best
-        devs = np.abs(traj.energies - model.reference_energy)
-        best = min(best, float(devs.min()))
-        if best <= tol:
-            return True, best
-        if traj.status == "error":
-            return False, best
-        theta = traj.final.theta
+        going = []
+        for b, traj in zip(pending, trajectories):
+            if not traj.records:
+                continue
+            devs = np.abs(traj.energies - model.reference_energy)
+            best[b] = min(best[b], float(devs.min()))
+            if best[b] <= tol:
+                reached[b] = True
+            elif traj.status != "error":
+                thetas[b] = traj.final.theta
+                going.append(b)
+        pending = going
         todo -= n
-    return False, best
+    return reached, best
 
 
 def test_criterion_1_exact_reference_values():
@@ -186,12 +194,9 @@ def test_criterion_5a_second_order_grid_robustness():
     for name in ("toy_a", "toy_b"):
         model = build_model(name)
         for kind in ("gd", "ngd", "ite"):
-            hits = 0
-            for ti in grid_starts():
-                for tj in grid_starts():
-                    converged, _ = reaches_ground(model, kind, (ti, tj))
-                    hits += converged
-            counts[name, kind] = hits
+            starts = [(ti, tj) for ti in grid_starts() for tj in grid_starts()]
+            converged, _ = reaches_ground(model, kind, starts)
+            counts[name, kind] = int(converged.sum())
     detail = ", ".join(f"{n}/{k}={c}/64" for (n, k), c in counts.items())
     ok = all(c == 64 for c in counts.values())
     assert report("5a", ok, f"starts converged to E=0 within tol 1e-6: {detail}")

@@ -7,7 +7,7 @@ from pytest import approx
 from helpers import dense_of
 from pdsvqs import moments, optim, statesim
 from pdsvqs.moments import moment_gradients, moment_table
-from pdsvqs.optim import IterationRecord, Trajectory, metric, run, step
+from pdsvqs.optim import IterationRecord, Trajectory, metric, run, run_batch, step
 from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import RegPolicy, pds_gradient, pds_solve
 from pdsvqs.statesim import Circuit, Gate, apply_circuit, fidelity
@@ -271,9 +271,9 @@ class TestRunDriver:
         def refuse(*args, **kwargs):
             raise AssertionError("a circuit was simulated")
 
-        monkeypatch.setattr(optim, "apply_circuit", refuse)
-        monkeypatch.setattr(moments, "apply_circuit", refuse)
-        monkeypatch.setattr(statesim, "state_derivative", refuse)
+        monkeypatch.setattr(optim, "_simulate", refuse)
+        monkeypatch.setattr(moments, "_simulate", refuse)
+        monkeypatch.setattr(optim, "_derivative_states", refuse)
         basis = np.array([[1.0, 1.0, 0.0, 0.0]]).T
         with pytest.raises(ValueError, match="orthonormal"):
             run(
@@ -377,6 +377,130 @@ class TestPreconditionedStepRule:
         assert tail.energies == approx(whole.energies[20:], abs=0)
 
 
+def assert_same_trajectory(a, b):
+    """Two trajectories agree bit for bit, record by record."""
+    assert (a.status, a.message, len(a.records)) == (b.status, b.message, len(b.records))
+    for ra, rb in zip(a.records, b.records):
+        for name in ("theta", "energy", "roots", "expval_h", "fidelity",
+                     "grad_norm", "metric_cond", "step_size"):
+            assert np.array_equal(
+                getattr(ra, name), getattr(rb, name), equal_nan=True
+            ), (ra.iteration, name)
+        assert (ra.iteration, ra.preconditioned) == (rb.iteration, rb.preconditioned)
+
+
+class TestRunBatch:
+    """``run_batch`` moves every start at once; each row is ``run`` from it."""
+
+    @pytest.mark.parametrize("name", ["toy_a", "toy_b", "h2"])
+    @pytest.mark.parametrize("kind", ["gd", "ngd", "ite"])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_each_row_equals_run_from_its_start(self, name, kind, order, request):
+        model = request.getfixturevalue(name)
+        rng = np.random.default_rng([order, len(kind), len(name)])
+        starts = np.vstack(
+            [model.theta0, rng.uniform(-np.pi, np.pi, (3, model.circuit.n_params))]
+        )
+        kw = dict(order=order, metric_kind=kind, eta=model.eta,
+                  max_iters=15, grad_tol=1e-7)
+        rows = run_batch(model.hamiltonian, model.circuit, starts, **kw)
+        assert len(rows) == len(starts)
+        for start, row in zip(starts, rows):
+            assert_same_trajectory(
+                row, run(model.hamiltonian, model.circuit, start, **kw)
+            )
+
+    def test_rows_stop_at_their_own_iterations(self, toy_a):
+        grid = [-np.pi + (k + 0.5) * np.pi / 2 for k in range(4)]
+        starts = [(a, b) for a in grid for b in grid]
+        kw = dict(order=2, metric_kind="ngd", max_iters=300, grad_tol=1e-6)
+        rows = run_batch(toy_a.hamiltonian, toy_a.circuit, starts, **kw)
+        lengths = {len(row.records) for row in rows}
+        assert all(row.status == "converged" for row in rows)
+        assert len(lengths) > 1 and max(lengths) < 301
+        for start, row in zip(starts, rows):
+            alone = run(toy_a.hamiltonian, toy_a.circuit, start, **kw)
+            assert len(row.records) == len(alone.records)
+            assert row.final.theta == approx(alone.final.theta, abs=0)
+
+    def test_failing_row_leaves_the_others_alone(self, h2):
+        good = np.array([0.3, -1.2, 2.0, 0.5])
+        kw = dict(order=4, pds_policy=RegPolicy.none(), max_iters=3, grad_tol=0.0)
+        rows = run_batch(h2.hamiltonian, h2.circuit, [h2.theta0, good, h2.theta0], **kw)
+        failed = run(h2.hamiltonian, h2.circuit, h2.theta0, **kw)
+        assert failed.status == "error" and "rank-deficient" in failed.message
+        assert_same_trajectory(rows[0], failed)
+        assert_same_trajectory(rows[2], failed)
+        alone = run(h2.hamiltonian, h2.circuit, good, **kw)
+        assert alone.status == "max_iters" and len(alone.records) == 4
+        assert_same_trajectory(rows[1], alone)
+
+    def test_records_read_like_a_list_of_copies(self, toy_a):
+        traj = run(
+            toy_a.hamiltonian, toy_a.circuit, toy_a.theta0,
+            order=2, metric_kind="ngd", max_iters=3, grad_tol=0.0,
+        )
+        assert len(traj.records) == 4 and traj.records != []
+        assert [r.iteration for r in traj.records[1:]] == [1, 2, 3]
+        assert traj.records[-1].iteration == traj.final.iteration == 3
+        first = traj.records[0]
+        first.theta += 1.0
+        first.roots[:] = 0.0
+        again = traj.records[0]
+        assert again.theta == approx(toy_a.theta0, abs=0)
+        assert not np.array_equal(again.roots, first.roots)
+        with pytest.raises(IndexError):
+            traj.records[4]
+
+    @pytest.mark.parametrize(
+        "shape", [(2,), (3, 3), (1, 1), (0, 2), (2, 2, 1)]
+    )
+    def test_rejects_other_shapes_and_no_rows(self, toy_a, shape):
+        with pytest.raises(ValueError, match="thetas"):
+            run_batch(toy_a.hamiltonian, toy_a.circuit, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["gd", "ngd"])
+    def test_shot_row_draws_the_seeds_of_its_own_run(self, heisenberg, kind):
+        model = heisenberg
+        starts = [model.theta0, model.theta0 + 0.1, model.theta0 - 0.2]
+        kw = dict(order=3, metric_kind=kind, shots=500, max_iters=3, grad_tol=0.0)
+        rows = run_batch(model.hamiltonian, model.circuit, starts, seed=7, **kw)
+        for b, (start, row) in enumerate(zip(starts, rows)):
+            alone = run(model.hamiltonian, model.circuit, start, seed=7 + b, **kw)
+            assert_same_trajectory(row, alone)
+
+
+class TestStepKind:
+    """Records tell an accepted preconditioned step from the plain fallback."""
+
+    def test_rejected_trials_match_fallback_steps(self, toy_a, monkeypatch):
+        fallbacks = []
+
+        def counted(theta, grad, metric_matrix, eta, eps=1e-6):
+            if metric_matrix is None:
+                fallbacks.append(eta)
+            return step(theta, grad, metric_matrix, eta, eps)
+
+        monkeypatch.setattr(optim, "step", counted)
+        traj = run(
+            toy_a.hamiltonian, toy_a.circuit, (-np.pi / 8, -np.pi / 8),
+            order=2, metric_kind="ngd", eta=0.05, max_iters=250, grad_tol=0.0,
+        )
+        kinds = [r.preconditioned for r in traj.records]
+        assert kinds.count(False) == len(fallbacks) > 0
+        assert kinds.count(True) > 0
+        assert kinds[-1] is None and None not in kinds[:-1]
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_gd_and_shot_records_carry_none(self, toy_a, shots):
+        for kind in ("gd", "ngd") if shots else ("gd",):
+            traj = run(
+                toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, order=2,
+                metric_kind=kind, shots=shots, max_iters=3, grad_tol=0.0,
+            )
+            assert [r.preconditioned for r in traj.records] == [None] * 4
+
+
 class TestHamiltonianWork:
     """Exact runs apply the compiled H; only shot runs expand its powers."""
 
@@ -442,10 +566,10 @@ class TestHamiltonianWork:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return apply_circuit(*args, **kwargs)
+            return statesim._simulate(*args, **kwargs)
 
-        monkeypatch.setattr(optim, "apply_circuit", counted)
-        monkeypatch.setattr(moments, "apply_circuit", counted)
+        monkeypatch.setattr(optim, "_simulate", counted)
+        monkeypatch.setattr(moments, "_simulate", counted)
         run(
             heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
             order=3, shots=500, max_iters=0, grad_tol=0.0,

@@ -25,6 +25,7 @@ from pdsvqs.statesim import (
     fidelity,
     state_derivative,
 )
+from pdsvqs.statesim import _parity
 
 
 def random_circuit(rng, n_qubits, n_gates, n_params):
@@ -293,3 +294,16 @@ class TestDecomposeControlled:
         a = apply_circuit(shifted, np.array([0.3])).amplitudes
         b = apply_circuit(c, np.array([0.3 + np.pi / 2])).amplitudes
         assert np.allclose(a, b, atol=1e-15)
+
+
+class TestParity:
+    def test_folds_every_bit_of_wide_indices(self):
+        values = [0, 1, 3, 2**31, 2**32, 2**32 + 1, 2**33 + 2**32,
+                  2**40 + 7, 2**62 + 2**33 + 5, 2**63 - 1]
+        got = _parity(np.array(values, dtype=np.int64))
+        assert got.tolist() == [bin(v).count("1") & 1 for v in values]
+
+    def test_narrow_dtype_keeps_its_width(self):
+        values = np.arange(1 << 12, dtype=np.int16)
+        expected = [bin(int(v)).count("1") & 1 for v in values]
+        assert _parity(values).tolist() == expected
