@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import estimate_measurements, reduction_stats
+from .measure import _check_epsilon, estimate_measurements, reduction_stats
 from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
 from .moments import hamiltonian_powers
 from .optim import evaluate, run_batch
@@ -292,6 +292,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.power < 1:
         raise ValueError(f"--power must be at least 1, got {args.power}")
+    _check_epsilon(args.epsilon)
     hamiltonian = _hamiltonian_only(args)
     target = hamiltonian_powers(hamiltonian, args.power)[args.power]
     groups = qwc_groups(target)

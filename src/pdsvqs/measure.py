@@ -35,6 +35,11 @@ class CostReport:
     total_measurements: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+
+
 def estimate_measurements(
     s: PauliSum,
     epsilon: float,
@@ -54,8 +59,7 @@ def estimate_measurements(
         covariance: ``"diagonal"`` treats co-measured strings as
             uncorrelated; ``"bound"`` charges the worst-case covariance.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if covariance not in ("diagonal", "bound"):
         raise ValueError(f"unknown covariance mode {covariance!r}")
     if not s.is_hermitian():
@@ -90,13 +94,16 @@ def reduction_stats(h: PauliSum, max_order: int, epsilon: float = 1e-3) -> CostR
     count of ``h**n``, the cumulative count of distinct strings seen so far,
     the qubit-wise commuting group count of the cumulative union, and the
     worst-case measurement estimate for each order at precision ``epsilon``.
+    ``epsilon`` is checked, and ``max_order`` by ``hamiltonian_powers``,
+    before any power is expanded.
     """
+    _check_epsilon(epsilon)
     powers = hamiltonian_powers(h, max_order)
     per_order = [len(powers[n]) for n in range(1, max_order + 1)]
     seen: set[tuple[int, int]] = set()
     cumulative = []
     for n in range(1, max_order + 1):
-        seen.update(t.key for t in powers[n].terms())
+        seen.update(powers[n]._coeffs)
         cumulative.append(len(seen))
     union = union_of_powers(powers)
     group_count = len(qwc_groups(union))

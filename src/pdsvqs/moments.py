@@ -84,15 +84,35 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     return powers
 
 
+# The last sum ``_operator`` compiled: (the sum, a copy of its coefficients,
+# its CompiledSum).  One slot serves callers that evaluate many points of one H.
+_last_compiled: tuple[PauliSum, dict, CompiledSum] | None = None
+
+
 def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
-    """Compiled ``h`` for the exact moments, after the argument checks."""
+    """Compiled ``h`` for the exact moments, after the argument checks.
+
+    The compiled operator is reused when the same sum object comes back with
+    equal coefficients; any other sum is compiled anew.
+    """
+    global _last_compiled
     if h is None or max_order is None:
         raise ValueError("need both h and max_order")
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if not h.is_hermitian():
         raise ValueError("moments require a Hermitian operator")
-    return CompiledSum(h)
+    last = _last_compiled
+    if (
+        last is not None
+        and last[0] is h
+        and last[2].n_qubits == h.n_qubits
+        and last[1] == h._coeffs
+    ):
+        return last[2]
+    op = CompiledSum(h)
+    _last_compiled = (h, dict(h._coeffs), op)
+    return op
 
 
 class _Krylov:
@@ -211,9 +231,8 @@ def union_of_powers(powers: list[PauliSum]) -> PauliSum:
     n = powers[1].n_qubits
     weights: dict[tuple[int, int], float] = {}
     for s in powers[1:]:
-        for term in s.terms():
-            key = term.key
-            weights[key] = max(weights.get(key, 0.0), abs(term.coefficient))
+        for key, c in s._coeffs.items():
+            weights[key] = max(weights.get(key, 0.0), abs(c))
     return PauliSum(n, {k: complex(w) for k, w in weights.items()})
 
 
@@ -256,7 +275,7 @@ class MeasurementPlan:
         self.n_qubits = n = powers[1].n_qubits
         self.orders = len(powers)
         idx = np.arange(1 << n)
-        coeff_maps = [{t.key: t.coefficient.real for t in s.terms()} for s in powers]
+        coeff_maps = [{k: c.real for k, c in s._coeffs.items()} for s in powers]
         # Per group: (x_mask, z_mask, [(order, identity constant or None,
         # outcome row or None, row squared or None), ...]).
         self.groups: list[tuple[int, int, list[tuple]]] = []

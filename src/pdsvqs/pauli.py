@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "PauliTerm",
     "PauliSum",
@@ -38,6 +40,33 @@ def _product_phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
     p = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
     p += 2 * (x2 & z1).bit_count()
     return p % 4
+
+
+def _packed(masks: list[int], n_qubits: int) -> np.ndarray:
+    """Masks as rows of little-endian 64-bit words, shape (len(masks), words).
+
+    Bit q of a mask is bit q % 64 of word q // 64, for any register width.
+    """
+    width = 8 * ((n_qubits + 63) // 64)
+    data = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width // 8)
+
+
+def _grouping_order(
+    n_qubits: int, x: np.ndarray, z: np.ndarray, magnitudes: np.ndarray
+) -> np.ndarray:
+    """Permutation sorting packed strings by (-magnitude, label).
+
+    Label order compares letters from qubit 0 on, with I < X < Y < Z; in bits
+    a letter's rank is ``2 z + (x ^ z)``, so no label string is built.
+    """
+    xb, zb = (
+        np.unpackbits(m.view(np.uint8), axis=1, count=n_qubits, bitorder="little")
+        for m in (x, z)
+    )
+    ranks = 2 * zb + (xb ^ zb)
+    # np.lexsort sorts by its last key first.
+    return np.lexsort([*ranks[:, ::-1].T, -magnitudes])
 
 
 @dataclass(frozen=True)
@@ -285,28 +314,57 @@ def qubitwise_commutes(a: PauliTerm, b: PauliTerm) -> bool:
 def qwc_groups(s: PauliSum) -> list[list[PauliTerm]]:
     """Partition the terms of ``s`` into qubit-wise commuting groups.
 
-    Terms are visited in order of descending coefficient magnitude (label
-    order breaks ties) and placed in the first group whose letter assignment
-    they fit, so the result is deterministic.  Each group can be measured in a
-    single shared product basis.
+    The grouping is greedy first fit: terms are visited in order of
+    descending coefficient magnitude (label order breaks ties) and each joins
+    the first group whose letter assignment it fits, so the result is
+    deterministic.  Each group can be measured in a single shared product
+    basis.
+
+    The groups are built one at a time on packed masks.  The first term not
+    yet grouped leads group g and pins its letters; one vectorized test keeps
+    the remaining terms that agree with the pinned letters wherever their
+    supports overlap.  The survivors are walked in order: one whose support is
+    already pinned joins without changing the pin, and the first that extends
+    the support joins, pins its letters, and the survivors after it are tested
+    again (at most once per qubit).  This is first fit because whether a term
+    joins group g depends only on the members of g that precede it, and since
+    pinned letters never change, a term that fails the test stays unfit.
     """
-    ordered = sorted(s.terms(), key=lambda t: (-abs(t.coefficient), t.label))
-    groups: list[list[PauliTerm]] = []
-    # Per group, the letters already pinned on each qubit: (x_mask, z_mask,
-    # support_mask).  A candidate fits when it agrees wherever supports overlap.
-    pinned: list[tuple[int, int, int]] = []
-    for term in ordered:
-        t_support = term.x_mask | term.z_mask
-        placed = False
-        for gi, (gx, gz, gsup) in enumerate(pinned):
-            overlap = gsup & t_support
-            if ((gx ^ term.x_mask) | (gz ^ term.z_mask)) & overlap:
-                continue
-            groups[gi].append(term)
-            pinned[gi] = (gx | term.x_mask, gz | term.z_mask, gsup | t_support)
-            placed = True
-            break
-        if not placed:
-            groups.append([term])
-            pinned.append((term.x_mask, term.z_mask, t_support))
-    return groups
+    keys = list(s._coeffs)
+    if not keys:
+        return []
+    coeffs = list(s._coeffs.values())
+    x = _packed([k[0] for k in keys], s.n_qubits)
+    z = _packed([k[1] for k in keys], s.n_qubits)
+    order = _grouping_order(s.n_qubits, x, z, np.array([abs(c) for c in coeffs]))
+    x, z = x[order], z[order]
+    support = x | z
+    grouped = np.zeros(len(keys), dtype=bool)
+    remaining = np.arange(len(keys))
+    positions: list[np.ndarray] = []
+    while remaining.size:
+        lead = remaining[0]
+        gx, gz, gsup = x[lead], z[lead], support[lead]
+        members = [remaining[:1]]
+        candidates = remaining[1:]
+        while candidates.size:
+            clash = ((x[candidates] ^ gx) | (z[candidates] ^ gz)) & gsup
+            candidates = candidates[~(clash & support[candidates]).any(axis=1)]
+            extends = np.flatnonzero((support[candidates] & ~gsup).any(axis=1))
+            if not extends.size:
+                members.append(candidates)
+                break
+            first = extends[0]
+            members.append(candidates[: first + 1])
+            pin = candidates[first]
+            gx, gz, gsup = gx | x[pin], gz | z[pin], gsup | support[pin]
+            candidates = candidates[first + 1 :]
+        group = np.concatenate(members)
+        grouped[group] = True
+        positions.append(group)
+        remaining = remaining[~grouped[remaining]]
+    n = s.n_qubits
+    return [
+        [PauliTerm(n, *keys[i], coeffs[i]) for i in order[group].tolist()]
+        for group in positions
+    ]

@@ -2,7 +2,8 @@
 
 Everything here is built from first principles with ``np.kron`` and explicit
 4x4 / 2x2 matrices, deliberately not reusing the package's own Pauli algebra
-or simulator, so agreement between the two is a real cross-check.
+or simulator, so agreement between the two is a real cross-check.  The
+grouping reference is the plain first-fit loop over label-sorted terms.
 """
 
 from __future__ import annotations
@@ -120,3 +121,40 @@ def random_pairs(rng, n_qubits, n_terms, real=True):
 def random_state_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def chain_pairs(n_sites):
+    """Open Heisenberg chain sum_i (XX + YY + ZZ)_{i,i+1} + 0.5 sum_i Z_i."""
+    pairs = []
+    for i in range(n_sites - 1):
+        for letter in "XYZ":
+            label = ["I"] * n_sites
+            label[i] = label[i + 1] = letter
+            pairs.append((1.0, "".join(label)))
+    for i in range(n_sites):
+        label = ["I"] * n_sites
+        label[i] = "Z"
+        pairs.append((0.5, "".join(label)))
+    return pairs
+
+
+def first_fit_qwc_groups(s):
+    """Greedy qubit-wise commuting groups of a package ``PauliSum``, one term
+    at a time: terms sorted by (-|c|, label) each join the first group whose
+    pinned letters they agree with wherever the supports overlap."""
+    ordered = sorted(s.terms(), key=lambda t: (-abs(t.coefficient), t.label))
+    groups = []
+    # Per group: (x_mask, z_mask, support_mask) of the letters pinned so far.
+    pinned = []
+    for term in ordered:
+        support = term.x_mask | term.z_mask
+        for gi, (gx, gz, gsup) in enumerate(pinned):
+            if ((gx ^ term.x_mask) | (gz ^ term.z_mask)) & gsup & support:
+                continue
+            groups[gi].append(term)
+            pinned[gi] = (gx | term.x_mask, gz | term.z_mask, gsup | support)
+            break
+        else:
+            groups.append([term])
+            pinned.append((term.x_mask, term.z_mask, support))
+    return groups

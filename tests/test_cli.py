@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from helpers import chain_pairs
 from pdsvqs.cli import SCHEMA_LINE, main, parse_angle, parse_angles
+from pdsvqs.models import serialize_hamiltonian
+from pdsvqs.pauli import PauliSum
 
 
 def read_csv(path):
@@ -238,6 +241,15 @@ class TestReportCommands:
         assert code == 1
         assert captured.out == "" and "--power must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-0.001"])
+    @pytest.mark.parametrize("command", ["reduce", "estimate"])
+    def test_epsilon_must_be_finite_and_positive(self, capsys, command, epsilon):
+        code = main([command, "--model", "h2", "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "epsilon must be finite and positive" in captured.err
+
     def test_eig_prints_spectrum(self, capsys):
         code = main(["eig", "--model", "toy_a"])
         lines = capsys.readouterr().out.splitlines()
@@ -324,3 +336,46 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as err:
             main(["--config", str(tmp_path / "no.json"), "run", "--model", "toy_a"])
         assert err.value.code == 1
+
+
+# Standard output of the measurement-cost commands as the term-by-term
+# first-fit grouping printed it; the vectorized group sweep must match it
+# byte for byte.
+GOLDEN_REDUCE_CHAIN8 = """\
+order,strings,cumulative,measurements
+1,29,29,68749015.732775077
+2,318,318,21997048673.423264
+3,1500,1540,4076039305800.3301
+4,4052,4112,875138455877155.25
+groups=376 total_measurements=879236560980644.75
+"""
+GOLDEN_REDUCE_HEISENBERG = """\
+order,strings,cumulative,measurements
+1,16,16,5807980.099379343
+2,58,58,58189022.718243249
+3,56,72,1079621018.4919753
+4,64,72,13298694480.064804
+5,56,72,246216113061.96155
+6,64,72,3736773631834.9736
+groups=29 total_measurements=3997432057398.3096
+"""
+GOLDEN_ESTIMATE_HEISENBERG = (
+    "power=4 groups=29 epsilon=0.001 measurements=13298694480.064804\n"
+)
+
+
+class TestGoldenOutputs:
+    def test_reduce_chain8(self, capsys, tmp_path):
+        path = tmp_path / "chain8.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(8)), path)
+        argv = ["reduce", "--file", str(path), "--max-order", "4", "--epsilon", "1e-3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN_REDUCE_CHAIN8
+
+    def test_reduce_heisenberg(self, capsys):
+        assert main(["reduce", "--model", "heisenberg", "--max-order", "6"]) == 0
+        assert capsys.readouterr().out == GOLDEN_REDUCE_HEISENBERG
+
+    def test_estimate_heisenberg(self, capsys):
+        assert main(["estimate", "--model", "heisenberg", "--power", "4"]) == 0
+        assert capsys.readouterr().out == GOLDEN_ESTIMATE_HEISENBERG

@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from helpers import random_pairs
+from pdsvqs import measure
 from pdsvqs.measure import CostReport, estimate_measurements, reduction_stats
 from pdsvqs.pauli import PauliSum, PauliTerm, qwc_groups
 
@@ -86,6 +87,14 @@ class TestEstimate:
         with pytest.raises(ValueError, match="Hermitian"):
             estimate_measurements(PauliSum.from_terms([(1j, "Z")]), 1e-2)
 
+    @pytest.mark.parametrize(
+        "epsilon", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        s = PauliSum.from_terms([(0.2, "Z")])
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_measurements(s, epsilon)
+
 
 class TestReductionStats:
     def test_second_toy_counts(self, toy_b):
@@ -138,3 +147,21 @@ class TestReductionStats:
         assert a.per_order_counts == b.per_order_counts
         assert a.group_count == b.group_count
         assert a.total_measurements == approx(b.total_measurements, rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.0, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected_before_expansion(self, monkeypatch, h2, epsilon):
+        def expand(*args, **kwargs):
+            raise AssertionError("a power was expanded")
+
+        monkeypatch.setattr(measure, "hamiltonian_powers", expand)
+        with pytest.raises(ValueError, match="finite and positive"):
+            reduction_stats(h2.hamiltonian, 4, epsilon)
+
+    @pytest.mark.parametrize("max_order", [0, 13])
+    def test_bad_max_order_rejected_before_expansion(self, monkeypatch, h2, max_order):
+        def multiply(*args, **kwargs):
+            raise AssertionError("a power was expanded")
+
+        monkeypatch.setattr(PauliSum, "__mul__", multiply)
+        with pytest.raises(ValueError, match="max_order"):
+            reduction_stats(h2.hamiltonian, max_order)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import dense_from_pairs, dense_of, pairs_of, random_pairs
+from helpers import chain_pairs, dense_from_pairs, dense_of, pairs_of, random_pairs
 from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
     MeasurementPlan,
+    _operator,
     hamiltonian_powers,
     moment_gradients,
     moment_table,
@@ -133,6 +134,28 @@ class TestMomentTable:
             assert t.values[2] - t.values[1] ** 2 >= -1e-10
 
 
+class TestCompiledOperator:
+    """H is compiled once and reused only while it is unchanged."""
+
+    def test_same_sum_reuses_its_compilation(self, heisenberg):
+        h = heisenberg.hamiltonian
+        assert _operator(h, 3) is _operator(h, 5)
+
+    def test_equal_copy_is_compiled_anew(self, h2):
+        h = h2.hamiltonian
+        first = _operator(h, 1)
+        assert _operator(PauliSum(h.n_qubits, dict(h._coeffs)), 1) is not first
+
+    def test_edited_sum_is_compiled_anew(self, h2):
+        h = PauliSum(h2.hamiltonian.n_qubits, dict(h2.hamiltonian._coeffs))
+        before = moment_table(h2.circuit, h2.theta0, h, 3).values
+        h._coeffs[(0, 0)] = h._coeffs.get((0, 0), 0.0) + 1.0
+        after = moment_table(h2.circuit, h2.theta0, h, 3).values
+        fresh = PauliSum(h.n_qubits, dict(h._coeffs))
+        assert after[1] == approx(before[1] + 1.0, abs=1e-12)
+        assert np.array_equal(after, moment_table(h2.circuit, h2.theta0, fresh, 3).values)
+
+
 class TestMomentGradients:
     def _fd_rows(self, circuit, theta, ham, max_order, h=1e-6):
         rows = np.zeros((circuit.n_params, max_order + 1))
@@ -187,21 +210,6 @@ class TestMomentGradients:
             assert rows[k, 1] == approx((up - down) / (2 * h), abs=1e-8)
 
 
-def _chain(n):
-    """Open Heisenberg chain sum_i (XX + YY + ZZ)_{i,i+1} + 0.5 sum_i Z_i."""
-    pairs = []
-    for i in range(n - 1):
-        for letter in "XYZ":
-            label = ["I"] * n
-            label[i] = label[i + 1] = letter
-            pairs.append((1.0, "".join(label)))
-    for i in range(n):
-        label = ["I"] * n
-        label[i] = "Z"
-        pairs.append((0.5, "".join(label)))
-    return PauliSum.from_terms(pairs)
-
-
 def _krylov_cases():
     """(Hamiltonian, circuit, theta, order checked against expanded powers)."""
     rng = np.random.default_rng(2024)
@@ -217,7 +225,10 @@ def _krylov_cases():
     )
     circuit8 = hardware_efficient_ansatz(8, 1)
     cases["chain8"] = (
-        _chain(8), circuit8, rng.uniform(-np.pi, np.pi, circuit8.n_params), 3
+        PauliSum.from_terms(chain_pairs(8)),
+        circuit8,
+        rng.uniform(-np.pi, np.pi, circuit8.n_params),
+        3,
     )
     return cases
 

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import dense_from_pairs, dense_of, random_pairs
-from pdsvqs.moments import hamiltonian_powers
+from helpers import (
+    chain_pairs,
+    dense_from_pairs,
+    dense_of,
+    first_fit_qwc_groups,
+    random_pairs,
+)
+from pdsvqs.models import MODEL_NAMES, build_model
+from pdsvqs.moments import hamiltonian_powers, union_of_powers
 from pdsvqs.pauli import (
     PauliSum,
     PauliTerm,
@@ -67,6 +74,12 @@ class TestPauliSum:
 
     def test_terms_are_label_sorted(self, rng):
         s = PauliSum.from_terms(random_pairs(rng, 2, 12))
+        labels = [t.label for t in s.terms()]
+        assert labels == sorted(labels)
+
+    @pytest.mark.parametrize("n", [65, 70, 130])
+    def test_terms_are_label_sorted_on_wide_registers(self, rng, n):
+        s = PauliSum.from_terms(random_pairs(rng, n, 30))
         labels = [t.label for t in s.terms()]
         assert labels == sorted(labels)
 
@@ -194,3 +207,55 @@ class TestGrouping:
         first = [[t.label for t in g] for g in qwc_groups(s)]
         second = [[t.label for t in g] for g in qwc_groups(s)]
         assert first == second
+
+
+def _sparse_sum(rng, n, n_terms, complex_coeffs):
+    """The identity plus strings of weight 1..3 whose magnitudes come from a
+    few values, so magnitudes tie often and groups hold many strings."""
+    pairs = [(1.0, "I" * n)]
+    for _ in range(n_terms):
+        label = ["I"] * n
+        for q in rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False):
+            label[q] = "XYZ"[rng.integers(3)]
+        coeff = rng.choice([1.0, 0.5, 0.25]) * rng.choice([1.0, -1.0])
+        if complex_coeffs:
+            coeff *= rng.choice([1.0, 1.0j, (0.6 + 0.8j)])
+        pairs.append((coeff, "".join(label)))
+    return PauliSum.from_terms(pairs)
+
+
+class TestGroupingMatchesFirstFit:
+    """``qwc_groups`` against the term-by-term first-fit loop: the same
+    groups, with terms and coefficients in the same order."""
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 70])
+    def test_random_sums(self, rng, n, complex_coeffs):
+        largest = 0
+        for _ in range(4):
+            s = _sparse_sum(rng, n, 80, complex_coeffs)
+            groups = qwc_groups(s)
+            assert groups == first_fit_qwc_groups(s)
+            largest = max(largest, max(len(g) for g in groups))
+        assert largest > 1
+        dense = PauliSum.from_terms(random_pairs(rng, n, 40, real=not complex_coeffs))
+        assert qwc_groups(dense) == first_fit_qwc_groups(dense)
+
+    @pytest.mark.parametrize("n", [1, 64, 70])
+    def test_empty_sum(self, n):
+        assert qwc_groups(PauliSum.zero(n)) == first_fit_qwc_groups(PauliSum.zero(n)) == []
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_builtin_unions(self, name, order):
+        # Order K measures the moments up to 2K - 1.
+        powers = hamiltonian_powers(build_model(name).hamiltonian, 2 * order - 1)
+        union = union_of_powers(powers)
+        assert qwc_groups(union) == first_fit_qwc_groups(union)
+
+    def test_chain8_union_to_order_4(self):
+        powers = hamiltonian_powers(PauliSum.from_terms(chain_pairs(8)), 4)
+        union = union_of_powers(powers)
+        groups = qwc_groups(union)
+        assert len(union) == 4112 and len(groups) == 376
+        assert groups == first_fit_qwc_groups(union)
