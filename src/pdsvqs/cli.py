@@ -152,6 +152,23 @@ def _policy_from_args(args) -> RegPolicy:
     return RegPolicy.auto()
 
 
+def _run_options(args, eta, schedule, ground) -> dict:
+    """The ``run_batch`` keywords that ``run`` and ``scan`` share."""
+    return dict(
+        functional=args.functional,
+        order=1 if args.functional == "vqe" else args.order,
+        metric_kind=args.metric,
+        eta=eta,
+        schedule=schedule,
+        max_iters=args.max_iters,
+        grad_tol=args.grad_tol,
+        pds_policy=_policy_from_args(args),
+        metric_eps=args.metric_eps,
+        gradient_method=args.gradient,
+        ground_basis=ground,
+    )
+
+
 def _write_trajectory(path, trajectory, order, n_params, reference) -> None:
     lines = [SCHEMA_LINE]
     roots = [f"root_{i + 1}" for i in range(order)]
@@ -182,27 +199,14 @@ def _write_trajectory(path, trajectory, order, n_params, reference) -> None:
 def _cmd_run(args) -> int:
     problem = _load_problem(args)
     hamiltonian, circuit, theta0, eta, schedule, reference, ground = problem
-    order = 1 if args.functional == "vqe" else args.order
+    options = _run_options(args, eta, schedule, ground)
     trajectory = run_loop(
-        hamiltonian,
-        circuit,
-        theta0,
-        functional=args.functional,
-        order=order,
-        metric_kind=args.metric,
-        eta=eta,
-        schedule=schedule,
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        pds_policy=_policy_from_args(args),
-        metric_eps=args.metric_eps,
-        gradient_method=args.gradient,
-        shots=args.shots,
-        seed=args.seed,
-        ground_basis=ground,
+        hamiltonian, circuit, theta0, shots=args.shots, seed=args.seed, **options
     )
     if args.out is not None:
-        _write_trajectory(args.out, trajectory, order, circuit.n_params, reference)
+        _write_trajectory(
+            args.out, trajectory, options["order"], circuit.n_params, reference
+        )
     final = trajectory.records[-1] if trajectory.records else None
     summary = [f"status={trajectory.status}"]
     if final is not None:
@@ -229,22 +233,15 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"--params expects 'i,j', got {args.params!r}") from None
     if not (0 <= pi < circuit.n_params and 0 <= pj < circuit.n_params and pi != pj):
         raise ValueError("--params indices out of range or equal")
-    order = 1 if args.functional == "vqe" else args.order
     grid = [-math.pi + (k + 0.5) * 2.0 * math.pi / args.grid for k in range(args.grid)]
     pairs = [(ti, tj) for ti in grid for tj in grid]
     thetas = np.repeat(theta0[None], len(pairs), axis=0)
     thetas[:, [pi, pj]] = pairs
-    policy = _policy_from_args(args)
-    trajectories = run_batch(
-        hamiltonian, circuit, thetas,
-        functional=args.functional, order=order, metric_kind=args.metric,
-        eta=eta, schedule=schedule, max_iters=args.max_iters,
-        grad_tol=args.grad_tol, pds_policy=policy,
-        metric_eps=args.metric_eps, ground_basis=ground,
-    )
+    options = _run_options(args, eta, schedule, ground)
+    trajectories = run_batch(hamiltonian, circuit, thetas, **options)
     energies, expvals, errors = evaluate(
-        hamiltonian, circuit, thetas,
-        functional=args.functional, order=order, pds_policy=policy,
+        hamiltonian, circuit, thetas, functional=args.functional,
+        order=options["order"], pds_policy=options["pds_policy"],
     )
 
     start_lines = [SCHEMA_LINE, "theta_i0,theta_j0,status,iterations,final_energy,final_fidelity"]

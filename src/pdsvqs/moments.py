@@ -210,9 +210,8 @@ def moment_gradients(
     thetas = _one_row(circuit, theta)
     op = _operator(h, max_order)
     if method == "analytic":
-        krylov = _Krylov(op, [_simulate(circuit, thetas)])
-        derivs = _derivative_states(circuit, thetas)
-        return _analytic_rows(krylov, derivs, max_order)[0]
+        walk = _derivative_states(circuit, thetas)
+        return _analytic_rows(_Krylov(op, [walk[:, 0]]), walk[:, 1:], max_order)[0]
     if method == "shift":
         moments_of = _exact_moments(op, max_order)
         return _shift_rows(circuit, thetas, moments_of, max_order + 1)[0]

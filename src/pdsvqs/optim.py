@@ -54,7 +54,6 @@ from .pds import (
 from .statesim import (
     Circuit,
     State,
-    exact_eigensystem,
     _basis_adjoint,
     _derivative_states,
     _one_row,
@@ -91,26 +90,15 @@ def _metric_rows(kind: str, derivs: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def metric(
-    circuit: Circuit,
-    theta: np.ndarray,
-    kind: str = "gd",
-    derivs: list[np.ndarray] | None = None,
-    amps: np.ndarray | None = None,
-) -> np.ndarray:
-    """Preconditioning matrix for the chosen flavor at one parameter point.
-
-    Precomputed derivative states and the circuit state can be passed in so a
-    driver evaluating the gradient anyway does not simulate twice.
-    """
+def metric(circuit: Circuit, theta: np.ndarray, kind: str = "gd") -> np.ndarray:
+    """Preconditioning matrix for the chosen flavor at one parameter point,
+    from one forward walk of the circuit."""
     if kind not in _METRIC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
     if kind == "gd":
         return np.eye(circuit.n_params)
-    thetas = _one_row(circuit, theta)
-    derivs = _derivative_states(circuit, thetas) if derivs is None else np.asarray(derivs)[None]
-    amps = _simulate(circuit, thetas) if amps is None else np.asarray(amps)[None]
-    return _metric_rows(kind, derivs, amps)[0]
+    walk = _derivative_states(circuit, _one_row(circuit, theta))
+    return _metric_rows(kind, walk[:, 1:], walk[:, 0])[0]
 
 
 def step(
@@ -232,17 +220,14 @@ class Trajectory:
 class _Points:
     """The functional at a stack of points: every field has one row per point.
 
-    ``krylov`` holds the Krylov vectors the moments used (empty in shot mode),
-    ``solved`` the PDS rows (None for vqe) and ``errors`` each row's solver
-    error or None.
+    ``krylov`` holds the Krylov vectors the moments used (empty in shot mode)
+    and ``solved`` the PDS rows, with each row's energy and solver error.
     """
 
     amps: np.ndarray
     krylov: list[np.ndarray]
     values: np.ndarray
-    solved: _SolvedRows | None
-    energy: np.ndarray
-    errors: np.ndarray
+    solved: _SolvedRows
 
 
 def _take(obj, rows):
@@ -270,31 +255,30 @@ def _put(dst, rows, src):
     return dst
 
 
-def _solve(values: np.ndarray, functional: str, order: int, policy: RegPolicy):
-    """PDS rows (None for vqe), functional values and solver errors of moment rows."""
-    if functional == "vqe":
-        return None, values[:, 1].copy(), np.full(len(values), None, dtype=object)
-    solved = _solve_rows(values, order, policy)
-    return solved, solved.energy, solved.errors
-
-
-def _exact_points(op, circuit, thetas, functional, order, policy) -> _Points:
-    """Circuit states, Krylov vectors, exact moments and functional at ``thetas``."""
-    amps = _simulate(circuit, thetas)
+def _exact_points(op, circuit, thetas, order, policy, amps=None) -> _Points:
+    """Krylov vectors, exact moments and functional at ``thetas``, from the
+    circuit states ``amps`` (simulated when not given)."""
+    if amps is None:
+        amps = _simulate(circuit, thetas)
     krylov = _Krylov(op, [amps])
-    values = _values_from_state(krylov, max(1, 2 * order - 1))
-    return _Points(amps, krylov.vectors, values, *_solve(values, functional, order, policy))
+    values = _values_from_state(krylov, 2 * order - 1)
+    return _Points(amps, krylov.vectors, values, _solve_rows(values, order, policy))
 
 
-def _functional_order(functional: str, order: int) -> int:
-    """The order the functional is evaluated at (1 for vqe), after checks."""
+def _functional(functional: str, order: int, policy: RegPolicy | None):
+    """The order and policy the functional is solved with, after checks.
+
+    The energy expectation (vqe) is the order-1 functional: its 1 x 1 moment
+    matrix is exactly 1, so it is solved without regularization whatever the
+    policy.
+    """
     if functional not in ("pds", "vqe"):
         raise ValueError(f"unknown functional {functional!r}")
     if functional == "vqe":
-        order = 1
+        return 1, RegPolicy.none()
     if order < 1:
         raise ValueError("order must be at least 1")
-    return order
+    return order, RegPolicy.auto() if policy is None else policy
 
 
 def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
@@ -323,12 +307,11 @@ def evaluate(
     which is None elsewhere.  This is the evaluation ``run_batch`` applies
     to its iterates.
     """
-    order = _functional_order(functional, order)
+    order, policy = _functional(functional, order, pds_policy)
     thetas = _check_thetas(circuit, thetas)
-    op = _operator(hamiltonian, max(1, 2 * order - 1))
-    policy = RegPolicy.auto() if pds_policy is None else pds_policy
-    points = _exact_points(op, circuit, thetas, functional, order, policy)
-    return points.energy, points.values[:, 1].copy(), list(points.errors)
+    op = _operator(hamiltonian, 2 * order - 1)
+    points = _exact_points(op, circuit, thetas, order, policy)
+    return points.solved.energy, points.values[:, 1].copy(), list(points.solved.errors)
 
 
 def run(
@@ -377,8 +360,9 @@ def run_batch(
     ``max_iters`` or hits a solver error.
 
     ``functional`` is ``"pds"`` (moment functional of the given order) or
-    ``"vqe"`` (plain energy expectation; equivalent to order 1).  The schedule
-    is a constant step size or ``eta / iteration``.  With ``shots`` set, the
+    ``"vqe"`` (plain energy expectation), which is solved as the order-1
+    functional and ignores ``pds_policy``.  The schedule is a constant step
+    size or ``eta / iteration``.  With ``shots`` set, the
     moments and their shift-rule gradients are estimated from simulated
     measurements of every string of the expanded powers of H, seeded per
     (seed, iteration); the powers are expanded and grouped into one
@@ -390,15 +374,16 @@ def run_batch(
     ``H^j psi``, ``2K - 1`` applications of H in all; ``ngd``/``ite`` steps
     follow the sufficient-decrease rule of the module docstring, row by row,
     and an accepted trial point hands its Krylov vectors on.  Sampled and
-    ``gradient_method="shift"`` rows share one shift-rule loop.  Derivative
-    states are built once per iterate, and ``ground_basis`` (by default the
-    exact ground space up to 12 qubits) is checked once, on entry.
+    ``gradient_method="shift"`` rows share one shift-rule loop.  An iterate
+    that needs derivative states builds them and its circuit states in one
+    forward walk.  Fidelity is the overlap with the span of ``ground_basis``,
+    checked once on entry, and NaN when no basis is passed.
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"`` and the records collected so far.  ``thetas`` of
     another shape, or with no rows, raises ``ValueError``.
     """
-    order = _functional_order(functional, order)
+    order, pds_policy = _functional(functional, order, pds_policy)
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if metric_kind not in _METRIC_KINDS:
@@ -407,16 +392,12 @@ def run_batch(
         raise ValueError(f"unknown gradient method {gradient_method!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
-    if pds_policy is None:
-        pds_policy = RegPolicy.auto()
     theta = _check_thetas(circuit, thetas)
-    max_order = max(1, 2 * order - 1)
+    max_order = 2 * order - 1
     if shots is None:
         op = _operator(hamiltonian, max_order)
     else:
         plan = MeasurementPlan(hamiltonian_powers(hamiltonian, max_order))
-    if ground_basis is None and hamiltonian.n_qubits <= 12:
-        _, ground_basis = exact_eigensystem(hamiltonian)
     if ground_basis is not None:
         ground_adjoint = _basis_adjoint(ground_basis, 1 << circuit.n_qubits)
 
@@ -427,14 +408,17 @@ def run_batch(
     points = None  # accepted trial points, handed on row by row
     carried = np.zeros(len(theta), dtype=bool)
     for iteration in range(max_iters + 1):
-        derivs = None
-        # Built once per iterate, for the analytic rows and the ngd/ite metric.
+        walk = derivs = None
+        # The analytic rows and the ngd/ite metric need derivative states: one
+        # walk per iterate builds them together with the states.
         if metric_kind != "gd" or (shots is None and gradient_method == "analytic"):
-            derivs = _derivative_states(circuit, theta)
+            walk = _derivative_states(circuit, theta)
+            derivs = walk[:, 1:]
         if shots is None:
             if not carried.all():
                 fresh = _exact_points(
-                    op, circuit, theta[~carried], functional, order, pds_policy
+                    op, circuit, theta[~carried], order, pds_policy,
+                    None if walk is None else walk[~carried, 0],
                 )
                 points = _put(points, ~carried, fresh) if carried.any() else fresh
             if gradient_method == "analytic":
@@ -444,18 +428,14 @@ def run_batch(
                 moments_of = _exact_moments(op, max_order)
                 rows = _shift_rows(circuit, theta, moments_of, max_order + 1)
         else:
-            amps = _simulate(circuit, theta)
+            amps = _simulate(circuit, theta) if walk is None else walk[:, 0]
             seeds = [seed + int(b) for b in live]
             values, rows = _sampled_table(
                 circuit, theta, amps, plan, shots, seeds, iteration
             )
-            points = _Points(amps, [], values, *_solve(values, functional, order, pds_policy))
-        if functional == "vqe":
-            grad, errors = rows[:, :, 1].copy(), points.errors
-            roots = points.energy[:, None].copy()
-        else:
-            grad, errors = _gradient_rows(points.values, rows, points.solved)
-            roots = points.solved.roots.copy()
+            points = _Points(amps, [], values, _solve_rows(values, order, pds_policy))
+        grad, errors = _gradient_rows(points.values, rows, points.solved)
+        roots = points.solved.roots.copy()
         failed = ~_no_error(errors)
         if failed.any():
             for i in np.flatnonzero(failed):
@@ -484,7 +464,7 @@ def run_batch(
         grad_norm = np.sqrt(_vdot(grad, grad))
         eta_k = eta if schedule == "constant" else eta / (iteration + 1)
         block = np.column_stack([
-            theta, roots, points.energy, points.values[:, 1], fid, grad_norm,
+            theta, roots, points.solved.energy, points.values[:, 1], fid, grad_norm,
             metric_cond, np.full(len(theta), eta_k), np.full(len(theta), np.nan),
         ])
         blocks.append(block)
@@ -507,9 +487,9 @@ def run_batch(
             theta = trial
             points, carried = None, np.zeros(len(theta), dtype=bool)
             continue
-        bound = points.energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
-        points = _exact_points(op, circuit, trial, functional, order, pds_policy)
-        carried = _no_error(points.errors) & (points.energy <= bound)
+        bound = points.solved.energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
+        points = _exact_points(op, circuit, trial, order, pds_policy)
+        carried = _no_error(points.solved.errors) & (points.solved.energy <= bound)
         if not carried.all():
             trial[~carried] = step(theta[~carried], grad[~carried], None, eta_k)
         theta = trial

@@ -170,40 +170,39 @@ class State:
         return float(np.linalg.norm(self.amplitudes))
 
 
-# The gate kernels act on one amplitude vector or on rows (B, 2**n); ``u`` is
-# one (2, 2) matrix or one per row, (B, 2, 2).  The einsum subscripts are
-# spelled out per (u.ndim, amps.ndim): an ellipsis costs time on every call.
-_SINGLE = {(2, 1): "ab,xbz->xaz", (2, 2): "ab,wxbz->wxaz", (3, 2): "wab,wxbz->wxaz"}
-_CONTROL_LOW = {
-    (2, 1): "ab,xybz->xyaz", (2, 2): "ab,wxybz->wxyaz", (3, 2): "wab,wxybz->wxyaz",
-}
-_CONTROL_HIGH = {
-    (2, 1): "ab,xbyz->xayz", (2, 2): "ab,wxbyz->wxayz", (3, 2): "wab,wxbyz->wxayz",
-}
+# The gate kernels act on amplitudes of shape (..., 2**n), split from the
+# trailing end, so every leading axis folds into the first einsum axis; ``u``
+# is one (2, 2) matrix or one per row, (B, 2, 2), whose row axis then leads
+# the amplitudes.  The einsum subscripts are spelled out per ``u.ndim``: an
+# ellipsis costs time on every call.
+_SINGLE = {2: "ab,xbz->xaz", 3: "wab,wxbz->wxaz"}
+_CONTROL_LOW = {2: "ab,xybz->xyaz", 3: "wab,wxybz->wxyaz"}
+_CONTROL_HIGH = {2: "ab,xbyz->xayz", 3: "wab,wxbyz->wxayz"}
 
 
 def _apply_single(amps: np.ndarray, target: int, u: np.ndarray) -> np.ndarray:
-    block = amps.reshape(amps.shape[:-1] + (1 << target, 2, -1))
-    return np.einsum(_SINGLE[u.ndim, amps.ndim], u, block).reshape(amps.shape)
-
-
-def _control_half(amps: np.ndarray, control: int, bit: int) -> np.ndarray:
-    """View of the amplitudes whose ``control`` qubit reads ``bit``."""
-    return amps.reshape(amps.shape[:-1] + (1 << control, 2, -1))[..., bit, :]
+    block = amps.reshape(u.shape[:-2] + (-1, 2, amps.shape[-1] >> (target + 1)))
+    return np.einsum(_SINGLE[u.ndim], u, block).reshape(amps.shape)
 
 
 def _apply_controlled(
     amps: np.ndarray, control: int, target: int, u: np.ndarray
 ) -> np.ndarray:
-    """Apply ``u`` to ``target`` where ``control`` is 1, in place on ``amps``."""
+    """Apply ``u`` to ``target`` where ``control`` is 1 and return the result.
+
+    The update is in place when the kernel's reshape of ``amps`` is a view;
+    otherwise it acts on a copy, so callers keep the return value.
+    """
     lo, hi = sorted((control, target))
-    view = amps.reshape(amps.shape[:-1] + (1 << lo, 2, 1 << (hi - lo - 1), 2, -1))
+    view = amps.reshape(
+        u.shape[:-2] + (-1, 2, 1 << (hi - lo - 1), 2, amps.shape[-1] >> (hi + 1))
+    )
     if control == lo:
         sub = view[..., 1, :, :, :]
-        sub[...] = np.einsum(_CONTROL_LOW[u.ndim, amps.ndim], u, sub)
+        sub[...] = np.einsum(_CONTROL_LOW[u.ndim], u, sub)
     else:
         sub = view[..., 1, :]
-        sub[...] = np.einsum(_CONTROL_HIGH[u.ndim, amps.ndim], u, sub)
+        sub[...] = np.einsum(_CONTROL_HIGH[u.ndim], u, sub)
     return view.reshape(amps.shape)
 
 
@@ -239,12 +238,6 @@ def _run_gates(amps: np.ndarray, gates, matrices) -> np.ndarray:
     return amps
 
 
-def _initial_amplitudes(circuit: Circuit, rows: int) -> np.ndarray:
-    amps = np.zeros((rows, 1 << circuit.n_qubits), dtype=complex)
-    amps[:, int(circuit.initial_bits, 2)] = 1.0
-    return amps
-
-
 def _one_row(circuit: Circuit, theta) -> np.ndarray:
     """One parameter point as a stack of one row, shape (1, n_params)."""
     theta = np.asarray(theta, dtype=float)
@@ -258,7 +251,8 @@ def _one_row(circuit: Circuit, theta) -> np.ndarray:
 def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
     """Final amplitudes, shape (B, 2**n), at each row of ``thetas`` (B, n_params),
     with one rotation's offset shifted as ``_gate_matrices`` takes it."""
-    amps = _initial_amplitudes(circuit, len(thetas))
+    amps = np.zeros((len(thetas), 1 << circuit.n_qubits), dtype=complex)
+    amps[:, int(circuit.initial_bits, 2)] = 1.0
     return _run_gates(amps, circuit.gates, _gate_matrices(circuit, thetas, shift))
 
 
@@ -347,31 +341,6 @@ def expectation(state: State, s: PauliSum) -> float:
     return float(value.real)
 
 
-def _derivative_rows(
-    circuit: Circuit, matrices: list[np.ndarray], rows: int, param: int
-) -> np.ndarray:
-    """``state_derivative`` amplitudes, shape (rows, 2**n), from the gate
-    matrices of ``rows`` parameter points."""
-    n = circuit.n_qubits
-    gates = circuit.gates
-    total = np.zeros((rows, 1 << n), dtype=complex)
-    for pos, mult in circuit.occurrences(param):
-        amps = _initial_amplitudes(circuit, rows)
-        amps = _run_gates(amps, gates[: pos + 1], matrices[: pos + 1])
-        gen_gate = gates[pos]
-        gen = _GENERATORS[gen_gate.kind]
-        if gen_gate.kind == "cry":
-            # Projector-controlled generator: zero the control-0 block, apply
-            # the generator in the control-1 block.
-            _control_half(amps, gen_gate.control, 0)[...] = 0.0
-            amps = _apply_controlled(amps, gen_gate.control, gen_gate.target, gen)
-        else:
-            amps = _apply_single(amps, gen_gate.target, gen)
-        amps *= -0.5j * mult
-        total += _run_gates(amps, gates[pos + 1 :], matrices[pos + 1 :])
-    return total
-
-
 def state_derivative(circuit: Circuit, theta: np.ndarray, param: int) -> State:
     """Unnormalized derivative of the circuit state with respect to one parameter.
 
@@ -383,18 +352,40 @@ def state_derivative(circuit: Circuit, theta: np.ndarray, param: int) -> State:
     """
     if not 0 <= param < circuit.n_params:
         raise ValueError("parameter index out of range")
-    matrices = _gate_matrices(circuit, _one_row(circuit, theta))
-    return State(_derivative_rows(circuit, matrices, 1, param)[0])
+    return State(_derivative_states(circuit, _one_row(circuit, theta))[0, 1 + param])
 
 
 def _derivative_states(circuit: Circuit, thetas: np.ndarray) -> np.ndarray:
-    """Derivative amplitudes of every parameter, shape (B, n_params, 2**n)."""
-    rows = len(thetas)
-    matrices = _gate_matrices(circuit, thetas)
-    out = np.empty((rows, circuit.n_params, 1 << circuit.n_qubits), dtype=complex)
-    for k in range(circuit.n_params):
-        out[:, k] = _derivative_rows(circuit, matrices, rows, k)
-    return out
+    """Circuit states and all derivative states from one forward walk.
+
+    Returns shape (B, 1 + n_params, 2**n): row 0 is the state at each row of
+    ``thetas`` and row 1 + k its derivative in parameter k.  Right after a
+    gate bound to k, ``-(i * multiplier / 2) G psi`` joins row 1 + k; every
+    later gate then acts on all rows reached so far, which applies the product
+    rule for a parameter shared by several gates.  Rows not yet reached are
+    zero and skipped.
+    """
+    stack = np.zeros(
+        (len(thetas), 1 + circuit.n_params, 1 << circuit.n_qubits), dtype=complex
+    )
+    stack[:, 0, int(circuit.initial_bits, 2)] = 1.0
+    live = 1
+    for gate, u in zip(circuit.gates, _gate_matrices(circuit, thetas)):
+        if gate.control is None:
+            stack[:, :live] = _apply_single(stack[:, :live], gate.target, u)
+        else:
+            stack[:, :live] = _apply_controlled(stack[:, :live], gate.control, gate.target, u)
+        if gate.param is None:
+            continue
+        gen = _apply_single(stack[:, 0], gate.target, _GENERATORS[gate.kind])
+        if gate.kind == "cry":
+            # The projector-controlled generator: zero the control-0 half.
+            half = gen.reshape(-1, 2, gen.shape[-1] >> (gate.control + 1))
+            half[:, 0] = 0.0
+            gen = half.reshape(gen.shape)
+        stack[:, 1 + gate.param] += (-0.5j * gate.multiplier) * gen
+        live = max(live, 2 + gate.param)
+    return stack
 
 
 def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:

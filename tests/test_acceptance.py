@@ -141,6 +141,7 @@ def test_criterion_3_second_order_slow_convergence():
         traj = run(
             h2.hamiltonian, h2.circuit, h2.theta0 + offset,
             order=2, metric_kind="gd", eta=0.05, max_iters=100, grad_tol=0.0,
+            ground_basis=h2.ground_basis,
         )
         if start is None:
             start = traj.records[0]
@@ -243,7 +244,7 @@ def test_criterion_6_spin_model_fast_convergence():
     traj = run(
         heis.hamiltonian, heis.circuit, heis.theta0,
         order=2, metric_kind="gd", eta=1.0, schedule="inv_iter",
-        max_iters=10, grad_tol=0.0,
+        max_iters=10, grad_tol=0.0, ground_basis=heis.ground_basis,
     )
     hit = [
         r.iteration

@@ -8,8 +8,9 @@ import pytest
 from pytest import approx
 
 from helpers import chain_pairs
-from pdsvqs.cli import SCHEMA_LINE, main, parse_angle, parse_angles
+from pdsvqs.cli import SCHEMA_LINE, _fmt, main, parse_angle, parse_angles
 from pdsvqs.models import serialize_hamiltonian
+from pdsvqs.optim import run_batch
 from pdsvqs.pauli import PauliSum
 
 
@@ -194,6 +195,23 @@ class TestScanCommand:
         _, rows = read_csv(tmp_path / "v_surface.csv")
         for r in rows:
             assert float(r[2]) == approx(float(r[3]), abs=0)
+
+    def test_gradient_flag_reaches_the_runs(self, tmp_path, capsys, toy_b):
+        prefix = tmp_path / "s"
+        code = main(["scan", "--model", "toy_b", "--grid", "4",
+                     "--gradient", "shift", "--out", str(prefix)])
+        assert code == 0
+        grid = [-math.pi + (k + 0.5) * 2.0 * math.pi / 4 for k in range(4)]
+        starts = [(ti, tj) for ti in grid for tj in grid]
+        trajectories = run_batch(
+            toy_b.hamiltonian, toy_b.circuit, starts, gradient_method="shift",
+            ground_basis=toy_b.ground_basis,
+        )
+        _, rows = read_csv(tmp_path / "s_starts.csv")
+        assert [row[2:] for row in rows] == [
+            [t.status, str(t.final.iteration), _fmt(t.final.energy), _fmt(t.final.fidelity)]
+            for t in trajectories
+        ]
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_exits_one(self, tmp_path, capsys, grid):

@@ -112,6 +112,7 @@ class TestRunDriver:
             order=2,
             max_iters=5,
             grad_tol=0.0,
+            ground_basis=toy_a.ground_basis,
         )
         assert traj.status == "max_iters"
         assert len(traj.records) == 6
@@ -280,6 +281,57 @@ class TestRunDriver:
                 toy_a.hamiltonian, toy_a.circuit, toy_a.theta0,
                 metric_kind="ngd", ground_basis=basis,
             )
+
+    def test_run_without_basis_builds_no_eigensystem(self, heisenberg, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the driver diagonalized H")
+
+        monkeypatch.setattr(optim, "exact_eigensystem", refuse, raising=False)
+        monkeypatch.setattr(statesim, "exact_eigensystem", refuse)
+        traj = run(
+            heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
+            order=2, max_iters=2, grad_tol=0.0,
+        )
+        assert len(traj.records) == 3
+        assert all(np.isnan(r.fidelity) for r in traj.records)
+
+    @pytest.mark.parametrize("kind,trials", [("gd", 0), ("ngd", 2)])
+    def test_iterate_walks_once_and_reuses_its_state(
+        self, toy_b, kind, trials, monkeypatch
+    ):
+        # Each exact analytic iterate walks the circuit once, for its state
+        # and derivative states; only ngd's trial points simulate on their own.
+        calls = {"walk": 0, "simulate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        walk = counted("walk", statesim._derivative_states)
+        simulate = counted("simulate", statesim._simulate)
+        monkeypatch.setattr(optim, "_derivative_states", walk)
+        monkeypatch.setattr(optim, "_simulate", simulate)
+        monkeypatch.setattr(moments, "_simulate", simulate)
+        run(
+            toy_b.hamiltonian, toy_b.circuit, toy_b.theta0,
+            order=2, metric_kind=kind, max_iters=2, grad_tol=0.0,
+        )
+        assert calls == {"walk": 3, "simulate": trials}
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    @pytest.mark.parametrize("kind", ["gd", "ngd"])
+    @pytest.mark.parametrize("method", ["analytic", "shift"])
+    def test_vqe_is_the_order_one_functional(self, toy_b, kind, method, shots):
+        kw = dict(metric_kind=kind, gradient_method=method, shots=shots,
+                  max_iters=10, grad_tol=0.0, ground_basis=toy_b.ground_basis)
+        start = (3 * np.pi / 8 + 0.05, 0.05)
+        vqe = run(toy_b.hamiltonian, toy_b.circuit, start, functional="vqe",
+                  pds_policy=RegPolicy.shift(), **kw)
+        pds = run(toy_b.hamiltonian, toy_b.circuit, start, functional="pds",
+                  order=1, pds_policy=RegPolicy.none(), **kw)
+        assert_same_trajectory(vqe, pds)
 
     def test_ground_basis_checked_once_per_run(self, h2, monkeypatch):
         checks = []

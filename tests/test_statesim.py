@@ -25,7 +25,9 @@ from pdsvqs.statesim import (
     fidelity,
     state_derivative,
 )
-from pdsvqs.statesim import _parity
+from pdsvqs import statesim
+from pdsvqs.models import build_model, hardware_efficient_ansatz
+from pdsvqs.statesim import _derivative_states, _parity, _simulate
 
 
 def random_circuit(rng, n_qubits, n_gates, n_params):
@@ -225,6 +227,56 @@ class TestStateDerivative:
         c = Circuit(n_qubits=1, n_params=2, gates=(Gate("ry", 0, param=0),))
         d = state_derivative(c, np.array([0.3, 0.7]), 1).amplitudes
         assert np.allclose(d, 0.0)
+
+
+class TestForwardWalk:
+    """One walk gives the states (row 0) and every derivative state (1 + k)."""
+
+    def test_state_row_equals_the_simulated_state(self, rng):
+        for _ in range(5):
+            c = random_circuit(rng, 3, 10, 3)
+            thetas = rng.normal(size=(4, 3))
+            walk = _derivative_states(c, thetas)
+            assert walk.shape == (4, 4, 8)
+            assert np.array_equal(walk[:, 0], _simulate(c, thetas))
+
+    def test_stacked_rows_equal_one_row_walks(self, rng):
+        for _ in range(5):
+            c = random_circuit(rng, 3, 10, 3)
+            thetas = rng.normal(size=(6, 3))
+            walk = _derivative_states(c, thetas)
+            for b, theta in enumerate(thetas):
+                assert np.array_equal(walk[b], _derivative_states(c, theta[None])[0])
+
+    def test_each_gate_is_applied_once(self, monkeypatch):
+        # One kernel call per gate, plus one generator application per gate
+        # bound to a parameter; nothing is re-simulated per occurrence.
+        circuit = hardware_efficient_ansatz(4, 2)
+        calls = []
+
+        def counted(kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(kernel.__name__)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        for name in ("_apply_single", "_apply_controlled"):
+            monkeypatch.setattr(statesim, name, counted(getattr(statesim, name)))
+        _derivative_states(circuit, np.full((3, circuit.n_params), 0.3))
+        bound = sum(g.param is not None for g in circuit.gates)
+        assert len(calls) == len(circuit.gates) + bound
+
+    def test_shared_parameter_matches_finite_differences(self, rng):
+        # toy_b binds its first parameter to two RX gates.
+        circuit = build_model("toy_b").circuit
+        thetas = rng.uniform(-np.pi, np.pi, size=(64, circuit.n_params))
+        walk = _derivative_states(circuit, thetas)
+        h = 1e-6
+        for k in range(circuit.n_params):
+            step = h * np.eye(circuit.n_params)[k]
+            up, down = _simulate(circuit, thetas + step), _simulate(circuit, thetas - step)
+            fd = (up - down) / (2 * h)
+            assert np.allclose(walk[:, 1 + k], fd, atol=1e-8)
 
 
 class TestFidelityAndSpectrum:
