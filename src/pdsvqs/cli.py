@@ -14,6 +14,8 @@ import argparse
 import ast
 import json
 import math
+import operator
+import re
 import sys
 from pathlib import Path
 
@@ -39,49 +41,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {
+    ast.Add: operator.add, ast.Sub: operator.sub,
+    ast.Mult: operator.mul, ast.Div: operator.truediv,
+}
+
+
 def parse_angle(text: str) -> float:
     """Evaluate an angle expression such as ``7pi/32`` or ``-pi/2``.
 
     Supports numbers, ``pi``, the four arithmetic operators, unary signs and
     parentheses; an implicit product is inserted between a number and ``pi``.
+    Division by zero and a non-finite result raise ``ValueError``.
     """
     cleaned = text.strip().replace("−", "-").lower()
-    normalized = ""
-    for i, ch in enumerate(cleaned):
-        if ch == "p" and i > 0 and (cleaned[i - 1].isdigit() or cleaned[i - 1] == "."):
-            normalized += "*p"
-        else:
-            normalized += ch
+    normalized = re.sub(r"(?<=[\d.])p", "*p", cleaned)
     try:
         tree = ast.parse(normalized, mode="eval")
     except SyntaxError:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
     def evaluate(node) -> float:
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            value = evaluate(node.operand)
-            return value if isinstance(node.op, ast.UAdd) else -value
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-        ):
-            left = evaluate(node.left)
-            right = evaluate(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            return left / right
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](evaluate(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](evaluate(node.left), evaluate(node.right))
         raise ValueError(f"unsupported construct in angle {text!r}")
 
-    return evaluate(tree)
+    try:
+        value = evaluate(tree.body)
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def parse_angles(text: str, n_params: int) -> np.ndarray:
@@ -383,45 +381,44 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
-    """Fold --config JSON values in as subparser defaults; flags still win."""
+    """Splice --config JSON values in as ``--flag=value`` tokens right after
+    the subcommand, so argparse checks them; later explicit flags win.  Keys
+    of other subcommands and nulls are skipped, keys of none are rejected."""
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
     if at + 1 >= len(argv):
         parser.error("--config needs a path")
     path = argv[at + 1]
+    argv = argv[:at] + argv[at + 2 :]
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot load config {path}: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config {path} must hold a JSON object")
-    defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
-    if "model" in defaults and "file" in defaults:
+    config = {str(k).replace("-", "_"): v for k, v in raw.items()}
+    if "model" in config and "file" in config:
         parser.error(f"config {path} sets both model and file")
     # An explicit problem source on the command line eclipses the config's.
     if any(a == "--model" or a.startswith("--model=") for a in argv):
-        defaults.pop("file", None)
+        config.pop("file", None)
     if any(a == "--file" or a.startswith("--file=") for a in argv):
-        defaults.pop("model", None)
-    known_anywhere: set[str] = set()
-    for action in parser._subparsers._group_actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                known = {a.dest for a in sub._actions}
-                known_anywhere |= known
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-                if "model" in defaults or "file" in defaults:
-                    # The required either-or group is satisfied from the
-                    # config, so stop argparse from demanding the flag.
-                    for group in sub._mutually_exclusive_groups:
-                        members = {a.dest for a in group._group_actions}
-                        if members >= {"model", "file"}:
-                            group.required = False
-    unknown = set(defaults) - known_anywhere
+        config.pop("model", None)
+    flags = {  # per subcommand, the flag of every destination it knows
+        name: {a.dest: a.option_strings[0] for a in sub._actions if a.dest != "help"}
+        for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        for name, sub in action.choices.items()
+    }
+    unknown = set(config).difference(*flags.values())
     if unknown:
         parser.error(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
-    return argv[:at] + argv[at + 2 :]
+    at = next((i for i, a in enumerate(argv) if a in flags), None)
+    if at is None:
+        return argv
+    known = flags[argv[at]]
+    tokens = [f"{known[k]}={v}" for k, v in config.items() if k in known and v is not None]
+    return argv[: at + 1] + tokens + argv[at + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:

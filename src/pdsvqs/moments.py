@@ -16,8 +16,9 @@ stacks of states, one row per parameter point; ``moment_table`` and
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
 measure every string of every power.  A ``MeasurementPlan`` groups the union
-of those strings into qubit-wise commuting sets once; every sampled circuit
-then costs one multinomial draw per group and one dot product per order.
+of those strings into qubit-wise commuting sets once, with one readout matrix
+per group; every sampled circuit then costs one multinomial draw and one
+product per group.
 """
 
 from __future__ import annotations
@@ -240,17 +241,6 @@ _X_TO_Z = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _Y_TO_Z = _X_TO_Z @ np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 
 
-def _rotated_probabilities(
-    amps: np.ndarray, n: int, x_mask: int, z_mask: int
-) -> np.ndarray:
-    for q in range(n):
-        if (x_mask >> q) & 1:
-            u = _Y_TO_Z if (z_mask >> q) & 1 else _X_TO_Z
-            amps = _apply_single(amps, q, u)
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum()
-
-
 def _term_signs(term: PauliTerm, n: int, idx: np.ndarray) -> np.ndarray:
     support_idx, _ = _index_masks(term.x_mask | term.z_mask, 0, n)
     return 1.0 - 2.0 * _parity(idx & support_idx)
@@ -261,53 +251,44 @@ class MeasurementPlan:
 
     The union of the strings is split into qubit-wise commuting groups
     (``qwc_groups`` of ``union_of_powers``).  Per group the plan keeps the
-    OR-ed ``(x_mask, z_mask)`` of its strings, which fix the shared basis,
-    and, for each order whose power has strings in the group, the identity
-    constant and the outcome row ``sum_P c_P s_P`` (with ``s_P`` the +-1
-    eigenvalue of string P on each basis outcome) together with its square.
-    Sampling a state is then one multinomial draw per group and one dot
-    product per order.
+    ``turns`` that rotate its X and Y letters into Z readout, in qubit order;
+    the orders whose power has strings in the group; their identity constants
+    (0.0 where an order has none); and a readout matrix with one row per such
+    order, ``sum_P c_P s_P`` with ``s_P`` the +-1 eigenvalue of string P on
+    each basis outcome, together with its square.  Sampling a state is then
+    one multinomial draw and one product per group.
     """
 
     def __init__(self, powers: list[PauliSum]) -> None:
-        groups = qwc_groups(union_of_powers(powers))
+        union = union_of_powers(powers)
         self.n_qubits = n = powers[1].n_qubits
         self.orders = len(powers)
         idx = np.arange(1 << n)
-        coeff_maps = [{k: c.real for k, c in s._coeffs.items()} for s in powers]
-        # Per group: (x_mask, z_mask, [(order, identity constant or None,
-        # outcome row or None, row squared or None), ...]).
-        self.groups: list[tuple[int, int, list[tuple]]] = []
-        for group in groups:
-            sign_rows = {
-                term.key: _term_signs(term, n, idx)
-                for term in group
-                if not term.is_identity()
-            }
-            readout = []
-            for order in range(1, self.orders):
-                cmap = coeff_maps[order]
-                constant = None
-                row = np.zeros(idx.size)
-                active = False
-                for term in group:
-                    c = cmap.get(term.key)
-                    if c is None:
-                        continue
-                    if term.is_identity():
-                        constant = c
-                        continue
-                    row += c * sign_rows[term.key]
-                    active = True
-                if active:
-                    readout.append((order, constant, row, row**2))
-                elif constant is not None:
-                    readout.append((order, constant, None, None))
+        # The real coefficient of each union string in each of powers[1:],
+        # 0.0 where the power lacks the string.
+        rank = {key: i for i, key in enumerate(union._coeffs)}
+        table = np.zeros((len(rank), self.orders - 1))
+        for j, s in enumerate(powers[1:]):
+            table[[rank[k] for k in s._coeffs], j] = [c.real for c in s._coeffs.values()]
+        # Per group: (turns, orders, constants, readout, readout squared).
+        self.groups: list[tuple] = []
+        for group in qwc_groups(union):
+            coeffs = table[[rank[term.key] for term in group]]
+            columns = np.flatnonzero(coeffs.any(axis=0))
+            constants = np.zeros(columns.size)
+            readout = np.zeros((columns.size, idx.size))
             x_mask = z_mask = 0
-            for term in group:
+            # Each term adds into the rows of every order, in group order.
+            for term, c in zip(group, coeffs[:, columns]):
                 x_mask |= term.x_mask
                 z_mask |= term.z_mask
-            self.groups.append((x_mask, z_mask, readout))
+                if term.is_identity():
+                    constants = c
+                else:
+                    readout += c[:, None] * _term_signs(term, n, idx)
+            turns = [(q, _Y_TO_Z if (z_mask >> q) & 1 else _X_TO_Z)
+                     for q in range(n) if (x_mask >> q) & 1]
+            self.groups.append((turns, columns + 1, constants, readout, readout**2))
 
 
 def sampled_moments(
@@ -328,21 +309,20 @@ def sampled_moments(
         raise ValueError("need at least two shots for a standard error")
     if state.n_qubits != plan.n_qubits:
         raise ValueError("state and measurement plan differ in qubit count")
-    amps = state.amplitudes
     values = np.zeros(plan.orders)
     variances = np.zeros(plan.orders)
     values[0] = 1.0
-    for gi, (x_mask, z_mask, readout) in enumerate(plan.groups):
+    for gi, (turns, orders, constants, readout, readout_sq) in enumerate(plan.groups):
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
-        probs = _rotated_probabilities(amps, plan.n_qubits, x_mask, z_mask)
-        counts = rng.multinomial(shots, probs)
-        for order, constant, row, row_sq in readout:
-            if constant is not None:
-                values[order] += constant
-            if row is None:
-                continue
-            mean = float(counts @ row) / shots
-            second = float(counts @ row_sq) / shots
-            values[order] += mean
-            variances[order] += max(0.0, second - mean**2) * shots / (shots - 1)
+        amps = state.amplitudes
+        for q, u in turns:
+            amps = _apply_single(amps, q, u)
+        probs = np.abs(amps) ** 2
+        counts = rng.multinomial(shots, probs / probs.sum())
+        # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
+        mean = _vdot(readout, counts) / shots
+        second = _vdot(readout_sq, counts) / shots
+        values[orders] += constants
+        values[orders] += mean
+        variances[orders] += np.maximum(0.0, second - mean**2) * shots / (shots - 1)
     return values, np.sqrt(variances / shots)

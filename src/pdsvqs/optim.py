@@ -289,6 +289,8 @@ def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
         )
     if len(thetas) == 0:
         raise ValueError("thetas holds no starting points")
+    if not np.isfinite(thetas).all():
+        raise ValueError("thetas must be finite")
     return thetas
 
 
@@ -381,7 +383,9 @@ def run_batch(
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"`` and the records collected so far.  ``thetas`` of
-    another shape, or with no rows, raises ``ValueError``.
+    another shape, with no rows or with a non-finite entry raises
+    ``ValueError``, as does an ``eta`` or ``metric_eps`` that is not finite
+    and positive, or a ``grad_tol`` that is not finite and non-negative.
     """
     order, pds_policy = _functional(functional, order, pds_policy)
     if schedule not in _SCHEDULES:
@@ -392,6 +396,11 @@ def run_batch(
         raise ValueError(f"unknown gradient method {gradient_method!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
+    for name, value in (("eta", eta), ("metric_eps", metric_eps)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(grad_tol) and grad_tol >= 0):
+        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol!r}")
     theta = _check_thetas(circuit, thetas)
     max_order = 2 * order - 1
     if shots is None:

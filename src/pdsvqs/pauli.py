@@ -10,6 +10,7 @@ strings close under multiplication without any floating-point phase drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,8 +264,9 @@ class PauliSum:
         with letters drawn from ``IXYZ``.  Duplicate strings are summed.
 
         Raises:
-            ValueError: On malformed lines or inconsistent string lengths,
-                with the offending line number in the message.
+            ValueError: On malformed lines, non-finite coefficients or
+                inconsistent string lengths, with the offending line number
+                in the message.
         """
         coeffs: dict[tuple[int, int], complex] = {}
         width: int | None = None
@@ -297,6 +299,8 @@ class PauliSum:
                 )
             key = term.key
             coeffs[key] = coeffs.get(key, 0.0 + 0.0j) + complex(value)
+            if not math.isfinite(coeffs[key].real):  # nan, inf or an overflowing sum
+                raise ValueError(f"line {lineno}: coefficient of {label} is not finite")
         if width is None:
             raise ValueError("no Pauli terms found in text")
         return cls(width, coeffs)

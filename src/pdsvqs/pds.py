@@ -27,6 +27,7 @@ record a failing row's error in place of raising it; ``pds_solve`` and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,10 @@ class RegPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "shift", "truncate", "auto"):
             raise ValueError(f"unknown regularization kind {self.kind!r}")
+        for name in ("shift_eps", "rcond", "cond_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @classmethod
     def none(cls) -> "RegPolicy":

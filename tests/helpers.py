@@ -1,14 +1,21 @@
-"""Independent dense oracles used across the test modules.
+"""Independent dense oracles and loop references used across the test modules.
 
-Everything here is built from first principles with ``np.kron`` and explicit
-4x4 / 2x2 matrices, deliberately not reusing the package's own Pauli algebra
-or simulator, so agreement between the two is a real cross-check.  The
-grouping reference is the plain first-fit loop over label-sorted terms.
+The dense oracles are built from first principles with ``np.kron`` and
+explicit 4x4 / 2x2 matrices, deliberately not reusing the package's own Pauli
+algebra or simulator, so agreement between the two is a real cross-check.
+The grouping reference is the plain first-fit loop over label-sorted terms.
+The shot-sampling reference is the per-order readout loop; it shares the
+package's groups, sign rows and one-qubit kernel, so it checks how a plan
+reads the counts, not those parts.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, _term_signs, union_of_powers
+from pdsvqs.pauli import qwc_groups
+from pdsvqs.statesim import _apply_single
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -158,3 +165,78 @@ def first_fit_qwc_groups(s):
             groups.append([term])
             pinned.append((term.x_mask, term.z_mask, support))
     return groups
+
+
+def per_order_plan(powers):
+    """Measurement plan as the per-order readout loop builds it.
+
+    Per group of the union's first-fit QWC groups: the OR-ed ``(x_mask,
+    z_mask)`` and, for each order whose power has strings in the group, the
+    tuple (order, identity constant or None, outcome row or None, row squared
+    or None), each row summed term by term in group order.
+    """
+    groups = qwc_groups(union_of_powers(powers))
+    n = powers[1].n_qubits
+    idx = np.arange(1 << n)
+    coeff_maps = [{k: c.real for k, c in s._coeffs.items()} for s in powers]
+    plan = []
+    for group in groups:
+        sign_rows = {
+            term.key: _term_signs(term, n, idx)
+            for term in group
+            if not term.is_identity()
+        }
+        readout = []
+        for order in range(1, len(powers)):
+            cmap = coeff_maps[order]
+            constant = None
+            row = np.zeros(idx.size)
+            active = False
+            for term in group:
+                c = cmap.get(term.key)
+                if c is None:
+                    continue
+                if term.is_identity():
+                    constant = c
+                    continue
+                row += c * sign_rows[term.key]
+                active = True
+            if active:
+                readout.append((order, constant, row, row**2))
+            elif constant is not None:
+                readout.append((order, constant, None, None))
+        x_mask = z_mask = 0
+        for term in group:
+            x_mask |= term.x_mask
+            z_mask |= term.z_mask
+        plan.append((x_mask, z_mask, readout))
+    return plan
+
+
+def per_order_sampled_moments(amps, powers, shots, seed):
+    """Sampled moments and standard errors from ``per_order_plan``: per group
+    one rotation per X/Y letter, one multinomial draw seeded by (seed, group
+    index), and one dot product per order."""
+    n = powers[1].n_qubits
+    values = np.zeros(len(powers))
+    variances = np.zeros(len(powers))
+    values[0] = 1.0
+    for gi, (x_mask, z_mask, readout) in enumerate(per_order_plan(powers)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
+        rotated = amps
+        for q in range(n):
+            if (x_mask >> q) & 1:
+                u = _Y_TO_Z if (z_mask >> q) & 1 else _X_TO_Z
+                rotated = _apply_single(rotated, q, u)
+        probs = np.abs(rotated) ** 2
+        counts = rng.multinomial(shots, probs / probs.sum())
+        for order, constant, row, row_sq in readout:
+            if constant is not None:
+                values[order] += constant
+            if row is None:
+                continue
+            mean = float(counts @ row) / shots
+            second = float(counts @ row_sq) / shots
+            values[order] += mean
+            variances[order] += max(0.0, second - mean**2) * shots / (shots - 1)
+    return values, np.sqrt(variances / shots)

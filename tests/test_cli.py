@@ -45,6 +45,11 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle(text)
 
+    @pytest.mark.parametrize("text", ["1/0", "pi/(1-1)", "1e400", "-1e400", "1e308*10"])
+    def test_rejects_division_by_zero_and_non_finite_values(self, text):
+        with pytest.raises(ValueError, match="division by zero|not finite"):
+            parse_angle(text)
+
     def test_angles_broadcast_single_value(self):
         assert parse_angles("0.3", 4) == approx([0.3] * 4)
 
@@ -143,6 +148,29 @@ class TestRunCommand:
         )
         assert code == 1
         assert "max_iters must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--pds-reg", "shift", "--reg-eps", "-1"], "shift_eps must be finite"),
+            (["--pds-reg", "shift", "--reg-eps", "nan"], "shift_eps must be finite"),
+            (["--eta", "nan"], "eta must be finite"),
+            (["--eta", "0"], "eta must be finite"),
+            (["--theta0", "1e400"], "not finite"),
+            (["--theta0", "1/0"], "division by zero"),
+            (["--grad-tol", "nan"], "grad_tol must be finite"),
+            (["--metric", "ngd", "--metric-eps", "nan"], "metric_eps must be finite"),
+            (["--metric", "ngd", "--metric-eps", "-1"], "metric_eps must be finite"),
+        ],
+    )
+    def test_bad_numeric_inputs_exit_one(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "t.csv"
+        argv = ["run", "--model", "toy_a", "--max-iters", "3", "--out", str(out)]
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and message in captured.err
         assert not out.exists()
 
     def test_missing_problem_source_usage_error(self, capsys):
@@ -290,6 +318,19 @@ class TestReportCommands:
         assert code == 0
         assert [float(v) for v in lines[0].split()] == approx([-1.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["reduce", "--max-order", "2"], ["estimate"], ["run"], ["eig"]]
+    )
+    def test_non_finite_coefficient_exits_one(self, capsys, tmp_path, command, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{token} ZZ\n1.0 XI\n")
+        code = main(command + ["--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "line 1: coefficient of ZZ is not finite" in captured.err
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code = main(["eig", "--file", str(tmp_path / "absent.txt")])
         assert code == 1
@@ -349,6 +390,29 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as err:
             main(["--config", str(config), "run", "--model", "toy_a"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"pds_reg": "bogus"}, "argument --pds-reg: invalid choice: 'bogus'"),
+            ({"order": 2.5}, "argument --order: invalid int value: '2.5'"),
+        ],
+    )
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "toy_a", "max_iters": 2, **config}))
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(path), "run"])
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_values_may_start_with_a_minus(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": "toy_a", "theta0": "-pi/4", "seed": None}))
+        out = tmp_path / "t.csv"
+        main(["--config", str(config), "run", "--max-iters", "0", "--out", str(out)])
+        header, rows = read_csv(out)
+        assert float(rows[0][header.index("theta_1")]) == -math.pi / 4
 
     def test_config_file_missing(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

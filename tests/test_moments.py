@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import chain_pairs, dense_from_pairs, dense_of, pairs_of, random_pairs
+from helpers import (
+    chain_pairs,
+    dense_from_pairs,
+    dense_of,
+    pairs_of,
+    per_order_sampled_moments,
+    random_pairs,
+)
 from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
     MeasurementPlan,
@@ -449,3 +456,48 @@ class TestSampledMoments:
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
         with pytest.raises(ValueError, match="qubit count"):
             sampled_moments(state, _plan(h2.hamiltonian), shots=10)
+
+
+def _random_state(circuit, seed):
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, circuit.n_params)
+    return apply_circuit(circuit, theta)
+
+
+class TestSampledMatchesPerOrderLoop:
+    """One readout matrix per group gives the bits of the per-order loop."""
+
+    def _assert_bitwise(self, h, max_order, state, shots=500):
+        powers = hamiltonian_powers(h, max_order)
+        plan = MeasurementPlan(powers)
+        for seed in range(5):
+            values, errors = sampled_moments(state, plan, shots, seed=seed)
+            ref_values, ref_errors = per_order_sampled_moments(
+                state.amplitudes, powers, shots, seed
+            )
+            assert np.array_equal(values, ref_values), seed
+            assert np.array_equal(errors, ref_errors), seed
+
+    @pytest.mark.parametrize("max_order", (3, 5))
+    @pytest.mark.parametrize("name", MODEL_NAMES_ALL)
+    def test_built_in_models(self, name, max_order):
+        model = build_model(name)
+        self._assert_bitwise(model.hamiltonian, max_order, _random_state(model.circuit, 1))
+
+    def test_order_with_only_its_constant(self):
+        # Up to H^2 = 2.09 II + 0.6 (XX + ZZ) - 2 YY, II leads the first group
+        # and YY joins it, so order 1 meets that group only through its
+        # identity constant.
+        h = PauliSum.from_terms([(0.3, "II"), (1.0, "XX"), (1.0, "ZZ")])
+        plan = MeasurementPlan(hamiltonian_powers(h, 2))
+        constant_only = [
+            order
+            for _, orders, constants, readout, _ in plan.groups
+            for order, c, row in zip(orders, constants, readout)
+            if c != 0.0 and not row.any()
+        ]
+        assert 1 in constant_only
+        self._assert_bitwise(h, 2, _random_state(hardware_efficient_ansatz(2, 1), 2))
+
+    def test_eight_site_chain(self):
+        h = PauliSum.from_terms(chain_pairs(8))
+        self._assert_bitwise(h, 3, _random_state(hardware_efficient_ansatz(8, 1), 3))

@@ -511,6 +511,35 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="thetas"):
             run_batch(toy_a.hamiltonian, toy_a.circuit, np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_thetas(self, toy_a, bad):
+        thetas = np.zeros((2, toy_a.circuit.n_params))
+        thetas[1, 0] = bad
+        with pytest.raises(ValueError, match="thetas must be finite"):
+            run_batch(toy_a.hamiltonian, toy_a.circuit, thetas)
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("eta", np.nan, "eta must be finite and positive"),
+            ("eta", np.inf, "eta must be finite and positive"),
+            ("eta", 0.0, "eta must be finite and positive"),
+            ("eta", -0.05, "eta must be finite and positive"),
+            ("grad_tol", np.nan, "grad_tol must be finite and non-negative"),
+            ("grad_tol", np.inf, "grad_tol must be finite and non-negative"),
+            ("grad_tol", -1e-8, "grad_tol must be finite and non-negative"),
+            ("metric_eps", np.nan, "metric_eps must be finite and positive"),
+            ("metric_eps", 0.0, "metric_eps must be finite and positive"),
+            ("metric_eps", -1.0, "metric_eps must be finite and positive"),
+        ],
+    )
+    def test_rejects_bad_step_options(self, toy_a, option, value, message):
+        with pytest.raises(ValueError, match=message):
+            run_batch(
+                toy_a.hamiltonian, toy_a.circuit, toy_a.theta0[None],
+                metric_kind="ngd", max_iters=1, **{option: value},
+            )
+
     @pytest.mark.parametrize("kind", ["gd", "ngd"])
     def test_shot_row_draws_the_seeds_of_its_own_run(self, heisenberg, kind):
         model = heisenberg

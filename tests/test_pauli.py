@@ -146,6 +146,15 @@ class TestPauliSum:
         with pytest.raises(ValueError, match="line 3"):
             PauliSum.from_text("0.5 XZ\n0.5 ZI\nbogus line here\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_from_text_rejects_non_finite_coefficients(self, token):
+        with pytest.raises(ValueError, match="line 2: coefficient of ZZ is not finite"):
+            PauliSum.from_text(f"1.0 XI\n{token} ZZ\n")
+
+    def test_from_text_rejects_an_overflowing_sum(self):
+        with pytest.raises(ValueError, match="line 3: coefficient of ZZ is not finite"):
+            PauliSum.from_text("1e308 ZZ\n1.0 XI\n1e308 ZZ\n")
+
     def test_to_text_rejects_complex(self):
         with pytest.raises(ValueError):
             PauliSum.from_terms([(1j, "X")]).to_text()

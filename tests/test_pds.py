@@ -120,6 +120,12 @@ class TestPolicies:
         with pytest.raises(ValueError, match="unknown regularization kind"):
             RegPolicy(kind="ridge")
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["shift_eps", "rcond", "cond_threshold"])
+    def test_policy_magnitudes_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            RegPolicy(kind="auto", **{name: value})
+
     def test_default_policy_is_strict(self):
         assert RegPolicy().kind == "none"
         assert RegPolicy.none().kind == "none"
