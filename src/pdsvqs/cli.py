@@ -381,16 +381,19 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
-    """Splice --config JSON values in as ``--flag=value`` tokens right after
-    the subcommand, so argparse checks them; later explicit flags win.  Keys
-    of other subcommands and nulls are skipped, keys of none are rejected."""
-    if "--config" not in argv:
+    """Splice the JSON values of ``--config PATH`` (or ``--config=PATH``) in
+    as ``--flag=value`` tokens right after the subcommand, so argparse checks
+    them; later explicit flags win.  Keys of other subcommands and nulls are
+    skipped, keys of none are rejected."""
+    at = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    _, joined, path = argv[at].partition("=")  # --config=PATH or --config PATH
+    if not joined:
+        path = argv[at + 1] if at + 1 < len(argv) else ""
+    if not path:
         parser.error("--config needs a path")
-    path = argv[at + 1]
-    argv = argv[:at] + argv[at + 2 :]
+    argv = argv[:at] + argv[at + (1 if joined else 2) :]
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:

@@ -16,9 +16,9 @@ stacks of states, one row per parameter point; ``moment_table`` and
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
 measure every string of every power.  A ``MeasurementPlan`` groups the union
-of those strings into qubit-wise commuting sets once, with one readout matrix
-per group; every sampled circuit then costs one multinomial draw and one
-product per group.
+of those strings into qubit-wise commuting sets once and stacks the groups'
+basis rotations and readout rows; every sampled circuit then costs at most n
+rotation kernels, one multinomial draw per group and one readout product.
 """
 
 from __future__ import annotations
@@ -249,14 +249,20 @@ def _term_signs(term: PauliTerm, n: int, idx: np.ndarray) -> np.ndarray:
 class MeasurementPlan:
     """Grouped measurement of every string of ``powers[1:]``, built once.
 
-    The union of the strings is split into qubit-wise commuting groups
-    (``qwc_groups`` of ``union_of_powers``).  Per group the plan keeps the
-    ``turns`` that rotate its X and Y letters into Z readout, in qubit order;
-    the orders whose power has strings in the group; their identity constants
-    (0.0 where an order has none); and a readout matrix with one row per such
-    order, ``sum_P c_P s_P`` with ``s_P`` the +-1 eigenvalue of string P on
-    each basis outcome, together with its square.  Sampling a state is then
-    one multinomial draw and one product per group.
+    The union of the strings is split into G qubit-wise commuting groups
+    (``qwc_groups`` of ``union_of_powers``), which the plan keeps stacked.
+    ``turns`` holds one ``(q, U)`` per qubit that some group reads in X or Y,
+    in qubit order; ``U`` has shape (G, 2, 2), and its row g turns group g's
+    letter on q into Z readout, or is the identity where the group reads q in
+    Z or not at all (an exact map, so the probabilities keep their bits).
+    Each group has a readout row per order whose power has strings in it,
+    ``sum_P c_P s_P`` with ``s_P`` the +-1 eigenvalue of string P on each
+    basis outcome.  ``readout`` (R, 2**n) stacks the rows of every group,
+    group by group, and ``readout_sq`` is its square; row r belongs to group
+    ``row_group[r]``, estimates order ``row_order[r]`` and carries that
+    order's identity constant ``constants[r]`` (0.0 where there is none).
+    Sampling a state then costs at most n rotation kernels, one multinomial
+    draw per group and one readout product.
     """
 
     def __init__(self, powers: list[PauliSum]) -> None:
@@ -270,25 +276,52 @@ class MeasurementPlan:
         table = np.zeros((len(rank), self.orders - 1))
         for j, s in enumerate(powers[1:]):
             table[[rank[k] for k in s._coeffs], j] = [c.real for c in s._coeffs.values()]
-        # Per group: (turns, orders, constants, readout, readout squared).
-        self.groups: list[tuple] = []
-        for group in qwc_groups(union):
+        groups = qwc_groups(union)
+        self.n_groups = len(groups)
+        # Per group and qubit, the basis read: 0 for Z (or none), 1 for X, 2 for Y.
+        letters = np.zeros((len(groups), n), dtype=int)
+        row_group, row_order, constants, readout = [], [], [], []
+        for gi, group in enumerate(groups):
             coeffs = table[[rank[term.key] for term in group]]
             columns = np.flatnonzero(coeffs.any(axis=0))
-            constants = np.zeros(columns.size)
-            readout = np.zeros((columns.size, idx.size))
+            consts = np.zeros(columns.size)
+            rows = np.zeros((columns.size, idx.size))
             x_mask = z_mask = 0
             # Each term adds into the rows of every order, in group order.
             for term, c in zip(group, coeffs[:, columns]):
                 x_mask |= term.x_mask
                 z_mask |= term.z_mask
                 if term.is_identity():
-                    constants = c
+                    consts = c
                 else:
-                    readout += c[:, None] * _term_signs(term, n, idx)
-            turns = [(q, _Y_TO_Z if (z_mask >> q) & 1 else _X_TO_Z)
-                     for q in range(n) if (x_mask >> q) & 1]
-            self.groups.append((turns, columns + 1, constants, readout, readout**2))
+                    rows += c[:, None] * _term_signs(term, n, idx)
+            letters[gi] = [(x_mask >> q & 1) * (1 + (z_mask >> q & 1)) for q in range(n)]
+            row_group += [gi] * columns.size
+            row_order += list(columns + 1)
+            constants += list(consts)
+            readout += list(rows)
+        bases = np.stack([np.eye(2, dtype=complex), _X_TO_Z, _Y_TO_Z])
+        self.turns = [(q, bases[letters[:, q]]) for q in range(n) if letters[:, q].any()]
+        self.row_group = np.array(row_group, dtype=int)
+        self.row_order = np.array(row_order, dtype=int)
+        self.constants = np.array(constants, dtype=float)
+        self.readout = np.array(readout, dtype=float).reshape(-1, idx.size)
+        self.readout_sq = self.readout**2
+        # Moments add group by group, each group's constants before its means:
+        # positions in ``concatenate([constants, means])`` and their orders.
+        self._sequence = np.argsort(
+            np.concatenate([2 * self.row_group, 2 * self.row_group + 1]), kind="stable"
+        )
+        self._sequence_order = np.tile(self.row_order, 2)[self._sequence]
+
+
+def _check_shots(shots) -> int:
+    """``shots`` as an int: an integer, not a bool, with 2 <= shots < 2**63."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if not 2 <= int(shots) < 2**63:
+        raise ValueError(f"shots must be at least 2 and below 2**63, got {shots!r}")
+    return int(shots)
 
 
 def sampled_moments(
@@ -303,26 +336,33 @@ def sampled_moments(
     exact distribution in its rotated basis with a generator seeded by
     (seed, group index), and every ``<H^n>`` is assembled from the same
     counts, so covariances between strings measured together propagate into
-    the per-order standard errors exactly as they would on hardware.
+    the per-order standard errors exactly as they would on hardware.  The
+    state is rotated into every group's basis at once, one stacked kernel per
+    entry of ``plan.turns``.  ``shots`` must be an integer (not a bool) from 2
+    up to ``2**63 - 1``; anything else raises ``ValueError``.
     """
-    if shots < 2:
-        raise ValueError("need at least two shots for a standard error")
+    shots = _check_shots(shots)
     if state.n_qubits != plan.n_qubits:
         raise ValueError("state and measurement plan differ in qubit count")
-    values = np.zeros(plan.orders)
-    variances = np.zeros(plan.orders)
-    values[0] = 1.0
-    for gi, (turns, orders, constants, readout, readout_sq) in enumerate(plan.groups):
+    amps = np.broadcast_to(state.amplitudes, (plan.n_groups, state.amplitudes.size))
+    for q, u in plan.turns:
+        amps = _apply_single(amps, q, u)
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for gi, p in enumerate(probs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
-        amps = state.amplitudes
-        for q, u in turns:
-            amps = _apply_single(amps, q, u)
-        probs = np.abs(amps) ** 2
-        counts = rng.multinomial(shots, probs / probs.sum())
-        # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
-        mean = _vdot(readout, counts) / shots
-        second = _vdot(readout_sq, counts) / shots
-        values[orders] += constants
-        values[orders] += mean
-        variances[orders] += np.maximum(0.0, second - mean**2) * shots / (shots - 1)
+        counts[gi] = rng.multinomial(shots, p)
+    # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
+    row_counts = counts[plan.row_group]
+    mean = _vdot(plan.readout, row_counts) / shots
+    second = _vdot(plan.readout_sq, row_counts) / shots
+    # ``add.at`` is unbuffered: it adds one term at a time, in sequence order.
+    values = np.zeros(plan.orders)
+    values[0] = 1.0
+    terms = np.concatenate([plan.constants, mean])[plan._sequence]
+    np.add.at(values, plan._sequence_order, terms)
+    variances = np.zeros(plan.orders)
+    row_var = np.maximum(0.0, second - mean**2) * shots / (shots - 1)
+    np.add.at(variances, plan.row_order, row_var)
     return values, np.sqrt(variances / shots)

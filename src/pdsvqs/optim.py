@@ -41,7 +41,7 @@ import numpy as np
 
 from .moments import MeasurementPlan
 from .moments import hamiltonian_powers, sampled_moments
-from .moments import _Krylov, _analytic_rows, _exact_moments, _operator
+from .moments import _Krylov, _analytic_rows, _check_shots, _exact_moments, _operator
 from .moments import _shift_rows, _values_from_state
 from .pauli import PauliSum
 from .pds import (
@@ -385,7 +385,8 @@ def run_batch(
     ``status="error"`` and the records collected so far.  ``thetas`` of
     another shape, with no rows or with a non-finite entry raises
     ``ValueError``, as does an ``eta`` or ``metric_eps`` that is not finite
-    and positive, or a ``grad_tol`` that is not finite and non-negative.
+    and positive, a ``grad_tol`` that is not finite and non-negative, or
+    ``shots`` that are not an integer from 2 up to ``2**63 - 1``.
     """
     order, pds_policy = _functional(functional, order, pds_policy)
     if schedule not in _SCHEDULES:
@@ -406,6 +407,7 @@ def run_batch(
     if shots is None:
         op = _operator(hamiltonian, max_order)
     else:
+        shots = _check_shots(shots)
         plan = MeasurementPlan(hamiltonian_powers(hamiltonian, max_order))
     if ground_basis is not None:
         ground_adjoint = _basis_adjoint(ground_basis, 1 << circuit.n_qubits)

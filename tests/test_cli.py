@@ -414,6 +414,25 @@ class TestConfigFile:
         header, rows = read_csv(out)
         assert float(rows[0][header.index("theta_1")]) == -math.pi / 4
 
+    def test_joined_config_values_are_checked(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "toy_a", "pds_reg": "bogus"}))
+        with pytest.raises(SystemExit) as err:
+            main([f"--config={path}", "run"])
+        assert err.value.code == 1
+        assert "argument --pds-reg: invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_joined_config_form_matches_two_tokens(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"order": 3}))
+        outs = tmp_path / "joined.csv", tmp_path / "split.csv"
+        tail = ["run", "--model", "toy_a", "--max-iters", "2", "--grad-tol", "0"]
+        main([f"--config={path}", *tail, "--out", str(outs[0])])
+        main(["--config", str(path), *tail, "--out", str(outs[1])])
+        header, _ = read_csv(outs[0])
+        assert "root_3" in header
+        assert outs[0].read_text() == outs[1].read_text()
+
     def test_config_file_missing(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--config", str(tmp_path / "no.json"), "run", "--model", "toy_a"])

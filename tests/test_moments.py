@@ -22,6 +22,7 @@ from pdsvqs.moments import (
     sampled_moments,
     union_of_powers,
 )
+from pdsvqs import moments, statesim
 from pdsvqs.pauli import PauliSum
 from pdsvqs.statesim import (
     Circuit,
@@ -491,8 +492,7 @@ class TestSampledMatchesPerOrderLoop:
         plan = MeasurementPlan(hamiltonian_powers(h, 2))
         constant_only = [
             order
-            for _, orders, constants, readout, _ in plan.groups
-            for order, c, row in zip(orders, constants, readout)
+            for order, c, row in zip(plan.row_order, plan.constants, plan.readout)
             if c != 0.0 and not row.any()
         ]
         assert 1 in constant_only
@@ -501,3 +501,52 @@ class TestSampledMatchesPerOrderLoop:
     def test_eight_site_chain(self):
         h = PauliSum.from_terms(chain_pairs(8))
         self._assert_bitwise(h, 3, _random_state(hardware_efficient_ansatz(8, 1), 3))
+
+    def test_ten_site_chain(self):
+        # 1024 amplitudes: each row's probability sum goes through numpy's
+        # blocked pairwise summation.
+        h = PauliSum.from_terms(chain_pairs(10))
+        self._assert_bitwise(h, 3, _random_state(hardware_efficient_ansatz(10, 1), 4))
+
+
+class TestSampledShape:
+    """One rotation stack per sampled state, and the shot count checked."""
+
+    def test_at_most_one_rotation_kernel_per_qubit(self, heisenberg, monkeypatch):
+        plan = _plan(heisenberg.hamiltonian, 5)
+        state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return statesim._apply_single(*args)
+
+        monkeypatch.setattr(moments, "_apply_single", counted)
+        sampled_moments(state, plan, 100, seed=0)
+        assert 0 < len(calls) <= heisenberg.hamiltonian.n_qubits
+        assert calls == sorted(set(calls))
+
+    def test_zero_sum_has_no_groups(self):
+        circuit = Circuit(n_qubits=2, n_params=0, gates=())
+        state = apply_circuit(circuit, np.array([]))
+        plan = _plan(PauliSum(2, {}), 2)
+        est, err = sampled_moments(state, plan, shots=10, seed=0)
+        assert plan.n_groups == 0
+        assert list(est) == [1.0, 0.0, 0.0] and list(err) == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "shots", [2.5, 2.999, 500.0, np.float64(500), True, np.bool_(True),
+                  "500", 1, 0, -3, 2**63, 10**19]
+    )
+    def test_shot_count_must_be_an_integer_in_range(self, h2, shots):
+        state = apply_circuit(h2.circuit, h2.theta0)
+        with pytest.raises(ValueError, match="shots"):
+            sampled_moments(state, _plan(h2.hamiltonian, 2), shots)
+
+    @pytest.mark.parametrize("shots", [np.int32(400), np.int64(400), np.uint16(400)])
+    def test_numpy_integer_shots_count(self, h2, shots):
+        state = apply_circuit(h2.circuit, h2.theta0)
+        plan = _plan(h2.hamiltonian, 2)
+        a = sampled_moments(state, plan, shots, seed=4)
+        b = sampled_moments(state, plan, 400, seed=4)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
