@@ -36,6 +36,9 @@ SCHEMA_LINE = "# pdsvqs trajectory schema v1"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:  # subparsers too: no prefix matching
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")

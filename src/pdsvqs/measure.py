@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moments import hamiltonian_powers, union_of_powers
-from .pauli import PauliSum, PauliTerm, qwc_groups
+import numpy as np
+
+from .moments import _union, hamiltonian_powers
+from .pauli import PauliSum, PauliTerm, _abs, _ints, _qwc_rows
 
 __all__ = ["CostReport", "estimate_measurements", "reduction_stats"]
 
@@ -65,24 +67,26 @@ def estimate_measurements(
     if not s.is_hermitian():
         raise ValueError("measurement estimate requires a Hermitian sum")
     if groups is None:
-        groups = qwc_groups(s)
+        rows = _qwc_rows(s)
+    else:  # the groups' own terms, group after group
+        s = PauliSum.from_terms([t for group in groups for t in group], s.n_qubits)
+        if len(s) != sum(map(len, groups)):
+            raise ValueError("the groups repeat a string")
+        rows = np.split(np.arange(len(s)), np.cumsum([len(g) for g in groups])[:-1])
+    h, identity, var = _abs(s.coeffs), ~(s.x | s.z).any(axis=1), np.ones(len(s))
+    if expectations is not None:
+        mean = [float(expectations.get(k, 0.0)) for k in zip(_ints(s.x), _ints(s.z))]
+        var = np.maximum(0.0, 1.0 - np.square(mean))
+    # Left folds over Python floats, so the total keeps its bits.
     total = 0.0
-    for group in groups:
-        weights = []
-        for term in group:
-            if term.is_identity():
-                continue
-            mean = 0.0
-            if expectations is not None:
-                mean = float(expectations.get(term.key, 0.0))
-            var = max(0.0, 1.0 - mean * mean)
-            weights.append((abs(term.coefficient), var))
-        if not weights:
+    for group in rows:
+        group = group[~identity[group]]
+        if not group.size:
             continue
         if covariance == "diagonal":
-            inner = sum(h * h * var for h, var in weights)
+            inner = sum((h[group] * h[group] * var[group]).tolist())
         else:
-            inner = sum(h * math.sqrt(var) for h, var in weights) ** 2
+            inner = sum((h[group] * np.sqrt(var[group])).tolist()) ** 2
         total += math.sqrt(inner)
     return (total / epsilon) ** 2
 
@@ -99,17 +103,14 @@ def reduction_stats(h: PauliSum, max_order: int, epsilon: float = 1e-3) -> CostR
     """
     _check_epsilon(epsilon)
     powers = hamiltonian_powers(h, max_order)
-    per_order = [len(powers[n]) for n in range(1, max_order + 1)]
-    seen: set[tuple[int, int]] = set()
-    cumulative = []
-    for n in range(1, max_order + 1):
-        seen.update(powers[n]._coeffs)
-        cumulative.append(len(seen))
-    union = union_of_powers(powers)
-    group_count = len(qwc_groups(union))
-    per_order_m = [
-        estimate_measurements(powers[n], epsilon) for n in range(1, max_order + 1)
-    ]
+    per_order = [len(p) for p in powers[1:]]
+    union, at = _union(powers)
+    # Union rows are in first-seen order, so the first m rows of the
+    # concatenated powers hold max(at[:m]) + 1 distinct strings.
+    seen = np.concatenate([[0], np.maximum.accumulate(at + 1)])
+    cumulative = seen[np.cumsum(per_order)].tolist()
+    group_count = len(_qwc_rows(union))
+    per_order_m = [estimate_measurements(p, epsilon) for p in powers[1:]]
     return CostReport(
         max_order=max_order,
         epsilon=epsilon,

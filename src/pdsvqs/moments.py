@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, qwc_groups
+from .pauli import PauliSum, _abs, _bits, _merged, _qwc_rows
 from .statesim import (
     Circuit,
     CompiledSum,
@@ -85,16 +85,17 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     return powers
 
 
-# The last sum ``_operator`` compiled: (the sum, a copy of its coefficients,
-# its CompiledSum).  One slot serves callers that evaluate many points of one H.
-_last_compiled: tuple[PauliSum, dict, CompiledSum] | None = None
+# The last sum ``_operator`` compiled, and its CompiledSum.  One slot serves
+# callers that evaluate many points of one H.
+_last_compiled: tuple[PauliSum, CompiledSum] | None = None
 
 
 def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
     """Compiled ``h`` for the exact moments, after the argument checks.
 
-    The compiled operator is reused when the same sum object comes back with
-    equal coefficients; any other sum is compiled anew.
+    The compiled operator is reused when the same sum object comes back,
+    which cannot have changed since a sum's arrays are read-only; any other
+    sum is compiled anew.
     """
     global _last_compiled
     if h is None or max_order is None:
@@ -103,17 +104,9 @@ def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
         raise ValueError("max_order must be at least 1")
     if not h.is_hermitian():
         raise ValueError("moments require a Hermitian operator")
-    last = _last_compiled
-    if (
-        last is not None
-        and last[0] is h
-        and last[2].n_qubits == h.n_qubits
-        and last[1] == h._coeffs
-    ):
-        return last[2]
-    op = CompiledSum(h)
-    _last_compiled = (h, dict(h._coeffs), op)
-    return op
+    if _last_compiled is None or _last_compiled[0] is not h:
+        _last_compiled = (h, CompiledSum(h))
+    return _last_compiled[1]
 
 
 class _Krylov:
@@ -219,31 +212,28 @@ def moment_gradients(
     raise ValueError(f"unknown gradient method {method!r}")
 
 
+def _union(powers: list[PauliSum]) -> tuple[PauliSum, np.ndarray]:
+    """``union_of_powers(powers)`` and, for every row of ``powers[1:]`` taken
+    in order, the union row holding its string."""
+    if len(powers) < 2:
+        raise ValueError("need at least the first power")
+    parts = ((s.x, s.z, _abs(s.coeffs)) for s in powers[1:])
+    return _merged(powers[1].n_qubits, *parts, add=np.maximum)
+
+
 def union_of_powers(powers: list[PauliSum]) -> PauliSum:
-    """One sum holding every string appearing in ``powers[1:]``.
+    """One sum holding every string appearing in ``powers[1:]``, first seen first.
 
     Each string carries its largest coefficient magnitude across the powers,
     so grouping the union visits dominant strings first and a single pass of
     measurements covers every moment order.
     """
-    if len(powers) < 2:
-        raise ValueError("need at least the first power")
-    n = powers[1].n_qubits
-    weights: dict[tuple[int, int], float] = {}
-    for s in powers[1:]:
-        for key, c in s._coeffs.items():
-            weights[key] = max(weights.get(key, 0.0), abs(c))
-    return PauliSum(n, {k: complex(w) for k, w in weights.items()})
+    return _union(powers)[0]
 
 
 # Basis changes that turn X and Y readout into Z readout.
 _X_TO_Z = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _Y_TO_Z = _X_TO_Z @ np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-
-
-def _term_signs(term: PauliTerm, n: int, idx: np.ndarray) -> np.ndarray:
-    support_idx, _ = _index_masks(term.x_mask | term.z_mask, 0, n)
-    return 1.0 - 2.0 * _parity(idx & support_idx)
 
 
 class MeasurementPlan:
@@ -266,36 +256,34 @@ class MeasurementPlan:
     """
 
     def __init__(self, powers: list[PauliSum]) -> None:
-        union = union_of_powers(powers)
-        self.n_qubits = n = powers[1].n_qubits
+        union, at = _union(powers)
+        self.n_qubits = n = union.n_qubits
         self.orders = len(powers)
         idx = np.arange(1 << n)
         # The real coefficient of each union string in each of powers[1:],
         # 0.0 where the power lacks the string.
-        rank = {key: i for i, key in enumerate(union._coeffs)}
-        table = np.zeros((len(rank), self.orders - 1))
-        for j, s in enumerate(powers[1:]):
-            table[[rank[k] for k in s._coeffs], j] = [c.real for c in s._coeffs.values()]
-        groups = qwc_groups(union)
+        table = np.zeros((len(union), self.orders - 1))
+        order_of = np.repeat(np.arange(self.orders - 1), [len(s) for s in powers[1:]])
+        table[at, order_of] = np.concatenate([s.coeffs.real for s in powers[1:]])
+        groups = _qwc_rows(union)
         self.n_groups = len(groups)
+        support = _index_masks(union.x | union.z, n)
         # Per group and qubit, the basis read: 0 for Z (or none), 1 for X, 2 for Y.
         letters = np.zeros((len(groups), n), dtype=int)
         row_group, row_order, constants, readout = [], [], [], []
         for gi, group in enumerate(groups):
-            coeffs = table[[rank[term.key] for term in group]]
+            coeffs = table[group]
             columns = np.flatnonzero(coeffs.any(axis=0))
             consts = np.zeros(columns.size)
             rows = np.zeros((columns.size, idx.size))
-            x_mask = z_mask = 0
-            # Each term adds into the rows of every order, in group order.
-            for term, c in zip(group, coeffs[:, columns]):
-                x_mask |= term.x_mask
-                z_mask |= term.z_mask
-                if term.is_identity():
+            # Each string adds into the rows of every order, in group order.
+            for mask, c in zip(support[group].tolist(), coeffs[:, columns]):
+                if mask == 0:
                     consts = c
                 else:
-                    rows += c[:, None] * _term_signs(term, n, idx)
-            letters[gi] = [(x_mask >> q & 1) * (1 + (z_mask >> q & 1)) for q in range(n)]
+                    rows += c[:, None] * (1.0 - 2.0 * _parity(idx & mask))
+            xb, zb = (_bits(np.bitwise_or.reduce(m[group]), n) for m in (union.x, union.z))
+            letters[gi] = xb * (1 + zb)
             row_group += [gi] * columns.size
             row_order += list(columns + 1)
             constants += list(consts)

@@ -1,73 +1,121 @@
 """Exact Pauli-string algebra on qubit registers.
 
-Strings are encoded as a pair of bitmasks ``(x_mask, z_mask)`` where bit ``q``
-describes the letter acting on qubit ``q`` (qubit 0 is the leftmost letter of a
-label).  The letter is ``I`` for ``(0, 0)``, ``X`` for ``(1, 0)``, ``Z`` for
-``(0, 1)`` and ``Y`` for ``(1, 1)``.  Products of strings are again strings up
-to a unit phase in ``{1, i, -1, -i}``, which is tracked exactly, so sums of
-strings close under multiplication without any floating-point phase drift.
+A string is a pair of bitmasks ``(x, z)``: bit q describes the letter on qubit
+q (qubit 0 is the leftmost letter of a label), ``I`` for (0, 0), ``X`` for
+(1, 0), ``Z`` for (0, 1) and ``Y`` for (1, 1).  Products of strings are strings
+up to a phase in {1, i, -1, -i}, tracked exactly.  A ``PauliSum`` packs its T
+strings into read-only (T, W) arrays ``x`` and ``z`` of little-endian 64-bit
+words (bit q of a mask is bit q % 64 of word q // 64) and a (T,) complex vector
+``coeffs``, in first-seen order: the order in which the strings first appear
+in the input (for a product, the term pairs, left term outer), a repeated
+string's coefficients adding in that order.  ``PauliTerm`` objects and labels
+appear only at the edge: ``terms()`` (in label order), ``qwc_groups`` and text
+I/O.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PauliTerm",
-    "PauliSum",
-    "qwc_groups",
-    "qubitwise_commutes",
-]
+__all__ = ["PauliTerm", "PauliSum", "qwc_groups", "qubitwise_commutes"]
 
-_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_LABELS = {v: k for k, v in _LETTERS.items()}
-
+_LABELS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # i^p for p = 0..3, used when composing phase exponents.
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
+# Set bits of each byte value (``np.bitwise_count`` needs numpy 2).
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Term pairs that a product forms at once.
+_BLOCK_PAIRS = 1 << 16
 
 
-def _product_phase_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Exponent p of the unit phase i^p picked up by the string product.
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of (..., W) words modulo 256 (phases need 4)."""
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.uint8)
 
-    With the convention that a letter is ``i^(x z) X^x Z^z`` on every qubit,
-    composing two strings gives ``i^(x1 z1) i^(x2 z2) (-1)^(z1 x2)`` relative
-    to the normalized result ``i^(x3 z3) X^x3 Z^z3``.
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Bits 0..n-1 of each row of (..., W) words, shape (..., n)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """The rows of (T, W) words as Python int masks."""
+    return [sum(w << 64 * k for k, w in enumerate(row)) for row in words.tolist()]
+
+
+def _abs(c: np.ndarray) -> np.ndarray:
+    """Complex ``abs`` with the bits of Python's (numpy's may differ)."""
+    return np.hypot(c.real, c.imag)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex ``a * b`` with the bits of Python's product (numpy's loop may
+    fuse a multiply-add), as silent as Python on overflow."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _first_seen(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(heads, at)`` for packed rows that may repeat a string: ``heads``
+    holds the row of each string's first occurrence, in row order, and
+    ``at[r]`` the position in ``heads`` of row r's string."""
+    keys = np.concatenate([x, z], axis=1)
+    order = np.lexsort(keys.T)  # stable, so equal rows keep their row order
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    heads = order[new]
+    group = np.empty_like(order)  # each row's string, numbered in sorted order
+    group[order] = np.cumsum(new) - 1
+    return np.sort(heads), np.argsort(np.argsort(heads))[group]
+
+
+def _merged(n: int, *parts, add=np.add) -> tuple["PauliSum", np.ndarray]:
+    """The ``(x, z, coeffs)`` parts, concatenated, as one sum (each string at
+    its first row, its coefficients combined by ``add`` in row order) and
+    ``at`` of ``_first_seen``."""
+    x, z, coeffs = (np.concatenate(a) for a in zip(*parts))
+    heads, at = _first_seen(x, z)
+    merged = np.zeros(heads.size, dtype=coeffs.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check
+        add.at(merged, at, coeffs)  # unbuffered, so in row order
+    return PauliSum(n, x[heads], z[heads], merged.astype(complex, copy=False)), at
+
+
+def _pair_products(x1, z1, c1, right: "PauliSum"):
+    """``(x, z, coeffs)`` of left term i times right term j for every pair,
+    in (i, j) row-major order.
+
+    The product of two strings is ``i^p`` times their XOR, with
+    ``p = |x1 z1| + |x2 z2| - |x3 z3| + 2 |x2 z1|`` (``|m|`` the set bits of
+    m), from writing every letter as ``i^(x z) X^x Z^z``.
     """
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    p = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
-    p += 2 * (x2 & z1).bit_count()
-    return p % 4
+    lx, lz = x1[:, None], z1[:, None]
+    x = (lx ^ right.x).reshape(-1, x1.shape[1])
+    z = (lz ^ right.z).reshape(-1, x1.shape[1])
+    p = _popcount(x1 & z1)[:, None] + _popcount(right.x & right.z)
+    p = (p + 2 * _popcount(right.x & lz)).reshape(-1) - _popcount(x & z)
+    pairs = _cmul(c1[:, None], right.coeffs).reshape(-1)
+    return x, z, _cmul(pairs, _PHASES[p & 3])
 
 
-def _packed(masks: list[int], n_qubits: int) -> np.ndarray:
-    """Masks as rows of little-endian 64-bit words, shape (len(masks), words).
-
-    Bit q of a mask is bit q % 64 of word q // 64, for any register width.
-    """
-    width = 8 * ((n_qubits + 63) // 64)
-    data = b"".join(m.to_bytes(width, "little") for m in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width // 8)
-
-
-def _grouping_order(
-    n_qubits: int, x: np.ndarray, z: np.ndarray, magnitudes: np.ndarray
-) -> np.ndarray:
-    """Permutation sorting packed strings by (-magnitude, label).
+def _label_order(s: "PauliSum", *major: np.ndarray) -> np.ndarray:
+    """Permutation sorting the rows of ``s`` by the ``major`` keys, most
+    significant first, then by label.
 
     Label order compares letters from qubit 0 on, with I < X < Y < Z; in bits
     a letter's rank is ``2 z + (x ^ z)``, so no label string is built.
     """
-    xb, zb = (
-        np.unpackbits(m.view(np.uint8), axis=1, count=n_qubits, bitorder="little")
-        for m in (x, z)
-    )
+    xb, zb = _bits(s.x, s.n_qubits), _bits(s.z, s.n_qubits)
     ranks = 2 * zb + (xb ^ zb)
     # np.lexsort sorts by its last key first.
-    return np.lexsort([*ranks[:, ::-1].T, -magnitudes])
+    return np.lexsort([*ranks[:, ::-1].T, *major[::-1]])
 
 
 @dataclass(frozen=True)
@@ -95,22 +143,10 @@ class PauliTerm:
 
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0) -> "PauliTerm":
-        """Build a term from a letter string such as ``"IXZ"``.
-
-        The leftmost letter acts on qubit 0.
-        """
-        if not label:
-            raise ValueError("empty Pauli label")
-        x_mask = 0
-        z_mask = 0
-        for q, ch in enumerate(label):
-            try:
-                x, z = _LETTERS[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}") from None
-            x_mask |= x << q
-            z_mask |= z << q
-        return cls(len(label), x_mask, z_mask, complex(coefficient))
+        """Build a term from a letter string such as ``"IXZ"``, leftmost
+        letter on qubit 0, with a finite coefficient."""
+        (term,) = PauliSum._collect(None, [label], [coefficient]).terms()
+        return term
 
     @property
     def label(self) -> str:
@@ -134,119 +170,142 @@ class PauliTerm:
     def __mul__(self, other: "PauliTerm") -> "PauliTerm":
         if not isinstance(other, PauliTerm):
             return NotImplemented
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch in Pauli product")
-        p = _product_phase_exponent(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
-        return PauliTerm(
-            self.n_qubits,
-            self.x_mask ^ other.x_mask,
-            self.z_mask ^ other.z_mask,
-            self.coefficient * other.coefficient * _PHASES[p],
-        )
+        (product,) = (PauliSum.from_terms([self]) * PauliSum.from_terms([other])).terms()
+        return product
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """A real- or complex-weighted sum of Pauli strings on one register.
+    """A real- or complex-weighted sum of distinct Pauli strings on one register.
 
-    Duplicate strings are merged on construction; exact zeros produced by the
-    merge are kept until :meth:`simplify` prunes them against a magnitude
-    threshold.  Term order is canonical (lexicographic on labels), so every
-    traversal of the same sum is deterministic.
+    ``x``, ``z`` and ``coeffs`` are read-only and in first-seen order (see the
+    module docstring); ``terms()`` lists the same strings in label order.
+    ``from_terms``, ``from_text`` and the algebra merge repeated strings; exact
+    zeros of a merge stay until :meth:`simplify` prunes them against a
+    magnitude threshold.
     """
 
     n_qubits: int
-    _coeffs: dict[tuple[int, int], complex] = field(default_factory=dict)
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.x, self.z, self.coeffs):
+            a.flags.writeable = False
+
+    @classmethod
+    def _collect(cls, n: int | None, labels: list[str], coeffs, where=None) -> "PauliSum":
+        """The sum of ``coeffs[i]`` times ``labels[i]``, over labels of n
+        letters (by default, the first label's).
+
+        Raises:
+            ValueError: Naming the first label of another length or with a
+                letter outside ``IXYZ``, or the first term at which its
+                string's running coefficient is not finite (NaN, infinite or
+                overflowed); ``where[i]`` prefixes the message about term i.
+        """
+        if n is None and not labels:
+            raise ValueError("cannot infer qubit count of an empty sum")
+        n = len(labels[0]) if n is None else n
+        if n < 1:
+            raise ValueError("a Pauli string needs at least one qubit")
+        prefix = (lambda i: f"{where[i]}: ") if where else (lambda i: "")
+        for i, label in enumerate(labels):
+            if len(label) != n:
+                raise ValueError(f"{prefix(i)}string length {len(label)} does not match {n}")
+        codes = np.array(labels, dtype=f"U{n}").view(np.uint32).reshape(len(labels), n)
+        x, z = ((codes == ord(a)) | (codes == ord("Y")) for a in "XZ")
+        bad = np.argwhere(~(x | z | (codes == ord("I"))))
+        if bad.size:
+            i, q = bad[0]
+            raise ValueError(f"{prefix(i)}invalid Pauli letter {labels[i][q]!r} in {labels[i]!r}")
+        pad = np.zeros((len(labels), -n % 64), dtype=bool)  # to whole words
+        x, z = (
+            np.packbits(np.hstack([b, pad]), axis=1, bitorder="little").view("<u8") for b in (x, z)
+        )
+        coeffs = np.array(coeffs, dtype=complex).reshape(-1)
+        s, at = _merged(n, (x, z, coeffs))
+        if not np.isfinite(s.coeffs).all():
+            running = [0.0 + 0.0j] * len(s)
+            for i, k in enumerate(at.tolist()):
+                running[k] += complex(coeffs[i])
+                if not cmath.isfinite(running[k]):
+                    raise ValueError(f"{prefix(i)}coefficient of {labels[i]} is not finite")
+        return s
 
     @classmethod
     def from_terms(cls, terms, n_qubits: int | None = None) -> "PauliSum":
-        """Collect an iterable of ``PauliTerm`` (or ``(coefficient, label)``) pairs."""
-        coeffs: dict[tuple[int, int], complex] = {}
-        width = n_qubits
-        for item in terms:
-            if isinstance(item, PauliTerm):
-                term = item
-            else:
-                c, label = item
-                term = PauliTerm.from_label(label, c)
-            if width is None:
-                width = term.n_qubits
-            elif term.n_qubits != width:
-                raise ValueError("qubit count mismatch between terms")
-            key = term.key
-            coeffs[key] = coeffs.get(key, 0.0 + 0.0j) + term.coefficient
-        if width is None:
-            raise ValueError("cannot infer qubit count of an empty sum")
-        return cls(width, coeffs)
+        """Collect an iterable of ``PauliTerm`` (or ``(coefficient, label)``)
+        pairs; a non-finite coefficient raises ``ValueError`` as in ``from_text``."""
+        pairs = [(t.coefficient, t.label) if isinstance(t, PauliTerm) else t for t in terms]
+        return cls._collect(n_qubits, [p[1] for p in pairs], [p[0] for p in pairs])
 
     @classmethod
     def identity(cls, n_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): complex(coefficient)})
+        return cls._collect(n_qubits, ["I" * n_qubits], [coefficient])
 
     @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits, {})
+        return cls._collect(n_qubits, [], [])
+
+    def _terms(self, rows: np.ndarray) -> list[PauliTerm]:
+        x, z, coeffs = _ints(self.x[rows]), _ints(self.z[rows]), self.coeffs[rows].tolist()
+        return [PauliTerm(self.n_qubits, *t) for t in zip(x, z, coeffs)]
 
     def terms(self) -> list[PauliTerm]:
-        """Terms in canonical (label-lexicographic) order."""
-        out = [
-            PauliTerm(self.n_qubits, x, z, c) for (x, z), c in self._coeffs.items()
-        ]
-        out.sort(key=lambda t: t.label)
-        return out
+        """Terms in label-lexicographic order, whatever the storage order."""
+        return self._terms(_label_order(self))
 
     def coefficient(self, label: str) -> complex:
-        term = PauliTerm.from_label(label)
-        if term.n_qubits != self.n_qubits:
-            raise ValueError("label width does not match the sum")
-        return self._coeffs.get(term.key, 0.0 + 0.0j)
+        key = PauliSum.from_terms([(1.0, label)], self.n_qubits)
+        hit = ((self.x == key.x) & (self.z == key.z)).all(axis=1)
+        return complex(self.coeffs[hit][0]) if hit.any() else 0.0 + 0.0j
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self.coeffs)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch in Pauli sum addition")
-        coeffs = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            coeffs[key] = coeffs.get(key, 0.0 + 0.0j) + c
-        return PauliSum(self.n_qubits, coeffs)
+        return _merged(self.n_qubits, *((s.x, s.z, s.coeffs) for s in (self, other)))[0]
 
     def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum(
-            self.n_qubits, {k: factor * c for k, c in self._coeffs.items()}
-        )
+        factor = np.asarray(factor, dtype=complex)
+        return PauliSum(self.n_qubits, self.x, self.z, _cmul(factor, self.coeffs))
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
+        """Product of every term pair, left term outer.  The pairs of a block
+        of left terms at a time are merged into the product so far, which
+        keeps the temporaries near ``_BLOCK_PAIRS`` pairs and still adds the
+        coefficients in pair order."""
         if not isinstance(other, PauliSum):
             return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch in Pauli sum product")
-        coeffs: dict[tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self._coeffs.items():
-            for (x2, z2), c2 in other._coeffs.items():
-                p = _product_phase_exponent(x1, z1, x2, z2)
-                key = (x1 ^ x2, z1 ^ z2)
-                coeffs[key] = coeffs.get(key, 0.0 + 0.0j) + c1 * c2 * _PHASES[p]
-        return PauliSum(self.n_qubits, coeffs)
+        out = PauliSum.zero(self.n_qubits)
+        step = max(1, _BLOCK_PAIRS // max(1, len(other)))
+        for i in range(0, len(self), step):
+            rows = slice(i, i + step)
+            block = _pair_products(self.x[rows], self.z[rows], self.coeffs[rows], other)
+            out, _ = _merged(self.n_qubits, (out.x, out.z, out.coeffs), block)
+        return out
 
     def simplify(self, drop_tol: float = 1e-12) -> "PauliSum":
         """Drop terms whose coefficient magnitude is at most ``drop_tol``."""
         if drop_tol < 0:
             raise ValueError("drop_tol must be non-negative")
-        return PauliSum(
-            self.n_qubits,
-            {k: c for k, c in self._coeffs.items() if abs(c) > drop_tol},
-        )
+        keep = _abs(self.coeffs) > drop_tol
+        return PauliSum(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._coeffs.values())
+        return bool((np.abs(self.coeffs.imag) <= tol).all())
 
     def to_text(self) -> str:
         """Serialize to the plain-text format, one ``coefficient label`` per line.
 
         Coefficients are written with 17 significant digits, which round-trips
-        IEEE doubles exactly.  Terms appear in canonical order.
+        IEEE doubles exactly.  Terms appear in label order.
         """
         lines = []
         for term in self.terms():
@@ -268,42 +327,24 @@ class PauliSum:
                 inconsistent string lengths, with the offending line number
                 in the message.
         """
-        coeffs: dict[tuple[int, int], complex] = {}
-        width: int | None = None
+        labels, values, lines = [], [], []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(
-                    f"line {lineno}: expected '<coefficient> <letters>', got {raw!r}"
-                )
+                raise ValueError(f"line {lineno}: expected '<coefficient> <letters>', got {raw!r}")
             token, label = parts
             try:
-                value = float(token.replace("−", "-"))
+                values.append(float(token.replace("−", "-")))
             except ValueError:
-                raise ValueError(
-                    f"line {lineno}: invalid coefficient {token!r}"
-                ) from None
-            try:
-                term = PauliTerm.from_label(label, value)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if width is None:
-                width = term.n_qubits
-            elif term.n_qubits != width:
-                raise ValueError(
-                    f"line {lineno}: string length {term.n_qubits} does not match "
-                    f"earlier length {width}"
-                )
-            key = term.key
-            coeffs[key] = coeffs.get(key, 0.0 + 0.0j) + complex(value)
-            if not math.isfinite(coeffs[key].real):  # nan, inf or an overflowing sum
-                raise ValueError(f"line {lineno}: coefficient of {label} is not finite")
-        if width is None:
+                raise ValueError(f"line {lineno}: invalid coefficient {token!r}") from None
+            labels.append(label)
+            lines.append(f"line {lineno}")
+        if not labels:
             raise ValueError("no Pauli terms found in text")
-        return cls(width, coeffs)
+        return cls._collect(None, labels, values, lines)
 
 
 def qubitwise_commutes(a: PauliTerm, b: PauliTerm) -> bool:
@@ -315,37 +356,31 @@ def qubitwise_commutes(a: PauliTerm, b: PauliTerm) -> bool:
     return (both & differ) == 0
 
 
-def qwc_groups(s: PauliSum) -> list[list[PauliTerm]]:
-    """Partition the terms of ``s`` into qubit-wise commuting groups.
+def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
+    """The rows of ``s`` in each of its qubit-wise commuting groups.
 
     The grouping is greedy first fit: terms are visited in order of
     descending coefficient magnitude (label order breaks ties) and each joins
     the first group whose letter assignment it fits, so the result is
-    deterministic.  Each group can be measured in a single shared product
-    basis.
+    deterministic; each group lists its rows in visiting order.
 
-    The groups are built one at a time on packed masks.  The first term not
-    yet grouped leads group g and pins its letters; one vectorized test keeps
-    the remaining terms that agree with the pinned letters wherever their
-    supports overlap.  The survivors are walked in order: one whose support is
-    already pinned joins without changing the pin, and the first that extends
-    the support joins, pins its letters, and the survivors after it are tested
-    again (at most once per qubit).  This is first fit because whether a term
-    joins group g depends only on the members of g that precede it, and since
-    pinned letters never change, a term that fails the test stays unfit.
+    The groups are built one at a time on the packed words.  The first term
+    not yet grouped leads group g and pins its letters; one vectorized test
+    keeps the remaining terms that agree with the pinned letters wherever
+    their supports overlap.  The survivors are walked in order: one whose
+    support is already pinned joins without changing the pin, and the first
+    that extends the support joins, pins its letters, and the survivors after
+    it are tested again (at most once per qubit).  This is first fit because
+    whether a term joins group g depends only on the members of g that
+    precede it, and since pinned letters never change, a term that fails the
+    test stays unfit.
     """
-    keys = list(s._coeffs)
-    if not keys:
-        return []
-    coeffs = list(s._coeffs.values())
-    x = _packed([k[0] for k in keys], s.n_qubits)
-    z = _packed([k[1] for k in keys], s.n_qubits)
-    order = _grouping_order(s.n_qubits, x, z, np.array([abs(c) for c in coeffs]))
-    x, z = x[order], z[order]
+    order = _label_order(s, -_abs(s.coeffs))
+    x, z = s.x[order], s.z[order]
     support = x | z
-    grouped = np.zeros(len(keys), dtype=bool)
-    remaining = np.arange(len(keys))
-    positions: list[np.ndarray] = []
+    grouped = np.zeros(len(s), dtype=bool)
+    remaining = np.arange(len(s))
+    groups: list[np.ndarray] = []
     while remaining.size:
         lead = remaining[0]
         gx, gz, gsup = x[lead], z[lead], support[lead]
@@ -365,10 +400,12 @@ def qwc_groups(s: PauliSum) -> list[list[PauliTerm]]:
             candidates = candidates[first + 1 :]
         group = np.concatenate(members)
         grouped[group] = True
-        positions.append(group)
+        groups.append(order[group])
         remaining = remaining[~grouped[remaining]]
-    n = s.n_qubits
-    return [
-        [PauliTerm(n, *keys[i], coeffs[i]) for i in order[group].tolist()]
-        for group in positions
-    ]
+    return groups
+
+
+def qwc_groups(s: PauliSum) -> list[list[PauliTerm]]:
+    """Partition the terms of ``s`` into qubit-wise commuting groups, each
+    measurable in one shared product basis (see ``_qwc_rows``)."""
+    return [s._terms(rows) for rows in _qwc_rows(s)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pauli import _PHASES, PauliSum
+from .pauli import _PHASES, PauliSum, _bits, _cmul, _label_order, _popcount
 
 __all__ = [
     "Gate",
@@ -270,14 +270,9 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _index_masks(term_x: int, term_z: int, n: int) -> tuple[int, int]:
-    # Qubit q occupies basis-index bit n-1-q (qubit 0 is most significant).
-    x_idx = 0
-    z_idx = 0
-    for q in range(n):
-        x_idx |= ((term_x >> q) & 1) << (n - 1 - q)
-        z_idx |= ((term_z >> q) & 1) << (n - 1 - q)
-    return x_idx, z_idx
+def _index_masks(words: np.ndarray, n: int) -> np.ndarray:
+    """Basis-index masks (T,) of (T, W) words: qubit q is index bit n-1-q."""
+    return _bits(words, n).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
 
 
 def _parity(values: np.ndarray) -> np.ndarray:
@@ -305,14 +300,19 @@ class CompiledSum:
         n = s.n_qubits
         self.n_qubits = n
         idx = np.arange(1 << n)
+        # Strings in label order, so a diagonal's sum does not depend on the
+        # storage order; i^(x z) turns each X^x Z^z into its letters.
+        order = _label_order(s)
+        x, z = s.x[order], s.z[order]
+        weights = _cmul(s.coeffs[order], _PHASES[_popcount(x & z) & 3])
         diagonals: dict[int, np.ndarray] = {}
-        for term in s.terms():
-            x_idx, z_idx = _index_masks(term.x_mask, term.z_mask, n)
-            front = _PHASES[(term.x_mask & term.z_mask).bit_count() % 4]
+        for x_idx, z_idx, w in zip(
+            _index_masks(x, n).tolist(), _index_masks(z, n).tolist(), weights.tolist()
+        ):
             signs = 1.0 - 2.0 * _parity((idx ^ x_idx) & z_idx)
             if x_idx not in diagonals:
                 diagonals[x_idx] = np.zeros(idx.size, dtype=complex)
-            diagonals[x_idx] += (term.coefficient * front) * signs
+            diagonals[x_idx] += w * signs
         self.pairs = [
             (None if x_idx == 0 else idx ^ x_idx, diag)
             for x_idx, diag in sorted(diagonals.items())

@@ -3,17 +3,18 @@
 The dense oracles are built from first principles with ``np.kron`` and
 explicit 4x4 / 2x2 matrices, deliberately not reusing the package's own Pauli
 algebra or simulator, so agreement between the two is a real cross-check.
-The grouping reference is the plain first-fit loop over label-sorted terms.
-The shot-sampling reference is the per-order readout loop; it shares the
-package's groups, sign rows and one-qubit kernel, so it checks how a plan
-reads the counts, not those parts.
+The product reference is the term-pair loop over dicts of Python-int mask
+pairs, which keep their strings in first-seen order.  The grouping reference
+is the plain first-fit loop over label-sorted terms.  The shot-sampling
+reference is the per-order readout loop; it shares the package's groups and
+one-qubit kernel, so it checks how a plan reads the counts, not those parts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, _term_signs, union_of_powers
+from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, union_of_powers
 from pdsvqs.pauli import qwc_groups
 from pdsvqs.statesim import _apply_single
 
@@ -145,6 +146,78 @@ def chain_pairs(n_sites):
     return pairs
 
 
+def product_phase_exponent(x1, z1, x2, z2):
+    """Exponent p of the unit phase i^p picked up by the string product.
+
+    With the convention that a letter is ``i^(x z) X^x Z^z`` on every qubit,
+    composing two strings gives ``i^(x1 z1) i^(x2 z2) (-1)^(z1 x2)`` relative
+    to the normalized result ``i^(x3 z3) X^x3 Z^z3``.
+    """
+    x3 = x1 ^ x2
+    z3 = z1 ^ z2
+    p = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
+    p += 2 * (x2 & z1).bit_count()
+    return p % 4
+
+
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _mask(words):
+    return sum(int(w) << 64 * k for k, w in enumerate(words))
+
+
+def dict_of(s):
+    """A package ``PauliSum`` as a dict ``{(x_mask, z_mask): coefficient}``
+    in its storage order."""
+    keys = ((_mask(x), _mask(z)) for x, z in zip(s.x, s.z))
+    return dict(zip(keys, s.coeffs.tolist()))
+
+
+def dict_from_pairs(pairs):
+    """``(coefficient, label)`` pairs merged into a dict, first seen first;
+    bit q of a mask is the letter on qubit q (the leftmost)."""
+    out = {}
+    for c, label in pairs:
+        key = tuple(
+            sum((ch in letters) << q for q, ch in enumerate(label)) for letters in ("XY", "ZY")
+        )
+        out[key] = out.get(key, 0.0 + 0.0j) + complex(c)
+    return out
+
+
+def dict_product(a, b):
+    """Product of two mask dicts, one term pair at a time, left term outer."""
+    out = {}
+    for (x1, z1), c1 in a.items():
+        for (x2, z2), c2 in b.items():
+            key = (x1 ^ x2, z1 ^ z2)
+            phase = _PHASES[product_phase_exponent(x1, z1, x2, z2)]
+            out[key] = out.get(key, 0.0 + 0.0j) + c1 * c2 * phase
+    return out
+
+
+def dict_powers(h, max_order, drop_tol=1e-12):
+    """Expansions of ``h**n`` (h a mask dict) for n = 0..max_order, each
+    product pruned at ``drop_tol`` as ``hamiltonian_powers`` prunes."""
+    base = {k: c for k, c in h.items() if abs(c) > drop_tol}
+    powers = [{(0, 0): 1.0 + 0.0j}]
+    for _ in range(max_order):
+        product = dict_product(powers[-1], base)
+        powers.append({k: c for k, c in product.items() if abs(c) > drop_tol})
+    return powers
+
+
+def assert_same_dict(s, expected):
+    """``s`` holds the keys of ``expected`` in the same order, with
+    coefficients equal bit for bit."""
+    got = dict_of(s)
+    assert list(got) == list(expected)
+    got_bits = np.array(list(got.values()), dtype=complex).view(np.uint64)
+    want_bits = np.array(list(expected.values()), dtype=complex).view(np.uint64)
+    assert np.array_equal(got_bits, want_bits)
+
+
 def first_fit_qwc_groups(s):
     """Greedy qubit-wise commuting groups of a package ``PauliSum``, one term
     at a time: terms sorted by (-|c|, label) each join the first group whose
@@ -178,14 +251,17 @@ def per_order_plan(powers):
     groups = qwc_groups(union_of_powers(powers))
     n = powers[1].n_qubits
     idx = np.arange(1 << n)
-    coeff_maps = [{k: c.real for k, c in s._coeffs.items()} for s in powers]
+    # Column q: the bit of qubit q in each basis outcome, qubit 0 most significant.
+    outcome_bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
+    coeff_maps = [{t.key: t.coefficient.real for t in s.terms()} for s in powers]
     plan = []
     for group in groups:
-        sign_rows = {
-            term.key: _term_signs(term, n, idx)
-            for term in group
-            if not term.is_identity()
-        }
+        sign_rows = {}
+        for term in group:
+            if not term.is_identity():
+                support = [q for q in range(n) if ((term.x_mask | term.z_mask) >> q) & 1]
+                parity = outcome_bits[:, support].sum(axis=1) & 1
+                sign_rows[term.key] = 1.0 - 2.0 * parity
         readout = []
         for order in range(1, len(powers)):
             cmap = coeff_maps[order]

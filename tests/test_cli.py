@@ -433,6 +433,22 @@ class TestConfigFile:
         assert "root_3" in header
         assert outs[0].read_text() == outs[1].read_text()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--conf", "{path}", "run"], "argument command: invalid choice"),
+            (["run", "--model", "toy_a", "--max-it", "1"], "unrecognized arguments: --max-it"),
+        ],
+    )
+    def test_abbreviated_flags_are_usage_errors(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "toy_a", "pds_reg": "bogus"}))
+        with pytest.raises(SystemExit) as err:
+            main([a.format(path=path) for a in argv])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: ") and message in err_text
+
     def test_config_file_missing(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--config", str(tmp_path / "no.json"), "run", "--model", "toy_a"])

@@ -618,7 +618,7 @@ class TestHamiltonianWork:
 
     def test_shot_run_groups_the_power_union_once(self, heisenberg, monkeypatch):
         # Every sampled circuit of every iteration reuses one measurement plan.
-        calls = {"union_of_powers": 0, "qwc_groups": 0}
+        calls = {"_union": 0, "_qwc_rows": 0}
 
         def counted(name):
             original = getattr(moments, name)
@@ -636,7 +636,7 @@ class TestHamiltonianWork:
             order=3, shots=500, max_iters=2, grad_tol=0.0,
         )
         assert len(traj.records) == 3
-        assert calls == {"union_of_powers": 1, "qwc_groups": 1}
+        assert calls == {"_union": 1, "_qwc_rows": 1}
 
     def test_shot_iteration_simulates_the_circuit_once_per_point(
         self, heisenberg, monkeypatch

@@ -5,12 +5,18 @@ import pytest
 from pytest import approx
 
 from helpers import (
+    assert_same_dict,
     chain_pairs,
     dense_from_pairs,
     dense_of,
+    dict_from_pairs,
+    dict_of,
+    dict_powers,
+    dict_product,
     first_fit_qwc_groups,
     random_pairs,
 )
+from pdsvqs import pauli
 from pdsvqs.models import MODEL_NAMES, build_model
 from pdsvqs.moments import hamiltonian_powers, union_of_powers
 from pdsvqs.pauli import (
@@ -155,9 +161,55 @@ class TestPauliSum:
         with pytest.raises(ValueError, match="line 3: coefficient of ZZ is not finite"):
             PauliSum.from_text("1e308 ZZ\n1.0 XI\n1e308 ZZ\n")
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan"))]
+    )
+    def test_from_terms_rejects_non_finite_coefficients(self, value):
+        with pytest.raises(ValueError, match="coefficient of ZZ is not finite"):
+            PauliSum.from_terms([(1.0, "XI"), (value, "ZZ")])
+
+    def test_from_terms_rejects_an_overflowing_sum(self):
+        with pytest.raises(ValueError, match="coefficient of ZZ is not finite"):
+            PauliSum.from_terms([(1e308, "ZZ"), (1.0, "XI"), (1e308, "ZZ")])
+
     def test_to_text_rejects_complex(self):
         with pytest.raises(ValueError):
             PauliSum.from_terms([(1j, "X")]).to_text()
+
+
+class TestProductMatchesDictLoop:
+    """Array products against the term-pair dict loop: the same strings in
+    the same first-seen order, with coefficients equal bit for bit."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+    def test_random_sums(self, rng, monkeypatch, n, real):
+        pa, pb = random_pairs(rng, n, 30, real=real), random_pairs(rng, n, 20, real=real)
+        a, b = PauliSum.from_terms(pa), PauliSum.from_terms(pb)
+        assert_same_dict(a, dict_from_pairs(pa))
+        assert_same_dict(a * b, dict_product(dict_from_pairs(pa), dict_from_pairs(pb)))
+        # Low-weight strings with tied magnitudes merge and cancel often.
+        c = _sparse_sum(rng, n, 40, complex_coeffs=not real)
+        square = c * c
+        assert_same_dict(square, dict_product(dict_of(c), dict_of(c)))
+        assert_same_dict(square * c, dict_product(dict_of(square), dict_of(c)))
+        # Many blocks per product: merging block by block must keep the bits.
+        monkeypatch.setattr(pauli, "_BLOCK_PAIRS", 50)
+        assert_same_dict(a * b, dict_product(dict_from_pairs(pa), dict_from_pairs(pb)))
+        assert_same_dict(c * c, dict_of(square))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_builtin_powers_to_order_6(self, name):
+        h = build_model(name).hamiltonian
+        for got, want in zip(hamiltonian_powers(h, 6), dict_powers(dict_of(h), 6)):
+            assert_same_dict(got, want)
+
+    def test_chain12_powers_to_order_4(self):
+        h = PauliSum.from_terms(chain_pairs(12))
+        powers = hamiltonian_powers(h, 4)
+        assert [len(p) for p in powers[1:]] == [45, 846, 8060, 45092]
+        for got, want in zip(powers, dict_powers(dict_of(h), 4)):
+            assert_same_dict(got, want)
 
 
 class TestPower:
