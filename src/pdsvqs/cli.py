@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import _check_epsilon, estimate_measurements, reduction_stats
+from .measure import _check_epsilon, _grouped_shots, reduction_stats
 from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
 from .moments import hamiltonian_powers
 from .optim import evaluate, run_batch
 from .optim import run as run_loop
-from .pauli import qwc_groups
+from .pauli import _qwc_rows
 from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator
 from .statesim import exact_eigensystem
 
@@ -293,10 +293,8 @@ def _cmd_estimate(args) -> int:
     _check_epsilon(args.epsilon)
     hamiltonian = _hamiltonian_only(args)
     target = hamiltonian_powers(hamiltonian, args.power)[args.power]
-    groups = qwc_groups(target)
-    shots = estimate_measurements(
-        target, args.epsilon, groups=groups, covariance=args.covariance
-    )
+    groups = _qwc_rows(target)  # grouped once, for the count and the estimate
+    shots = _grouped_shots(target, groups, args.epsilon, covariance=args.covariance)
     print(
         f"power={args.power} groups={len(groups)} epsilon={_fmt(args.epsilon)} "
         f"measurements={_fmt(shots)}"

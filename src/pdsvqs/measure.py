@@ -73,6 +73,11 @@ def estimate_measurements(
         if len(s) != sum(map(len, groups)):
             raise ValueError("the groups repeat a string")
         rows = np.split(np.arange(len(s)), np.cumsum([len(g) for g in groups])[:-1])
+    return _grouped_shots(s, rows, epsilon, expectations, covariance)
+
+
+def _grouped_shots(s, rows, epsilon, expectations=None, covariance="diagonal") -> float:
+    """``estimate_measurements`` of ``s`` measured as the row groups ``rows``."""
     h, identity, var = _abs(s.coeffs), ~(s.x | s.z).any(axis=1), np.ones(len(s))
     if expectations is not None:
         mean = [float(expectations.get(k, 0.0)) for k in zip(_ints(s.x), _ints(s.z))]

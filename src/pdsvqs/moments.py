@@ -18,7 +18,7 @@ measurement side only: the cost model and the finite-shot emulation, which
 measure every string of every power.  A ``MeasurementPlan`` groups the union
 of those strings into qubit-wise commuting sets once and stacks the groups'
 basis rotations and readout rows; every sampled circuit then costs at most n
-rotation kernels, one multinomial draw per group and one readout product.
+rotation kernels, one seeded multinomial call and one readout product.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ class MeasurementPlan:
     group by group, and ``readout_sq`` is its square; row r belongs to group
     ``row_group[r]``, estimates order ``row_order[r]`` and carries that
     order's identity constant ``constants[r]`` (0.0 where there is none).
-    Sampling a state then costs at most n rotation kernels, one multinomial
-    draw per group and one readout product.
+    Sampling a state then costs at most n rotation kernels, one generator's
+    multinomial call for all G groups and one readout product.
     """
 
     def __init__(self, powers: list[PauliSum]) -> None:
@@ -321,10 +321,10 @@ def sampled_moments(
     """Moment estimates with standard errors from a shared measurement pass.
 
     Each group of ``plan`` is sampled once, ``shots`` outcomes drawn from the
-    exact distribution in its rotated basis with a generator seeded by
-    (seed, group index), and every ``<H^n>`` is assembled from the same
-    counts, so covariances between strings measured together propagate into
-    the per-order standard errors exactly as they would on hardware.  The
+    exact distribution in its rotated basis by one generator per state,
+    ``default_rng(seed)``, in one call.  Every ``<H^n>`` is assembled from the
+    same counts, so covariances between strings measured together propagate
+    into the per-order standard errors exactly as they would on hardware.  The
     state is rotated into every group's basis at once, one stacked kernel per
     entry of ``plan.turns``.  ``shots`` must be an integer (not a bool) from 2
     up to ``2**63 - 1``; anything else raises ``ValueError``.
@@ -337,10 +337,7 @@ def sampled_moments(
         amps = _apply_single(amps, q, u)
     probs = np.abs(amps) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
-    counts = np.empty(probs.shape, dtype=np.int64)
-    for gi, p in enumerate(probs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
-        counts[gi] = rng.multinomial(shots, p)
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
     # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
     row_counts = counts[plan.row_group]
     mean = _vdot(plan.readout, row_counts) / shots

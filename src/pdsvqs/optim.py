@@ -364,11 +364,11 @@ def run_batch(
     ``functional`` is ``"pds"`` (moment functional of the given order) or
     ``"vqe"`` (plain energy expectation), which is solved as the order-1
     functional and ignores ``pds_policy``.  The schedule is a constant step
-    size or ``eta / iteration``.  With ``shots`` set, the
-    moments and their shift-rule gradients are estimated from simulated
-    measurements of every string of the expanded powers of H, seeded per
-    (seed, iteration); the powers are expanded and grouped into one
-    ``MeasurementPlan`` per call, which every sampled circuit reuses.
+    size or ``eta / iteration``.  With ``shots`` set, the moments and their
+    shift-rule gradients are estimated from simulated measurements of every
+    string of the expanded powers of H, grouped into one ``MeasurementPlan``
+    per call; each sampled state draws from one generator seeded by (seed,
+    iteration, its place in the iterate), so equal calls give equal bits.
     ``ngd``/``ite`` shot runs still precondition with the exact statevector
     metric, built from simulated derivative states, not with a measured one.
     Otherwise the moments are exact: H is compiled once, and each iterate's

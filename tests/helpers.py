@@ -291,14 +291,15 @@ def per_order_plan(powers):
 
 def per_order_sampled_moments(amps, powers, shots, seed):
     """Sampled moments and standard errors from ``per_order_plan``: per group
-    one rotation per X/Y letter, one multinomial draw seeded by (seed, group
-    index), and one dot product per order."""
+    one rotation per X/Y letter, one multinomial draw from a single
+    ``default_rng(seed)`` (one row at a time, in group order), and one dot
+    product per order."""
     n = powers[1].n_qubits
     values = np.zeros(len(powers))
     variances = np.zeros(len(powers))
     values[0] = 1.0
-    for gi, (x_mask, z_mask, readout) in enumerate(per_order_plan(powers)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, gi]))
+    rng = np.random.default_rng(seed)
+    for x_mask, z_mask, readout in per_order_plan(powers):
         rotated = amps
         for q in range(n):
             if (x_mask >> q) & 1:

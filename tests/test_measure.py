@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import random_pairs
+from helpers import chain_pairs, random_pairs
 from pdsvqs import measure
 from pdsvqs.measure import CostReport, estimate_measurements, reduction_stats
-from pdsvqs.pauli import PauliSum, PauliTerm, qwc_groups
+from pdsvqs.moments import hamiltonian_powers
+from pdsvqs.pauli import PauliSum, PauliTerm, _qwc_rows, qwc_groups
 
 
 def singleton_groups(s):
@@ -94,6 +95,24 @@ class TestEstimate:
         s = PauliSum.from_terms([(0.2, "Z")])
         with pytest.raises(ValueError, match="finite and positive"):
             estimate_measurements(s, epsilon)
+
+    @pytest.mark.parametrize("covariance", ["diagonal", "bound"])
+    def test_row_groups_give_the_bits_of_term_groups(self, covariance):
+        # ``estimate`` groups its target once and hands the row groups on;
+        # the public path re-collects qwc_groups' terms through their labels.
+        target = hamiltonian_powers(PauliSum.from_terms(chain_pairs(8)), 3)[3]
+        rows = _qwc_rows(target)
+        rng = np.random.default_rng(3)
+        keys = [(t.x_mask, t.z_mask) for t in target.terms()]
+        for expectations in (None, dict(zip(keys, rng.uniform(-1, 1, len(keys))))):
+            by_terms = estimate_measurements(
+                target, 1e-3, expectations, qwc_groups(target), covariance
+            )
+            by_rows = measure._grouped_shots(target, rows, 1e-3, expectations, covariance)
+            assert by_rows.hex() == by_terms.hex()
+            assert by_rows.hex() == estimate_measurements(
+                target, 1e-3, expectations, covariance=covariance
+            ).hex()
 
 
 class TestReductionStats:

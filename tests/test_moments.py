@@ -510,6 +510,28 @@ class TestSampledMatchesPerOrderLoop:
         self._assert_bitwise(h, 3, _random_state(hardware_efficient_ansatz(10, 1), 4))
 
 
+class TestStackedDraw:
+    """``sampled_moments`` draws every group's counts with one 2-D
+    ``multinomial`` call; numpy must give the draws of one row at a time from
+    the same generator, on every numpy the package supports."""
+
+    @staticmethod
+    def _row_by_row(seed, shots, probs):
+        rng = np.random.default_rng(seed)
+        return np.array([rng.multinomial(shots, p) for p in probs])
+
+    @pytest.mark.parametrize("shape", [(1, 2), (21, 16), (5, 1024)])
+    def test_random_stacks(self, shape):
+        probs = np.random.default_rng(shape[1]).random(shape) ** 4
+        probs[:, ::3] = 0.0  # outcomes a rotated state cannot give
+        probs /= probs.sum(axis=-1, keepdims=True)
+        for seed in range(5):
+            for shots in (2, 1000, 10**6):
+                stacked = np.random.default_rng(seed).multinomial(shots, probs)
+                assert stacked.shape == shape
+                assert np.array_equal(stacked, self._row_by_row(seed, shots, probs))
+
+
 class TestSampledShape:
     """One rotation stack per sampled state, and the shot count checked."""
 
