@@ -41,6 +41,12 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
+def _ranks(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Letter ranks (I, X, Y, Z as 0..3) of each row of (T, W) words, shape (T, n)."""
+    xb, zb = _bits(x, n), _bits(z, n)
+    return 2 * zb + (xb ^ zb)
+
+
 def _ints(words: np.ndarray) -> list[int]:
     """The rows of (T, W) words as Python int masks."""
     return [sum(w << 64 * k for k, w in enumerate(row)) for row in words.tolist()]
@@ -112,8 +118,7 @@ def _label_order(s: "PauliSum", *major: np.ndarray) -> np.ndarray:
     Label order compares letters from qubit 0 on, with I < X < Y < Z; in bits
     a letter's rank is ``2 z + (x ^ z)``, so no label string is built.
     """
-    xb, zb = _bits(s.x, s.n_qubits), _bits(s.z, s.n_qubits)
-    ranks = 2 * zb + (xb ^ zb)
+    ranks = _ranks(s.x, s.z, s.n_qubits)
     # np.lexsort sorts by its last key first.
     return np.lexsort([*ranks[:, ::-1].T, *major[::-1]])
 
@@ -364,44 +369,51 @@ def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
     the first group whose letter assignment it fits, so the result is
     deterministic; each group lists its rows in visiting order.
 
-    The groups are built one at a time on the packed words.  The first term
-    not yet grouped leads group g and pins its letters; one vectorized test
-    keeps the remaining terms that agree with the pinned letters wherever
-    their supports overlap.  The survivors are walked in order: one whose
-    support is already pinned joins without changing the pin, and the first
-    that extends the support joins, pins its letters, and the survivors after
-    it are tested again (at most once per qubit).  This is first fit because
-    whether a term joins group g depends only on the members of g that
-    precede it, and since pinned letters never change, a term that fails the
-    test stays unfit.
+    The groups are built one at a time on bitsets over the terms in visiting
+    order, 64 terms per word.  ``fits[q, r]`` holds the terms whose letter
+    on qubit q is I or has rank r (I, X, Y, Z rank 0..3, so ``~fits[q, 0]``
+    holds the terms that act on q).  A group starts at the first remaining
+    term with no qubit pinned, its fit set being every remaining term.  The
+    first fit term that acts on an unpinned qubit pins its letters, and the
+    fit set keeps the terms that agree with every pin (an AND of ``fits``
+    rows); when no fit term acts on an unpinned qubit, the fit set is the
+    group.  This is exactly first fit.  A member never acts on a qubit
+    pinned after it (the pin would have come at or before it), so it fits
+    the final pins; a term that fits the final pins fits the pins that
+    precede it, so it joins; and a term that clashes with a pin never joins,
+    since pinned letters never change.  Each pin costs a few word operations
+    per qubit, not a test per remaining term.
     """
     order = _label_order(s, -_abs(s.coeffs))
-    x, z = s.x[order], s.z[order]
-    support = x | z
-    grouped = np.zeros(len(s), dtype=bool)
-    remaining = np.arange(len(s))
+    n, words = s.n_qubits, -(-len(s) // 64)
+    pad = np.zeros((64 * words - len(s), n), dtype=np.uint8)
+    ranks = np.vstack([_ranks(s.x[order], s.z[order], n), pad])  # (64 words, n)
+    fit_bits = (ranks.T[:, None] == np.arange(4)[:, None]) | (ranks.T[:, None] == 0)
+    fits = np.packbits(fit_bits, axis=-1, bitorder="little").view("<u8")  # (n, 4, words)
+    busy = ~fits[:, 0]
+    remaining = np.packbits(np.arange(64 * words) < len(s), bitorder="little").view("<u8")
     groups: list[np.ndarray] = []
-    while remaining.size:
-        lead = remaining[0]
-        gx, gz, gsup = x[lead], z[lead], support[lead]
-        members = [remaining[:1]]
-        candidates = remaining[1:]
-        while candidates.size:
-            clash = ((x[candidates] ^ gx) | (z[candidates] ^ gz)) & gsup
-            candidates = candidates[~(clash & support[candidates]).any(axis=1)]
-            extends = np.flatnonzero((support[candidates] & ~gsup).any(axis=1))
-            if not extends.size:
-                members.append(candidates)
+    lo = 0  # the words before ``lo`` hold no remaining term
+    while (left := remaining[lo:].nonzero()[0]).size:
+        lo += int(left[0])
+        fit, free, at = remaining[lo:].copy(), np.ones(n, dtype=bool), 0
+        # Terms before the last pin act only on pinned qubits: search after it.
+        while free.any():
+            extends = fit[at:] & np.bitwise_or.reduce(busy[free, lo + at :], axis=0)
+            hit = extends.nonzero()[0]
+            if not hit.size:
                 break
-            first = extends[0]
-            members.append(candidates[: first + 1])
-            pin = candidates[first]
-            gx, gz, gsup = gx | x[pin], gz | z[pin], gsup | support[pin]
-            candidates = candidates[first + 1 :]
-        group = np.concatenate(members)
-        grouped[group] = True
-        groups.append(order[group])
-        remaining = remaining[~grouped[remaining]]
+            at, word = at + int(hit[0]), int(extends[hit[0]])
+            rank = ranks[64 * (lo + at) + (word & -word).bit_length() - 1]
+            # The pin's whole support: it agrees with the letters pinned before.
+            qubits = rank.nonzero()[0]
+            fit[at:] &= np.bitwise_and.reduce(fits[qubits, rank[qubits], lo + at :], axis=0)
+            free[qubits] = False
+        held = fit.nonzero()[0]
+        bits = np.unpackbits(fit[held, None].view(np.uint8), axis=1, bitorder="little")
+        rows, cols = bits.nonzero()
+        groups.append(order[64 * (lo + held[rows]) + cols])
+        remaining[lo:] &= ~fit
     return groups
 
 

@@ -423,13 +423,15 @@ def exact_eigensystem(
     """Eigenvalues (ascending) and an orthonormal ground-space basis.
 
     Intended for verification on small registers; the dense matrix is
-    diagonalized with a symmetric solver after a Hermiticity check.
+    diagonalized with a symmetric solver after a Hermiticity check: the real
+    one, several times faster, when no entry has an imaginary part (as when
+    every string holds an even number of Y letters).
     """
     if not s.is_hermitian():
         raise ValueError("eigensystem requires a Hermitian operator")
     matrix = dense_matrix(s)
     if not np.allclose(matrix, matrix.conj().T, atol=1e-10):
         raise ValueError("dense matrix failed the Hermiticity cross-check")
-    eigenvalues, vectors = np.linalg.eigh(matrix)
+    eigenvalues, vectors = np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
     ground = vectors[:, np.abs(eigenvalues - eigenvalues[0]) <= ground_tol]
     return eigenvalues, ground

@@ -466,6 +466,15 @@ order,strings,cumulative,measurements
 4,4052,4112,875138455877155.25
 groups=376 total_measurements=879236560980644.75
 """
+# The benchmark's own reduce command: the 12-site chain to order 4.
+GOLDEN_REDUCE_CHAIN12 = """\
+order,strings,cumulative,measurements
+1,45,45,107638694.58396339
+2,846,846,95568778720.694107
+3,8060,8132,29173636526281.957
+4,45092,45784,15399415332633784
+groups=924 total_measurements=15428684645577482
+"""
 GOLDEN_REDUCE_HEISENBERG = """\
 order,strings,cumulative,measurements
 1,16,16,5807980.099379343
@@ -488,6 +497,13 @@ class TestGoldenOutputs:
         argv = ["reduce", "--file", str(path), "--max-order", "4", "--epsilon", "1e-3"]
         assert main(argv) == 0
         assert capsys.readouterr().out == GOLDEN_REDUCE_CHAIN8
+
+    def test_reduce_chain12(self, capsys, tmp_path):
+        path = tmp_path / "chain12.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(12)), path)
+        argv = ["reduce", "--file", str(path), "--max-order", "4", "--epsilon", "1e-3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN_REDUCE_CHAIN12
 
     def test_reduce_heisenberg(self, capsys):
         assert main(["reduce", "--model", "heisenberg", "--max-order", "6"]) == 0

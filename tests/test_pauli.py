@@ -285,6 +285,21 @@ def _sparse_sum(rng, n, n_terms, complex_coeffs):
     return PauliSum.from_terms(pairs)
 
 
+def _distinct_sum(rng, n, n_terms, lead_identity):
+    """``n_terms`` distinct strings of weight 1..3, magnitudes from a few
+    values; with ``lead_identity`` one of them is the identity, with the
+    largest magnitude, so it leads the first group."""
+    labels = {"I" * n} if lead_identity else set()
+    while len(labels) < n_terms:
+        label = ["I"] * n
+        for q in rng.choice(n, size=int(rng.integers(1, 4)), replace=False):
+            label[q] = "XYZ"[rng.integers(3)]
+        labels.add("".join(label))
+    pairs = [(2.0 if label == "I" * n else rng.choice([1.0, -0.5, 0.25]), label)
+             for label in sorted(labels)]
+    return PauliSum.from_terms(pairs)
+
+
 class TestGroupingMatchesFirstFit:
     """``qwc_groups`` against the term-by-term first-fit loop: the same
     groups, with terms and coefficients in the same order."""
@@ -305,6 +320,22 @@ class TestGroupingMatchesFirstFit:
     @pytest.mark.parametrize("n", [1, 64, 70])
     def test_empty_sum(self, n):
         assert qwc_groups(PauliSum.zero(n)) == first_fit_qwc_groups(PauliSum.zero(n)) == []
+
+    @pytest.mark.parametrize("lead_identity", [False, True])
+    @pytest.mark.parametrize("n_terms", [1, 63, 64, 65, 128, 129])
+    def test_word_boundaries(self, rng, n_terms, lead_identity):
+        # The sweep packs 64 strings per word: sums that fill, just miss or
+        # just spill over a word.  A leading identity pins no qubit.
+        s = _distinct_sum(rng, 6, n_terms, lead_identity)
+        assert len(s) == n_terms
+        groups = qwc_groups(s)
+        assert groups == first_fit_qwc_groups(s)
+        assert groups[0][0].is_identity() == lead_identity
+
+    @pytest.mark.parametrize("n", [1, 64, 70])
+    def test_identity_only(self, n):
+        s = PauliSum.identity(n, -2.5)
+        assert qwc_groups(s) == first_fit_qwc_groups(s) == [s.terms()]
 
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from helpers import (
+    chain_pairs,
     dense_circuit_matrix,
     dense_circuit_state,
     dense_from_pairs,
@@ -312,6 +313,32 @@ class TestFidelityAndSpectrum:
         eigenvalues, ground = exact_eigensystem(s)
         assert eigenvalues[0] == approx(-1.0)
         assert ground.shape[1] == 2
+
+    @pytest.mark.parametrize(
+        "pairs, is_complex, degeneracy",
+        [
+            # The 5-site chain: an even number of Y letters in every string.
+            (chain_pairs(5), False, 1),
+            # Odd numbers of Y letters: imaginary entries.
+            ([(0.7, "XYZI"), (-0.4, "YIIZ"), (1.1, "ZZYY"), (0.3, "IYXX"),
+              (0.9, "ZIZI"), (-0.6, "YYYX"), (0.5, "IZII")], True, 1),
+            # The ferromagnetic 3-site chain: its spin-3/2 multiplet at -2.
+            ([(-1.0, a + a + "I") for a in "XYZ"] + [(-1.0, "I" + a + a) for a in "XYZ"],
+             False, 4),
+        ],
+    )
+    def test_exact_eigensystem_matches_complex_solver(self, pairs, is_complex, degeneracy):
+        s = PauliSum.from_terms(pairs)
+        matrix = dense_matrix(s)
+        assert matrix.imag.any() == is_complex
+        eigenvalues, ground = exact_eigensystem(s)
+        reference, vectors = np.linalg.eigh(matrix)
+        scale = np.abs(reference).max()
+        assert np.abs(eigenvalues - reference).max() <= 1e-12 * scale
+        in_ground = np.abs(reference - reference[0]) <= 1e-9
+        assert ground.shape[1] == in_ground.sum() == degeneracy
+        expected = vectors[:, in_ground] @ vectors[:, in_ground].conj().T
+        assert np.abs(ground @ ground.conj().T - expected).max() <= 1e-12
 
     def test_dense_matrix_matches_oracle(self, rng):
         pairs = random_pairs(rng, 2, 5, real=False)
