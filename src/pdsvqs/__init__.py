@@ -18,19 +18,10 @@ from .statesim import (
     expectation,
     exact_eigensystem,
     fidelity,
-    state_derivative,
 )
-from .moments import MomentTable, hamiltonian_powers, moment_table, moment_gradients
-from .pds import (
-    ComplexRoots,
-    PdsResult,
-    RegPolicy,
-    SingularMoments,
-    VanishingDenominator,
-    pds_gradient,
-    pds_solve,
-)
-from .optim import Trajectory, metric, run, step
+from .moments import hamiltonian_powers
+from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator
+from .optim import Trajectory, run, step
 from .models import ModelBundle, build_model, load_hamiltonian, serialize_hamiltonian
 from .measure import CostReport, estimate_measurements, reduction_stats
 
@@ -47,20 +38,12 @@ __all__ = [
     "expectation",
     "exact_eigensystem",
     "fidelity",
-    "state_derivative",
-    "MomentTable",
     "hamiltonian_powers",
-    "moment_table",
-    "moment_gradients",
     "ComplexRoots",
-    "PdsResult",
     "RegPolicy",
     "SingularMoments",
     "VanishingDenominator",
-    "pds_gradient",
-    "pds_solve",
     "Trajectory",
-    "metric",
     "run",
     "step",
     "ModelBundle",

@@ -27,7 +27,7 @@ from .moments import hamiltonian_powers
 from .optim import evaluate, run_batch
 from .optim import run as run_loop
 from .pauli import _qwc_rows
-from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator
+from .pds import RegPolicy
 from .statesim import exact_eigensystem
 
 __all__ = ["main"]
@@ -435,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"pdsvqs: error: {exc}", file=sys.stderr)
         return 1
-    except (SingularMoments, ComplexRoots, VanishingDenominator) as exc:
-        print(f"pdsvqs: numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

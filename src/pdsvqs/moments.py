@@ -10,8 +10,7 @@ or from the two-point rotation shift rule applied per gate occurrence;
 controlled rotations are rewritten to one-qubit rotations before shifting.
 One shift-rule loop serves exact and sampled moments alike: it is handed the
 function that gives a shifted state's moment values.  These routines act on
-stacks of states, one row per parameter point; ``moment_table`` and
-``moment_gradients`` are their one-point calls.
+stacks of states, one row per parameter point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -24,7 +23,6 @@ rotation kernels, one seeded multinomial call and one readout product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +32,15 @@ from .statesim import (
     CompiledSum,
     State,
     _apply_single,
-    _derivative_states,
     _index_masks,
-    _one_row,
     _parity,
     _simulate,
     _vdot,
 )
 
 __all__ = [
-    "MomentTable",
     "MeasurementPlan",
     "hamiltonian_powers",
-    "moment_table",
-    "moment_gradients",
     "union_of_powers",
     "sampled_moments",
 ]
@@ -56,15 +49,6 @@ __all__ = [
 DROP_TOL = 1e-12
 # Highest power ``hamiltonian_powers`` expands; string counts grow fast.
 MAX_POWER = 12
-
-
-@dataclass
-class MomentTable:
-    """Moments ``values[n] = <H^n>`` and optional rows ``gradients[k, n]``."""
-
-    max_order: int
-    values: np.ndarray
-    gradients: np.ndarray | None = None
 
 
 def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
@@ -90,7 +74,7 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
 _last_compiled: tuple[PauliSum, CompiledSum] | None = None
 
 
-def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
+def _operator(h: PauliSum, max_order: int) -> CompiledSum:
     """Compiled ``h`` for the exact moments, after the argument checks.
 
     The compiled operator is reused when the same sum object comes back,
@@ -98,8 +82,6 @@ def _operator(h: PauliSum | None, max_order: int | None) -> CompiledSum:
     sum is compiled anew.
     """
     global _last_compiled
-    if h is None or max_order is None:
-        raise ValueError("need both h and max_order")
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if not h.is_hermitian():
@@ -140,21 +122,6 @@ def _exact_moments(op: CompiledSum, max_order: int):
     return lambda amps: _values_from_state(_Krylov(op, [amps]), max_order)
 
 
-def moment_table(
-    circuit: Circuit,
-    theta: np.ndarray,
-    h: PauliSum | None = None,
-    max_order: int | None = None,
-) -> MomentTable:
-    """Evaluate ``<H^n>`` for ``n = 0 .. max_order`` at one parameter point.
-
-    The zeroth entry is exactly 1 for the normalized circuit state.
-    """
-    op = _operator(h, max_order)
-    amps = _simulate(circuit, _one_row(circuit, theta))
-    return MomentTable(max_order, _exact_moments(op, max_order)(amps)[0])
-
-
 def _analytic_rows(
     krylov: _Krylov, derivs: np.ndarray, max_order: int
 ) -> np.ndarray:
@@ -186,30 +153,6 @@ def _shift_rows(
                 rows[:, k] += 0.5 * mult * sign * est
     rows[..., 0] = 0.0
     return rows
-
-
-def moment_gradients(
-    circuit: Circuit,
-    theta: np.ndarray,
-    h: PauliSum | None = None,
-    max_order: int | None = None,
-    method: str = "analytic",
-) -> np.ndarray:
-    """Matrix of ``d<H^n>/d theta_k`` with shape (n_params, max_order + 1).
-
-    ``method`` selects the analytic derivative-state form or the two-point
-    shift rule; the two agree to near machine precision and the shift path
-    exists so the gradient pipeline mirrors what hardware can measure.
-    """
-    thetas = _one_row(circuit, theta)
-    op = _operator(h, max_order)
-    if method == "analytic":
-        walk = _derivative_states(circuit, thetas)
-        return _analytic_rows(_Krylov(op, [walk[:, 0]]), walk[:, 1:], max_order)[0]
-    if method == "shift":
-        moments_of = _exact_moments(op, max_order)
-        return _shift_rows(circuit, thetas, moments_of, max_order + 1)[0]
-    raise ValueError(f"unknown gradient method {method!r}")
 
 
 def _union(powers: list[PauliSum]) -> tuple[PauliSum, np.ndarray]:

@@ -56,13 +56,11 @@ from .statesim import (
     State,
     _basis_adjoint,
     _derivative_states,
-    _one_row,
     _simulate,
     _vdot,
 )
 
 __all__ = [
-    "metric",
     "step",
     "IterationRecord",
     "Trajectory",
@@ -88,17 +86,6 @@ def _metric_rows(kind: str, derivs: np.ndarray, amps: np.ndarray) -> np.ndarray:
         matrix = matrix - np.real(overlaps.conj()[..., :, None] * overlaps[..., None, :])
         matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     return matrix
-
-
-def metric(circuit: Circuit, theta: np.ndarray, kind: str = "gd") -> np.ndarray:
-    """Preconditioning matrix for the chosen flavor at one parameter point,
-    from one forward walk of the circuit."""
-    if kind not in _METRIC_KINDS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    if kind == "gd":
-        return np.eye(circuit.n_params)
-    walk = _derivative_states(circuit, _one_row(circuit, theta))
-    return _metric_rows(kind, walk[:, 1:], walk[:, 0])[0]
 
 
 def step(

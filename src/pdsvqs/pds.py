@@ -20,8 +20,7 @@ only shifts once the condition number crosses a threshold so that
 well-conditioned solves stay exact.
 
 The solve and the gradient each act on a stack of moment rows at once and
-record a failing row's error in place of raising it; ``pds_solve`` and
-``pds_gradient`` are their one-row calls, which raise.
+record a failing row's error in place of raising it.
 """
 
 from __future__ import annotations
@@ -32,16 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentTable
-
 __all__ = [
     "SingularMoments",
     "ComplexRoots",
     "VanishingDenominator",
     "RegPolicy",
-    "PdsResult",
-    "pds_solve",
-    "pds_gradient",
 ]
 
 # Relative spread below which a root's imaginary part counts as roundoff.
@@ -113,34 +107,11 @@ class RegPolicy:
 
 
 @dataclass
-class PdsResult:
-    """Outcome of one functional evaluation.
-
-    ``roots`` holds the real roots in ascending order; complex pairs are
-    excluded and their largest imaginary magnitude is kept in
-    ``imag_residue``.  ``energy`` is the smallest real root.  When a policy
-    modified the solve, ``regularization_applied`` is set together with the
-    mechanism and magnitude actually used, and the gradient replays the same
-    mechanism for consistency.
-    """
-
-    order: int
-    x: np.ndarray
-    roots: np.ndarray
-    energy: float
-    cond_m: float
-    imag_residue: float
-    regularization_applied: bool
-    applied_kind: str | None
-    applied_magnitude: float
-
-
-@dataclass
 class _SolvedRows:
     """The functional at a stack of moment rows, one entry per row.
 
-    Row b failed when ``errors[b]`` holds the solver error it would raise;
-    its other entries are then NaN.  ``roots[b]`` holds that row's real roots
+    Row b failed when ``errors[b]`` holds its solver error, an exception
+    object, not raised; its other entries are then NaN.  ``roots[b]`` holds that row's real roots
     in ascending order, NaN-padded to the order.  ``applied[b]`` tells whether
     row b was solved with the policy's regularization, ``kind`` at
     ``magnitude``, rather than directly.
@@ -157,38 +128,10 @@ class _SolvedRows:
     magnitude: float
     errors: np.ndarray
 
-    def result(self, b: int) -> PdsResult:
-        """Row ``b`` as a ``PdsResult``; raises the row's solver error."""
-        if self.errors[b] is not None:
-            raise self.errors[b]
-        roots = self.roots[b]
-        applied = bool(self.applied[b])
-        return PdsResult(
-            order=self.order,
-            x=self.x[b],
-            roots=roots[~np.isnan(roots)],
-            energy=float(self.energy[b]),
-            cond_m=float(self.cond_m[b]),
-            imag_residue=float(self.imag_residue[b]),
-            regularization_applied=applied,
-            applied_kind=self.kind if applied else None,
-            applied_magnitude=self.magnitude if applied else 0.0,
-        )
-
 
 def _no_error(errors: np.ndarray) -> np.ndarray:
     """Mask of the rows whose error entry is None."""
     return np.array([e is None for e in errors], dtype=bool)
-
-
-def _check_order(max_order: int, order: int) -> None:
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if max_order < 2 * order - 1:
-        raise ValueError(
-            f"order {order} needs moments up to {2 * order - 1}, "
-            f"table holds {max_order}"
-        )
 
 
 @functools.cache
@@ -306,23 +249,6 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     )
 
 
-def pds_solve(
-    table: MomentTable, order: int, policy: RegPolicy = RegPolicy()
-) -> PdsResult:
-    """Evaluate the order-K functional from a moment table.
-
-    Solves the Hankel system, finds the roots of the monic polynomial via the
-    companion matrix, truncates roundoff-sized imaginary parts and returns the
-    smallest real root as the energy.
-
-    Raises:
-        SingularMoments: M is rank-deficient under the strict policy.
-        ComplexRoots: every root kept a large imaginary part.
-    """
-    _check_order(table.max_order, order)
-    return _solve_rows(np.asarray(table.values)[None], order, policy).result(0)
-
-
 def _gradient_rows(
     values: np.ndarray, grads: np.ndarray, solved: _SolvedRows
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +256,9 @@ def _gradient_rows(
 
     ``values`` (B, m) and ``grads`` (B, P, m) are the moment rows and their
     derivatives, ``solved`` their solve.  Every parameter's
-    ``M dX = -dY - dM X`` is one solve of one stack.  A row that failed its
+    ``M dX = -dY - dM X`` is one solve of one stack, under the regularization
+    the row was solved with, and ``dE = -(E^(K-1), ..., 1) . dX / P'(E)``
+    is the implicit-function rule.  A row that failed its
     solve keeps its error, a row whose ``P'(E)`` vanishes records
     ``VanishingDenominator``; both get a NaN gradient.
     """
@@ -361,42 +289,3 @@ def _gradient_rows(
     grad = np.full(grads.shape[:2], np.nan)
     grad[rows] = -(powers_vec[:, None, None, :] @ dx[..., None])[..., 0, 0] / denom[:, None]
     return grad, errors
-
-
-def pds_gradient(
-    table: MomentTable, order: int, result: PdsResult
-) -> np.ndarray:
-    """Gradient of the energy root with respect to the circuit parameters.
-
-    Differentiating ``M X = -Y`` gives ``M dX = -dY - dM X`` per parameter,
-    and the implicit-function rule turns dX into the root derivative
-
-        dE = -(E^(K-1), ..., 1) . dX / P'(E).
-
-    The linear solves reuse the exact regularization mechanism recorded in
-    ``result`` so energy and gradient describe the same functional.
-
-    Raises:
-        VanishingDenominator: P'(E) is zero at the root (repeated root).
-    """
-    if table.gradients is None:
-        raise ValueError("moment table carries no gradient rows")
-    _check_order(table.max_order, order)
-    solved = _SolvedRows(
-        order=order,
-        x=np.asarray(result.x)[None],
-        roots=np.asarray(result.roots)[None],
-        energy=np.array([result.energy]),
-        cond_m=np.array([result.cond_m]),
-        imag_residue=np.array([result.imag_residue]),
-        applied=np.array([result.applied_kind is not None]),
-        kind=result.applied_kind,
-        magnitude=result.applied_magnitude,
-        errors=np.array([None], dtype=object),
-    )
-    grad, errors = _gradient_rows(
-        np.asarray(table.values)[None], np.asarray(table.gradients)[None], solved
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    return grad[0]

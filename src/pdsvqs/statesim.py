@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,9 +24,7 @@ __all__ = [
     "State",
     "apply_circuit",
     "CompiledSum",
-    "apply_pauli_sum",
     "expectation",
-    "state_derivative",
     "fidelity",
     "exact_eigensystem",
     "dense_matrix",
@@ -113,12 +111,6 @@ class Circuit:
             for pos, g in enumerate(self.gates)
             if g.param == param
         ]
-
-    def with_offset_shift(self, pos: int, delta: float) -> "Circuit":
-        """Copy of the circuit with ``delta`` added to one gate's fixed offset."""
-        gates = list(self.gates)
-        gates[pos] = replace(gates[pos], offset=gates[pos].offset + delta)
-        return replace(self, gates=tuple(gates))
 
     def decompose_controlled(self) -> "Circuit":
         """Rewrite controlled rotations into one-qubit rotations plus CNOTs.
@@ -213,8 +205,7 @@ def _gate_matrices(circuit: Circuit, thetas: np.ndarray, shift=None) -> list:
     All rotation angles come from one product: column ``n_params`` of the
     padded parameters reads 0, so a frozen rotation's angle is its offset.
     ``R(a) = cos(a/2) I - i sin(a/2) G`` for the generator G.  ``shift``
-    ``(pos, delta)`` adds ``delta`` to the offset of the rotation at ``pos``,
-    as ``Circuit.with_offset_shift`` would.
+    ``(pos, delta)`` adds ``delta`` to the offset of the rotation at ``pos``.
     """
     positions, columns, multipliers, offsets, generators = circuit._rotations
     if shift is not None:
@@ -238,16 +229,6 @@ def _run_gates(amps: np.ndarray, gates, matrices) -> np.ndarray:
     return amps
 
 
-def _one_row(circuit: Circuit, theta) -> np.ndarray:
-    """One parameter point as a stack of one row, shape (1, n_params)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.n_params,):
-        raise ValueError(
-            f"expected {circuit.n_params} parameters, got shape {theta.shape}"
-        )
-    return theta[None]
-
-
 def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
     """Final amplitudes, shape (B, 2**n), at each row of ``thetas`` (B, n_params),
     with one rotation's offset shifted as ``_gate_matrices`` takes it."""
@@ -258,7 +239,12 @@ def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, theta: np.ndarray) -> State:
     """Run the circuit on its initial basis state and return the final state."""
-    return State(_simulate(circuit, _one_row(circuit, theta))[0])
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (circuit.n_params,):
+        raise ValueError(
+            f"expected {circuit.n_params} parameters, got shape {theta.shape}"
+        )
+    return State(_simulate(circuit, theta[None])[0])
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,31 +314,12 @@ class CompiledSum:
         return out
 
 
-def apply_pauli_sum(amps: np.ndarray, s: PauliSum) -> np.ndarray:
-    """Return ``s`` applied to an amplitude vector."""
-    return CompiledSum(s).apply(amps)
-
-
 def expectation(state: State, s: PauliSum) -> float:
     """Real expectation value ``<psi| s |psi>`` of a Hermitian sum."""
     if not s.is_hermitian():
         raise ValueError("expectation requires a Hermitian operator")
-    value = np.vdot(state.amplitudes, apply_pauli_sum(state.amplitudes, s))
+    value = np.vdot(state.amplitudes, CompiledSum(s).apply(state.amplitudes))
     return float(value.real)
-
-
-def state_derivative(circuit: Circuit, theta: np.ndarray, param: int) -> State:
-    """Unnormalized derivative of the circuit state with respect to one parameter.
-
-    Each occurrence of the parameter contributes the circuit with the factor
-    ``-(i * multiplier / 2) G`` inserted right after that gate, where ``G`` is
-    the rotation generator; for a controlled rotation the generator is the
-    projector-controlled form ``|1><1| (x) G_target``.  Occurrence
-    contributions add by the product rule.
-    """
-    if not 0 <= param < circuit.n_params:
-        raise ValueError("parameter index out of range")
-    return State(_derivative_states(circuit, _one_row(circuit, theta))[0, 1 + param])
 
 
 def _derivative_states(circuit: Circuit, thetas: np.ndarray) -> np.ndarray:
@@ -422,16 +389,16 @@ def exact_eigensystem(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and an orthonormal ground-space basis.
 
-    Intended for verification on small registers; the dense matrix is
-    diagonalized with a symmetric solver after a Hermiticity check: the real
-    one, several times faster, when no entry has an imaginary part (as when
-    every string holds an even number of Y letters).
+    Intended for verification on small registers; the dense matrix of a
+    Hermitian sum is diagonalized with a symmetric solver: the real one,
+    several times faster, when no entry has an imaginary part (as when
+    every string holds an even number of Y letters).  The matrix needs no
+    Hermiticity check of its own: entry (j, i) adds the conjugates of entry
+    (i, j)'s terms in the same order, so it is exactly Hermitian.
     """
     if not s.is_hermitian():
         raise ValueError("eigensystem requires a Hermitian operator")
     matrix = dense_matrix(s)
-    if not np.allclose(matrix, matrix.conj().T, atol=1e-10):
-        raise ValueError("dense matrix failed the Hermiticity cross-check")
     eigenvalues, vectors = np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
     ground = vectors[:, np.abs(eigenvalues - eigenvalues[0]) <= ground_tol]
     return eigenvalues, ground

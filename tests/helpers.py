@@ -8,6 +8,8 @@ pairs, which keep their strings in first-seen order.  The grouping reference
 is the plain first-fit loop over label-sorted terms.  The shot-sampling
 reference is the per-order readout loop; it shares the package's groups and
 one-qubit kernel, so it checks how a plan reads the counts, not those parts.
+The one-point helpers call the package's stacked moment routines on a stack
+of one row.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, union_of_powers
+from pdsvqs.moments import _Krylov, _analytic_rows, _exact_moments, _operator, _shift_rows
 from pdsvqs.pauli import qwc_groups
-from pdsvqs.statesim import _apply_single
+from pdsvqs.pds import RegPolicy, _solve_rows
+from pdsvqs.statesim import _apply_single, _derivative_states, _simulate
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -317,3 +321,24 @@ def per_order_sampled_moments(amps, powers, shots, seed):
             values[order] += mean
             variances[order] += max(0.0, second - mean**2) * shots / (shots - 1)
     return values, np.sqrt(variances / shots)
+
+
+def point_moments(circuit, theta, h, max_order):
+    """Exact ``<H^n>``, n = 0 .. max_order, at one parameter point."""
+    amps = _simulate(circuit, np.asarray(theta, dtype=float)[None])
+    return _exact_moments(_operator(h, max_order), max_order)(amps)[0]
+
+
+def point_solve(values, order, policy=RegPolicy()):
+    """``_solve_rows`` of one moment row: every field keeps its row axis."""
+    return _solve_rows(np.asarray(values, dtype=float)[None], order, policy)
+
+
+def point_rows(circuit, theta, h, max_order, method="analytic"):
+    """Exact ``d<H^n>/d theta_k``, shape (n_params, max_order + 1), at one point."""
+    thetas = np.asarray(theta, dtype=float)[None]
+    op = _operator(h, max_order)
+    if method == "shift":
+        return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[0]
+    walk = _derivative_states(circuit, thetas)
+    return _analytic_rows(_Krylov(op, [walk[:, 0]]), walk[:, 1:], max_order)[0]

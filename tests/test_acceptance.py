@@ -9,26 +9,21 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import PAULI, dense_of, kron_all, random_pairs
+from helpers import (
+    PAULI,
+    dense_of,
+    kron_all,
+    point_moments,
+    point_rows,
+    point_solve,
+    random_pairs,
+)
 from pdsvqs.measure import estimate_measurements
 from pdsvqs.models import build_model
-from pdsvqs.moments import (
-    MeasurementPlan,
-    MomentTable,
-    hamiltonian_powers,
-    moment_gradients,
-    moment_table,
-    sampled_moments,
-)
+from pdsvqs.moments import MeasurementPlan, hamiltonian_powers, sampled_moments
 from pdsvqs.optim import run, run_batch
 from pdsvqs.pauli import PauliSum
-from pdsvqs.pds import (
-    ComplexRoots,
-    RegPolicy,
-    SingularMoments,
-    pds_gradient,
-    pds_solve,
-)
+from pdsvqs.pds import SingularMoments, _gradient_rows
 from pdsvqs.statesim import apply_circuit
 
 
@@ -279,15 +274,14 @@ def test_criterion_7a_variational_chain():
             moments = np.array([np.vdot(vec, m @ vec).real for m in mats])
             moments[0] = 1.0
             for k in (1, 2, 3, 4):
-                table = MomentTable(max_order=2 * k - 1, values=moments[: 2 * k])
-                try:
-                    res = pds_solve(table, k)
-                except SingularMoments:
+                res = point_solve(moments[: 2 * k], k)
+                if isinstance(res.errors[0], SingularMoments):
                     singular += 1
                     continue
+                assert res.errors[0] is None
                 solved += 1
-                worst_low = max(worst_low, ground - res.energy)
-                worst_high = max(worst_high, res.energy - moments[1])
+                worst_low = max(worst_low, ground - res.energy[0])
+                worst_high = max(worst_high, res.energy[0] - moments[1])
     ok = worst_low <= 1e-9 and worst_high <= 1e-9
     assert report(
         "7a", ok,
@@ -316,8 +310,8 @@ def test_criterion_7b_krylov_exactness():
             moments = np.array(
                 [np.sum(weights * lam**n) for n in range(2 * m)]
             )
-            res = pds_solve(MomentTable(max_order=2 * m - 1, values=moments), m)
-            worst = max(worst, float(np.abs(res.roots - lam).max()))
+            res = point_solve(moments, m)
+            worst = max(worst, float(np.abs(res.roots[0] - lam).max()))
             cases += 1
     ok = worst <= 1e-7
     assert report(
@@ -336,44 +330,36 @@ def test_criterion_7c_gradient_vs_finite_differences():
         npar = model.circuit.n_params
 
         def energy_at(theta, k):
-            table = moment_table(model.circuit, theta, model.hamiltonian, 2 * k - 1)
-            return pds_solve(table, k).energy
+            values = point_moments(model.circuit, theta, model.hamiltonian, 2 * k - 1)
+            return point_solve(values, k).energy[0]
 
         for k in (1, 2, 3, 4):
             tested, draws, worst = 0, 0, 0.0
             while tested < 50 and draws < 500:
                 draws += 1
                 theta = rng.uniform(-np.pi, np.pi, size=npar)
-                table = moment_table(model.circuit, theta, model.hamiltonian, 2 * k - 1)
-                try:
-                    res = pds_solve(table, k)
-                except (SingularMoments, ComplexRoots):
-                    continue
-                if res.cond_m >= 1e4:
+                values = point_moments(model.circuit, theta, model.hamiltonian, 2 * k - 1)
+                res = point_solve(values, k)
+                if res.errors[0] is not None or res.cond_m[0] >= 1e4:
                     continue
                 fd = np.zeros(npar)
-                usable = True
                 for p in range(npar):
                     e = np.eye(npar)[p]
-                    try:
-                        fd[p] = (
-                            -energy_at(theta + 2 * h * e, k)
-                            + 8 * energy_at(theta + h * e, k)
-                            - 8 * energy_at(theta - h * e, k)
-                            + energy_at(theta - 2 * h * e, k)
-                        ) / (12 * h)
-                    except (SingularMoments, ComplexRoots):
-                        usable = False
-                        break
-                if not usable or np.linalg.norm(fd) < 1e-2:
+                    # A failed solve reads NaN, which fails the norm test below.
+                    fd[p] = (
+                        -energy_at(theta + 2 * h * e, k)
+                        + 8 * energy_at(theta + h * e, k)
+                        - 8 * energy_at(theta - h * e, k)
+                        + energy_at(theta - 2 * h * e, k)
+                    ) / (12 * h)
+                if not np.linalg.norm(fd) >= 1e-2:
                     continue
-                table.gradients = moment_gradients(
-                    model.circuit, theta, model.hamiltonian, 2 * k - 1
-                )
-                grad = pds_gradient(table, k, res)
+                rows = point_rows(model.circuit, theta, model.hamiltonian, 2 * k - 1)
+                grad, errors = _gradient_rows(values[None], rows[None], res)
+                assert errors[0] is None
                 worst = max(
                     worst,
-                    float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)),
+                    float(np.linalg.norm(grad[0] - fd) / np.linalg.norm(fd)),
                 )
                 tested += 1
             worst_overall = max(worst_overall, worst)
@@ -393,10 +379,10 @@ def test_criterion_7d_shift_rule_matches_analytic():
         model = build_model(name)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            analytic = moment_gradients(
+            analytic = point_rows(
                 model.circuit, theta, model.hamiltonian, 7, method="analytic"
             )
-            shifted = moment_gradients(
+            shifted = point_rows(
                 model.circuit, theta, model.hamiltonian, 7, method="shift"
             )
             worst = max(worst, float(np.abs(analytic - shifted).max()))
@@ -482,7 +468,7 @@ def test_criterion_8_shot_noise_consistency():
         model = build_model(name)
         powers = hamiltonian_powers(model.hamiltonian, 7)
         state = apply_circuit(model.circuit, model.theta0)
-        exact = moment_table(model.circuit, model.theta0, model.hamiltonian, 7).values
+        exact = point_moments(model.circuit, model.theta0, model.hamiltonian, 7)
         plan = MeasurementPlan(powers)
         values, errors = sampled_moments(state, plan, shots=10**6, seed=7)
         for n in range(1, 8):

@@ -8,8 +8,9 @@ from helpers import (
     chain_pairs,
     dense_from_pairs,
     dense_of,
-    pairs_of,
     per_order_sampled_moments,
+    point_moments,
+    point_rows,
     random_pairs,
 )
 from pdsvqs.models import build_model, hardware_efficient_ansatz
@@ -17,20 +18,17 @@ from pdsvqs.moments import (
     MeasurementPlan,
     _operator,
     hamiltonian_powers,
-    moment_gradients,
-    moment_table,
     sampled_moments,
     union_of_powers,
 )
-from pdsvqs import moments, statesim
+from pdsvqs import moments, optim, statesim
 from pdsvqs.pauli import PauliSum
 from pdsvqs.statesim import (
     Circuit,
+    CompiledSum,
     Gate,
-    State,
+    _derivative_states,
     apply_circuit,
-    apply_pauli_sum,
-    state_derivative,
 )
 
 
@@ -88,8 +86,8 @@ class TestHamiltonianPowers:
 
 class TestMomentTable:
     def test_zeroth_moment_exactly_one(self, h2):
-        table = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5)
-        assert table.values[0] == 1.0
+        values = point_moments(h2.circuit, h2.theta0, h2.hamiltonian, 5)
+        assert values[0] == 1.0
 
     def test_values_match_dense_oracle(self, rng):
         pairs = random_pairs(rng, 2, 4)
@@ -100,7 +98,7 @@ class TestMomentTable:
             gates=(Gate("ry", 0, param=0), Gate("cry", 1, control=0, param=1)),
         )
         theta = rng.normal(size=2)
-        table = moment_table(circuit, theta, h, 6)
+        values = point_moments(circuit, theta, h, 6)
         dense = dense_from_pairs(pairs, 2)
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
@@ -110,36 +108,32 @@ class TestMomentTable:
         acc = np.eye(4, dtype=complex)
         for n in range(7):
             expected = np.real(v.conj() @ acc @ v)
-            assert table.values[n] == approx(expected, abs=1e-11)
+            assert values[n] == approx(expected, abs=1e-11)
             acc = acc @ dense
 
     def test_eigenstate_moments_are_eigenvalue_powers(self):
         # |00> is an eigenstate of a diagonal Hamiltonian
         h = PauliSum.from_terms([(1.5, "II"), (0.5, "IZ"), (-1.0, "ZZ")])
         circuit = Circuit(n_qubits=2, n_params=0, gates=())
-        table = moment_table(circuit, np.array([]), h, 6)
+        values = point_moments(circuit, np.array([]), h, 6)
         e = 1.0  # diag(1, 2, 3, 0) entry for |00>
-        assert np.allclose(table.values, e ** np.arange(7), atol=1e-12)
+        assert np.allclose(values, e ** np.arange(7), atol=1e-12)
 
     def test_precomputed_powers_path(self, h2):
         # The expanded Pauli powers, applied string by string, are the
         # reference for the Krylov moments.
         powers = hamiltonian_powers(h2.hamiltonian, 5)
         amps = apply_circuit(h2.circuit, h2.theta0).amplitudes
-        expanded = [np.vdot(amps, apply_pauli_sum(amps, p)).real for p in powers]
-        table = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5)
-        assert np.allclose(table.values, expanded, rtol=0.0, atol=1e-12)
-
-    def test_missing_inputs(self, h2):
-        with pytest.raises(ValueError):
-            moment_table(h2.circuit, h2.theta0)
+        expanded = [np.vdot(amps, CompiledSum(p).apply(amps)).real for p in powers]
+        values = point_moments(h2.circuit, h2.theta0, h2.hamiltonian, 5)
+        assert np.allclose(values, expanded, rtol=0.0, atol=1e-12)
 
     def test_variance_nonnegative(self, rng):
         model = build_model("heisenberg")
         for _ in range(5):
             theta = rng.normal(size=1)
-            t = moment_table(model.circuit, theta, model.hamiltonian, 2)
-            assert t.values[2] - t.values[1] ** 2 >= -1e-10
+            values = point_moments(model.circuit, theta, model.hamiltonian, 2)
+            assert values[2] - values[1] ** 2 >= -1e-10
 
 
 class TestCompiledOperator:
@@ -170,8 +164,8 @@ class TestMomentGradients:
         rows = np.zeros((circuit.n_params, max_order + 1))
         for k in range(circuit.n_params):
             e = np.eye(circuit.n_params)[k]
-            up = moment_table(circuit, theta + h * e, ham, max_order).values
-            down = moment_table(circuit, theta - h * e, ham, max_order).values
+            up = point_moments(circuit, theta + h * e, ham, max_order)
+            down = point_moments(circuit, theta - h * e, ham, max_order)
             rows[k] = (up - down) / (2 * h)
         return rows
 
@@ -180,7 +174,7 @@ class TestMomentGradients:
         model = build_model(name)
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            analytic = moment_gradients(model.circuit, theta, model.hamiltonian, 3)
+            analytic = point_rows(model.circuit, theta, model.hamiltonian, 3)
             fd = self._fd_rows(model.circuit, theta, model.hamiltonian, 3)
             assert np.allclose(analytic, fd, atol=5e-9)
 
@@ -189,8 +183,8 @@ class TestMomentGradients:
         model = build_model(name)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            analytic = moment_gradients(model.circuit, theta, model.hamiltonian, 4)
-            shifted = moment_gradients(
+            analytic = point_rows(model.circuit, theta, model.hamiltonian, 4)
+            shifted = point_rows(
                 model.circuit, theta, model.hamiltonian, 4, method="shift"
             )
             assert np.allclose(analytic, shifted, atol=1e-10)
@@ -198,24 +192,23 @@ class TestMomentGradients:
     def test_zeroth_column_is_zero(self, h2, rng):
         theta = rng.normal(size=4)
         for method in ("analytic", "shift"):
-            rows = moment_gradients(
-                h2.circuit, theta, h2.hamiltonian, 3, method=method
-            )
+            rows = point_rows(h2.circuit, theta, h2.hamiltonian, 3, method=method)
             assert np.allclose(rows[:, 0], 0.0, atol=1e-14)
 
     def test_unknown_method(self, h2):
-        with pytest.raises(ValueError):
-            moment_gradients(h2.circuit, h2.theta0, h2.hamiltonian, 2, method="bogus")
+        starts = np.stack([h2.theta0, -h2.theta0])
+        with pytest.raises(ValueError, match="unknown gradient method"):
+            optim.run_batch(h2.hamiltonian, h2.circuit, starts, gradient_method="bogus")
 
     def test_first_column_is_energy_gradient(self, toy_a, rng):
         # d<H>/dtheta via a fine central difference on the expectation itself
         theta = rng.normal(size=2)
-        rows = moment_gradients(toy_a.circuit, theta, toy_a.hamiltonian, 1)
+        rows = point_rows(toy_a.circuit, theta, toy_a.hamiltonian, 1)
         h = 1e-6
         for k in range(2):
             e = np.eye(2)[k]
-            up = moment_table(toy_a.circuit, theta + h * e, toy_a.hamiltonian, 1).values[1]
-            down = moment_table(toy_a.circuit, theta - h * e, toy_a.hamiltonian, 1).values[1]
+            up = point_moments(toy_a.circuit, theta + h * e, toy_a.hamiltonian, 1)[1]
+            down = point_moments(toy_a.circuit, theta - h * e, toy_a.hamiltonian, 1)[1]
             assert rows[k, 1] == approx((up - down) / (2 * h), abs=1e-8)
 
 
@@ -257,10 +250,7 @@ class TestKrylovMoments:
     @staticmethod
     def _oracle(circuit, theta, max_order, apply):
         amps = apply_circuit(circuit, theta).amplitudes
-        derivs = [
-            state_derivative(circuit, theta, k).amplitudes
-            for k in range(circuit.n_params)
-        ]
+        derivs = _derivative_states(circuit, np.asarray(theta)[None])[0, 1:]
         values = np.ones(max_order + 1)
         rows = np.zeros((circuit.n_params, max_order + 1))
         for n in range(1, max_order + 1):
@@ -283,11 +273,11 @@ class TestKrylovMoments:
             lambda n, v: np.linalg.matrix_power(dense, n) @ v,
         )
         tol = 1e-10 * self._scale(h, self.MAX_ORDER)
-        table = moment_table(circuit, theta, h, self.MAX_ORDER)
-        assert table.max_order == self.MAX_ORDER
-        assert np.all(np.abs(table.values - values) <= tol)
+        got = point_moments(circuit, theta, h, self.MAX_ORDER)
+        assert got.shape == (self.MAX_ORDER + 1,)
+        assert np.all(np.abs(got - values) <= tol)
         for method in ("analytic", "shift"):
-            got = moment_gradients(circuit, theta, h, self.MAX_ORDER, method=method)
+            got = point_rows(circuit, theta, h, self.MAX_ORDER, method=method)
             assert np.all(np.abs(got - rows) <= tol), method
 
     @pytest.mark.parametrize("name", sorted(KRYLOV_CASES))
@@ -295,24 +285,21 @@ class TestKrylovMoments:
         h, circuit, theta, order = KRYLOV_CASES[name]
         powers = hamiltonian_powers(h, order)
         values, rows = self._oracle(
-            circuit, theta, order, lambda n, v: apply_pauli_sum(v, powers[n])
+            circuit, theta, order, lambda n, v: CompiledSum(powers[n]).apply(v)
         )
         tol = 1e-10 * self._scale(h, order)
-        table = moment_table(circuit, theta, h, order)
-        assert np.all(np.abs(table.values - values) <= tol)
-        got = moment_gradients(circuit, theta, h, order)
+        assert np.all(np.abs(point_moments(circuit, theta, h, order) - values) <= tol)
+        got = point_rows(circuit, theta, h, order)
         assert np.all(np.abs(got - rows) <= tol)
 
     def test_rejects_non_hermitian(self, h2):
         h = PauliSum.from_terms([(1.0, "XX"), (1j, "ZI")])
-        with pytest.raises(ValueError):
-            moment_table(h2.circuit, h2.theta0, h, 3)
-        with pytest.raises(ValueError):
-            moment_gradients(h2.circuit, h2.theta0, h, 3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            _operator(h, 3)
 
     def test_rejects_order_below_one(self, h2):
-        with pytest.raises(ValueError):
-            moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            _operator(h2.hamiltonian, 0)
 
 
 class TestUnionOfPowers:
@@ -416,7 +403,7 @@ class TestSampledExpectation:
 class TestSampledMoments:
     def test_matches_exact_within_errors(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
-        exact = moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 5).values
+        exact = point_moments(h2.circuit, h2.theta0, h2.hamiltonian, 5)
         est, se = sampled_moments(state, _plan(h2.hamiltonian, 5), shots=200000, seed=5)
         assert est[0] == 1.0 and se[0] == 0.0
         for n in range(1, 6):

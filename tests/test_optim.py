@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import dense_of
+from helpers import point_moments, point_rows, point_solve
 from pdsvqs import moments, optim, statesim
-from pdsvqs.moments import moment_gradients, moment_table
-from pdsvqs.optim import IterationRecord, Trajectory, metric, run, run_batch, step
+from pdsvqs.optim import IterationRecord, Trajectory, _metric_rows, run, run_batch, step
 from pdsvqs.pauli import PauliSum
-from pdsvqs.pds import RegPolicy, pds_gradient, pds_solve
-from pdsvqs.statesim import Circuit, Gate, apply_circuit, fidelity
+from pdsvqs.pds import RegPolicy, _gradient_rows
+from pdsvqs.statesim import Circuit, Gate, _derivative_states, apply_circuit, fidelity
+
+
+def point_metric(circuit, theta, kind):
+    """The ngd or ite metric at one point, from one forward walk."""
+    walk = _derivative_states(circuit, np.asarray(theta, dtype=float)[None])
+    return _metric_rows(kind, walk[:, 1:], walk[:, 0])[0]
 
 
 class TestMetric:
     def test_gd_metric_is_identity(self, toy_a):
-        m = metric(toy_a.circuit, toy_a.theta0, "gd")
-        assert m == approx(np.eye(2))
+        # gd steps with R = identity: every record reads condition number 1.
+        traj = run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, max_iters=2)
+        assert [r.metric_cond for r in traj.records] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("kind", ["ngd", "ite"])
     def test_controlled_ansatz_closed_form(self, toy_a, kind, rng):
@@ -25,10 +31,10 @@ class TestMetric:
         for _ in range(5):
             th = rng.uniform(-np.pi, np.pi, size=2)
             expected = np.diag([0.25, np.sin(th[0] / 2) ** 2 / 4])
-            assert metric(toy_a.circuit, th, kind) == approx(expected, abs=1e-12)
+            assert point_metric(toy_a.circuit, th, kind) == approx(expected, abs=1e-12)
 
     def test_singular_at_closed_control(self, toy_a):
-        m = metric(toy_a.circuit, np.array([0.0, 1.3]), "ite")
+        m = point_metric(toy_a.circuit, np.array([0.0, 1.3]), "ite")
         assert np.linalg.det(m) == approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["ngd", "ite"])
@@ -37,7 +43,7 @@ class TestMetric:
         model = request.getfixturevalue(name)
         for _ in range(3):
             th = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            m = metric(model.circuit, th, kind)
+            m = point_metric(model.circuit, th, kind)
             assert m == approx(m.T, abs=1e-12)
             assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
@@ -54,15 +60,16 @@ class TestMetric:
             ],
         )
         th = np.array([0.9, 0.4])
-        m_ngd = metric(circuit, th, "ngd")
-        m_ite = metric(circuit, th, "ite")
+        m_ngd = point_metric(circuit, th, "ngd")
+        m_ite = point_metric(circuit, th, "ite")
         assert m_ite[1, 1] == approx(0.25, abs=1e-12)
         assert m_ngd[1, 1] == approx(0.0, abs=1e-12)
         assert m_ngd[0, 0] == approx(0.25, abs=1e-12)
 
     def test_unknown_kind_rejected(self, toy_a):
+        starts = np.stack([toy_a.theta0, -toy_a.theta0])
         with pytest.raises(ValueError, match="unknown metric kind"):
-            metric(toy_a.circuit, toy_a.theta0, "newton")
+            run_batch(toy_a.hamiltonian, toy_a.circuit, starts, metric_kind="newton")
 
 
 class TestStep:
@@ -376,10 +383,12 @@ class TestRunDriver:
 class TestPreconditionedStepRule:
     @staticmethod
     def energy_and_gradient(model, theta):
-        table = moment_table(model.circuit, theta, model.hamiltonian, 3)
-        result = pds_solve(table, 2, RegPolicy.auto())
-        table.gradients = moment_gradients(model.circuit, theta, model.hamiltonian, 3)
-        return result.energy, pds_gradient(table, 2, result)
+        values = point_moments(model.circuit, theta, model.hamiltonian, 3)
+        solved = point_solve(values, 2, RegPolicy.auto())
+        rows = point_rows(model.circuit, theta, model.hamiltonian, 3)
+        grad, errors = _gradient_rows(values[None], rows[None], solved)
+        assert errors[0] is None
+        return solved.energy[0], grad[0]
 
     @pytest.mark.parametrize("name", ["toy_a", "toy_b"])
     def test_ngd_reaches_ground_from_former_cycling_start(self, name, request):
@@ -399,7 +408,7 @@ class TestPreconditionedStepRule:
     ):
         theta = np.array([-np.pi / 8, -np.pi / 8])
         energy, grad = self.energy_and_gradient(toy_b, theta)
-        trial = step(theta, grad, metric(toy_b.circuit, theta, kind), 0.05)
+        trial = step(theta, grad, point_metric(toy_b.circuit, theta, kind), 0.05)
         assert self.energy_and_gradient(toy_b, trial)[0] > energy
         kw = dict(order=2, eta=0.05, max_iters=1, grad_tol=0.0)
         pre = run(toy_b.hamiltonian, toy_b.circuit, theta, metric_kind=kind, **kw)
@@ -409,7 +418,7 @@ class TestPreconditionedStepRule:
     def test_step_that_lowers_the_functional_is_taken(self, toy_a):
         theta = np.array([0.8, 0.8])
         energy, grad = self.energy_and_gradient(toy_a, theta)
-        trial = step(theta, grad, metric(toy_a.circuit, theta, "ngd"), 0.05)
+        trial = step(theta, grad, point_metric(toy_a.circuit, theta, "ngd"), 0.05)
         assert self.energy_and_gradient(toy_a, trial)[0] < energy
         traj = run(
             toy_a.hamiltonian, toy_a.circuit, theta,

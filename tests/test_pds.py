@@ -4,23 +4,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import dense_of
+from helpers import dense_of, point_moments, point_rows, point_solve
 from pdsvqs.models import build_model
-from pdsvqs.moments import MomentTable, moment_gradients, moment_table
 from pdsvqs.pds import (
     ComplexRoots,
-    PdsResult,
     RegPolicy,
     SingularMoments,
     VanishingDenominator,
-    pds_gradient,
-    pds_solve,
+    _gradient_rows,
 )
-
-
-def table_from_moments(values):
-    values = np.asarray(values, dtype=float)
-    return MomentTable(max_order=values.size - 1, values=values)
 
 
 def moments_of_weights(eigenvalues, weights, max_order):
@@ -33,88 +25,63 @@ def moments_of_weights(eigenvalues, weights, max_order):
 
 class TestSolveBasics:
     def test_first_order_energy_is_mean(self):
-        table = table_from_moments([1.0, 0.7, 1.3])
-        res = pds_solve(table, 1)
-        assert res.energy == approx(0.7, abs=1e-14)
+        res = point_solve([1.0, 0.7, 1.3], 1)
+        assert res.energy[0] == approx(0.7, abs=1e-14)
         assert res.order == 1
-        assert res.x.shape == (1,)
-        assert res.roots.shape == (1,)
+        assert res.x.shape == (1, 1)
+        assert res.roots.shape == (1, 1)
 
     def test_two_level_support_recovers_both_levels(self):
         values = moments_of_weights([-1.3, 0.8], [0.35, 0.65], 4)
-        res = pds_solve(table_from_moments(values), 2)
-        assert res.roots == approx([-1.3, 0.8], abs=1e-12)
-        assert res.energy == approx(-1.3, abs=1e-12)
+        res = point_solve(values, 2)
+        assert res.roots[0] == approx([-1.3, 0.8], abs=1e-12)
+        assert res.energy[0] == approx(-1.3, abs=1e-12)
 
     def test_roots_sorted_ascending_and_energy_is_smallest(self):
         values = moments_of_weights([2.0, -0.5, 1.0], [0.2, 0.5, 0.3], 6)
-        res = pds_solve(table_from_moments(values), 3)
-        assert np.all(np.diff(res.roots) > 0)
-        assert res.energy == res.roots[0]
+        res = point_solve(values, 3)
+        assert np.all(np.diff(res.roots[0]) > 0)
+        assert res.energy[0] == res.roots[0, 0]
 
     def test_clean_solve_records_no_regularization(self):
         values = moments_of_weights([-1.0, 1.0], [0.5, 0.5], 4)
-        res = pds_solve(table_from_moments(values), 2)
-        assert res.regularization_applied is False
-        assert res.applied_kind is None
-        assert res.applied_magnitude == 0.0
-        assert res.imag_residue == approx(0.0, abs=1e-12)
-        assert res.cond_m >= 1.0
-
-    def test_order_below_one_rejected(self):
-        table = table_from_moments([1.0, 0.5, 0.5])
-        with pytest.raises(ValueError, match="at least 1"):
-            pds_solve(table, 0)
-
-    def test_short_table_rejected(self):
-        table = table_from_moments([1.0, 0.5, 0.5])
-        with pytest.raises(ValueError, match="needs moments up to"):
-            pds_solve(table, 2)
+        res = point_solve(values, 2)
+        assert res.applied.tolist() == [False]
+        assert res.errors[0] is None
+        assert res.imag_residue[0] == approx(0.0, abs=1e-12)
+        assert res.cond_m[0] >= 1.0
 
 
 class TestHandCraftedTables:
     def test_repeated_root_energy_ok_but_gradient_undefined(self):
         # x solves to (2, 1): the polynomial is (E + 1)^2 with a double root.
-        table = table_from_moments([1.0, 0.0, -1.0, 2.0])
-        table.gradients = np.zeros((1, 4))
-        res = pds_solve(table, 2)
-        assert res.energy == approx(-1.0, abs=1e-8)
-        with pytest.raises(VanishingDenominator):
-            pds_gradient(table, 2, res)
+        values = np.array([1.0, 0.0, -1.0, 2.0])
+        res = point_solve(values, 2)
+        assert res.energy[0] == approx(-1.0, abs=1e-8)
+        grad, errors = _gradient_rows(values[None], np.zeros((1, 1, 4)), res)
+        assert isinstance(errors[0], VanishingDenominator)
+        assert np.isnan(grad).all()
 
     def test_complex_root_pair_raises(self):
         # x solves to (0, 1): the polynomial is E^2 + 1 with roots +-i.
-        table = table_from_moments([1.0, 0.0, -1.0, 0.0])
-        with pytest.raises(ComplexRoots):
-            pds_solve(table, 2)
-        try:
-            pds_solve(table, 2)
-        except ComplexRoots as err:
-            assert "imaginary" in str(err)
+        res = point_solve([1.0, 0.0, -1.0, 0.0], 2)
+        assert isinstance(res.errors[0], ComplexRoots)
+        assert "imaginary" in str(res.errors[0])
+        assert np.isnan(res.energy[0])
 
     def test_eigenstate_moments_singular_at_second_order(self):
-        table = table_from_moments([1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(SingularMoments):
-            pds_solve(table, 2)
-
-    def test_gradient_requires_gradient_rows(self):
-        values = moments_of_weights([-1.0, 1.0], [0.5, 0.5], 4)
-        table = table_from_moments(values)
-        res = pds_solve(table, 2)
-        with pytest.raises(ValueError, match="no gradient rows"):
-            pds_gradient(table, 2, res)
+        res = point_solve([1.0, 1.0, 1.0, 1.0], 2)
+        assert isinstance(res.errors[0], SingularMoments)
 
 
 class TestPolicies:
     def well_conditioned(self):
-        return table_from_moments(moments_of_weights([-1.0, 0.5], [0.4, 0.6], 4))
+        return moments_of_weights([-1.0, 0.5], [0.4, 0.6], 4)
 
     def near_singular(self):
         # Nearly all weight on one level: the second-order system is still
         # solvable but badly conditioned.
-        return table_from_moments(
-            moments_of_weights([-1.0, 0.5], [1.0 - 1e-9, 1e-9], 4)
-        )
+        return moments_of_weights([-1.0, 0.5], [1.0 - 1e-9, 1e-9], 4)
 
     def test_policy_kind_validation(self):
         with pytest.raises(ValueError, match="unknown regularization kind"):
@@ -131,78 +98,76 @@ class TestPolicies:
         assert RegPolicy.none().kind == "none"
 
     def test_auto_matches_direct_solve_when_well_conditioned(self):
-        table = self.well_conditioned()
-        strict = pds_solve(table, 2)
-        adaptive = pds_solve(table, 2, RegPolicy.auto())
+        values = self.well_conditioned()
+        strict = point_solve(values, 2)
+        adaptive = point_solve(values, 2, RegPolicy.auto())
         assert adaptive.x.tolist() == strict.x.tolist()
         assert adaptive.roots.tolist() == strict.roots.tolist()
-        assert adaptive.regularization_applied is False
+        assert adaptive.applied.tolist() == [False]
 
     def test_auto_switches_to_shift_beyond_threshold(self):
-        table = self.near_singular()
-        adaptive = pds_solve(table, 2, RegPolicy.auto())
-        assert adaptive.cond_m > 1e6
-        assert adaptive.regularization_applied is True
-        assert adaptive.applied_kind == "shift"
-        assert adaptive.applied_magnitude == approx(1e-6)
-        shifted = pds_solve(table, 2, RegPolicy.shift())
+        values = self.near_singular()
+        adaptive = point_solve(values, 2, RegPolicy.auto())
+        assert adaptive.cond_m[0] > 1e6
+        assert adaptive.applied.tolist() == [True]
+        assert adaptive.kind == "shift"
+        assert adaptive.magnitude == approx(1e-6)
+        shifted = point_solve(values, 2, RegPolicy.shift())
         assert adaptive.x.tolist() == shifted.x.tolist()
 
     def test_auto_threshold_is_configurable(self):
-        table = self.well_conditioned()
-        res = pds_solve(table, 2, RegPolicy.auto(cond_threshold=1.0))
-        assert res.applied_kind == "shift"
+        res = point_solve(self.well_conditioned(), 2, RegPolicy.auto(cond_threshold=1.0))
+        assert res.applied.tolist() == [True]
+        assert res.kind == "shift"
 
     def test_shift_solves_displaced_system(self):
-        table = self.well_conditioned()
+        values = self.well_conditioned()
         eps = 1e-3
-        res = pds_solve(table, 2, RegPolicy.shift(eps))
-        m = np.array(
-            [[table.values[2], table.values[1]], [table.values[1], table.values[0]]]
-        )
-        y = np.array([table.values[3], table.values[2]])
+        res = point_solve(values, 2, RegPolicy.shift(eps))
+        m = np.array([[values[2], values[1]], [values[1], values[0]]])
+        y = np.array([values[3], values[2]])
         expected = np.linalg.solve(m + eps * np.eye(2), -y)
-        assert res.x == approx(expected, abs=1e-15)
-        assert res.applied_kind == "shift"
-        assert res.applied_magnitude == eps
+        assert res.x[0] == approx(expected, abs=1e-15)
+        assert res.kind == "shift"
+        assert res.magnitude == eps
 
     def test_truncate_drops_small_singular_values(self):
-        table = table_from_moments([1.0, 1.0, 1.0, 1.0])
-        res = pds_solve(table, 2, RegPolicy.truncate())
+        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy.truncate())
         # The rank-1 system keeps only the consistent direction; the root
         # stays at the eigenvalue carried by the moments.
-        assert res.applied_kind == "truncate"
-        assert min(abs(res.roots - 1.0)) == approx(0.0, abs=1e-6)
+        assert res.kind == "truncate"
+        assert np.nanmin(abs(res.roots[0] - 1.0)) == approx(0.0, abs=1e-6)
 
     def test_shift_rescues_singular_table(self):
-        table = table_from_moments([1.0, 1.0, 1.0, 1.0])
-        res = pds_solve(table, 2, RegPolicy.shift())
-        assert res.regularization_applied is True
-        assert min(abs(res.roots - 1.0)) == approx(0.0, abs=1e-3)
+        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy.shift())
+        assert res.applied.tolist() == [True]
+        assert res.errors[0] is None
+        assert np.nanmin(abs(res.roots[0] - 1.0)) == approx(0.0, abs=1e-3)
 
     def test_gradient_replays_recorded_mechanism(self):
-        table = self.near_singular()
-        table.gradients = np.zeros((2, 4))
-        table.gradients[0] = [0.0, 0.1, -0.2, 0.05]
-        table.gradients[1] = [0.0, -0.3, 0.1, 0.2]
-        res = pds_solve(table, 2, RegPolicy.auto())
-        assert res.applied_kind == "shift"
-        grad = pds_gradient(table, 2, res)
+        values = self.near_singular()
+        grads = np.zeros((2, 4))
+        grads[0] = [0.0, 0.1, -0.2, 0.05]
+        grads[1] = [0.0, -0.3, 0.1, 0.2]
+        res = point_solve(values, 2, RegPolicy.auto())
+        assert res.applied.tolist() == [True]
+        assert res.kind == "shift"
+        grad, errors = _gradient_rows(values[None], grads[None], res)
+        assert errors[0] is None
         assert np.all(np.isfinite(grad))
         # Rebuild the same implicit derivative using the shifted matrix.
-        m = np.array(
-            [[table.values[2], table.values[1]], [table.values[1], table.values[0]]]
-        )
-        shifted = m + res.applied_magnitude * np.eye(2)
-        denom = 2 * res.energy + res.x[0]
+        m = np.array([[values[2], values[1]], [values[1], values[0]]])
+        shifted = m + res.magnitude * np.eye(2)
+        energy, x = res.energy[0], res.x[0]
+        denom = 2 * energy + x[0]
         expected = np.zeros(2)
         for p in range(2):
-            g = table.gradients[p]
+            g = grads[p]
             d_m = np.array([[g[2], g[1]], [g[1], g[0]]])
             d_y = np.array([g[3], g[2]])
-            dx = np.linalg.solve(shifted, -d_y - d_m @ res.x)
-            expected[p] = -(np.array([res.energy, 1.0]) @ dx) / denom
-        assert grad == approx(expected, abs=1e-12)
+            dx = np.linalg.solve(shifted, -d_y - d_m @ x)
+            expected[p] = -(np.array([energy, 1.0]) @ dx) / denom
+        assert grad[0] == approx(expected, abs=1e-12)
 
 
 class TestStartPointAnchors:
@@ -211,25 +176,25 @@ class TestStartPointAnchors:
     @pytest.fixture(autouse=True)
     def _tables(self, h2):
         self.tables = {
-            k: moment_table(h2.circuit, h2.theta0, h2.hamiltonian, 2 * k - 1)
+            k: point_moments(h2.circuit, h2.theta0, h2.hamiltonian, 2 * k - 1)
             for k in (2, 3, 4)
         }
 
     def test_second_order_solves_directly(self):
-        res = pds_solve(self.tables[2], 2, RegPolicy.auto())
-        assert res.regularization_applied is False
-        assert res.roots == approx([-0.2, 0.2], abs=1e-12)
+        res = point_solve(self.tables[2], 2, RegPolicy.auto())
+        assert res.applied.tolist() == [False]
+        assert res.roots[0] == approx([-0.2, 0.2], abs=1e-12)
 
     def test_higher_orders_fall_back_to_shift(self):
         for k in (3, 4):
-            res = pds_solve(self.tables[k], k, RegPolicy.auto())
-            assert res.applied_kind == "shift"
-        with pytest.raises(SingularMoments):
-            pds_solve(self.tables[4], 4)
+            res = point_solve(self.tables[k], k, RegPolicy.auto())
+            assert res.applied.tolist() == [True]
+            assert res.kind == "shift"
+        assert isinstance(point_solve(self.tables[4], 4).errors[0], SingularMoments)
 
     def test_fourth_order_shifted_roots(self):
-        res = pds_solve(self.tables[4], 4, RegPolicy.auto())
-        assert res.energy == approx(-0.2, abs=1e-4)
+        res = point_solve(self.tables[4], 4, RegPolicy.auto())
+        assert res.energy[0] == approx(-0.2, abs=1e-4)
 
 
 class TestVariationalChain:
@@ -253,14 +218,13 @@ class TestVariationalChain:
             )
             moments[0] = 1.0
             for k in (1, 2, 3, 4):
-                table = MomentTable(max_order=2 * k - 1, values=moments[: 2 * k])
-                try:
-                    res = pds_solve(table, k)
-                except SingularMoments:
+                res = point_solve(moments[: 2 * k], k)
+                if isinstance(res.errors[0], SingularMoments):
                     singular[k] += 1
                     continue
-                assert res.energy >= ground - 1e-9
-                assert res.energy <= moments[1] + 1e-9
+                assert res.errors[0] is None
+                assert res.energy[0] >= ground - 1e-9
+                assert res.energy[0] <= moments[1] + 1e-9
         if name == "toy_b":
             # Three distinct eigenvalues: the fourth-order system is
             # structurally rank-deficient for every trial state.
@@ -290,29 +254,19 @@ class TestKrylovExactness:
             moments = np.array(
                 [np.sum(weights * lam**n) for n in range(2 * m + 2)]
             )
-            table = MomentTable(max_order=2 * m + 1, values=moments)
-            res = pds_solve(table, m)
-            assert res.roots == approx(lam, abs=1e-7)
+            res = point_solve(moments, m)
+            assert res.roots[0] == approx(lam, abs=1e-7)
             if m >= 2:
-                below = pds_solve(table, m - 1)
-                assert below.energy >= lam[0] - 1e-9
-            with pytest.raises(SingularMoments):
-                pds_solve(
-                    MomentTable(
-                        max_order=2 * m + 1,
-                        values=np.array(
-                            [np.sum(weights * lam**n) for n in range(2 * m + 2)]
-                        ),
-                    ),
-                    m + 1,
-                )
+                below = point_solve(moments, m - 1)
+                assert below.energy[0] >= lam[0] - 1e-9
+            assert isinstance(point_solve(moments, m + 1).errors[0], SingularMoments)
 
     def test_single_eigenstate_is_first_order_exact(self, toy_a):
         dense = dense_of(toy_a.hamiltonian)
         evals, vecs = np.linalg.eigh(dense)
         moments = np.array([evals[2] ** n for n in range(4)])
-        res = pds_solve(MomentTable(max_order=3, values=moments), 1)
-        assert res.energy == approx(evals[2], abs=1e-12)
+        res = point_solve(moments, 1)
+        assert res.energy[0] == approx(evals[2], abs=1e-12)
 
 
 class TestGradientAgainstDifferences:
@@ -327,40 +281,31 @@ class TestGradientAgainstDifferences:
         tested = 0
         while tested < 10:
             theta = rng.uniform(-np.pi, np.pi, size=npar)
-            table = moment_table(model.circuit, theta, model.hamiltonian, 3)
-            try:
-                res = pds_solve(table, 2)
-            except (SingularMoments, ComplexRoots):
-                continue
-            if res.cond_m >= 1e4:
+            values = point_moments(model.circuit, theta, model.hamiltonian, 3)
+            res = point_solve(values, 2)
+            if res.errors[0] is not None or res.cond_m[0] >= 1e4:
                 continue
             fd = np.zeros(npar)
-            ok = True
             for k in range(npar):
                 e = np.eye(npar)[k]
 
                 def energy(t):
-                    return pds_solve(
-                        moment_table(model.circuit, t, model.hamiltonian, 3), 2
-                    ).energy
+                    moments = point_moments(model.circuit, t, model.hamiltonian, 3)
+                    return point_solve(moments, 2).energy[0]
 
-                try:
-                    fd[k] = (
-                        -energy(theta + 2 * h * e)
-                        + 8 * energy(theta + h * e)
-                        - 8 * energy(theta - h * e)
-                        + energy(theta - 2 * h * e)
-                    ) / (12 * h)
-                except (SingularMoments, ComplexRoots):
-                    ok = False
-                    break
-            if not ok or np.linalg.norm(fd) < 1e-2:
+                # A failed solve reads NaN, which fails the norm test below.
+                fd[k] = (
+                    -energy(theta + 2 * h * e)
+                    + 8 * energy(theta + h * e)
+                    - 8 * energy(theta - h * e)
+                    + energy(theta - 2 * h * e)
+                ) / (12 * h)
+            if not np.linalg.norm(fd) >= 1e-2:
                 continue
-            table.gradients = moment_gradients(
-                model.circuit, theta, model.hamiltonian, 3
-            )
-            grad = pds_gradient(table, 2, res)
-            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+            rows = point_rows(model.circuit, theta, model.hamiltonian, 3)
+            grad, errors = _gradient_rows(values[None], rows[None], res)
+            assert errors[0] is None
+            assert np.linalg.norm(grad[0] - fd) <= 1e-6 * np.linalg.norm(fd)
             tested += 1
 
     def test_flat_surface_has_zero_gradient(self, h2):
@@ -369,13 +314,11 @@ class TestGradientAgainstDifferences:
         rng = np.random.default_rng(3)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=4)
-            table = moment_table(h2.circuit, theta, h2.hamiltonian, 8)
-            try:
-                res = pds_solve(table, 4)
-            except (SingularMoments, ComplexRoots):
+            values = point_moments(h2.circuit, theta, h2.hamiltonian, 8)
+            res = point_solve(values, 4)
+            if res.errors[0] is not None or res.cond_m[0] >= 1e4:
                 continue
-            if res.cond_m >= 1e4:
-                continue
-            table.gradients = moment_gradients(h2.circuit, theta, h2.hamiltonian, 8)
-            grad = pds_gradient(table, 4, res)
+            rows = point_rows(h2.circuit, theta, h2.hamiltonian, 8)
+            grad, errors = _gradient_rows(values[None], rows[None], res)
+            assert errors[0] is None
             assert np.linalg.norm(grad) < 1e-6

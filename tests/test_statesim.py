@@ -9,22 +9,20 @@ from helpers import (
     dense_circuit_matrix,
     dense_circuit_state,
     dense_from_pairs,
-    dense_of,
     random_pairs,
     random_state_vector,
 )
 from pdsvqs.pauli import PauliSum
 from pdsvqs.statesim import (
     Circuit,
+    CompiledSum,
     Gate,
     State,
     apply_circuit,
-    apply_pauli_sum,
     dense_matrix,
     exact_eigensystem,
     expectation,
     fidelity,
-    state_derivative,
 )
 from pdsvqs import statesim
 from pdsvqs.models import build_model, hardware_efficient_ansatz
@@ -161,7 +159,7 @@ class TestApplyPauliSum:
             pairs = random_pairs(rng, n, 5, real=False)
             s = PauliSum.from_terms(pairs)
             v = random_state_vector(rng, 1 << n)
-            got = apply_pauli_sum(v, s)
+            got = CompiledSum(s).apply(v)
             assert np.allclose(got, dense_from_pairs(pairs, n) @ v, atol=1e-12)
 
     def test_matches_dense_above_cache_limit(self, rng):
@@ -169,12 +167,12 @@ class TestApplyPauliSum:
         pairs = random_pairs(rng, 7, 4)
         s = PauliSum.from_terms(pairs)
         v = random_state_vector(rng, 1 << 7)
-        got = apply_pauli_sum(v, s)
+        got = CompiledSum(s).apply(v)
         assert np.allclose(got, dense_from_pairs(pairs, 7) @ v, atol=1e-12)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_pauli_sum(np.zeros(4, dtype=complex), PauliSum.identity(3))
+            CompiledSum(PauliSum.identity(3)).apply(np.zeros(4, dtype=complex))
 
     def test_expectation_matches_dense(self, rng):
         pairs = random_pairs(rng, 3, 6)
@@ -182,6 +180,11 @@ class TestApplyPauliSum:
         v = random_state_vector(rng, 8)
         expected = np.real(v.conj() @ dense_from_pairs(pairs, 3) @ v)
         assert expectation(State(v), s) == approx(expected, abs=1e-12)
+
+
+def derivative_state(circuit, theta, k):
+    """Derivative state in parameter k at one point, from the forward walk."""
+    return _derivative_states(circuit, np.asarray(theta, dtype=float)[None])[0, 1 + k]
 
 
 class TestStateDerivative:
@@ -195,7 +198,7 @@ class TestStateDerivative:
             c = random_circuit(rng, 3, 8, 3)
             theta = rng.normal(size=3)
             for k in range(3):
-                analytic = state_derivative(c, theta, k).amplitudes
+                analytic = derivative_state(c, theta, k)
                 fd = self._fd(c, theta, k)
                 assert np.allclose(analytic, fd, atol=1e-8)
 
@@ -210,7 +213,7 @@ class TestStateDerivative:
             ),
         )
         theta = np.array([0.37])
-        analytic = state_derivative(c, theta, 0).amplitudes
+        analytic = derivative_state(c, theta, 0)
         assert np.allclose(analytic, self._fd(c, theta, 0), atol=1e-8)
 
     def test_controlled_rotation_derivative(self, rng):
@@ -221,12 +224,12 @@ class TestStateDerivative:
         )
         theta = np.array([0.9, -0.4])
         for k in range(2):
-            analytic = state_derivative(c, theta, k).amplitudes
+            analytic = derivative_state(c, theta, k)
             assert np.allclose(analytic, self._fd(c, theta, k), atol=1e-8)
 
     def test_unused_parameter_gives_zero(self):
         c = Circuit(n_qubits=1, n_params=2, gates=(Gate("ry", 0, param=0),))
-        d = state_derivative(c, np.array([0.3, 0.7]), 1).amplitudes
+        d = derivative_state(c, np.array([0.3, 0.7]), 1)
         assert np.allclose(d, 0.0)
 
 
@@ -345,6 +348,15 @@ class TestFidelityAndSpectrum:
         s = PauliSum.from_terms(pairs)
         assert np.allclose(dense_matrix(s), dense_from_pairs(pairs, 2), atol=1e-13)
 
+    def test_dense_matrix_of_hermitian_sum_is_exactly_hermitian(self, rng):
+        # Entry (j, i) adds the same strings in the same order as (i, j), so
+        # the eigensolver needs no Hermiticity check of the dense matrix.
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            s = PauliSum.from_terms(random_pairs(rng, n, int(rng.integers(1, 61))))
+            matrix = dense_matrix(s)
+            assert np.array_equal(matrix, matrix.conj().T)
+
 
 class TestDecomposeControlled:
     def test_cry_decomposition_equivalent(self, rng):
@@ -368,11 +380,18 @@ class TestDecomposeControlled:
             assert np.allclose(a, b, atol=1e-13)
 
     def test_with_offset_shift(self):
-        c = Circuit(n_qubits=1, n_params=1, gates=(Gate("ry", 0, param=0),))
-        shifted = c.with_offset_shift(0, np.pi / 2)
-        a = apply_circuit(shifted, np.array([0.3])).amplitudes
-        b = apply_circuit(c, np.array([0.3 + np.pi / 2])).amplitudes
-        assert np.allclose(a, b, atol=1e-15)
+        # ``_simulate``'s shift adds to the offset of the rotation at a position.
+        c = Circuit(
+            n_qubits=2, n_params=1,
+            gates=(Gate("ry", 0, param=0), Gate("cnot", 1, control=0), Gate("rx", 1)),
+        )
+        for pos, angle in ((0, 0.3 + np.pi / 2), (2, np.pi / 2)):
+            got = _simulate(c, np.array([[0.3]]), (pos, np.pi / 2))[0]
+            # The same circuit with that rotation frozen at the shifted angle.
+            gates = [Gate("ry", 0, offset=0.3), *c.gates[1:]]
+            gates[pos] = Gate(gates[pos].kind, gates[pos].target, offset=angle)
+            expected = dense_circuit_state(Circuit(2, 0, gates), np.array([]))
+            assert np.allclose(got, expected, atol=1e-15)
 
 
 class TestParity:
