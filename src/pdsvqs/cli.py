@@ -86,7 +86,10 @@ def parse_angle(text: str) -> float:
 
 
 def parse_angles(text: str, n_params: int) -> np.ndarray:
-    values = [parse_angle(part) for part in text.split(",") if part.strip()]
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty angle in {text!r}")
+    values = [parse_angle(part) for part in parts]
     if len(values) == 1 and n_params > 1:
         values = values * n_params
     if len(values) != n_params:

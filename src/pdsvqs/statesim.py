@@ -27,7 +27,6 @@ __all__ = [
     "expectation",
     "fidelity",
     "exact_eigensystem",
-    "dense_matrix",
 ]
 
 _ROTATION_KINDS = ("rx", "ry", "rz", "cry")
@@ -374,31 +373,54 @@ def fidelity(state: State, basis: np.ndarray) -> float:
     return float(np.sum(np.abs(overlaps) ** 2))
 
 
-def dense_matrix(s: PauliSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum in the computational basis."""
-    dim = 1 << s.n_qubits
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for flip, diag in CompiledSum(s).pairs:
-        out[idx, idx if flip is None else flip] += diag
-    return out
-
-
 def exact_eigensystem(
     s: PauliSum, ground_tol: float = 1e-9
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and an orthonormal ground-space basis.
 
-    Intended for verification on small registers; the dense matrix of a
-    Hermitian sum is diagonalized with a symmetric solver: the real one,
-    several times faster, when no entry has an imaginary part (as when
-    every string holds an even number of Y letters).  The matrix needs no
-    Hermiticity check of its own: entry (j, i) adds the conjugates of entry
-    (i, j)'s terms in the same order, so it is exactly Hermitian.
+    The nonzero entries ``H[i, i ^ x] = d_x[i]`` of the compiled pairs link
+    basis indices into blocks (an irreducible sum is one block); the blocks of
+    each size go through one stacked symmetric solve, the real one when no
+    entry is imaginary.  It reads one triangle, which for real coefficients
+    is exact: ``d_x[i ^ x]`` adds the conjugates of ``d_x[i]``'s terms in the
+    same order.  The ground space is every eigenvector within
+    ``ground_tol * max(1, max |eigenvalue|)`` of the lowest eigenvalue.
     """
     if not s.is_hermitian():
         raise ValueError("eigensystem requires a Hermitian operator")
-    matrix = dense_matrix(s)
-    eigenvalues, vectors = np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
-    ground = vectors[:, np.abs(eigenvalues - eigenvalues[0]) <= ground_tol]
-    return eigenvalues, ground
+    idx = np.arange(1 << s.n_qubits)
+    pairs = CompiledSum(s).pairs or [(None, np.zeros(idx.size))]  # the zero sum
+    flips = np.array([idx if flip is None else flip for flip, _ in pairs], dtype=int)
+    diags = np.array([diag for _, diag in pairs], dtype=complex).reshape(-1, idx.size)
+    term, rows = np.nonzero(diags)
+    cols, vals = flips[term, rows], diags[term, rows]
+    vals = vals if vals.imag.any() else vals.real
+    # Each index takes the least label over its links, then its label's label,
+    # until no label moves: every block ends labelled by its least index.
+    label, previous = idx, None
+    while not np.array_equal(label, previous):
+        previous, label = label, label.copy()
+        np.minimum.at(label, rows, previous[cols])
+        label = label[label]
+    order = np.argsort(label, kind="stable")  # block by block, each ascending
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(starts, append=idx.size)
+    row_size = np.bincount(label)[label[rows]]  # each entry's block size
+    place, found = np.empty_like(idx), []
+    for m in sorted(set(sizes.tolist())):
+        members = order[starts[sizes == m][:, None] + np.arange(m)]
+        # Member k of block b is row b * m + k of the stack seen as (-1, m).
+        place[members] = np.arange(members.size).reshape(members.shape)
+        mine = row_size == m
+        stack = np.zeros(members.size * m, dtype=vals.dtype)
+        stack[place[rows[mine]] * m + place[cols[mine]] % m] += vals[mine]
+        found.append((members, *np.linalg.eigh(stack.reshape(-1, m, m))))
+    eigenvalues = np.sort(np.concatenate([w.ravel() for _, w, _ in found]))
+    tol = ground_tol * max(1.0, np.abs(eigenvalues[[0, -1]]).max())
+    columns = []
+    for members, w, v in found:
+        j, c = np.nonzero(np.abs(w - eigenvalues[0]) <= tol)
+        column = np.zeros((idx.size, len(j)), dtype=v.dtype)
+        column[members[j].T, np.arange(len(j))] = v[j, :, c].T
+        columns.append(column)
+    return eigenvalues, np.concatenate(columns, axis=1)

@@ -60,6 +60,11 @@ class TestAngleParsing:
         with pytest.raises(ValueError, match="expected 2 angles"):
             parse_angles("1,2,3", 2)
 
+    @pytest.mark.parametrize("text", ["1,,2", "0.3,", ",0.3", " , "])
+    def test_angles_reject_empty_fields(self, text):
+        with pytest.raises(ValueError, match="empty angle"):
+            parse_angles(text, 2)
+
 
 class TestRunCommand:
     def test_converged_run_exits_zero(self, capsys):
@@ -127,6 +132,11 @@ class TestRunCommand:
         )
         _, rows = read_csv(out)
         assert float(rows[0][-4]) == approx(7 * math.pi / 32, abs=1e-15)
+
+    def test_empty_theta0_field_exits_one(self, capsys):
+        code = main(["run", "--model", "toy_a", "--theta0", "1,,2"])
+        assert code == 1
+        assert "empty angle" in capsys.readouterr().err
 
     def test_bad_theta0_count_exits_one(self, capsys):
         code = main(["run", "--model", "toy_a", "--theta0", "1,2,3"])

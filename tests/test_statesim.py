@@ -1,5 +1,7 @@
 """Statevector simulator against independently built dense unitaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -9,6 +11,7 @@ from helpers import (
     dense_circuit_matrix,
     dense_circuit_state,
     dense_from_pairs,
+    dense_of,
     random_pairs,
     random_state_vector,
 )
@@ -19,7 +22,6 @@ from pdsvqs.statesim import (
     Gate,
     State,
     apply_circuit,
-    dense_matrix,
     exact_eigensystem,
     expectation,
     fidelity,
@@ -332,7 +334,7 @@ class TestFidelityAndSpectrum:
     )
     def test_exact_eigensystem_matches_complex_solver(self, pairs, is_complex, degeneracy):
         s = PauliSum.from_terms(pairs)
-        matrix = dense_matrix(s)
+        matrix = dense_of(s)
         assert matrix.imag.any() == is_complex
         eigenvalues, ground = exact_eigensystem(s)
         reference, vectors = np.linalg.eigh(matrix)
@@ -343,19 +345,85 @@ class TestFidelityAndSpectrum:
         expected = vectors[:, in_ground] @ vectors[:, in_ground].conj().T
         assert np.abs(ground @ ground.conj().T - expected).max() <= 1e-12
 
-    def test_dense_matrix_matches_oracle(self, rng):
-        pairs = random_pairs(rng, 2, 5, real=False)
-        s = PauliSum.from_terms(pairs)
-        assert np.allclose(dense_matrix(s), dense_from_pairs(pairs, 2), atol=1e-13)
-
-    def test_dense_matrix_of_hermitian_sum_is_exactly_hermitian(self, rng):
-        # Entry (j, i) adds the same strings in the same order as (i, j), so
-        # the eigensolver needs no Hermiticity check of the dense matrix.
+    def test_compiled_pairs_of_hermitian_sum_are_exactly_hermitian(self, rng):
+        # d_x[i ^ x] adds the conjugates of d_x[i]'s strings in the same
+        # order, so the eigensolver may read one triangle of each block.
         for _ in range(200):
             n = int(rng.integers(1, 7))
             s = PauliSum.from_terms(random_pairs(rng, n, int(rng.integers(1, 61))))
-            matrix = dense_matrix(s)
-            assert np.array_equal(matrix, matrix.conj().T)
+            for flip, diag in CompiledSum(s).pairs:
+                mirrored = diag if flip is None else diag[flip]
+                assert np.array_equal(mirrored, diag.conj())
+
+
+def ferromagnetic_chain(n_sites, scale):
+    """-scale * sum_i (XX + YY + ZZ)_{i,i+1}: its spin-n/2 multiplet is the ground space."""
+    pairs = []
+    for i in range(n_sites - 1):
+        for letter in "XYZ":
+            label = ["I"] * n_sites
+            label[i] = label[i + 1] = letter
+            pairs.append((-scale, "".join(label)))
+    return PauliSum.from_terms(pairs)
+
+
+def transverse_ising(n_sites, field):
+    zz = [(-1.0, "I" * i + "ZZ" + "I" * (n_sites - i - 2)) for i in range(n_sites - 1)]
+    x = [(-field, "I" * i + "X" + "I" * (n_sites - i - 1)) for i in range(n_sites)]
+    return PauliSum.from_terms(zz + x)
+
+
+def twisted_chain(n_sites):
+    """Heisenberg ZZ plus the XY - YX twist: S_z blocks with imaginary entries."""
+    pairs = [(0.3, "Z" + "I" * (n_sites - 1))]
+    for i in range(n_sites - 1):
+        left, right = "I" * i, "I" * (n_sites - i - 2)
+        pairs += [(c, left + ab + right) for c, ab in ((1.0, "ZZ"), (0.6, "XY"), (-0.6, "YX"))]
+    return PauliSum.from_terms(pairs)
+
+
+class TestBlockEigensystem:
+    """The block solver against ``np.linalg.eigh`` of the independent dense oracle."""
+
+    @pytest.mark.parametrize(
+        "s, degeneracy",
+        [
+            pytest.param(transverse_ising(5, 0.7), 1, id="ising-one-block"),
+            pytest.param(PauliSum.from_terms([(1.0, "ZZI"), (-0.5, "IZZ"), (0.25, "ZIZ"),
+                                              (0.5, "IIZ")]), 1, id="diagonal"),
+            pytest.param(PauliSum.from_terms([(2.5, "IIII")]), 16, id="identity"),
+            pytest.param(PauliSum.zero(2), 4, id="zero"),
+            pytest.param(PauliSum.from_terms(chain_pairs(8)), 1, id="chain8-nine-blocks"),
+            pytest.param(twisted_chain(5), 1, id="complex-blocks"),
+        ],
+    )
+    def test_matches_dense_solver(self, s, degeneracy):
+        eigenvalues, ground = exact_eigensystem(s)
+        reference, vectors = np.linalg.eigh(dense_of(s))
+        scale = max(1.0, np.abs(reference).max())
+        assert np.abs(eigenvalues - reference).max() <= 1e-12 * scale
+        in_ground = np.abs(reference - reference[0]) <= 1e-9 * scale
+        assert ground.shape[1] == in_ground.sum() == degeneracy
+        expected = vectors[:, in_ground] @ vectors[:, in_ground].conj().T
+        assert np.abs(ground @ ground.conj().T - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_sites, degeneracy", [(3, 4), (4, 5)])
+    def test_ground_tolerance_scales_with_the_spectrum(self, n_sites, degeneracy):
+        # At 1e8 the multiplet's rounding spread exceeds an absolute 1e-9.
+        eigenvalues, ground = exact_eigensystem(ferromagnetic_chain(n_sites, 1e8))
+        assert ground.shape[1] == degeneracy
+        assert eigenvalues[0] == approx(-1e8 * (n_sites - 1), rel=1e-12)
+
+    def test_ten_site_chain_never_builds_the_dense_matrix(self):
+        s = PauliSum.from_terms(chain_pairs(10))
+        tracemalloc.start()
+        try:
+            exact_eigensystem(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The dense complex 1024 x 1024 matrix alone is 16.8 MB.
+        assert peak < 6e6
 
 
 class TestDecomposeControlled:
