@@ -9,7 +9,7 @@ which groups the strings of every power once per run into a measurement plan;
 a small CLI rounds out the library.
 """
 
-from .pauli import PauliSum, PauliTerm, qwc_groups
+from .pauli import PauliSum
 from .statesim import (
     Circuit,
     Gate,
@@ -29,8 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PauliSum",
-    "PauliTerm",
-    "qwc_groups",
     "Circuit",
     "Gate",
     "State",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import _check_epsilon, _grouped_shots, reduction_stats
+from .measure import _check_epsilon, estimate_measurements, reduction_stats
 from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
 from .moments import hamiltonian_powers
 from .optim import evaluate, run_batch
@@ -297,7 +297,7 @@ def _cmd_estimate(args) -> int:
     hamiltonian = _hamiltonian_only(args)
     target = hamiltonian_powers(hamiltonian, args.power)[args.power]
     groups = _qwc_rows(target)  # grouped once, for the count and the estimate
-    shots = _grouped_shots(target, groups, args.epsilon, covariance=args.covariance)
+    shots = estimate_measurements(target, args.epsilon, groups=groups, covariance=args.covariance)
     print(
         f"power={args.power} groups={len(groups)} epsilon={_fmt(args.epsilon)} "
         f"measurements={_fmt(shots)}"

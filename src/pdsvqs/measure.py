@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import _union, hamiltonian_powers
-from .pauli import PauliSum, PauliTerm, _abs, _ints, _qwc_rows
+from .pauli import PauliSum, _abs, _labels, _qwc_rows
 
 __all__ = ["CostReport", "estimate_measurements", "reduction_stats"]
 
@@ -42,11 +42,26 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
 
 
+def _row_groups(groups, n_rows: int) -> list[np.ndarray]:
+    """``groups`` as row-index arrays, checked to partition ``range(n_rows)``."""
+    groups = [np.asarray(g, dtype=np.intp).reshape(-1) for g in groups]
+    rows = np.concatenate([np.empty(0, dtype=np.intp), *groups])
+    outside = rows[(rows < 0) | (rows >= n_rows)]
+    if outside.size:
+        raise ValueError(f"the groups name row {outside[0]} of a sum of {n_rows} rows")
+    counts = np.bincount(rows, minlength=n_rows)
+    wrong = np.flatnonzero(counts != 1)
+    if wrong.size:
+        r = wrong[0]
+        raise ValueError(f"the groups {'miss' if counts[r] == 0 else 'repeat'} row {r}")
+    return groups
+
+
 def estimate_measurements(
     s: PauliSum,
     epsilon: float,
-    expectations: dict[tuple[int, int], float] | None = None,
-    groups: list[list[PauliTerm]] | None = None,
+    expectations: dict[str, float] | None = None,
+    groups: list | None = None,
     covariance: str = "diagonal",
 ) -> float:
     """Total shots to estimate ``<s>`` to precision ``epsilon``.
@@ -54,10 +69,11 @@ def estimate_measurements(
     Args:
         s: Hermitian weighted Pauli sum.
         epsilon: Target standard error on the total.
-        expectations: Optional per-string ``<P>`` keyed by mask pair; strings
+        expectations: Optional per-string ``<P>`` keyed by label; strings
             without an entry use the worst-case variance 1.
-        groups: Measurement grouping; defaults to the qubit-wise commuting
-            grouping of ``s``.
+        groups: Row-index groups into ``s``, as ``pauli._qwc_rows`` returns,
+            that partition its rows (a ``ValueError`` names the first row they
+            miss or repeat); defaults to the qubit-wise commuting grouping.
         covariance: ``"diagonal"`` treats co-measured strings as
             uncorrelated; ``"bound"`` charges the worst-case covariance.
     """
@@ -66,25 +82,14 @@ def estimate_measurements(
         raise ValueError(f"unknown covariance mode {covariance!r}")
     if not s.is_hermitian():
         raise ValueError("measurement estimate requires a Hermitian sum")
-    if groups is None:
-        rows = _qwc_rows(s)
-    else:  # the groups' own terms, group after group
-        s = PauliSum.from_terms([t for group in groups for t in group], s.n_qubits)
-        if len(s) != sum(map(len, groups)):
-            raise ValueError("the groups repeat a string")
-        rows = np.split(np.arange(len(s)), np.cumsum([len(g) for g in groups])[:-1])
-    return _grouped_shots(s, rows, epsilon, expectations, covariance)
-
-
-def _grouped_shots(s, rows, epsilon, expectations=None, covariance="diagonal") -> float:
-    """``estimate_measurements`` of ``s`` measured as the row groups ``rows``."""
+    groups = _qwc_rows(s) if groups is None else _row_groups(groups, len(s))
     h, identity, var = _abs(s.coeffs), ~(s.x | s.z).any(axis=1), np.ones(len(s))
     if expectations is not None:
-        mean = [float(expectations.get(k, 0.0)) for k in zip(_ints(s.x), _ints(s.z))]
+        mean = [float(expectations.get(k, 0.0)) for k in _labels(s.x, s.z, s.n_qubits)]
         var = np.maximum(0.0, 1.0 - np.square(mean))
     # Left folds over Python floats, so the total keeps its bits.
     total = 0.0
-    for group in rows:
+    for group in groups:
         group = group[~identity[group]]
         if not group.size:
             continue

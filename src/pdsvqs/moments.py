@@ -183,7 +183,7 @@ class MeasurementPlan:
     """Grouped measurement of every string of ``powers[1:]``, built once.
 
     The union of the strings is split into G qubit-wise commuting groups
-    (``qwc_groups`` of ``union_of_powers``), which the plan keeps stacked.
+    (``pauli._qwc_rows`` of ``union_of_powers``), which the plan keeps stacked.
     ``turns`` holds one ``(q, U)`` per qubit that some group reads in X or Y,
     in qubit order; ``U`` has shape (G, 2, 2), and its row g turns group g's
     letter on q into Z readout, or is the identity where the group reads q in

@@ -8,9 +8,9 @@ strings into read-only (T, W) arrays ``x`` and ``z`` of little-endian 64-bit
 words (bit q of a mask is bit q % 64 of word q // 64) and a (T,) complex vector
 ``coeffs``, in first-seen order: the order in which the strings first appear
 in the input (for a product, the term pairs, left term outer), a repeated
-string's coefficients adding in that order.  ``PauliTerm`` objects and labels
-appear only at the edge: ``terms()`` (in label order), ``qwc_groups`` and text
-I/O.
+string's coefficients adding in that order.  Labels appear only at the edge:
+``from_terms`` and ``terms()`` (``(coefficient, label)`` pairs, the latter in
+label order) and text I/O.  Groupings are lists of row indices into a sum.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PauliTerm", "PauliSum", "qwc_groups", "qubitwise_commutes"]
+__all__ = ["PauliSum"]
 
-_LABELS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 # i^p for p = 0..3, used when composing phase exponents.
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
 # Set bits of each byte value (``np.bitwise_count`` needs numpy 2).
@@ -47,9 +46,10 @@ def _ranks(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return 2 * zb + (xb ^ zb)
 
 
-def _ints(words: np.ndarray) -> list[int]:
-    """The rows of (T, W) words as Python int masks."""
-    return [sum(w << 64 * k for k, w in enumerate(row)) for row in words.tolist()]
+def _labels(x: np.ndarray, z: np.ndarray, n: int) -> list[str]:
+    """The label of each row of (T, W) words, leftmost letter on qubit 0."""
+    codes = np.array([ord(a) for a in "IXYZ"], dtype=np.uint32)[_ranks(x, z, n)]
+    return codes.view(f"U{n}").reshape(-1).tolist()
 
 
 def _abs(c: np.ndarray) -> np.ndarray:
@@ -123,62 +123,6 @@ def _label_order(s: "PauliSum", *major: np.ndarray) -> np.ndarray:
     return np.lexsort([*ranks[:, ::-1].T, *major[::-1]])
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """A single weighted Pauli string.
-
-    Attributes:
-        n_qubits: Register width the string acts on.
-        x_mask: Bit q set when the letter on qubit q is X or Y.
-        z_mask: Bit q set when the letter on qubit q is Z or Y.
-        coefficient: Complex weight carried by the string.
-    """
-
-    n_qubits: int
-    x_mask: int
-    z_mask: int
-    coefficient: complex = 1.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("PauliTerm needs at least one qubit")
-        full = (1 << self.n_qubits) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
-            raise ValueError("mask has bits outside the register")
-
-    @classmethod
-    def from_label(cls, label: str, coefficient: complex = 1.0) -> "PauliTerm":
-        """Build a term from a letter string such as ``"IXZ"``, leftmost
-        letter on qubit 0, with a finite coefficient."""
-        (term,) = PauliSum._collect(None, [label], [coefficient]).terms()
-        return term
-
-    @property
-    def label(self) -> str:
-        """Letter-string form, leftmost letter on qubit 0."""
-        return "".join(
-            _LABELS[((self.x_mask >> q) & 1, (self.z_mask >> q) & 1)]
-            for q in range(self.n_qubits)
-        )
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.x_mask, self.z_mask)
-
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    def __mul__(self, other: "PauliTerm") -> "PauliTerm":
-        if not isinstance(other, PauliTerm):
-            return NotImplemented
-        (product,) = (PauliSum.from_terms([self]) * PauliSum.from_terms([other])).terms()
-        return product
-
-
 @dataclass(frozen=True, eq=False)
 class PauliSum:
     """A real- or complex-weighted sum of distinct Pauli strings on one register.
@@ -241,9 +185,9 @@ class PauliSum:
 
     @classmethod
     def from_terms(cls, terms, n_qubits: int | None = None) -> "PauliSum":
-        """Collect an iterable of ``PauliTerm`` (or ``(coefficient, label)``)
-        pairs; a non-finite coefficient raises ``ValueError`` as in ``from_text``."""
-        pairs = [(t.coefficient, t.label) if isinstance(t, PauliTerm) else t for t in terms]
+        """Collect an iterable of ``(coefficient, label)`` pairs; a non-finite
+        coefficient raises ``ValueError`` as in ``from_text``."""
+        pairs = list(terms)
         return cls._collect(n_qubits, [p[1] for p in pairs], [p[0] for p in pairs])
 
     @classmethod
@@ -254,13 +198,11 @@ class PauliSum:
     def zero(cls, n_qubits: int) -> "PauliSum":
         return cls._collect(n_qubits, [], [])
 
-    def _terms(self, rows: np.ndarray) -> list[PauliTerm]:
-        x, z, coeffs = _ints(self.x[rows]), _ints(self.z[rows]), self.coeffs[rows].tolist()
-        return [PauliTerm(self.n_qubits, *t) for t in zip(x, z, coeffs)]
-
-    def terms(self) -> list[PauliTerm]:
-        """Terms in label-lexicographic order, whatever the storage order."""
-        return self._terms(_label_order(self))
+    def terms(self) -> list[tuple[complex, str]]:
+        """``(coefficient, label)`` pairs, as ``from_terms`` takes, in label order."""
+        rows = _label_order(self)
+        labels = _labels(self.x[rows], self.z[rows], self.n_qubits)
+        return list(zip(self.coeffs[rows].tolist(), labels))
 
     def coefficient(self, label: str) -> complex:
         key = PauliSum.from_terms([(1.0, label)], self.n_qubits)
@@ -304,7 +246,9 @@ class PauliSum:
         return PauliSum(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool((np.abs(self.coeffs.imag) <= tol).all())
+        """``|Im c| <= tol * max(1, max |c|)`` for every c (residues scale with c)."""
+        scale = np.abs(self.coeffs).max(initial=1.0)
+        return bool((np.abs(self.coeffs.imag) <= tol * scale).all())
 
     def to_text(self) -> str:
         """Serialize to the plain-text format, one ``coefficient label`` per line.
@@ -312,13 +256,10 @@ class PauliSum:
         Coefficients are written with 17 significant digits, which round-trips
         IEEE doubles exactly.  Terms appear in label order.
         """
-        lines = []
-        for term in self.terms():
-            c = term.coefficient
-            if abs(c.imag) > 1e-12 * max(1.0, abs(c)):
-                raise ValueError("text format stores real coefficients only")
-            lines.append(f"{c.real:.17g} {term.label}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        terms = self.terms()
+        if any(abs(c.imag) > 1e-12 * max(1.0, abs(c)) for c, _ in terms):
+            raise ValueError("text format stores real coefficients only")
+        return "".join(f"{c.real:.17g} {label}\n" for c, label in terms)
 
     @classmethod
     def from_text(cls, text: str) -> "PauliSum":
@@ -350,15 +291,6 @@ class PauliSum:
         if not labels:
             raise ValueError("no Pauli terms found in text")
         return cls._collect(None, labels, values, lines)
-
-
-def qubitwise_commutes(a: PauliTerm, b: PauliTerm) -> bool:
-    """True when on every qubit the letters are equal or one is identity."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit count mismatch")
-    both = (a.x_mask | a.z_mask) & (b.x_mask | b.z_mask)
-    differ = (a.x_mask ^ b.x_mask) | (a.z_mask ^ b.z_mask)
-    return (both & differ) == 0
 
 
 def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
@@ -416,8 +348,3 @@ def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
         remaining[lo:] &= ~fit
     return groups
 
-
-def qwc_groups(s: PauliSum) -> list[list[PauliTerm]]:
-    """Partition the terms of ``s`` into qubit-wise commuting groups, each
-    measurable in one shared product basis (see ``_qwc_rows``)."""
-    return [s._terms(rows) for rows in _qwc_rows(s)]

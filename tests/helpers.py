@@ -4,7 +4,8 @@ The dense oracles are built from first principles with ``np.kron`` and
 explicit 4x4 / 2x2 matrices, deliberately not reusing the package's own Pauli
 algebra or simulator, so agreement between the two is a real cross-check.
 The product reference is the term-pair loop over dicts of Python-int mask
-pairs, which keep their strings in first-seen order.  The grouping reference
+pairs, which keep their strings in first-seen order; the helpers parse those
+masks themselves, from labels or from a sum's words.  The grouping reference
 is the plain first-fit loop over label-sorted terms.  The shot-sampling
 reference is the per-order readout loop; it shares the package's groups and
 one-qubit kernel, so it checks how a plan reads the counts, not those parts.
@@ -18,7 +19,7 @@ import numpy as np
 
 from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, union_of_powers
 from pdsvqs.moments import _Krylov, _analytic_rows, _exact_moments, _operator, _shift_rows
-from pdsvqs.pauli import qwc_groups
+from pdsvqs.pauli import _qwc_rows
 from pdsvqs.pds import RegPolicy, _solve_rows
 from pdsvqs.statesim import _apply_single, _derivative_states, _simulate
 
@@ -53,14 +54,9 @@ def dense_from_pairs(pairs, n_qubits=None):
     return out
 
 
-def pairs_of(s):
-    """``(coefficient, label)`` view of a package ``PauliSum``."""
-    return [(t.coefficient, t.label) for t in s.terms()]
-
-
 def dense_of(s):
     """Dense oracle matrix of a package ``PauliSum``."""
-    return dense_from_pairs(pairs_of(s), s.n_qubits)
+    return dense_from_pairs(s.terms(), s.n_qubits)
 
 
 def one_qubit_embedded(u, target, n_qubits):
@@ -178,16 +174,27 @@ def dict_of(s):
     return dict(zip(keys, s.coeffs.tolist()))
 
 
+def label_masks(label):
+    """``(x_mask, z_mask)`` of a label; bit q is the letter on qubit q (the leftmost)."""
+    return tuple(
+        sum((ch in letters) << q for q, ch in enumerate(label)) for letters in ("XY", "ZY")
+    )
+
+
 def dict_from_pairs(pairs):
-    """``(coefficient, label)`` pairs merged into a dict, first seen first;
-    bit q of a mask is the letter on qubit q (the leftmost)."""
+    """``(coefficient, label)`` pairs merged into a dict, first seen first."""
     out = {}
     for c, label in pairs:
-        key = tuple(
-            sum((ch in letters) << q for q, ch in enumerate(label)) for letters in ("XY", "ZY")
-        )
+        key = label_masks(label)
         out[key] = out.get(key, 0.0 + 0.0j) + complex(c)
     return out
+
+
+def row_items(s, groups):
+    """Row-index groups into a package ``PauliSum`` as lists of
+    ``((x_mask, z_mask), coefficient)`` items, masks read off its words."""
+    items = list(dict_of(s).items())
+    return [[items[r] for r in rows] for rows in groups]
 
 
 def dict_product(a, b):
@@ -224,23 +231,25 @@ def assert_same_dict(s, expected):
 
 def first_fit_qwc_groups(s):
     """Greedy qubit-wise commuting groups of a package ``PauliSum``, one term
-    at a time: terms sorted by (-|c|, label) each join the first group whose
-    pinned letters they agree with wherever the supports overlap."""
-    ordered = sorted(s.terms(), key=lambda t: (-abs(t.coefficient), t.label))
+    at a time, as lists of ``((x_mask, z_mask), coefficient)`` items: terms
+    sorted by (-|c|, label) each join the first group whose pinned letters
+    they agree with wherever the supports overlap."""
+    ordered = sorted(s.terms(), key=lambda t: (-abs(t[0]), t[1]))
     groups = []
     # Per group: (x_mask, z_mask, support_mask) of the letters pinned so far.
     pinned = []
-    for term in ordered:
-        support = term.x_mask | term.z_mask
+    for c, label in ordered:
+        x, z = label_masks(label)
+        support = x | z
         for gi, (gx, gz, gsup) in enumerate(pinned):
-            if ((gx ^ term.x_mask) | (gz ^ term.z_mask)) & gsup & support:
+            if ((gx ^ x) | (gz ^ z)) & gsup & support:
                 continue
-            groups[gi].append(term)
-            pinned[gi] = (gx | term.x_mask, gz | term.z_mask, gsup | support)
+            groups[gi].append(((x, z), c))
+            pinned[gi] = (gx | x, gz | z, gsup | support)
             break
         else:
-            groups.append([term])
-            pinned.append((term.x_mask, term.z_mask, support))
+            groups.append([((x, z), c)])
+            pinned.append((x, z, support))
     return groups
 
 
@@ -252,43 +261,44 @@ def per_order_plan(powers):
     tuple (order, identity constant or None, outcome row or None, row squared
     or None), each row summed term by term in group order.
     """
-    groups = qwc_groups(union_of_powers(powers))
+    union = union_of_powers(powers)
+    groups = [[key for key, _ in g] for g in row_items(union, _qwc_rows(union))]
     n = powers[1].n_qubits
     idx = np.arange(1 << n)
     # Column q: the bit of qubit q in each basis outcome, qubit 0 most significant.
     outcome_bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
-    coeff_maps = [{t.key: t.coefficient.real for t in s.terms()} for s in powers]
+    coeff_maps = [{key: c.real for key, c in dict_of(s).items()} for s in powers]
     plan = []
     for group in groups:
         sign_rows = {}
-        for term in group:
-            if not term.is_identity():
-                support = [q for q in range(n) if ((term.x_mask | term.z_mask) >> q) & 1]
+        for x, z in group:
+            if x | z:
+                support = [q for q in range(n) if ((x | z) >> q) & 1]
                 parity = outcome_bits[:, support].sum(axis=1) & 1
-                sign_rows[term.key] = 1.0 - 2.0 * parity
+                sign_rows[x, z] = 1.0 - 2.0 * parity
         readout = []
         for order in range(1, len(powers)):
             cmap = coeff_maps[order]
             constant = None
             row = np.zeros(idx.size)
             active = False
-            for term in group:
-                c = cmap.get(term.key)
+            for key in group:
+                c = cmap.get(key)
                 if c is None:
                     continue
-                if term.is_identity():
+                if key == (0, 0):
                     constant = c
                     continue
-                row += c * sign_rows[term.key]
+                row += c * sign_rows[key]
                 active = True
             if active:
                 readout.append((order, constant, row, row**2))
             elif constant is not None:
                 readout.append((order, constant, None, None))
         x_mask = z_mask = 0
-        for term in group:
-            x_mask |= term.x_mask
-            z_mask |= term.z_mask
+        for x, z in group:
+            x_mask |= x
+            z_mask |= z
         plan.append((x_mask, z_mask, readout))
     return plan
 

@@ -290,6 +290,19 @@ class TestReportCommands:
         out = capsys.readouterr().out
         assert "groups=2" in out and "power=1" in out
 
+    @pytest.mark.parametrize(
+        "argv", [["reduce", "--max-order", "5"], ["estimate", "--power", "5"]]
+    )
+    def test_large_unit_chain_is_hermitian(self, capsys, tmp_path, argv):
+        # Rounding residues in the powers grow with the coefficients; both
+        # commands accept the same file.
+        path = tmp_path / "chain6e6.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(6)).scaled(1e6), path)
+        code = main([*argv, "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "measurements=" in captured.out
+
     @pytest.mark.parametrize("power", ["0", "-1"])
     def test_estimate_rejects_power_below_one(self, capsys, power):
         code = main(["estimate", "--model", "h2", "--power", power])

@@ -8,11 +8,11 @@ from helpers import chain_pairs, random_pairs
 from pdsvqs import measure
 from pdsvqs.measure import CostReport, estimate_measurements, reduction_stats
 from pdsvqs.moments import hamiltonian_powers
-from pdsvqs.pauli import PauliSum, PauliTerm, _qwc_rows, qwc_groups
+from pdsvqs.pauli import PauliSum, _qwc_rows
 
 
 def singleton_groups(s):
-    return [[t] for t in s.terms()]
+    return [[i] for i in range(len(s))]
 
 
 class TestEstimate:
@@ -22,13 +22,13 @@ class TestEstimate:
 
     def test_known_expectation_shrinks_the_budget(self):
         s = PauliSum.from_terms([(0.2, "Z")])
-        shots = estimate_measurements(s, 0.01, expectations={(0, 1): 0.8})
+        shots = estimate_measurements(s, 0.01, expectations={"Z": 0.8})
         # Variance drops from 1 to 1 - 0.64 = 0.36.
         assert shots == approx(400.0 * 0.36)
 
     def test_certain_outcome_costs_nothing(self):
         s = PauliSum.from_terms([(0.5, "Z")])
-        assert estimate_measurements(s, 0.01, expectations={(0, 1): 1.0}) == 0.0
+        assert estimate_measurements(s, 0.01, expectations={"Z": 1.0}) == 0.0
 
     def test_identity_is_free(self):
         s = PauliSum.from_terms([(3.0, "II"), (0.2, "ZI")])
@@ -96,23 +96,40 @@ class TestEstimate:
         with pytest.raises(ValueError, match="finite and positive"):
             estimate_measurements(s, epsilon)
 
+    def test_expectations_are_keyed_by_label(self):
+        s = PauliSum.from_terms([(0.3, "ZI"), (0.4, "IZ")])
+        shots = estimate_measurements(s, 0.01, expectations={"IZ": 0.5, "XX": 0.9})
+        # One group; only IZ's variance drops, to 1 - 0.25; XX is not in s.
+        assert shots == approx((0.3**2 + 0.4**2 * 0.75) / 1e-4)
+
     @pytest.mark.parametrize("covariance", ["diagonal", "bound"])
-    def test_row_groups_give_the_bits_of_term_groups(self, covariance):
-        # ``estimate`` groups its target once and hands the row groups on;
-        # the public path re-collects qwc_groups' terms through their labels.
+    def test_row_groups_give_the_bits_of_the_default(self, covariance):
+        # ``estimate`` groups its target once and hands the row groups on.
         target = hamiltonian_powers(PauliSum.from_terms(chain_pairs(8)), 3)[3]
         rows = _qwc_rows(target)
         rng = np.random.default_rng(3)
-        keys = [(t.x_mask, t.z_mask) for t in target.terms()]
-        for expectations in (None, dict(zip(keys, rng.uniform(-1, 1, len(keys))))):
-            by_terms = estimate_measurements(
-                target, 1e-3, expectations, qwc_groups(target), covariance
-            )
-            by_rows = measure._grouped_shots(target, rows, 1e-3, expectations, covariance)
-            assert by_rows.hex() == by_terms.hex()
-            assert by_rows.hex() == estimate_measurements(
-                target, 1e-3, expectations, covariance=covariance
-            ).hex()
+        labels = [label for _, label in target.terms()]
+        for expectations in (None, dict(zip(labels, rng.uniform(-1, 1, len(labels))))):
+            default = estimate_measurements(target, 1e-3, expectations, covariance=covariance)
+            for groups in (rows, [g.tolist() for g in rows]):
+                by_rows = estimate_measurements(target, 1e-3, expectations, groups, covariance)
+                assert by_rows.hex() == default.hex()
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([[0, 2], [1, 2]], "the groups repeat row 2"),
+            ([[3], [0, 1, 1]], "the groups repeat row 1"),
+            ([[0], [3, 1]], "the groups miss row 2"),
+            ([], "the groups miss row 0"),
+            ([[0, 1, 2, 3, 4]], "row 4 of a sum of 4 rows"),
+            ([[0, 1, 2, -1]], "row -1 of a sum of 4 rows"),
+        ],
+    )
+    def test_row_groups_must_partition_the_rows(self, groups, message):
+        s = PauliSum.from_terms([(0.3, "ZI"), (0.4, "IZ"), (0.2, "XX"), (0.1, "YY")])
+        with pytest.raises(ValueError, match=message):
+            estimate_measurements(s, 1e-2, groups=groups)
 
 
 class TestReductionStats:
@@ -175,6 +192,13 @@ class TestReductionStats:
         monkeypatch.setattr(measure, "hamiltonian_powers", expand)
         with pytest.raises(ValueError, match="finite and positive"):
             reduction_stats(h2.hamiltonian, 4, epsilon)
+
+    def test_large_unit_sums_are_hermitian(self, rng):
+        # Rounding residues in the expanded powers grow with the coefficients.
+        for _ in range(20):
+            h = PauliSum.from_terms(random_pairs(rng, 4, 6)).scaled(10.0)
+            report = reduction_stats(h, 4)
+            assert report.total_measurements > 0
 
     @pytest.mark.parametrize("max_order", [0, 13])
     def test_bad_max_order_rejected_before_expansion(self, monkeypatch, h2, max_order):

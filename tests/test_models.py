@@ -1,10 +1,12 @@
 """Tests for the built-in benchmark models and Hamiltonian file I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import dense_of, kron_all, PAULI
+from helpers import chain_pairs, dense_of, kron_all, PAULI
 from pdsvqs.models import (
     MODEL_NAMES,
     build_model,
@@ -12,6 +14,7 @@ from pdsvqs.models import (
     load_hamiltonian,
     serialize_hamiltonian,
 )
+from pdsvqs.pauli import PauliSum
 from pdsvqs.statesim import apply_circuit, fidelity
 
 
@@ -168,6 +171,25 @@ class TestFileRoundTrip:
         assert path.read_text() == text
         loaded = load_hamiltonian(path)
         assert loaded.terms() == heisenberg.hamiltonian.terms()
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("toy_a", "0d242ad3891ee8cf86e49069956818869810170b263f29946784ae07809e853c"),
+            ("toy_b", "f4bc2093002c5fea306c05503fa70a74c300170eb18996e36e85bd62d9bc99ed"),
+            ("h2", "d9f64879dcaef90cb9b4bfc9fdb3a52b26a7733431c53189b608aeda337b08a6"),
+            ("heisenberg", "f6789bc88d1be2ef5d62a5677f4690d4785b78444e6f1a01579a38ba80c5deb3"),
+            ("chain12", "a85c900be6bbbfeb15a39b53e9c9619bc10ba0ee709d87e9910f4f005841a7a7"),
+        ],
+    )
+    def test_serialized_text_is_unchanged(self, name, digest):
+        # SHA-256 of the canonical text: saved Hamiltonian files keep their bytes.
+        if name == "chain12":
+            h = PauliSum.from_terms(chain_pairs(12))
+        else:
+            h = build_model(name).hamiltonian
+        text = serialize_hamiltonian(h)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_serialize_without_path_returns_text(self, h2):
         text = serialize_hamiltonian(h2.hamiltonian)

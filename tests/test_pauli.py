@@ -14,62 +14,68 @@ from helpers import (
     dict_powers,
     dict_product,
     first_fit_qwc_groups,
+    label_masks,
     random_pairs,
+    row_items,
 )
 from pdsvqs import pauli
 from pdsvqs.models import MODEL_NAMES, build_model
 from pdsvqs.moments import hamiltonian_powers, union_of_powers
-from pdsvqs.pauli import (
-    PauliSum,
-    PauliTerm,
-    qubitwise_commutes,
-    qwc_groups,
-)
+from pdsvqs.pauli import PauliSum, _qwc_rows
+
+
+def term(label, coefficient=1.0):
+    """The one-string sum ``coefficient * label``."""
+    return PauliSum.from_terms([(coefficient, label)])
+
+
+def qwc_items(s):
+    """``_qwc_rows(s)`` as lists of ``((x_mask, z_mask), coefficient)`` items."""
+    return row_items(s, _qwc_rows(s))
 
 
 class TestPauliTerm:
+    """One weighted string, given by its label."""
+
     def test_label_round_trip(self):
         for label in ("I", "X", "Y", "Z", "IXYZ", "ZZXY", "YIIX"):
-            term = PauliTerm.from_label(label)
-            assert term.label == label
-            assert term.n_qubits == len(label)
+            s = term(label)
+            assert s.terms() == [(1.0 + 0.0j, label)]
+            assert s.n_qubits == len(label)
 
     def test_masks_follow_letters(self):
-        term = PauliTerm.from_label("IXYZ")
         # qubit 0 is the leftmost letter -> lowest mask bit
-        assert term.x_mask == 0b0110
-        assert term.z_mask == 0b1100
+        assert dict_of(term("IXYZ")) == {(0b0110, 0b1100): 1.0}
 
     def test_invalid_labels(self):
         with pytest.raises(ValueError):
-            PauliTerm.from_label("")
+            term("")
         with pytest.raises(ValueError):
-            PauliTerm.from_label("IXQ")
+            term("IXQ")
 
     def test_weight_and_identity(self):
-        assert PauliTerm.from_label("II").is_identity()
-        assert PauliTerm.from_label("IXYI").weight() == 2
+        assert list(dict_of(term("II"))) == [(0, 0)]
+        ((x, z),) = dict_of(term("IXYI"))
+        assert (x | z).bit_count() == 2
 
     @pytest.mark.parametrize("a", ["I", "X", "Y", "Z"])
     @pytest.mark.parametrize("b", ["I", "X", "Y", "Z"])
     def test_single_qubit_product_table(self, a, b):
-        product = PauliTerm.from_label(a) * PauliTerm.from_label(b)
+        ((c, label),) = (term(a) * term(b)).terms()
         expected = dense_from_pairs([(1.0, a)]) @ dense_from_pairs([(1.0, b)])
-        assert np.allclose(
-            product.coefficient * dense_from_pairs([(1.0, product.label)]), expected
-        )
+        assert np.allclose(c * dense_from_pairs([(1.0, label)]), expected)
 
     def test_multi_qubit_product_phase(self, rng):
         for _ in range(50):
             (ca, la), (cb, lb) = random_pairs(rng, 3, 2, real=False)
-            product = PauliTerm.from_label(la, ca) * PauliTerm.from_label(lb, cb)
+            ((c, label),) = (term(la, ca) * term(lb, cb)).terms()
             expected = dense_from_pairs([(ca, la)]) @ dense_from_pairs([(cb, lb)])
-            got = product.coefficient * dense_from_pairs([(1.0, product.label)])
+            got = c * dense_from_pairs([(1.0, label)])
             assert np.allclose(got, expected, atol=1e-13)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            PauliTerm.from_label("XX") * PauliTerm.from_label("X")
+            term("XX") * term("X")
 
 
 class TestPauliSum:
@@ -80,13 +86,13 @@ class TestPauliSum:
 
     def test_terms_are_label_sorted(self, rng):
         s = PauliSum.from_terms(random_pairs(rng, 2, 12))
-        labels = [t.label for t in s.terms()]
+        labels = [label for _, label in s.terms()]
         assert labels == sorted(labels)
 
     @pytest.mark.parametrize("n", [65, 70, 130])
     def test_terms_are_label_sorted_on_wide_registers(self, rng, n):
         s = PauliSum.from_terms(random_pairs(rng, n, 30))
-        labels = [t.label for t in s.terms()]
+        labels = [label for _, label in s.terms()]
         assert labels == sorted(labels)
 
     def test_addition_and_scaling(self, rng):
@@ -120,6 +126,14 @@ class TestPauliSum:
         assert PauliSum.from_terms([(0.3, "XZ"), (-1.0, "YY")]).is_hermitian()
         assert not PauliSum.from_terms([(1j, "XZ")]).is_hermitian()
 
+    def test_hermitian_tolerance_scales_with_the_coefficients(self):
+        # Rounding residues of a product grow with its coefficients.
+        assert PauliSum.from_terms([(1.8e6 + 6.8e-12j, "XZ"), (3.0, "YY")]).is_hermitian()
+        assert PauliSum.from_terms([(1.0 + 1e-12j, "XZ")]).is_hermitian()
+        assert not PauliSum.from_terms([(1.0 + 1e-9j, "XZ")]).is_hermitian()
+        assert not PauliSum.from_terms([(1e-3 + 1e-9j, "XZ")]).is_hermitian()
+        assert not PauliSum.from_terms([(1e6, "XZ"), (1e-5j, "YY")]).is_hermitian()
+
     def test_zero_and_identity(self):
         assert len(PauliSum.zero(3)) == 0
         ident = PauliSum.identity(2, 2.5)
@@ -133,6 +147,21 @@ class TestPauliSum:
         s = PauliSum.from_terms(random_pairs(rng, 3, 6)).simplify()
         again = PauliSum.from_text(s.to_text())
         assert np.allclose(dense_of(again), dense_of(s), atol=0)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_text_round_trip_keeps_strings_and_bits(self, rng, n):
+        # Dense random labels put letters on both sides of each word boundary.
+        s = PauliSum.from_terms(random_pairs(rng, n, 40))
+        terms = s.terms()
+        labels = [label for _, label in terms]
+        assert labels == sorted(labels, key=lambda label: ["IXYZ".index(a) for a in label])
+        # The labels name the strings that the words hold.
+        assert {label_masks(label): c for c, label in terms} == dict_of(s)
+        for again in (PauliSum.from_text(s.to_text()), PauliSum.from_terms(terms)):
+            got = again.terms()
+            assert [label for _, label in got] == labels
+            coeffs = [np.array([c for c, _ in p], dtype=complex) for p in (got, terms)]
+            assert np.array_equal(*(c.view(np.uint64) for c in coeffs))
 
     def test_from_text_comments_and_blanks(self):
         text = "# header\n\n0.5 XZ  # inline\n-0.25 ZI\n0.5 XZ\n"
@@ -238,35 +267,34 @@ class TestGrouping:
         ],
     )
     def test_qubitwise_commutes(self, a, b, expected):
-        pa, pb = PauliTerm.from_label(a), PauliTerm.from_label(b)
-        assert qubitwise_commutes(pa, pb) is expected
-        assert qubitwise_commutes(pb, pa) is expected
+        # Two strings share a group exactly when they commute qubit-wise.
+        for pair in ([(1.0, a), (0.5, b)], [(0.5, a), (1.0, b)]):
+            assert (len(_qwc_rows(PauliSum.from_terms(pair))) == 1) is expected
 
     def test_groups_partition_all_terms(self, rng):
         s = PauliSum.from_terms(random_pairs(rng, 4, 20)).simplify()
-        groups = qwc_groups(s)
-        seen = sorted(t.label for g in groups for t in g)
-        assert seen == sorted(t.label for t in s.terms())
+        rows = np.concatenate(_qwc_rows(s))
+        assert sorted(rows.tolist()) == list(range(len(s)))
 
     def test_groups_are_internally_compatible(self, rng):
         s = PauliSum.from_terms(random_pairs(rng, 4, 25)).simplify()
-        for group in qwc_groups(s):
-            for i, a in enumerate(group):
-                for b in group[i + 1 :]:
-                    assert qubitwise_commutes(a, b)
+        for group in qwc_items(s):
+            for i, ((ax, az), _) in enumerate(group):
+                for (bx, bz), _ in group[i + 1 :]:
+                    assert ((ax ^ bx) | (az ^ bz)) & (ax | az) & (bx | bz) == 0
 
     def test_known_grouping(self):
         # ZI, IZ, ZZ share the all-Z basis; XX needs its own.
         s = PauliSum.from_terms([(0.4, "ZI"), (0.4, "IZ"), (0.2, "XX"), (0.1, "ZZ")])
-        groups = qwc_groups(s)
+        groups = _qwc_rows(s)
         assert len(groups) == 2
         sizes = sorted(len(g) for g in groups)
         assert sizes == [1, 3]
 
     def test_grouping_deterministic(self, rng):
         s = PauliSum.from_terms(random_pairs(rng, 3, 15)).simplify()
-        first = [[t.label for t in g] for g in qwc_groups(s)]
-        second = [[t.label for t in g] for g in qwc_groups(s)]
+        first = [g.tolist() for g in _qwc_rows(s)]
+        second = [g.tolist() for g in _qwc_rows(s)]
         assert first == second
 
 
@@ -301,8 +329,8 @@ def _distinct_sum(rng, n, n_terms, lead_identity):
 
 
 class TestGroupingMatchesFirstFit:
-    """``qwc_groups`` against the term-by-term first-fit loop: the same
-    groups, with terms and coefficients in the same order."""
+    """``_qwc_rows`` against the term-by-term first-fit loop: the same
+    groups, with strings and coefficients in the same order."""
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 70])
@@ -310,16 +338,16 @@ class TestGroupingMatchesFirstFit:
         largest = 0
         for _ in range(4):
             s = _sparse_sum(rng, n, 80, complex_coeffs)
-            groups = qwc_groups(s)
+            groups = qwc_items(s)
             assert groups == first_fit_qwc_groups(s)
             largest = max(largest, max(len(g) for g in groups))
         assert largest > 1
         dense = PauliSum.from_terms(random_pairs(rng, n, 40, real=not complex_coeffs))
-        assert qwc_groups(dense) == first_fit_qwc_groups(dense)
+        assert qwc_items(dense) == first_fit_qwc_groups(dense)
 
     @pytest.mark.parametrize("n", [1, 64, 70])
     def test_empty_sum(self, n):
-        assert qwc_groups(PauliSum.zero(n)) == first_fit_qwc_groups(PauliSum.zero(n)) == []
+        assert qwc_items(PauliSum.zero(n)) == first_fit_qwc_groups(PauliSum.zero(n)) == []
 
     @pytest.mark.parametrize("lead_identity", [False, True])
     @pytest.mark.parametrize("n_terms", [1, 63, 64, 65, 128, 129])
@@ -328,14 +356,14 @@ class TestGroupingMatchesFirstFit:
         # just spill over a word.  A leading identity pins no qubit.
         s = _distinct_sum(rng, 6, n_terms, lead_identity)
         assert len(s) == n_terms
-        groups = qwc_groups(s)
+        groups = qwc_items(s)
         assert groups == first_fit_qwc_groups(s)
-        assert groups[0][0].is_identity() == lead_identity
+        assert (groups[0][0][0] == (0, 0)) == lead_identity
 
     @pytest.mark.parametrize("n", [1, 64, 70])
     def test_identity_only(self, n):
         s = PauliSum.identity(n, -2.5)
-        assert qwc_groups(s) == first_fit_qwc_groups(s) == [s.terms()]
+        assert qwc_items(s) == first_fit_qwc_groups(s) == [[((0, 0), -2.5 + 0j)]]
 
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -343,11 +371,11 @@ class TestGroupingMatchesFirstFit:
         # Order K measures the moments up to 2K - 1.
         powers = hamiltonian_powers(build_model(name).hamiltonian, 2 * order - 1)
         union = union_of_powers(powers)
-        assert qwc_groups(union) == first_fit_qwc_groups(union)
+        assert qwc_items(union) == first_fit_qwc_groups(union)
 
     def test_chain8_union_to_order_4(self):
         powers = hamiltonian_powers(PauliSum.from_terms(chain_pairs(8)), 4)
         union = union_of_powers(powers)
-        groups = qwc_groups(union)
+        groups = qwc_items(union)
         assert len(union) == 4112 and len(groups) == 376
         assert groups == first_fit_qwc_groups(union)
