@@ -17,6 +17,7 @@ import math
 import operator
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ from .statesim import exact_eigensystem
 __all__ = ["main"]
 
 SCHEMA_LINE = "# pdsvqs trajectory schema v1"
+# Widest file Hamiltonian whose exact reference ``run`` and ``scan`` compute.
+REFERENCE_MAX_QUBITS = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +125,15 @@ def _hamiltonian_only(args):
 
 def _load_problem(args):
     """Resolve --model/--file and the --theta0/--eta/--schedule overrides into
-    (hamiltonian, circuit, theta0, eta, schedule, reference, ground basis)."""
+    (hamiltonian, circuit, theta0, eta, schedule, reference, ground basis,
+    announcement).
+
+    A file Hamiltonian's exact reference is computed up to
+    ``REFERENCE_MAX_QUBITS`` and skipped above; the announcement is the line
+    that says which, with the width and the reference's wall time.  It is
+    None for a built-in model, whose reference comes with the model.
+    """
+    announcement = None
     if args.model is not None:
         bundle = _build_model(args)
         hamiltonian, circuit = bundle.hamiltonian, bundle.circuit
@@ -132,18 +143,23 @@ def _load_problem(args):
         hamiltonian = load_hamiltonian(args.file)
         circuit = hardware_efficient_ansatz(hamiltonian.n_qubits, args.layers)
         theta0, eta, schedule = np.full(circuit.n_params, 1e-3), 0.05, "constant"
-        if hamiltonian.n_qubits <= 12:
+        width = f"qubits={hamiltonian.n_qubits}"
+        if hamiltonian.n_qubits <= REFERENCE_MAX_QUBITS:
+            start = time.perf_counter()
             eigenvalues, ground = exact_eigensystem(hamiltonian)
             reference = float(eigenvalues[0])
+            seconds = format(time.perf_counter() - start, ".3g")
+            announcement = f"reference=exact {width} seconds={seconds}"
         else:
             reference, ground = math.nan, None
+            announcement = f"reference=skipped {width} limit={REFERENCE_MAX_QUBITS}"
     if args.theta0 is not None:
         theta0 = parse_angles(args.theta0, circuit.n_params)
     if args.eta is not None:
         eta = args.eta
     if args.schedule is not None:
         schedule = args.schedule.replace("-", "_")
-    return hamiltonian, circuit, theta0, eta, schedule, reference, ground
+    return hamiltonian, circuit, theta0, eta, schedule, reference, ground, announcement
 
 
 def _policy_from_args(args) -> RegPolicy:
@@ -202,7 +218,7 @@ def _write_trajectory(path, trajectory, order, n_params, reference) -> None:
 
 def _cmd_run(args) -> int:
     problem = _load_problem(args)
-    hamiltonian, circuit, theta0, eta, schedule, reference, ground = problem
+    hamiltonian, circuit, theta0, eta, schedule, reference, ground, announcement = problem
     options = _run_options(args, eta, schedule, ground)
     trajectory = run_loop(
         hamiltonian, circuit, theta0, shots=args.shots, seed=args.seed, **options
@@ -223,6 +239,8 @@ def _cmd_run(args) -> int:
     if trajectory.message:
         summary.append(f"message={trajectory.message!r}")
     print(" ".join(summary))
+    if announcement is not None:
+        print(announcement)
     return 0 if trajectory.status == "converged" else 2
 
 
@@ -230,7 +248,7 @@ def _cmd_scan(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     problem = _load_problem(args)
-    hamiltonian, circuit, theta0, eta, schedule, reference, ground = problem
+    hamiltonian, circuit, theta0, eta, schedule, reference, ground, announcement = problem
     try:
         pi, pj = (int(p) for p in args.params.split(","))
     except ValueError:
@@ -274,6 +292,8 @@ def _cmd_scan(args) -> int:
         f"scan complete: {args.grid * args.grid} starts, "
         f"outputs {args.out}_starts.csv {args.out}_surface.csv"
     )
+    if announcement is not None:
+        print(announcement)
     return 0
 
 

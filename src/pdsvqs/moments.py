@@ -8,6 +8,11 @@ applications.  Derivative rows come either from the analytic form
 ``2 Re <d_k psi| v_n>``, which continues the same Krylov list to ``v_{2K-1}``,
 or from the two-point rotation shift rule applied per gate occurrence;
 controlled rotations are rewritten to one-qubit rotations before shifting.
+The analytic rows dot the derivative states when the iterate already holds
+them (the ngd and ite metrics need them); otherwise a backward sweep carries
+``psi, v_1 .. v_{2K-1}`` back through the circuit and builds none, which
+costs 2K vectors and O(K * gates * 2**n) instead of the walk's
+n_params + 1 vectors and O(n_params * gates * 2**n).
 One shift-rule loop serves exact and sampled moments alike: it is handed the
 function that gives a shifted state's moment values.  These routines act on
 stacks of states, one row per parameter point.
@@ -31,7 +36,9 @@ from .statesim import (
     Circuit,
     CompiledSum,
     State,
+    _adjoint_rows,
     _apply_single,
+    _compiled,
     _index_masks,
     _parity,
     _simulate,
@@ -45,7 +52,9 @@ __all__ = [
     "sampled_moments",
 ]
 
-# Expanded powers drop strings whose coefficient magnitude is at most this.
+# Expanded powers drop strings whose coefficient magnitude is at most this
+# fraction of the largest in the same sum, so the pruning keeps its strings
+# whatever the units of H.
 DROP_TOL = 1e-12
 # Highest power ``hamiltonian_powers`` expands; string counts grow fast.
 MAX_POWER = 12
@@ -54,41 +63,35 @@ MAX_POWER = 12
 def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
     """Pauli expansions of ``h**n`` for ``n = 0 .. max_order``.
 
-    Every product is pruned at ``DROP_TOL``; orders above ``MAX_POWER`` raise.
+    ``h`` and every product are pruned at ``DROP_TOL`` times their own
+    largest coefficient magnitude; orders above ``MAX_POWER`` raise.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     powers = [PauliSum.identity(h.n_qubits)]
-    base = h.simplify(DROP_TOL)
+    base = _pruned(h)
     if not base.is_hermitian():
         raise ValueError("moment powers require a Hermitian operator")
     if max_order > MAX_POWER:
         raise ValueError(f"max_order {max_order} exceeds the power cap {MAX_POWER}")
     for _ in range(max_order):
-        powers.append((powers[-1] * base).simplify(DROP_TOL))
+        powers.append(_pruned(powers[-1] * base))
     return powers
 
 
-# The last sum ``_operator`` compiled, and its CompiledSum.  One slot serves
-# callers that evaluate many points of one H.
-_last_compiled: tuple[PauliSum, CompiledSum] | None = None
+def _pruned(s: PauliSum) -> PauliSum:
+    return s.simplify(DROP_TOL * _abs(s.coeffs).max(initial=0.0))
 
 
 def _operator(h: PauliSum, max_order: int) -> CompiledSum:
-    """Compiled ``h`` for the exact moments, after the argument checks.
-
-    The compiled operator is reused when the same sum object comes back,
-    which cannot have changed since a sum's arrays are read-only; any other
-    sum is compiled anew.
-    """
-    global _last_compiled
+    """Compiled ``h`` for the exact moments, after the argument checks; the
+    compilation is ``statesim._compiled``'s, reused while ``h`` is the same
+    sum object."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     if not h.is_hermitian():
         raise ValueError("moments require a Hermitian operator")
-    if _last_compiled is None or _last_compiled[0] is not h:
-        _last_compiled = (h, CompiledSum(h))
-    return _last_compiled[1]
+    return _compiled(h)
 
 
 class _Krylov:
@@ -123,10 +126,22 @@ def _exact_moments(op: CompiledSum, max_order: int):
 
 
 def _analytic_rows(
-    krylov: _Krylov, derivs: np.ndarray, max_order: int
+    krylov: _Krylov,
+    max_order: int,
+    circuit: Circuit,
+    thetas: np.ndarray,
+    derivs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rows ``2 Re <d_k psi| v_n>`` of shape (..., n_params, max_order + 1)
-    from derivative states ``derivs`` of shape (..., n_params, 2**n)."""
+    """Rows ``2 Re <d_k psi| v_n>`` of shape (B, n_params, max_order + 1).
+
+    An iterate that already holds its derivative states ``derivs``
+    (B, n_params, 2**n), from the walk its metric needs, dots them with the
+    Krylov vectors.  Otherwise the backward sweep carries ``psi, v_1 ..
+    v_max_order`` back through the circuit at ``thetas`` and builds no
+    derivative state.
+    """
+    if derivs is None:
+        return _adjoint_rows(circuit, thetas, [krylov[n] for n in range(max_order + 1)])
     rows = np.zeros(derivs.shape[:-1] + (max_order + 1,))
     for n in range(1, max_order + 1):
         rows[..., n] = 2.0 * _vdot(derivs, krylov[n][..., None, :]).real

@@ -363,9 +363,12 @@ def run_batch(
     ``H^j psi``, ``2K - 1`` applications of H in all; ``ngd``/``ite`` steps
     follow the sufficient-decrease rule of the module docstring, row by row,
     and an accepted trial point hands its Krylov vectors on.  Sampled and
-    ``gradient_method="shift"`` rows share one shift-rule loop.  An iterate
-    that needs derivative states builds them and its circuit states in one
-    forward walk.  Fidelity is the overlap with the span of ``ground_basis``,
+    ``gradient_method="shift"`` rows share one shift-rule loop.  An ``ngd``
+    or ``ite`` iterate, whose metric needs derivative states, builds them and
+    its circuit states in one forward walk, and its analytic rows dot them
+    with the Krylov vectors.  A ``gd`` iterate simulates its states once and
+    takes its analytic rows from a backward sweep of the states and Krylov
+    vectors through the circuit, with no derivative state.  Fidelity is the overlap with the span of ``ground_basis``,
     checked once on entry, and NaN when no basis is passed.
 
     Solver failures do not raise: that row's trajectory comes back with
@@ -407,9 +410,10 @@ def run_batch(
     carried = np.zeros(len(theta), dtype=bool)
     for iteration in range(max_iters + 1):
         walk = derivs = None
-        # The analytic rows and the ngd/ite metric need derivative states: one
-        # walk per iterate builds them together with the states.
-        if metric_kind != "gd" or (shots is None and gradient_method == "analytic"):
+        # The ngd/ite metric needs derivative states: one walk per iterate
+        # builds them together with the states, and the analytic rows reuse
+        # them.  A gd iterate simulates its states and sweeps for its rows.
+        if metric_kind != "gd":
             walk = _derivative_states(circuit, theta)
             derivs = walk[:, 1:]
         if shots is None:
@@ -421,7 +425,7 @@ def run_batch(
                 points = _put(points, ~carried, fresh) if carried.any() else fresh
             if gradient_method == "analytic":
                 krylov = _Krylov(op, points.krylov)
-                rows = _analytic_rows(krylov, derivs, max_order)
+                rows = _analytic_rows(krylov, max_order, circuit, theta, derivs)
             else:
                 moments_of = _exact_moments(op, max_order)
                 rows = _shift_rows(circuit, theta, moments_of, max_order + 1)

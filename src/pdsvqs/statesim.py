@@ -219,13 +219,10 @@ def _gate_matrices(circuit: Circuit, thetas: np.ndarray, shift=None) -> list:
     return matrices
 
 
-def _run_gates(amps: np.ndarray, gates, matrices) -> np.ndarray:
-    for gate, u in zip(gates, matrices):
-        if gate.control is None:
-            amps = _apply_single(amps, gate.target, u)
-        else:
-            amps = _apply_controlled(amps, gate.control, gate.target, u)
-    return amps
+def _apply_gate(amps: np.ndarray, gate: Gate, u: np.ndarray) -> np.ndarray:
+    if gate.control is None:
+        return _apply_single(amps, gate.target, u)
+    return _apply_controlled(amps, gate.control, gate.target, u)
 
 
 def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
@@ -233,7 +230,9 @@ def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
     with one rotation's offset shifted as ``_gate_matrices`` takes it."""
     amps = np.zeros((len(thetas), 1 << circuit.n_qubits), dtype=complex)
     amps[:, int(circuit.initial_bits, 2)] = 1.0
-    return _run_gates(amps, circuit.gates, _gate_matrices(circuit, thetas, shift))
+    for gate, u in zip(circuit.gates, _gate_matrices(circuit, thetas, shift)):
+        amps = _apply_gate(amps, gate, u)
+    return amps
 
 
 def apply_circuit(circuit: Circuit, theta: np.ndarray) -> State:
@@ -313,6 +312,22 @@ class CompiledSum:
         return out
 
 
+# The last sum ``_compiled`` compiled, and its CompiledSum.  One slot serves a
+# command that diagonalizes H and then takes its moments, and callers that
+# evaluate many points of one H.
+_last_compiled: tuple[PauliSum, CompiledSum] | None = None
+
+
+def _compiled(s: PauliSum) -> CompiledSum:
+    """``CompiledSum(s)``, reused when the same sum object comes back: a sum's
+    arrays are read-only, so it cannot have changed.  Any other sum is
+    compiled anew."""
+    global _last_compiled
+    if _last_compiled is None or _last_compiled[0] is not s:
+        _last_compiled = (s, CompiledSum(s))
+    return _last_compiled[1]
+
+
 def expectation(state: State, s: PauliSum) -> float:
     """Real expectation value ``<psi| s |psi>`` of a Hermitian sum."""
     if not s.is_hermitian():
@@ -337,21 +352,50 @@ def _derivative_states(circuit: Circuit, thetas: np.ndarray) -> np.ndarray:
     stack[:, 0, int(circuit.initial_bits, 2)] = 1.0
     live = 1
     for gate, u in zip(circuit.gates, _gate_matrices(circuit, thetas)):
-        if gate.control is None:
-            stack[:, :live] = _apply_single(stack[:, :live], gate.target, u)
-        else:
-            stack[:, :live] = _apply_controlled(stack[:, :live], gate.control, gate.target, u)
+        stack[:, :live] = _apply_gate(stack[:, :live], gate, u)
         if gate.param is None:
             continue
-        gen = _apply_single(stack[:, 0], gate.target, _GENERATORS[gate.kind])
-        if gate.kind == "cry":
-            # The projector-controlled generator: zero the control-0 half.
-            half = gen.reshape(-1, 2, gen.shape[-1] >> (gate.control + 1))
-            half[:, 0] = 0.0
-            gen = half.reshape(gen.shape)
-        stack[:, 1 + gate.param] += (-0.5j * gate.multiplier) * gen
+        stack[:, 1 + gate.param] += (-0.5j * gate.multiplier) * _generated(stack[:, 0], gate)
         live = max(live, 2 + gate.param)
     return stack
+
+
+def _generated(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """``G amps`` (B, 2**n) for the generator G of a bound gate; for CRY the
+    projector-controlled generator, which zeroes the control-0 half."""
+    gen = _apply_single(amps, gate.target, _GENERATORS[gate.kind])
+    if gate.kind == "cry":
+        half = gen.reshape(-1, 2, gen.shape[-1] >> (gate.control + 1))
+        half[:, 0] = 0.0
+        gen = half.reshape(gen.shape)
+    return gen
+
+
+def _adjoint_rows(circuit: Circuit, thetas: np.ndarray, vectors: list) -> np.ndarray:
+    """Rows ``2 Re <d_k psi| v_j>`` of shape (B, n_params, M) from one
+    backward sweep, with no derivative state built.
+
+    ``vectors`` holds M amplitude stacks (B, 2**n): first the circuit states
+    psi at the rows of ``thetas``, then v_1 .. v_{M-1}.  Column 0,
+    ``d <psi|psi>``, reads 0.  The sweep undoes the gates in reverse on the
+    whole stack (Jones & Gacon, arXiv:2009.02823): just before gate g is
+    undone, row 0 is the state psi_g right after g and row j is
+    ``lambda_j = U_{>g}^H v_j``.  The derivative of psi in g's angle is
+    ``U_{>g} (-(i mult / 2) G psi_g)``, so g adds
+    ``2 Re((i mult / 2) <G psi_g| lambda_j>)`` to every row j of its
+    parameter; a parameter bound to several gates adds each in turn.  This
+    holds M vectors instead of the walk's 1 + n_params.
+    """
+    rows = np.zeros((len(thetas), circuit.n_params, len(vectors)))
+    stack = np.stack(vectors, axis=1)
+    matrices = _gate_matrices(circuit, thetas)
+    for gate, u in zip(reversed(circuit.gates), reversed(matrices)):
+        if gate.param is not None:
+            dots = _vdot(_generated(stack[:, 0], gate)[:, None], stack[:, 1:])
+            # 2 Re((i mult / 2) z) = -mult Im z
+            rows[:, gate.param, 1:] -= gate.multiplier * dots.imag
+        stack = _apply_gate(stack, gate, np.conj(np.swapaxes(u, -1, -2)))
+    return rows
 
 
 def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -389,7 +433,7 @@ def exact_eigensystem(
     if not s.is_hermitian():
         raise ValueError("eigensystem requires a Hermitian operator")
     idx = np.arange(1 << s.n_qubits)
-    pairs = CompiledSum(s).pairs or [(None, np.zeros(idx.size))]  # the zero sum
+    pairs = _compiled(s).pairs or [(None, np.zeros(idx.size))]  # the zero sum
     flips = np.array([idx if flip is None else flip for flip, _ in pairs], dtype=int)
     diags = np.array([diag for _, diag in pairs], dtype=complex).reshape(-1, idx.size)
     term, rows = np.nonzero(diags)

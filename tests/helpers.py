@@ -21,7 +21,7 @@ from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, union_of_powers
 from pdsvqs.moments import _Krylov, _analytic_rows, _exact_moments, _operator, _shift_rows
 from pdsvqs.pauli import _qwc_rows
 from pdsvqs.pds import RegPolicy, _solve_rows
-from pdsvqs.statesim import _apply_single, _derivative_states, _simulate
+from pdsvqs.statesim import Circuit, Gate, _apply_single, _derivative_states, _simulate
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -124,6 +124,37 @@ def random_pairs(rng, n_qubits, n_terms, real=True):
             coeff = coeff + 1j * rng.standard_normal()
         pairs.append((coeff, random_label(rng, n_qubits)))
     return pairs
+
+
+def random_circuit(rng, n_qubits, n_gates, n_params):
+    """A random mix of rotations, controlled rotations, CNOT and X gates."""
+    kinds = ["rx", "ry", "rz", "x"]
+    if n_qubits > 1:
+        kinds += ["cry", "cnot"]
+    gates = []
+    for _ in range(n_gates):
+        kind = rng.choice(kinds)
+        target = int(rng.integers(n_qubits))
+        control = None
+        if kind in ("cry", "cnot"):
+            control = int(rng.integers(n_qubits - 1))
+            if control >= target:
+                control += 1
+        if kind in ("cnot", "x"):
+            gates.append(Gate(kind, target, control=control))
+        else:
+            gates.append(
+                Gate(
+                    kind,
+                    target,
+                    control=control,
+                    param=int(rng.integers(n_params)),
+                    multiplier=float(rng.choice([1.0, 2.0, -1.0])),
+                    offset=float(rng.normal()),
+                )
+            )
+    bits = "".join(rng.choice(["0", "1"]) for _ in range(n_qubits))
+    return Circuit(n_qubits=n_qubits, n_params=n_params, gates=tuple(gates), initial_bits=bits)
 
 
 def random_state_vector(rng, dim):
@@ -345,10 +376,16 @@ def point_solve(values, order, policy=RegPolicy()):
 
 
 def point_rows(circuit, theta, h, max_order, method="analytic"):
-    """Exact ``d<H^n>/d theta_k``, shape (n_params, max_order + 1), at one point."""
+    """Exact ``d<H^n>/d theta_k``, shape (n_params, max_order + 1), at one point.
+
+    ``method`` is "analytic" (derivative states from the forward walk),
+    "sweep" (the backward sweep, no derivative states) or "shift"."""
     thetas = np.asarray(theta, dtype=float)[None]
     op = _operator(h, max_order)
     if method == "shift":
         return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[0]
+    if method == "sweep":
+        krylov = _Krylov(op, [_simulate(circuit, thetas)])
+        return _analytic_rows(krylov, max_order, circuit, thetas)[0]
     walk = _derivative_states(circuit, thetas)
-    return _analytic_rows(_Krylov(op, [walk[:, 0]]), walk[:, 1:], max_order)[0]
+    return _analytic_rows(_Krylov(op, [walk[:, 0]]), max_order, circuit, thetas, walk[:, 1:])[0]

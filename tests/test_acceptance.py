@@ -354,21 +354,25 @@ def test_criterion_7c_gradient_vs_finite_differences():
                     ) / (12 * h)
                 if not np.linalg.norm(fd) >= 1e-2:
                     continue
-                rows = point_rows(model.circuit, theta, model.hamiltonian, 2 * k - 1)
-                grad, errors = _gradient_rows(values[None], rows[None], res)
-                assert errors[0] is None
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(grad[0] - fd) / np.linalg.norm(fd)),
-                )
+                # The walk's rows and the backward sweep's, each checked.
+                for method in ("analytic", "sweep"):
+                    rows = point_rows(
+                        model.circuit, theta, model.hamiltonian, 2 * k - 1, method=method
+                    )
+                    grad, errors = _gradient_rows(values[None], rows[None], res)
+                    assert errors[0] is None
+                    worst = max(
+                        worst,
+                        float(np.linalg.norm(grad[0] - fd) / np.linalg.norm(fd)),
+                    )
                 tested += 1
             worst_overall = max(worst_overall, worst)
             lines.append(f"{name}/K={k}:{tested}pts,{worst:.1e}")
     ok = worst_overall <= 1e-6
     assert report(
         "7c", ok,
-        f"worst relative error {worst_overall:.2e} (tol 1e-6) over "
-        + " ".join(lines),
+        f"worst relative error {worst_overall:.2e} (tol 1e-6), walk and sweep "
+        f"rows, over " + " ".join(lines),
     )
 
 
@@ -379,18 +383,20 @@ def test_criterion_7d_shift_rule_matches_analytic():
         model = build_model(name)
         for _ in range(5):
             theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
-            analytic = point_rows(
-                model.circuit, theta, model.hamiltonian, 7, method="analytic"
-            )
             shifted = point_rows(
                 model.circuit, theta, model.hamiltonian, 7, method="shift"
             )
-            worst = max(worst, float(np.abs(analytic - shifted).max()))
+            # The walk's analytic rows and the backward sweep's, each checked.
+            for method in ("analytic", "sweep"):
+                analytic = point_rows(
+                    model.circuit, theta, model.hamiltonian, 7, method=method
+                )
+                worst = max(worst, float(np.abs(analytic - shifted).max()))
     ok = worst <= 1e-10
     assert report(
         "7d", ok,
         f"worst |analytic - shift-rule| moment derivative {worst:.2e} "
-        f"(tol 1e-10) over 5 points x 4 models, orders to 7",
+        f"(tol 1e-10) over 5 points x 4 models, orders to 7, walk and sweep rows",
     )
 
 

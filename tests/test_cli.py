@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from helpers import chain_pairs
+from pdsvqs import statesim
 from pdsvqs.cli import SCHEMA_LINE, _fmt, main, parse_angle, parse_angles
 from pdsvqs.models import serialize_hamiltonian
 from pdsvqs.optim import run_batch
@@ -188,6 +190,44 @@ class TestRunCommand:
             main(["run", "--max-iters", "2"])
         assert err.value.code == 1
 
+    def test_file_run_announces_its_reference(self, tmp_path, capsys):
+        path = tmp_path / "chain4.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(4)), path)
+        code = main(["run", "--file", str(path), "--max-iters", "1", "--grad-tol", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2 and len(lines) == 2
+        assert lines[0].startswith("status=max_iters") and "deviation=" in lines[0]
+        match = re.fullmatch(r"reference=exact qubits=4 seconds=(\S+)", lines[1])
+        assert match and float(match[1]) >= 0.0
+
+    def test_wide_file_run_announces_the_skipped_reference(self, tmp_path, capsys):
+        path = tmp_path / "chain13.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(13)), path)
+        main(["run", "--file", str(path), "--max-iters", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("status=") and "deviation=" not in lines[0]
+        assert lines[1:] == ["reference=skipped qubits=13 limit=12"]
+
+    def test_model_run_prints_only_its_summary(self, capsys):
+        main(["run", "--model", "toy_a", "--max-iters", "1"])
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_file_run_compiles_h_once(self, tmp_path, capsys, monkeypatch):
+        # The reference and the moments share one compilation of H.
+        compiled = []
+
+        class Counted(statesim.CompiledSum):
+            def __init__(self, s):
+                compiled.append(s)
+                super().__init__(s)
+
+        monkeypatch.setattr(statesim, "CompiledSum", Counted)
+        monkeypatch.setattr(statesim, "_last_compiled", None)
+        path = tmp_path / "chain4.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(4)), path)
+        main(["run", "--file", str(path), "--max-iters", "2"])
+        assert len(compiled) == 1
+
 
 class TestScanCommand:
     def test_outputs_and_shapes(self, tmp_path, capsys):
@@ -212,6 +252,16 @@ class TestScanCommand:
         assert all(
             r[4] in ("ok", "SingularMoments", "ComplexRoots") for r in f_rows
         )
+
+    def test_file_scan_announces_its_reference(self, tmp_path, capsys):
+        path = tmp_path / "chain3.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(3)), path)
+        prefix = tmp_path / "f"
+        code = main(["scan", "--file", str(path), "--grid", "2", "--max-iters", "1",
+                     "--out", str(prefix)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines[0].startswith("scan complete: 4 starts")
+        assert re.fullmatch(r"reference=exact qubits=3 seconds=\S+", lines[1])
 
     def test_grid_points_centered_in_cells(self, tmp_path, capsys):
         prefix = tmp_path / "grid"

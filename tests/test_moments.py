@@ -11,11 +11,14 @@ from helpers import (
     per_order_sampled_moments,
     point_moments,
     point_rows,
+    random_circuit,
     random_pairs,
 )
 from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
     MeasurementPlan,
+    _analytic_rows,
+    _Krylov,
     _operator,
     hamiltonian_powers,
     sampled_moments,
@@ -28,6 +31,7 @@ from pdsvqs.statesim import (
     CompiledSum,
     Gate,
     _derivative_states,
+    _simulate,
     apply_circuit,
 )
 
@@ -82,6 +86,19 @@ class TestHamiltonianPowers:
         model = build_model("h2")
         for p in hamiltonian_powers(model.hamiltonian, 6):
             assert p.is_hermitian()
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_pruning_does_not_depend_on_units(self, scale):
+        # Each power is pruned relative to its own largest coefficient: an
+        # absolute threshold kept rounding residues in large units (strings
+        # with imaginary parts that to_text refuses) and pruned every string
+        # from H^3 on in small ones.
+        h = PauliSum.from_terms(chain_pairs(6))
+        plain = hamiltonian_powers(h, 5)
+        scaled = hamiltonian_powers(h.scaled(scale), 5)
+        for p, q in zip(plain, scaled):
+            assert [label for _, label in q.terms()] == [label for _, label in p.terms()]
+            q.to_text()
 
 
 class TestMomentTable:
@@ -191,7 +208,7 @@ class TestMomentGradients:
 
     def test_zeroth_column_is_zero(self, h2, rng):
         theta = rng.normal(size=4)
-        for method in ("analytic", "shift"):
+        for method in ("analytic", "sweep", "shift"):
             rows = point_rows(h2.circuit, theta, h2.hamiltonian, 3, method=method)
             assert np.allclose(rows[:, 0], 0.0, atol=1e-14)
 
@@ -276,7 +293,7 @@ class TestKrylovMoments:
         got = point_moments(circuit, theta, h, self.MAX_ORDER)
         assert got.shape == (self.MAX_ORDER + 1,)
         assert np.all(np.abs(got - values) <= tol)
-        for method in ("analytic", "shift"):
+        for method in ("analytic", "sweep", "shift"):
             got = point_rows(circuit, theta, h, self.MAX_ORDER, method=method)
             assert np.all(np.abs(got - rows) <= tol), method
 
@@ -300,6 +317,61 @@ class TestKrylovMoments:
     def test_rejects_order_below_one(self, h2):
         with pytest.raises(ValueError, match="at least 1"):
             _operator(h2.hamiltonian, 0)
+
+
+def _sweep_cases():
+    """(Hamiltonian, circuit) pairs: the built-in models (toy_a's CRY, toy_b's
+    parameter shared by two gates), generated chains of 3-6 sites, and random
+    circuits whose complex gates (RX, RZ) follow bound gates, so undoing them
+    needs the conjugate transpose."""
+    cases = {}
+    for name in MODEL_NAMES_ALL:
+        model = build_model(name)
+        cases[name] = (model.hamiltonian, model.circuit)
+    for n in range(3, 7):
+        cases[f"chain{n}"] = (PauliSum.from_terms(chain_pairs(n)), hardware_efficient_ansatz(n, 2))
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        cases[f"random{n}"] = (
+            PauliSum.from_terms(random_pairs(rng, n, 6)), random_circuit(rng, n, 14, 3)
+        )
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+class TestAdjointSweep:
+    """Rows from the backward sweep against rows from the forward walk's
+    derivative states, relative to each order's largest row entry."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_sweep_rows_equal_walk_rows(self, name, batch):
+        h, circuit = SWEEP_CASES[name]
+        rng = np.random.default_rng(sorted(SWEEP_CASES).index(name))
+        thetas = rng.uniform(-np.pi, np.pi, size=(batch, circuit.n_params))
+        walk = _derivative_states(circuit, thetas)
+        for max_order in (1, 4, 7):
+            op = _operator(h, max_order)
+            expected = _analytic_rows(
+                _Krylov(op, [walk[:, 0]]), max_order, circuit, thetas, walk[:, 1:]
+            )
+            got = _analytic_rows(_Krylov(op, [_simulate(circuit, thetas)]), max_order, circuit, thetas)
+            assert got.shape == expected.shape == (batch, circuit.n_params, max_order + 1)
+            assert np.all(got[..., 0] == 0.0)
+            scale = np.abs(expected).max(axis=(0, 1))
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale), max_order
+
+    def test_unbound_parameter_reads_zero(self, heisenberg):
+        circuit = Circuit(
+            n_qubits=4, n_params=3,
+            gates=(Gate("x", 1), Gate("ry", 0, param=2), Gate("cnot", 1, control=0)),
+        )
+        thetas = np.array([[0.3, -1.1, 0.7], [1.0, 2.0, -0.4]])
+        op = _operator(heisenberg.hamiltonian, 3)
+        rows = _analytic_rows(_Krylov(op, [_simulate(circuit, thetas)]), 3, circuit, thetas)
+        assert np.all(rows[:, :2] == 0.0) and np.abs(rows[:, 2]).max() > 0.1
 
 
 class TestUnionOfPowers:

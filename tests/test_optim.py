@@ -6,6 +6,7 @@ from pytest import approx
 
 from helpers import point_moments, point_rows, point_solve
 from pdsvqs import moments, optim, statesim
+from pdsvqs.models import build_model
 from pdsvqs.optim import IterationRecord, Trajectory, _metric_rows, run, run_batch, step
 from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import RegPolicy, _gradient_rows
@@ -302,12 +303,29 @@ class TestRunDriver:
         assert len(traj.records) == 3
         assert all(np.isnan(r.fidelity) for r in traj.records)
 
+    @pytest.mark.parametrize("name", ["toy_a", "toy_b", "h2", "heisenberg"])
+    def test_exact_analytic_gd_builds_no_derivative_states(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gd iterate walked the derivative states")
+
+        monkeypatch.setattr(optim, "_derivative_states", refuse)
+        monkeypatch.setattr(statesim, "_derivative_states", refuse)
+        model = build_model(name)
+        starts = np.stack([model.theta0, model.theta0 + 0.3])
+        for traj in run_batch(
+            model.hamiltonian, model.circuit, starts,
+            order=3, metric_kind="gd", max_iters=3, grad_tol=0.0,
+        ):
+            assert traj.status == "max_iters" and len(traj.records) == 4
+
     @pytest.mark.parametrize("kind,trials", [("gd", 0), ("ngd", 2)])
     def test_iterate_walks_once_and_reuses_its_state(
         self, toy_b, kind, trials, monkeypatch
     ):
-        # Each exact analytic iterate walks the circuit once, for its state
-        # and derivative states; only ngd's trial points simulate on their own.
+        # An exact analytic ngd iterate walks the circuit once, for its state
+        # and derivative states, and only its trial points simulate on their
+        # own.  A gd iterate walks never: it simulates its state once and
+        # takes its rows from the backward sweep.
         calls = {"walk": 0, "simulate": 0}
 
         def counted(name, fn):
@@ -325,7 +343,11 @@ class TestRunDriver:
             toy_b.hamiltonian, toy_b.circuit, toy_b.theta0,
             order=2, metric_kind=kind, max_iters=2, grad_tol=0.0,
         )
-        assert calls == {"walk": 3, "simulate": trials}
+        iterates = 3
+        if kind == "gd":
+            assert calls == {"walk": 0, "simulate": iterates + trials}
+        else:
+            assert calls == {"walk": iterates, "simulate": trials}
 
     @pytest.mark.parametrize("shots", [None, 500])
     @pytest.mark.parametrize("kind", ["gd", "ngd"])
@@ -412,8 +434,10 @@ class TestPreconditionedStepRule:
         assert self.energy_and_gradient(toy_b, trial)[0] > energy
         kw = dict(order=2, eta=0.05, max_iters=1, grad_tol=0.0)
         pre = run(toy_b.hamiltonian, toy_b.circuit, theta, metric_kind=kind, **kw)
-        plain = run(toy_b.hamiltonian, toy_b.circuit, theta, metric_kind="gd", **kw)
-        assert pre.thetas[1] == approx(plain.thetas[1], abs=0)
+        # The fallback is the plain step along the iterate's own gradient
+        # (walk rows; a gd run's swept rows differ in the last bits).
+        assert pre.thetas[1] == approx(theta - 0.05 * grad, abs=0)
+        assert pre.records[0].preconditioned is False
 
     def test_step_that_lowers_the_functional_is_taken(self, toy_a):
         theta = np.array([0.8, 0.8])

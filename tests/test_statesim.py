@@ -12,6 +12,7 @@ from helpers import (
     dense_circuit_state,
     dense_from_pairs,
     dense_of,
+    random_circuit,
     random_pairs,
     random_state_vector,
 )
@@ -29,37 +30,6 @@ from pdsvqs.statesim import (
 from pdsvqs import statesim
 from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.statesim import _derivative_states, _parity, _simulate
-
-
-def random_circuit(rng, n_qubits, n_gates, n_params):
-    """A random mix of rotations, controlled rotations, CNOT and X gates."""
-    kinds = ["rx", "ry", "rz", "x"]
-    if n_qubits > 1:
-        kinds += ["cry", "cnot"]
-    gates = []
-    for _ in range(n_gates):
-        kind = rng.choice(kinds)
-        target = int(rng.integers(n_qubits))
-        control = None
-        if kind in ("cry", "cnot"):
-            control = int(rng.integers(n_qubits - 1))
-            if control >= target:
-                control += 1
-        if kind in ("cnot", "x"):
-            gates.append(Gate(kind, target, control=control))
-        else:
-            gates.append(
-                Gate(
-                    kind,
-                    target,
-                    control=control,
-                    param=int(rng.integers(n_params)),
-                    multiplier=float(rng.choice([1.0, 2.0, -1.0])),
-                    offset=float(rng.normal()),
-                )
-            )
-    bits = "".join(rng.choice(["0", "1"]) for _ in range(n_qubits))
-    return Circuit(n_qubits=n_qubits, n_params=n_params, gates=tuple(gates), initial_bits=bits)
 
 
 class TestCircuitValidation:
