@@ -184,7 +184,6 @@ def _run_options(args, eta, schedule, ground) -> dict:
         grad_tol=args.grad_tol,
         pds_policy=_policy_from_args(args),
         metric_eps=args.metric_eps,
-        gradient_method=args.gradient,
         ground_basis=ground,
     )
 
@@ -346,7 +345,8 @@ def _add_problem_flags(parser) -> None:
 def _add_run_flags(parser) -> None:
     parser.add_argument("--functional", choices=("pds", "vqe"), default="pds")
     parser.add_argument("--order", type=int, default=2, help="functional order K")
-    parser.add_argument("--metric", choices=("gd", "ngd", "ite"), default="gd")
+    parser.add_argument("--metric", choices=("gd", "ngd", "ite"), default="gd",
+                        help="preconditioner; finite-shot runs take gd")
     parser.add_argument("--eta", type=float, default=None, help="step size")
     parser.add_argument("--schedule", choices=("constant", "inv-iter"), default=None)
     parser.add_argument("--theta0", default=None,
@@ -358,7 +358,6 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--reg-eps", type=float, default=1e-6,
                         help="eigenvalue shift for --pds-reg shift")
     parser.add_argument("--metric-eps", type=float, default=1e-6)
-    parser.add_argument("--gradient", choices=("analytic", "shift"), default="analytic")
 
 
 def build_parser() -> _Parser:

@@ -4,18 +4,18 @@ The moment table collects ``<psi(theta)| H^n |psi(theta)>`` for n up to a
 configured order.  Exact moments need only H applied to a vector: with the
 Krylov vectors ``v_j = H^j psi`` of the compiled H, ``<H^n>`` is
 ``<v_floor(n/2)| v_ceil(n/2)>``, so orders up to ``2K - 1`` cost K
-applications.  Derivative rows come either from the analytic form
-``2 Re <d_k psi| v_n>``, which continues the same Krylov list to ``v_{2K-1}``,
-or from the two-point rotation shift rule applied per gate occurrence;
-controlled rotations are rewritten to one-qubit rotations before shifting.
-The analytic rows dot the derivative states when the iterate already holds
+applications.  Exact runs take the analytic derivative rows
+``2 Re <d_k psi| v_n>``, which continue the same Krylov list to
+``v_{2K-1}``.  They dot the derivative states when the iterate already holds
 them (the ngd and ite metrics need them); otherwise a backward sweep carries
 ``psi, v_1 .. v_{2K-1}`` back through the circuit and builds none, which
 costs 2K vectors and O(K * gates * 2**n) instead of the walk's
 n_params + 1 vectors and O(n_params * gates * 2**n).
-One shift-rule loop serves exact and sampled moments alike: it is handed the
-function that gives a shifted state's moment values.  These routines act on
-stacks of states, one row per parameter point.
+Finite-shot runs take the two-point rotation shift rule per gate occurrence,
+with controlled rotations rewritten to one-qubit rotations first.  The
+shift-rule loop is handed the function that gives a shifted state's moment
+values: sampled ones in a run, exact ones as the reference for the analytic
+rows.  These routines act on stacks of states, one row per parameter point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -121,7 +121,7 @@ def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
 
 
 def _exact_moments(op: CompiledSum, max_order: int):
-    """``moments_of`` for ``_shift_rows``: the exact moments of amplitude rows."""
+    """``moments_of`` for ``_shift_rows``: exact moments, the analytic rows' reference."""
     return lambda amps: _values_from_state(_Krylov(op, [amps]), max_order)
 
 

@@ -21,9 +21,8 @@ at the trial point counts as a rejection.  The rule looks only at the
 current point, so a run restarted from any recorded iterate reproduces the
 rest of the trajectory.  An accepted trial point's state, Krylov vectors
 and moments are reused as the next iterate's, so only a rejected step costs
-an extra (energy-only) evaluation.  Plain gradient descent and finite-shot
-runs, whose functional values are estimates, always take the step as
-computed.
+an extra (energy-only) evaluation.  Plain gradient descent, which every
+finite-shot run is, always takes the step as computed.
 
 ``run_batch`` advances many starting points in lockstep, each layer acting on
 one stack of rows, and applies the rule above row by row; ``run`` is its
@@ -41,7 +40,7 @@ import numpy as np
 
 from .moments import MeasurementPlan
 from .moments import hamiltonian_powers, sampled_moments
-from .moments import _Krylov, _analytic_rows, _check_shots, _exact_moments, _operator
+from .moments import _Krylov, _analytic_rows, _check_shots, _operator
 from .moments import _shift_rows, _values_from_state
 from .pauli import PauliSum
 from .pds import (
@@ -70,7 +69,6 @@ __all__ = [
 ]
 
 _METRIC_KINDS = ("gd", "ngd", "ite")
-_GRADIENT_METHODS = ("analytic", "shift")
 _SCHEDULES = ("constant", "inv_iter")
 
 # Fraction of the first-order decrease ``grad . (theta - trial)`` that a
@@ -103,8 +101,11 @@ def step(
     smallest eigenvalue falls to ``eps`` relative scale, ``eps`` is added to
     all eigenvalues, so near-null directions get amplified rather than
     crashing the solve.  ``theta`` and ``grad`` are (..., P) and the metric
-    (..., P, P).
+    (..., P, P).  An ``eps`` that is not finite and positive raises
+    ``ValueError``.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if metric_matrix is None:
@@ -120,8 +121,8 @@ def step(
 @dataclass
 class IterationRecord:
     """One iterate.  ``preconditioned`` tells an accepted (True) from a
-    rejected (False) ngd/ite trial step; it is None for gd, finite-shot runs
-    and the final record."""
+    rejected (False) ngd/ite trial step; it is None for gd (every finite-shot
+    run is gd) and for the final record."""
 
     iteration: int
     theta: np.ndarray
@@ -312,9 +313,7 @@ def run(
     """Drive the optimization loop from one start and record its trajectory.
 
     ``run`` is ``run_batch`` with one starting point; it takes the same
-    keyword options, documented there.  With ``shots`` set, ``ngd`` and
-    ``ite`` runs estimate the moments and the gradient from shots but still
-    precondition with the exact statevector metric.
+    keyword options, documented there.
     """
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (circuit.n_params,):
@@ -335,7 +334,6 @@ def run_batch(
     grad_tol: float = 1e-8,
     pds_policy: RegPolicy | None = None,
     metric_eps: float = 1e-6,
-    gradient_method: str = "analytic",
     shots: int | None = None,
     seed: int = 0,
     ground_basis: np.ndarray | None = None,
@@ -351,40 +349,36 @@ def run_batch(
     ``functional`` is ``"pds"`` (moment functional of the given order) or
     ``"vqe"`` (plain energy expectation), which is solved as the order-1
     functional and ignores ``pds_policy``.  The schedule is a constant step
-    size or ``eta / iteration``.  With ``shots`` set, the moments and their
-    shift-rule gradients are estimated from simulated measurements of every
-    string of the expanded powers of H, grouped into one ``MeasurementPlan``
-    per call; each sampled state draws from one generator seeded by (seed,
-    iteration, its place in the iterate), so equal calls give equal bits.
-    ``ngd``/``ite`` shot runs still precondition with the exact statevector
-    metric, built from simulated derivative states, not with a measured one.
-    Otherwise the moments are exact: H is compiled once, and each iterate's
-    moments and analytic gradient rows come from one list of Krylov vectors
-    ``H^j psi``, ``2K - 1`` applications of H in all; ``ngd``/``ite`` steps
-    follow the sufficient-decrease rule of the module docstring, row by row,
-    and an accepted trial point hands its Krylov vectors on.  Sampled and
-    ``gradient_method="shift"`` rows share one shift-rule loop.  An ``ngd``
-    or ``ite`` iterate, whose metric needs derivative states, builds them and
-    its circuit states in one forward walk, and its analytic rows dot them
-    with the Krylov vectors.  A ``gd`` iterate simulates its states once and
-    takes its analytic rows from a backward sweep of the states and Krylov
-    vectors through the circuit, with no derivative state.  Fidelity is the overlap with the span of ``ground_basis``,
-    checked once on entry, and NaN when no basis is passed.
+    size or ``eta / iteration``.  Fidelity is the overlap with the span of
+    ``ground_basis``, checked once on entry, and NaN when no basis is passed.
+
+    Each mode has one gradient route.  An exact run (no ``shots``) compiles
+    H once, and each iterate's moments and analytic rows come from one list
+    of Krylov vectors ``H^j psi``, ``2K - 1`` applications of H in all.  A
+    ``gd`` iterate sweeps its states and Krylov vectors back through the
+    circuit.  An ``ngd`` or ``ite`` iterate builds its states and the
+    derivative states its metric needs in one forward walk and dots them; it
+    steps by the sufficient-decrease rule of the module docstring, row by
+    row, and an accepted trial point hands its Krylov vectors on.  A
+    finite-shot run is ``gd`` on moments and shift-rule rows sampled from
+    every string of the expanded powers of H, grouped into one
+    ``MeasurementPlan``; each sampled state draws from one generator seeded
+    by (seed, iteration, its place in the iterate), so equal calls give
+    equal bits.
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"`` and the records collected so far.  ``thetas`` of
     another shape, with no rows or with a non-finite entry raises
     ``ValueError``, as does an ``eta`` or ``metric_eps`` that is not finite
-    and positive, a ``grad_tol`` that is not finite and non-negative, or
-    ``shots`` that are not an integer from 2 up to ``2**63 - 1``.
+    and positive, a ``grad_tol`` that is not finite and non-negative,
+    ``shots`` that are not an integer from 2 up to ``2**63 - 1``, or
+    ``shots`` with ``metric_kind`` ``ngd`` or ``ite``.
     """
     order, pds_policy = _functional(functional, order, pds_policy)
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if metric_kind not in _METRIC_KINDS:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    if gradient_method not in _GRADIENT_METHODS:
-        raise ValueError(f"unknown gradient method {gradient_method!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     for name, value in (("eta", eta), ("metric_eps", metric_eps)):
@@ -398,6 +392,8 @@ def run_batch(
         op = _operator(hamiltonian, max_order)
     else:
         shots = _check_shots(shots)
+        if metric_kind != "gd":  # the ngd/ite metrics have no sampled estimate
+            raise ValueError(f"finite-shot runs take metric_kind 'gd', not {metric_kind!r}")
         plan = MeasurementPlan(hamiltonian_powers(hamiltonian, max_order))
     if ground_basis is not None:
         ground_adjoint = _basis_adjoint(ground_basis, 1 << circuit.n_qubits)
@@ -410,32 +406,25 @@ def run_batch(
     carried = np.zeros(len(theta), dtype=bool)
     for iteration in range(max_iters + 1):
         walk = derivs = None
-        # The ngd/ite metric needs derivative states: one walk per iterate
-        # builds them together with the states, and the analytic rows reuse
-        # them.  A gd iterate simulates its states and sweeps for its rows.
-        if metric_kind != "gd":
-            walk = _derivative_states(circuit, theta)
-            derivs = walk[:, 1:]
-        if shots is None:
+        if shots is not None:
+            amps = _simulate(circuit, theta)
+            seeds = [seed + int(b) for b in live]
+            values, rows = _sampled_table(
+                circuit, theta, amps, plan, shots, seeds, iteration
+            )
+            points = _Points(amps, [], values, _solve_rows(values, order, pds_policy))
+        else:
+            # The ngd/ite metric needs derivative states; one walk builds them.
+            if metric_kind != "gd":
+                walk = _derivative_states(circuit, theta)
+                derivs = walk[:, 1:]
             if not carried.all():
                 fresh = _exact_points(
                     op, circuit, theta[~carried], order, pds_policy,
                     None if walk is None else walk[~carried, 0],
                 )
                 points = _put(points, ~carried, fresh) if carried.any() else fresh
-            if gradient_method == "analytic":
-                krylov = _Krylov(op, points.krylov)
-                rows = _analytic_rows(krylov, max_order, circuit, theta, derivs)
-            else:
-                moments_of = _exact_moments(op, max_order)
-                rows = _shift_rows(circuit, theta, moments_of, max_order + 1)
-        else:
-            amps = _simulate(circuit, theta) if walk is None else walk[:, 0]
-            seeds = [seed + int(b) for b in live]
-            values, rows = _sampled_table(
-                circuit, theta, amps, plan, shots, seeds, iteration
-            )
-            points = _Points(amps, [], values, _solve_rows(values, order, pds_policy))
+            rows = _analytic_rows(_Krylov(op, points.krylov), max_order, circuit, theta, derivs)
         grad, errors = _gradient_rows(points.values, rows, points.solved)
         roots = points.solved.roots.copy()
         failed = ~_no_error(errors)
@@ -485,7 +474,7 @@ def run_batch(
             points, metric_matrix = _take(points, go), _take(metric_matrix, go)
         stepping = np.flatnonzero(~done)
         trial = step(theta, grad, metric_matrix, eta_k, metric_eps)
-        if metric_matrix is None or shots is not None:
+        if metric_matrix is None:
             theta = trial
             points, carried = None, np.zeros(len(theta), dtype=bool)
             continue

@@ -428,8 +428,11 @@ def exact_eigensystem(
     entry is imaginary.  It reads one triangle, which for real coefficients
     is exact: ``d_x[i ^ x]`` adds the conjugates of ``d_x[i]``'s terms in the
     same order.  The ground space is every eigenvector within
-    ``ground_tol * max(1, max |eigenvalue|)`` of the lowest eigenvalue.
+    ``ground_tol * max(1, max |eigenvalue|)`` of the lowest eigenvalue; a
+    ``ground_tol`` that is not finite and non-negative raises ``ValueError``.
     """
+    if not (math.isfinite(ground_tol) and ground_tol >= 0):
+        raise ValueError(f"ground_tol must be finite and non-negative, got {ground_tol!r}")
     if not s.is_hermitian():
         raise ValueError("eigensystem requires a Hermitian operator")
     idx = np.arange(1 << s.n_qubits)

@@ -4,15 +4,13 @@ import json
 import math
 import re
 
-import numpy as np
 import pytest
 from pytest import approx
 
 from helpers import chain_pairs
 from pdsvqs import statesim
-from pdsvqs.cli import SCHEMA_LINE, _fmt, main, parse_angle, parse_angles
+from pdsvqs.cli import SCHEMA_LINE, main, parse_angle, parse_angles
 from pdsvqs.models import serialize_hamiltonian
-from pdsvqs.optim import run_batch
 from pdsvqs.pauli import PauliSum
 
 
@@ -174,6 +172,8 @@ class TestRunCommand:
             (["--grad-tol", "nan"], "grad_tol must be finite"),
             (["--metric", "ngd", "--metric-eps", "nan"], "metric_eps must be finite"),
             (["--metric", "ngd", "--metric-eps", "-1"], "metric_eps must be finite"),
+            (["--shots", "500", "--metric", "ngd"],
+             "pdsvqs: error: finite-shot runs take metric_kind 'gd', not 'ngd'"),
         ],
     )
     def test_bad_numeric_inputs_exit_one(self, tmp_path, capsys, flags, message):
@@ -283,23 +283,6 @@ class TestScanCommand:
         _, rows = read_csv(tmp_path / "v_surface.csv")
         for r in rows:
             assert float(r[2]) == approx(float(r[3]), abs=0)
-
-    def test_gradient_flag_reaches_the_runs(self, tmp_path, capsys, toy_b):
-        prefix = tmp_path / "s"
-        code = main(["scan", "--model", "toy_b", "--grid", "4",
-                     "--gradient", "shift", "--out", str(prefix)])
-        assert code == 0
-        grid = [-math.pi + (k + 0.5) * 2.0 * math.pi / 4 for k in range(4)]
-        starts = [(ti, tj) for ti in grid for tj in grid]
-        trajectories = run_batch(
-            toy_b.hamiltonian, toy_b.circuit, starts, gradient_method="shift",
-            ground_basis=toy_b.ground_basis,
-        )
-        _, rows = read_csv(tmp_path / "s_starts.csv")
-        assert [row[2:] for row in rows] == [
-            [t.status, str(t.final.iteration), _fmt(t.final.energy), _fmt(t.final.fidelity)]
-            for t in trajectories
-        ]
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_exits_one(self, tmp_path, capsys, grid):
@@ -469,6 +452,7 @@ class TestConfigFile:
         [
             ({"pds_reg": "bogus"}, "argument --pds-reg: invalid choice: 'bogus'"),
             ({"order": 2.5}, "argument --order: invalid int value: '2.5'"),
+            ({"gradient": "shift"}, "unknown keys: gradient"),
         ],
     )
     def test_config_values_are_checked_like_flags(self, tmp_path, capsys, config, message):
@@ -511,6 +495,8 @@ class TestConfigFile:
         [
             (["--conf", "{path}", "run"], "argument command: invalid choice"),
             (["run", "--model", "toy_a", "--max-it", "1"], "unrecognized arguments: --max-it"),
+            (["run", "--model", "toy_a", "--gradient", "shift"],
+             "unrecognized arguments: --gradient shift"),
         ],
     )
     def test_abbreviated_flags_are_usage_errors(self, tmp_path, capsys, argv, message):

@@ -213,9 +213,10 @@ class TestMomentGradients:
             assert np.allclose(rows[:, 0], 0.0, atol=1e-14)
 
     def test_unknown_method(self, h2):
+        # A run's rows follow its mode; no keyword picks the method.
         starts = np.stack([h2.theta0, -h2.theta0])
-        with pytest.raises(ValueError, match="unknown gradient method"):
-            optim.run_batch(h2.hamiltonian, h2.circuit, starts, gradient_method="bogus")
+        with pytest.raises(TypeError, match="gradient_method"):
+            optim.run_batch(h2.hamiltonian, h2.circuit, starts, gradient_method="shift")
 
     def test_first_column_is_energy_gradient(self, toy_a, rng):
         # d<H>/dtheta via a fine central difference on the expectation itself

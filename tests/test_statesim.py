@@ -384,6 +384,11 @@ class TestBlockEigensystem:
         assert ground.shape[1] == degeneracy
         assert eigenvalues[0] == approx(-1e8 * (n_sites - 1), rel=1e-12)
 
+    @pytest.mark.parametrize("ground_tol", [np.nan, -1.0, np.inf])
+    def test_rejects_ground_tol_that_is_not_finite_and_non_negative(self, h2, ground_tol):
+        with pytest.raises(ValueError, match="ground_tol must be finite and non-negative"):
+            exact_eigensystem(h2.hamiltonian, ground_tol=ground_tol)
+
     def test_ten_site_chain_never_builds_the_dense_matrix(self):
         s = PauliSum.from_terms(chain_pairs(10))
         tracemalloc.start()
