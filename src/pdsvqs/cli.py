@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .measure import _check_epsilon, estimate_measurements, reduction_stats
-from .models import MODEL_NAMES, build_model, hardware_efficient_ansatz, load_hamiltonian
+from .models import MODEL_NAMES, ModelBundle, build_model, hardware_efficient_ansatz
+from .models import load_hamiltonian
 from .moments import hamiltonian_powers
 from .optim import evaluate, run_batch
 from .optim import run as run_loop
 from .pauli import _qwc_rows
 from .pds import RegPolicy
-from .statesim import exact_eigensystem
 
 __all__ = ["main"]
 
@@ -106,126 +106,99 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _build_model(args):
-    """The --model bundle, with --j/--b passed on for heisenberg only."""
-    options = {}
-    if args.model == "heisenberg":
-        if args.j is not None:
-            options["j"] = args.j
-        if args.b is not None:
-            options["b"] = args.b
-    return build_model(args.model, **options)
+def _given(**values) -> dict:
+    """The keywords whose flag was given, so the callee keeps its defaults."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
-def _hamiltonian_only(args):
-    if args.model is not None:
-        return _build_model(args).hamiltonian
-    return load_hamiltonian(args.file)
+def _load_problem(args) -> ModelBundle:
+    """The --model or --file problem.  Nothing is diagonalized here.
 
-
-def _load_problem(args):
-    """Resolve --model/--file and the --theta0/--eta/--schedule overrides into
-    (hamiltonian, circuit, theta0, eta, schedule, reference, ground basis,
-    announcement).
-
-    A file Hamiltonian's exact reference is computed up to
-    ``REFERENCE_MAX_QUBITS`` and skipped above; the announcement is the line
-    that says which, with the width and the reference's wall time.  It is
-    None for a built-in model, whose reference comes with the model.
+    --j/--b go to ``build_model``, which rejects them for every model but
+    heisenberg; --layers sets a file's ansatz depth and is rejected with a
+    model.  A file pairs with the hardware-efficient ansatz, theta0 = 1e-3,
+    eta = 0.05 and a constant schedule.
     """
-    announcement = None
+    options = _given(j=args.j, b=args.b)
     if args.model is not None:
-        bundle = _build_model(args)
-        hamiltonian, circuit = bundle.hamiltonian, bundle.circuit
-        theta0, eta, schedule = bundle.theta0, bundle.eta, bundle.schedule
-        reference, ground = bundle.reference_energy, bundle.ground_basis
-    else:
-        hamiltonian = load_hamiltonian(args.file)
-        circuit = hardware_efficient_ansatz(hamiltonian.n_qubits, args.layers)
-        theta0, eta, schedule = np.full(circuit.n_params, 1e-3), 0.05, "constant"
-        width = f"qubits={hamiltonian.n_qubits}"
-        if hamiltonian.n_qubits <= REFERENCE_MAX_QUBITS:
-            start = time.perf_counter()
-            eigenvalues, ground = exact_eigensystem(hamiltonian)
-            reference = float(eigenvalues[0])
-            seconds = format(time.perf_counter() - start, ".3g")
-            announcement = f"reference=exact {width} seconds={seconds}"
-        else:
-            reference, ground = math.nan, None
-            announcement = f"reference=skipped {width} limit={REFERENCE_MAX_QUBITS}"
+        if args.layers is not None:
+            raise ValueError("--layers sets the ansatz of --file Hamiltonians only")
+        return build_model(args.model, **options)
+    if options:
+        raise ValueError("--j and --b set the heisenberg model only")
+    hamiltonian = load_hamiltonian(args.file)
+    layers = 1 if args.layers is None else args.layers
+    circuit = hardware_efficient_ansatz(hamiltonian.n_qubits, layers)
+    theta0 = np.full(circuit.n_params, 1e-3)
+    return ModelBundle(args.file, hamiltonian, circuit, theta0, 0.05, "constant")
+
+
+def _run_options(args, problem: ModelBundle) -> tuple[dict, float, str | None]:
+    """The ``run_batch`` keywords that ``run`` and ``scan`` share, the
+    reference energy and the announcement.
+
+    --theta0/--eta/--schedule are set on the problem in place, and they and
+    the policy are checked, before its reference is first read: up to
+    ``REFERENCE_MAX_QUBITS`` qubits, and skipped (NaN, no ground basis) above.
+    For a file the announcement is the line that says which, with the width
+    and the reference's wall time; it is None for a built-in model.
+    """
     if args.theta0 is not None:
-        theta0 = parse_angles(args.theta0, circuit.n_params)
+        problem.theta0 = parse_angles(args.theta0, problem.circuit.n_params)
     if args.eta is not None:
-        eta = args.eta
+        problem.eta = args.eta
     if args.schedule is not None:
-        schedule = args.schedule.replace("-", "_")
-    return hamiltonian, circuit, theta0, eta, schedule, reference, ground, announcement
-
-
-def _policy_from_args(args) -> RegPolicy:
-    if args.pds_reg == "shift":
-        return RegPolicy.shift(args.reg_eps)
-    if args.pds_reg == "truncate":
-        return RegPolicy.truncate()
-    if args.pds_reg == "none":
-        return RegPolicy.none()
-    return RegPolicy.auto()
-
-
-def _run_options(args, eta, schedule, ground) -> dict:
-    """The ``run_batch`` keywords that ``run`` and ``scan`` share."""
-    return dict(
+        problem.schedule = args.schedule.replace("-", "_")
+    if args.reg_eps is not None and args.pds_reg in ("none", "truncate"):
+        raise ValueError(f"--reg-eps is the shift of --pds-reg shift and auto, not {args.pds_reg}")
+    options = dict(
         functional=args.functional,
         order=1 if args.functional == "vqe" else args.order,
         metric_kind=args.metric,
-        eta=eta,
-        schedule=schedule,
+        eta=problem.eta,
+        schedule=problem.schedule,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
-        pds_policy=_policy_from_args(args),
+        pds_policy=RegPolicy(args.pds_reg, **_given(shift_eps=args.reg_eps)),
         metric_eps=args.metric_eps,
-        ground_basis=ground,
     )
+    width = f"qubits={problem.hamiltonian.n_qubits}"
+    if problem.hamiltonian.n_qubits > REFERENCE_MAX_QUBITS:
+        return options, math.nan, f"reference=skipped {width} limit={REFERENCE_MAX_QUBITS}"
+    start = time.perf_counter()
+    options["ground_basis"] = problem.ground_basis
+    seconds = format(time.perf_counter() - start, ".3g")
+    announcement = f"reference=exact {width} seconds={seconds}" if args.file else None
+    return options, problem.reference_energy, announcement
 
 
-def _write_trajectory(path, trajectory, order, n_params, reference) -> None:
-    lines = [SCHEMA_LINE]
-    roots = [f"root_{i + 1}" for i in range(order)]
-    thetas = [f"theta_{i + 1}" for i in range(n_params)]
-    lines.append(
-        ",".join(
-            ["iter", "energy", *roots, "expval_H", "deviation", "fidelity",
-             "grad_norm", "metric_cond", *thetas]
-        )
-    )
-    for rec in trajectory.records:
-        deviation = rec.energy - reference if math.isfinite(reference) else math.nan
-        row = [
-            str(rec.iteration),
-            _fmt(rec.energy),
-            *(_fmt(r) for r in rec.roots),
-            _fmt(rec.expval_h),
-            _fmt(deviation),
-            _fmt(rec.fidelity),
-            _fmt(rec.grad_norm),
-            _fmt(rec.metric_cond),
-            *(_fmt(t) for t in rec.theta),
-        ]
-        lines.append(",".join(row))
+def _write_csv(path, header, rows) -> None:
+    """The schema line, the header and the rows; values that are not strings
+    are printed with 17 significant digits."""
+    lines = [SCHEMA_LINE, ",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _cmd_run(args) -> int:
+    if args.seed is not None and args.shots is None:
+        raise ValueError("--seed seeds --shots runs only")
     problem = _load_problem(args)
-    hamiltonian, circuit, theta0, eta, schedule, reference, ground, announcement = problem
-    options = _run_options(args, eta, schedule, ground)
+    options, reference, announcement = _run_options(args, problem)
     trajectory = run_loop(
-        hamiltonian, circuit, theta0, shots=args.shots, seed=args.seed, **options
+        problem.hamiltonian, problem.circuit, problem.theta0,
+        **_given(shots=args.shots, seed=args.seed), **options,
     )
     if args.out is not None:
-        _write_trajectory(
-            args.out, trajectory, options["order"], circuit.n_params, reference
-        )
+        roots = [f"root_{i + 1}" for i in range(options["order"])]
+        thetas = [f"theta_{i + 1}" for i in range(problem.circuit.n_params)]
+        header = ["iter", "energy", *roots, "expval_H", "deviation", "fidelity",
+                  "grad_norm", "metric_cond", *thetas]
+        _write_csv(args.out, header, (
+            [rec.iteration, rec.energy, *rec.roots, rec.expval_h, rec.energy - reference,
+             rec.fidelity, rec.grad_norm, rec.metric_cond, *rec.theta]
+            for rec in trajectory.records
+        ))
     final = trajectory.records[-1] if trajectory.records else None
     summary = [f"status={trajectory.status}"]
     if final is not None:
@@ -247,46 +220,35 @@ def _cmd_scan(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     problem = _load_problem(args)
-    hamiltonian, circuit, theta0, eta, schedule, reference, ground, announcement = problem
+    n_params = problem.circuit.n_params
     try:
         pi, pj = (int(p) for p in args.params.split(","))
     except ValueError:
         raise ValueError(f"--params expects 'i,j', got {args.params!r}") from None
-    if not (0 <= pi < circuit.n_params and 0 <= pj < circuit.n_params and pi != pj):
+    if not (0 <= pi < n_params and 0 <= pj < n_params and pi != pj):
         raise ValueError("--params indices out of range or equal")
+    options, _, announcement = _run_options(args, problem)
     grid = [-math.pi + (k + 0.5) * 2.0 * math.pi / args.grid for k in range(args.grid)]
     pairs = [(ti, tj) for ti in grid for tj in grid]
-    thetas = np.repeat(theta0[None], len(pairs), axis=0)
+    thetas = np.repeat(problem.theta0[None], len(pairs), axis=0)
     thetas[:, [pi, pj]] = pairs
-    options = _run_options(args, eta, schedule, ground)
-    trajectories = run_batch(hamiltonian, circuit, thetas, **options)
+    trajectories = run_batch(problem.hamiltonian, problem.circuit, thetas, **options)
     energies, expvals, errors = evaluate(
-        hamiltonian, circuit, thetas, functional=args.functional,
+        problem.hamiltonian, problem.circuit, thetas, functional=args.functional,
         order=options["order"], pds_policy=options["pds_policy"],
     )
-
-    start_lines = [SCHEMA_LINE, "theta_i0,theta_j0,status,iterations,final_energy,final_fidelity"]
-    surface_lines = [SCHEMA_LINE, "theta_i,theta_j,energy,expval_H,flag"]
+    starts, surface = [], []
     for (ti, tj), trajectory, energy, expval, error in zip(
         pairs, trajectories, energies, expvals, errors
     ):
-        final = trajectory.records[-1] if trajectory.records else None
-        start_lines.append(
-            ",".join(
-                [
-                    _fmt(ti), _fmt(tj), trajectory.status,
-                    str(final.iteration if final else -1),
-                    _fmt(final.energy if final else math.nan),
-                    _fmt(final.fidelity if final else math.nan),
-                ]
-            )
-        )
-        flag = "ok" if error is None else type(error).__name__
-        surface_lines.append(
-            ",".join([_fmt(ti), _fmt(tj), _fmt(energy), _fmt(expval), flag])
-        )
-    Path(f"{args.out}_starts.csv").write_text("\n".join(start_lines) + "\n")
-    Path(f"{args.out}_surface.csv").write_text("\n".join(surface_lines) + "\n")
+        f = trajectory.records[-1] if trajectory.records else None
+        end = (f.iteration, f.energy, f.fidelity) if f else (-1, math.nan, math.nan)
+        starts.append([ti, tj, trajectory.status, *end])
+        surface.append([ti, tj, energy, expval, "ok" if error is None else type(error).__name__])
+    _write_csv(f"{args.out}_starts.csv", ["theta_i0", "theta_j0", "status", "iterations",
+                                          "final_energy", "final_fidelity"], starts)
+    _write_csv(f"{args.out}_surface.csv",
+               ["theta_i", "theta_j", "energy", "expval_H", "flag"], surface)
     print(
         f"scan complete: {args.grid * args.grid} starts, "
         f"outputs {args.out}_starts.csv {args.out}_surface.csv"
@@ -297,8 +259,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    hamiltonian = _hamiltonian_only(args)
-    report = reduction_stats(hamiltonian, args.max_order, args.epsilon)
+    report = reduction_stats(_load_problem(args).hamiltonian, args.max_order, args.epsilon)
     print("order,strings,cumulative,measurements")
     for n in range(args.max_order):
         print(
@@ -313,8 +274,7 @@ def _cmd_estimate(args) -> int:
     if args.power < 1:
         raise ValueError(f"--power must be at least 1, got {args.power}")
     _check_epsilon(args.epsilon)
-    hamiltonian = _hamiltonian_only(args)
-    target = hamiltonian_powers(hamiltonian, args.power)[args.power]
+    target = hamiltonian_powers(_load_problem(args).hamiltonian, args.power)[args.power]
     groups = _qwc_rows(target)  # grouped once, for the count and the estimate
     shots = estimate_measurements(target, args.epsilon, groups=groups, covariance=args.covariance)
     print(
@@ -325,8 +285,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    hamiltonian = _hamiltonian_only(args)
-    eigenvalues, ground = exact_eigensystem(hamiltonian)
+    eigenvalues, ground = _load_problem(args).eigensystem
     print(" ".join(format(v, "g") for v in eigenvalues))
     print(f"ground={_fmt(eigenvalues[0])} degeneracy={ground.shape[1]}")
     return 0
@@ -336,8 +295,8 @@ def _add_problem_flags(parser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", choices=MODEL_NAMES, help="built-in model")
     source.add_argument("--file", help="Hamiltonian text file")
-    parser.add_argument("--layers", type=int, default=1,
-                        help="ansatz layers for file Hamiltonians")
+    parser.add_argument("--layers", type=int, default=None,
+                        help="ansatz layers for file Hamiltonians (default 1)")
     parser.add_argument("--j", type=float, default=None, help="heisenberg coupling")
     parser.add_argument("--b", type=float, default=None, help="heisenberg field")
 
@@ -355,8 +314,8 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--grad-tol", type=float, default=1e-8)
     parser.add_argument("--pds-reg", choices=("none", "shift", "truncate", "auto"),
                         default="auto")
-    parser.add_argument("--reg-eps", type=float, default=1e-6,
-                        help="eigenvalue shift for --pds-reg shift")
+    parser.add_argument("--reg-eps", type=float, default=None,
+                        help="eigenvalue shift of --pds-reg shift and auto (default 1e-6)")
     parser.add_argument("--metric-eps", type=float, default=1e-6)
 
 
@@ -371,7 +330,8 @@ def build_parser() -> _Parser:
     _add_run_flags(p_run)
     p_run.add_argument("--shots", type=int, default=None,
                        help="emulate finite measurement shots")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="seed of the --shots draws (default 0)")
     p_run.add_argument("--out", default=None, help="trajectory CSV path")
     p_run.set_defaults(func=_cmd_run)
 

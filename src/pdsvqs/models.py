@@ -42,12 +42,18 @@ Four models ship with the package:
 
 User-supplied Hamiltonians use the text format of :meth:`PauliSum.from_text`
 and pair with the generic hardware-efficient ansatz.
+
+A :class:`ModelBundle` holds a problem: the Hamiltonian, its ansatz and the
+run defaults.  Its exact reference (ground energy and ground basis) is
+diagonalized on first read, never when the bundle is built, so commands that
+only expand or group H (``reduce``, ``estimate``) do no exact solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +75,13 @@ MODEL_NAMES = ("toy_a", "toy_b", "h2", "heisenberg")
 
 @dataclass
 class ModelBundle:
-    """A Hamiltonian, its ansatz, reference data and run defaults."""
+    """A Hamiltonian, its ansatz and run defaults: the problem ``run`` solves.
+
+    Nothing is diagonalized when a bundle is made.  The first read of
+    ``eigensystem``, ``reference_energy`` or ``ground_basis`` computes
+    ``exact_eigensystem(hamiltonian)`` and keeps it; the run defaults may be
+    set in place, which keeps it too (``dataclasses.replace`` would not).
+    """
 
     name: str
     hamiltonian: PauliSum
@@ -77,24 +89,19 @@ class ModelBundle:
     theta0: np.ndarray
     eta: float
     schedule: str
-    reference_energy: float
-    ground_degeneracy: int
-    ground_basis: np.ndarray
 
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and an orthonormal ground-space basis."""
+        return exact_eigensystem(self.hamiltonian)
 
-def _bundle(name, hamiltonian, circuit, theta0, eta, schedule) -> ModelBundle:
-    eigenvalues, ground = exact_eigensystem(hamiltonian)
-    return ModelBundle(
-        name=name,
-        hamiltonian=hamiltonian,
-        circuit=circuit,
-        theta0=np.asarray(theta0, dtype=float),
-        eta=eta,
-        schedule=schedule,
-        reference_energy=float(eigenvalues[0]),
-        ground_degeneracy=ground.shape[1],
-        ground_basis=ground,
-    )
+    @property
+    def reference_energy(self) -> float:
+        return float(self.eigensystem[0][0])
+
+    @property
+    def ground_basis(self) -> np.ndarray:
+        return self.eigensystem[1]
 
 
 def _heisenberg_sum(j: float, b: float) -> PauliSum:
@@ -118,9 +125,15 @@ def build_model(name: str, **options) -> ModelBundle:
 
     ``heisenberg`` accepts ``j`` and ``b``; other models take no options.
     """
+    if name not in MODEL_NAMES:
+        raise ValueError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
+    defaults = {"j": 0.1, "b": 1.0} if name == "heisenberg" else {}
+    unknown = sorted(set(options) - set(defaults))
+    if unknown:
+        raise ValueError(f"{name} options are {', '.join(defaults) or 'none'}; got {unknown}")
+    options = {**defaults, **options}
+    theta0, eta, schedule = (0.1, 0.1), 0.05, "constant"
     if name == "toy_a":
-        if options:
-            raise ValueError(f"toy_a takes no options, got {sorted(options)}")
         h = PauliSum.from_terms([(1.5, "II"), (0.5, "IZ"), (-1.0, "ZZ")])
         circuit = Circuit(
             n_qubits=2,
@@ -131,10 +144,7 @@ def build_model(name: str, **options) -> ModelBundle:
             ),
             initial_bits="00",
         )
-        return _bundle("toy_a", h, circuit, (0.1, 0.1), 0.05, "constant")
-    if name == "toy_b":
-        if options:
-            raise ValueError(f"toy_b takes no options, got {sorted(options)}")
+    elif name == "toy_b":
         h = PauliSum.from_terms([(1.0, "II"), (0.5, "IZ"), (-0.5, "ZZ")])
         circuit = Circuit(
             n_qubits=2,
@@ -146,10 +156,7 @@ def build_model(name: str, **options) -> ModelBundle:
             ),
             initial_bits="01",
         )
-        return _bundle("toy_b", h, circuit, (0.1, 0.1), 0.05, "constant")
-    if name == "h2":
-        if options:
-            raise ValueError(f"h2 takes no options, got {sorted(options)}")
+    elif name == "h2":
         h = PauliSum.from_terms([(0.4, "ZI"), (0.4, "IZ"), (0.2, "XX")])
         circuit = Circuit(
             n_qubits=2,
@@ -164,13 +171,8 @@ def build_model(name: str, **options) -> ModelBundle:
             initial_bits="00",
         )
         theta0 = (7.0 * math.pi / 32.0, math.pi / 2.0, 0.0, 0.0)
-        return _bundle("h2", h, circuit, theta0, 0.05, "constant")
-    if name == "heisenberg":
-        j = float(options.pop("j", 0.1))
-        b = float(options.pop("b", 1.0))
-        if options:
-            raise ValueError(f"heisenberg options are j, b; got {sorted(options)}")
-        h = _heisenberg_sum(j, b)
+    else:
+        h = _heisenberg_sum(float(options["j"]), float(options["b"]))
         circuit = Circuit(
             n_qubits=4,
             n_params=1,
@@ -183,8 +185,8 @@ def build_model(name: str, **options) -> ModelBundle:
             ),
             initial_bits="0000",
         )
-        return _bundle("heisenberg", h, circuit, (-3.0,), 1.0, "inv_iter")
-    raise ValueError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
+        theta0, eta, schedule = (-3.0,), 1.0, "inv_iter"
+    return ModelBundle(name, h, circuit, np.array(theta0, dtype=float), eta, schedule)
 
 
 def hardware_efficient_ansatz(n_qubits: int, layers: int = 1) -> Circuit:

@@ -263,10 +263,10 @@ def _functional(functional: str, order: int, policy: RegPolicy | None):
     if functional not in ("pds", "vqe"):
         raise ValueError(f"unknown functional {functional!r}")
     if functional == "vqe":
-        return 1, RegPolicy.none()
+        return 1, RegPolicy("none")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return order, RegPolicy.auto() if policy is None else policy
+    return order, RegPolicy("auto") if policy is None else policy
 
 
 def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:

@@ -89,22 +89,6 @@ class RegPolicy:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
-    @classmethod
-    def none(cls) -> "RegPolicy":
-        return cls(kind="none")
-
-    @classmethod
-    def shift(cls, eps: float = 1e-6) -> "RegPolicy":
-        return cls(kind="shift", shift_eps=eps)
-
-    @classmethod
-    def truncate(cls, rcond: float = 1e-10) -> "RegPolicy":
-        return cls(kind="truncate", rcond=rcond)
-
-    @classmethod
-    def auto(cls, cond_threshold: float = 1e6, shift_eps: float = 1e-6) -> "RegPolicy":
-        return cls(kind="auto", cond_threshold=cond_threshold, shift_eps=shift_eps)
-
 
 @dataclass
 class _SolvedRows:

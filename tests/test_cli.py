@@ -8,8 +8,10 @@ import pytest
 from pytest import approx
 
 from helpers import chain_pairs
-from pdsvqs import statesim
+from pdsvqs import cli, models, statesim
 from pdsvqs.cli import SCHEMA_LINE, main, parse_angle, parse_angles
+from pdsvqs.optim import run_batch
+from pdsvqs.pds import RegPolicy
 from pdsvqs.models import serialize_hamiltonian
 from pdsvqs.pauli import PauliSum
 
@@ -185,6 +187,30 @@ class TestRunCommand:
         assert captured.out == "" and message in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eig", "--model", "toy_a", "--j", "0.5"], "toy_a options are none; got ['j']"),
+            (["eig", "--file", "{file}", "--b", "1"], "--j and --b set the heisenberg model"),
+            (["run", "--model", "h2", "--layers", "2"], "--layers sets the ansatz of --file"),
+            (["reduce", "--model", "heisenberg", "--layers", "1"], "--layers sets the ansatz"),
+            (["run", "--model", "h2", "--seed", "3"], "--seed seeds --shots runs only"),
+            (["run", "--model", "h2", "--pds-reg", "none", "--reg-eps", "1e-3"],
+             "--reg-eps is the shift of --pds-reg shift and auto, not none"),
+            (["scan", "--model", "toy_a", "--pds-reg", "truncate", "--reg-eps", "1e-3",
+              "--out", "{dir}/s"], "--reg-eps is the shift of --pds-reg shift and auto, not "
+                                   "truncate"),
+        ],
+    )
+    def test_flags_that_select_nothing_exit_one(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "tiny.txt"
+        path.write_text("0.5 ZI\n0.5 IZ\n")
+        code = main([a.format(file=path, dir=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and f"pdsvqs: error: {message}" in captured.err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_problem_source_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run", "--max-iters", "2"])
@@ -262,6 +288,18 @@ class TestScanCommand:
         lines = capsys.readouterr().out.splitlines()
         assert code == 0 and lines[0].startswith("scan complete: 4 starts")
         assert re.fullmatch(r"reference=exact qubits=3 seconds=\S+", lines[1])
+
+    def test_reg_eps_sets_the_auto_shift(self, tmp_path, capsys, monkeypatch):
+        policies = []
+
+        def spy(*args, **kwargs):
+            policies.append(kwargs["pds_policy"])
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        main(["scan", "--model", "toy_a", "--grid", "1", "--max-iters", "0",
+              "--pds-reg", "auto", "--reg-eps", "1e-3", "--out", str(tmp_path / "s")])
+        assert policies == [RegPolicy("auto", shift_eps=1e-3)]
 
     def test_grid_points_centered_in_cells(self, tmp_path, capsys):
         prefix = tmp_path / "grid"
@@ -351,6 +389,31 @@ class TestReportCommands:
         assert code == 1
         assert captured.out == ""
         assert "epsilon must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            (["reduce", "--model", "heisenberg", "--max-order", "2"], 0),
+            (["estimate", "--model", "heisenberg"], 0),
+            (["eig", "--model", "heisenberg"], 1),
+            (["run", "--model", "h2", "--max-iters", "1"], 1),
+            (["run", "--file", "{file}", "--max-iters", "1"], 1),
+            (["run", "--file", "{file}", "--theta0", "1,2"], 0),  # rejected first
+        ],
+    )
+    def test_diagonalizes_only_what_is_read(self, tmp_path, capsys, monkeypatch, argv, calls):
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return statesim.exact_eigensystem(*args, **kwargs)
+
+        monkeypatch.setattr(models, "exact_eigensystem", counting)
+        monkeypatch.setattr(cli, "exact_eigensystem", counting, raising=False)
+        path = tmp_path / "chain4.txt"
+        serialize_hamiltonian(PauliSum.from_terms(chain_pairs(4)), path)
+        main([a.format(file=path) for a in argv])
+        assert len(counted) == calls
 
     def test_eig_prints_spectrum(self, capsys):
         code = main(["eig", "--model", "toy_a"])
@@ -507,6 +570,12 @@ class TestConfigFile:
         assert err.value.code == 1
         err_text = capsys.readouterr().err
         assert err_text.startswith("usage: ") and message in err_text
+
+    def test_config_layers_meet_a_model(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": "h2", "layers": 2}))
+        assert main(["--config", str(config), "eig"]) == 1
+        assert "pdsvqs: error: --layers sets the ansatz" in capsys.readouterr().err
 
     def test_config_file_missing(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

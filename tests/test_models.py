@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 from helpers import chain_pairs, dense_of, kron_all, PAULI
+from pdsvqs import models
 from pdsvqs.models import (
     MODEL_NAMES,
     build_model,
@@ -15,7 +16,7 @@ from pdsvqs.models import (
     serialize_hamiltonian,
 )
 from pdsvqs.pauli import PauliSum
-from pdsvqs.statesim import apply_circuit, fidelity
+from pdsvqs.statesim import apply_circuit, exact_eigensystem, fidelity
 
 
 class TestCatalog:
@@ -35,10 +36,26 @@ class TestCatalog:
         evals = np.linalg.eigvalsh(dense)
         assert model.reference_energy == approx(evals[0], abs=1e-12)
         basis = model.ground_basis
-        assert basis.shape == (dense.shape[0], model.ground_degeneracy)
+        assert basis.shape == (dense.shape[0], np.count_nonzero(evals < evals[0] + 1e-9))
         assert basis.conj().T @ basis == approx(np.eye(basis.shape[1]), abs=1e-12)
         for col in basis.T:
             assert dense @ col == approx(model.reference_energy * col, abs=1e-10)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_building_diagonalizes_nothing(self, name, monkeypatch):
+        counted = []
+
+        def counting(s, *args):
+            counted.append(s)
+            return exact_eigensystem(s, *args)
+
+        monkeypatch.setattr(models, "exact_eigensystem", counting)
+        model = build_model(name)
+        assert counted == []
+        model.eta = 0.5  # a run default set in place keeps the reference
+        assert model.reference_energy == model.eigensystem[0][0]
+        assert model.ground_basis is model.eigensystem[1]
+        assert counted == [model.hamiltonian]
 
     @pytest.mark.parametrize("name", ["toy_a", "toy_b", "h2"])
     def test_non_heisenberg_models_take_no_options(self, name):
@@ -51,7 +68,7 @@ class TestDiagonalToys:
         dense = dense_of(toy_a.hamiltonian)
         assert np.array_equal(dense, np.diag([1.0, 2.0, 3.0, 0.0]))
         assert toy_a.reference_energy == 0.0
-        assert toy_a.ground_degeneracy == 1
+        assert toy_a.ground_basis.shape[1] == 1
 
     def test_second_toy_matrix_is_exact(self, toy_b):
         dense = dense_of(toy_b.hamiltonian)
@@ -101,7 +118,7 @@ class TestMolecularModel:
 class TestSpinModel:
     def test_reference_values(self, heisenberg):
         assert heisenberg.reference_energy == approx(-3.6, abs=1e-12)
-        assert heisenberg.ground_degeneracy == 1
+        assert heisenberg.ground_basis.shape[1] == 1
         ground = heisenberg.ground_basis[:, 0]
         z_total = sum(
             kron_all([PAULI["Z"] if q == k else PAULI["I"] for q in range(4)])

@@ -209,7 +209,7 @@ class TestRunDriver:
             h2.circuit,
             h2.theta0,
             order=4,
-            pds_policy=RegPolicy.none(),
+            pds_policy=RegPolicy("none"),
             max_iters=10,
         )
         assert traj.status == "error"
@@ -349,9 +349,9 @@ class TestRunDriver:
                   max_iters=10, grad_tol=0.0, ground_basis=toy_b.ground_basis)
         start = (3 * np.pi / 8 + 0.05, 0.05)
         vqe = run(toy_b.hamiltonian, toy_b.circuit, start, functional="vqe",
-                  pds_policy=RegPolicy.shift(), **kw)
+                  pds_policy=RegPolicy("shift"), **kw)
         pds = run(toy_b.hamiltonian, toy_b.circuit, start, functional="pds",
-                  order=1, pds_policy=RegPolicy.none(), **kw)
+                  order=1, pds_policy=RegPolicy("none"), **kw)
         assert_same_trajectory(vqe, pds)
 
     def test_ground_basis_checked_once_per_run(self, h2, monkeypatch):
@@ -398,7 +398,7 @@ class TestPreconditionedStepRule:
     @staticmethod
     def energy_and_gradient(model, theta):
         values = point_moments(model.circuit, theta, model.hamiltonian, 3)
-        solved = point_solve(values, 2, RegPolicy.auto())
+        solved = point_solve(values, 2, RegPolicy("auto"))
         rows = point_rows(model.circuit, theta, model.hamiltonian, 3)
         grad, errors = _gradient_rows(values[None], rows[None], solved)
         assert errors[0] is None
@@ -502,7 +502,7 @@ class TestRunBatch:
 
     def test_failing_row_leaves_the_others_alone(self, h2):
         good = np.array([0.3, -1.2, 2.0, 0.5])
-        kw = dict(order=4, pds_policy=RegPolicy.none(), max_iters=3, grad_tol=0.0)
+        kw = dict(order=4, pds_policy=RegPolicy("none"), max_iters=3, grad_tol=0.0)
         rows = run_batch(h2.hamiltonian, h2.circuit, [h2.theta0, good, h2.theta0], **kw)
         failed = run(h2.hamiltonian, h2.circuit, h2.theta0, **kw)
         assert failed.status == "error" and "rank-deficient" in failed.message

@@ -95,35 +95,35 @@ class TestPolicies:
 
     def test_default_policy_is_strict(self):
         assert RegPolicy().kind == "none"
-        assert RegPolicy.none().kind == "none"
+        assert RegPolicy("none").kind == "none"
 
     def test_auto_matches_direct_solve_when_well_conditioned(self):
         values = self.well_conditioned()
         strict = point_solve(values, 2)
-        adaptive = point_solve(values, 2, RegPolicy.auto())
+        adaptive = point_solve(values, 2, RegPolicy("auto"))
         assert adaptive.x.tolist() == strict.x.tolist()
         assert adaptive.roots.tolist() == strict.roots.tolist()
         assert adaptive.applied.tolist() == [False]
 
     def test_auto_switches_to_shift_beyond_threshold(self):
         values = self.near_singular()
-        adaptive = point_solve(values, 2, RegPolicy.auto())
+        adaptive = point_solve(values, 2, RegPolicy("auto"))
         assert adaptive.cond_m[0] > 1e6
         assert adaptive.applied.tolist() == [True]
         assert adaptive.kind == "shift"
         assert adaptive.magnitude == approx(1e-6)
-        shifted = point_solve(values, 2, RegPolicy.shift())
+        shifted = point_solve(values, 2, RegPolicy("shift"))
         assert adaptive.x.tolist() == shifted.x.tolist()
 
     def test_auto_threshold_is_configurable(self):
-        res = point_solve(self.well_conditioned(), 2, RegPolicy.auto(cond_threshold=1.0))
+        res = point_solve(self.well_conditioned(), 2, RegPolicy("auto", cond_threshold=1.0))
         assert res.applied.tolist() == [True]
         assert res.kind == "shift"
 
     def test_shift_solves_displaced_system(self):
         values = self.well_conditioned()
         eps = 1e-3
-        res = point_solve(values, 2, RegPolicy.shift(eps))
+        res = point_solve(values, 2, RegPolicy("shift", shift_eps=eps))
         m = np.array([[values[2], values[1]], [values[1], values[0]]])
         y = np.array([values[3], values[2]])
         expected = np.linalg.solve(m + eps * np.eye(2), -y)
@@ -132,14 +132,14 @@ class TestPolicies:
         assert res.magnitude == eps
 
     def test_truncate_drops_small_singular_values(self):
-        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy.truncate())
+        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy("truncate"))
         # The rank-1 system keeps only the consistent direction; the root
         # stays at the eigenvalue carried by the moments.
         assert res.kind == "truncate"
         assert np.nanmin(abs(res.roots[0] - 1.0)) == approx(0.0, abs=1e-6)
 
     def test_shift_rescues_singular_table(self):
-        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy.shift())
+        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy("shift"))
         assert res.applied.tolist() == [True]
         assert res.errors[0] is None
         assert np.nanmin(abs(res.roots[0] - 1.0)) == approx(0.0, abs=1e-3)
@@ -149,7 +149,7 @@ class TestPolicies:
         grads = np.zeros((2, 4))
         grads[0] = [0.0, 0.1, -0.2, 0.05]
         grads[1] = [0.0, -0.3, 0.1, 0.2]
-        res = point_solve(values, 2, RegPolicy.auto())
+        res = point_solve(values, 2, RegPolicy("auto"))
         assert res.applied.tolist() == [True]
         assert res.kind == "shift"
         grad, errors = _gradient_rows(values[None], grads[None], res)
@@ -181,19 +181,19 @@ class TestStartPointAnchors:
         }
 
     def test_second_order_solves_directly(self):
-        res = point_solve(self.tables[2], 2, RegPolicy.auto())
+        res = point_solve(self.tables[2], 2, RegPolicy("auto"))
         assert res.applied.tolist() == [False]
         assert res.roots[0] == approx([-0.2, 0.2], abs=1e-12)
 
     def test_higher_orders_fall_back_to_shift(self):
         for k in (3, 4):
-            res = point_solve(self.tables[k], k, RegPolicy.auto())
+            res = point_solve(self.tables[k], k, RegPolicy("auto"))
             assert res.applied.tolist() == [True]
             assert res.kind == "shift"
         assert isinstance(point_solve(self.tables[4], 4).errors[0], SingularMoments)
 
     def test_fourth_order_shifted_roots(self):
-        res = point_solve(self.tables[4], 4, RegPolicy.auto())
+        res = point_solve(self.tables[4], 4, RegPolicy("auto"))
         assert res.energy[0] == approx(-0.2, abs=1e-4)
 
 
