@@ -30,6 +30,7 @@ from .optim import evaluate, run_batch
 from .optim import run as run_loop
 from .pauli import _qwc_rows
 from .pds import RegPolicy
+from .statesim import exact_eigensystem
 
 __all__ = ["main"]
 
@@ -111,22 +112,26 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _load_problem(args) -> ModelBundle:
-    """The --model or --file problem.  Nothing is diagonalized here.
+def _load_problem(args, ansatz: bool = True):
+    """The --model or --file problem, or with ``ansatz=False`` its Hamiltonian
+    alone and no ansatz built.  Nothing is diagonalized here.
 
     --j/--b go to ``build_model``, which rejects them for every model but
     heisenberg; --layers sets a file's ansatz depth and is rejected with a
-    model.  A file pairs with the hardware-efficient ansatz, theta0 = 1e-3,
-    eta = 0.05 and a constant schedule.
+    model or without an ansatz.  A file pairs with the hardware-efficient
+    ansatz, theta0 = 1e-3, eta = 0.05 and a constant schedule.
     """
     options = _given(j=args.j, b=args.b)
+    if args.layers is not None and (args.model is not None or not ansatz):
+        raise ValueError("--layers sets the ansatz of --file Hamiltonians only, in run and scan")
     if args.model is not None:
-        if args.layers is not None:
-            raise ValueError("--layers sets the ansatz of --file Hamiltonians only")
-        return build_model(args.model, **options)
+        problem = build_model(args.model, **options)
+        return problem if ansatz else problem.hamiltonian
     if options:
         raise ValueError("--j and --b set the heisenberg model only")
     hamiltonian = load_hamiltonian(args.file)
+    if not ansatz:
+        return hamiltonian
     layers = 1 if args.layers is None else args.layers
     circuit = hardware_efficient_ansatz(hamiltonian.n_qubits, layers)
     theta0 = np.full(circuit.n_params, 1e-3)
@@ -225,6 +230,8 @@ def _cmd_scan(args) -> int:
         pi, pj = (int(p) for p in args.params.split(","))
     except ValueError:
         raise ValueError(f"--params expects 'i,j', got {args.params!r}") from None
+    if n_params < 2:
+        raise ValueError(f"{problem.name} has {n_params} variational parameter; scan needs 2")
     if not (0 <= pi < n_params and 0 <= pj < n_params and pi != pj):
         raise ValueError("--params indices out of range or equal")
     options, _, announcement = _run_options(args, problem)
@@ -259,7 +266,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    report = reduction_stats(_load_problem(args).hamiltonian, args.max_order, args.epsilon)
+    report = reduction_stats(_load_problem(args, ansatz=False), args.max_order, args.epsilon)
     print("order,strings,cumulative,measurements")
     for n in range(args.max_order):
         print(
@@ -274,7 +281,7 @@ def _cmd_estimate(args) -> int:
     if args.power < 1:
         raise ValueError(f"--power must be at least 1, got {args.power}")
     _check_epsilon(args.epsilon)
-    target = hamiltonian_powers(_load_problem(args).hamiltonian, args.power)[args.power]
+    target = hamiltonian_powers(_load_problem(args, ansatz=False), args.power)[args.power]
     groups = _qwc_rows(target)  # grouped once, for the count and the estimate
     shots = estimate_measurements(target, args.epsilon, groups=groups, covariance=args.covariance)
     print(
@@ -285,7 +292,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    eigenvalues, ground = _load_problem(args).eigensystem
+    eigenvalues, ground = exact_eigensystem(_load_problem(args, ansatz=False))
     print(" ".join(format(v, "g") for v in eigenvalues))
     print(f"ground={_fmt(eigenvalues[0])} degeneracy={ground.shape[1]}")
     return 0

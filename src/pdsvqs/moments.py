@@ -12,17 +12,17 @@ them (the ngd and ite metrics need them); otherwise a backward sweep carries
 costs 2K vectors and O(K * gates * 2**n) instead of the walk's
 n_params + 1 vectors and O(n_params * gates * 2**n).
 Finite-shot runs take the two-point rotation shift rule per gate occurrence,
-with controlled rotations rewritten to one-qubit rotations first.  The
-shift-rule loop is handed the function that gives a shifted state's moment
-values: sampled ones in a run, exact ones as the reference for the analytic
-rows.  These routines act on stacks of states, one row per parameter point.
+with controlled rotations rewritten to one-qubit rotations first.  All the
+shifted states are simulated as one stack, handed to the function that gives
+their moment values: sampled ones in a run, exact ones as the reference for
+the analytic rows.  These routines act on stacks of states, one row per point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
 measure every string of every power.  A ``MeasurementPlan`` groups the union
 of those strings into qubit-wise commuting sets once and stacks the groups'
-basis rotations and readout rows; every sampled circuit then costs at most n
-rotation kernels, one seeded multinomial call and one readout product.
+basis rotations and readout rows; a block of sampled states then costs at
+most n rotation kernels, a seeded multinomial call per state and one product.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
     return values
 
 
-def _exact_moments(op: CompiledSum, max_order: int):
-    """``moments_of`` for ``_shift_rows``: exact moments, the analytic rows' reference."""
-    return lambda amps: _values_from_state(_Krylov(op, [amps]), max_order)
-
-
 def _analytic_rows(
     krylov: _Krylov,
     max_order: int,
@@ -148,24 +143,28 @@ def _analytic_rows(
     return rows
 
 
-def _shift_rows(
-    circuit: Circuit, thetas: np.ndarray, moments_of, width: int
-) -> np.ndarray:
+def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) -> np.ndarray:
     """Shift-rule rows ``d m_n / d theta_k`` of shape (B, n_params, width).
 
-    ``moments_of`` gives the moments (exact or sampled), shape (B, width), of
-    the amplitude rows shifted by +pi/2, then -pi/2, at one occurrence of k;
-    each adds with weight ``0.5 * multiplier * sign``.  Controlled rotations
-    are rewritten first.
+    Controlled rotations are rewritten first.  Each shift, +pi/2 then -pi/2
+    at each occurrence of k, adds to one rotation's offset; ``moments_of``
+    gives the moments (exact or sampled) of all S * B shifted states, one
+    stack in shift order, and each adds with weight ``0.5 * multiplier * sign``.
     """
-    rows = np.zeros((len(thetas), circuit.n_params, width))
-    decomposed = circuit.decompose_controlled()
-    for k in range(circuit.n_params):
-        for pos, mult in decomposed.occurrences(k):
-            for sign in (1.0, -1.0):
-                shift = (pos, sign * math.pi / 2.0)
-                est = moments_of(_simulate(decomposed, thetas, shift))
-                rows[:, k] += 0.5 * mult * sign * est
+    b, decomposed = len(thetas), circuit.decompose_controlled()
+    rows = np.zeros((b, circuit.n_params, width))
+    positions, _, _, offsets, _ = decomposed._rotations
+    shifts = [(k, positions.index(pos), mult, sign) for k in range(circuit.n_params)
+              for pos, mult in decomposed.occurrences(k) for sign in (1.0, -1.0)]
+    table = np.repeat(offsets[None], len(shifts), axis=0)
+    for s, (_, j, _, sign) in enumerate(shifts):
+        table[s, j] += sign * math.pi / 2.0
+    stack = np.empty((0, 1 << circuit.n_qubits))  # a circuit with no bound gate
+    if shifts:
+        stack = _simulate(decomposed, np.tile(thetas, (len(shifts), 1)), table.repeat(b, axis=0))
+    est = moments_of(stack).reshape(len(shifts), b, width)
+    for (k, _, mult, sign), e in zip(shifts, est):
+        rows[:, k] += 0.5 * mult * sign * e
     rows[..., 0] = 0.0
     return rows
 
@@ -209,8 +208,6 @@ class MeasurementPlan:
     group by group, and ``readout_sq`` is its square; row r belongs to group
     ``row_group[r]``, estimates order ``row_order[r]`` and carries that
     order's identity constant ``constants[r]`` (0.0 where there is none).
-    Sampling a state then costs at most n rotation kernels, one generator's
-    multinomial call for all G groups and one readout product.
     """
 
     def __init__(self, powers: list[PauliSum]) -> None:
@@ -271,10 +268,7 @@ def _check_shots(shots) -> int:
 
 
 def sampled_moments(
-    state: State,
-    plan: MeasurementPlan,
-    shots: int,
-    seed: int = 0,
+    state: State, plan: MeasurementPlan, shots: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moment estimates with standard errors from a shared measurement pass.
 
@@ -282,30 +276,48 @@ def sampled_moments(
     exact distribution in its rotated basis by one generator per state,
     ``default_rng(seed)``, in one call.  Every ``<H^n>`` is assembled from the
     same counts, so covariances between strings measured together propagate
-    into the per-order standard errors exactly as they would on hardware.  The
-    state is rotated into every group's basis at once, one stacked kernel per
-    entry of ``plan.turns``.  ``shots`` must be an integer (not a bool) from 2
-    up to ``2**63 - 1``; anything else raises ``ValueError``.
+    into the per-order standard errors exactly as they would on hardware.
+    ``shots`` must be an integer (not a bool) from 2 up to ``2**63 - 1``;
+    anything else raises ``ValueError``.
     """
     shots = _check_shots(shots)
     if state.n_qubits != plan.n_qubits:
         raise ValueError("state and measurement plan differ in qubit count")
-    amps = np.broadcast_to(state.amplitudes, (plan.n_groups, state.amplitudes.size))
-    for q, u in plan.turns:
-        amps = _apply_single(amps, q, u)
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum(axis=-1, keepdims=True)
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
-    # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
-    row_counts = counts[plan.row_group]
-    mean = _vdot(plan.readout, row_counts) / shots
-    second = _vdot(plan.readout_sq, row_counts) / shots
-    # ``add.at`` is unbuffered: it adds one term at a time, in sequence order.
-    values = np.zeros(plan.orders)
-    values[0] = 1.0
-    terms = np.concatenate([plan.constants, mean])[plan._sequence]
-    np.add.at(values, plan._sequence_order, terms)
-    variances = np.zeros(plan.orders)
-    row_var = np.maximum(0.0, second - mean**2) * shots / (shots - 1)
-    np.add.at(variances, plan.row_order, row_var)
+    values, errors = _sampled_stack(state.amplitudes[None], plan, shots, [seed])
+    return values[0], errors[0]
+
+
+# Rotated amplitudes per sampling block, which holds max(1, this // (G * 2**n)) states.
+_BLOCK_AMPS = 1 << 16
+
+
+def _sampled_stack(amps: np.ndarray, plan: MeasurementPlan, shots: int, seeds: list[int]):
+    """``sampled_moments`` of each amplitude row (S, 2**n), row s drawn by
+    ``default_rng(seeds[s])``: estimates and errors, each (S, orders).  A block
+    of rows is rotated into every group's basis as one (G, rows, 2**n) stack,
+    one kernel per entry of ``plan.turns``, and read out with one product; a
+    row gets the bits it gets alone."""
+    values, variances = np.zeros((2, len(amps), plan.orders))
+    values[:, 0] = 1.0
+    size = max(1, _BLOCK_AMPS // max(1, plan.n_groups * amps.shape[-1]))
+    for start in range(0, len(amps), size):
+        rows = slice(start, start + size)
+        rotated = np.broadcast_to(amps[rows], (plan.n_groups,) + amps[rows].shape)
+        for q, u in plan.turns:
+            rotated = _apply_single(rotated, q, u)
+        probs = np.abs(rotated) ** 2
+        probs /= probs.sum(axis=-1, keepdims=True)
+        # Float counts, cast as a product with the readout would cast them.
+        counts = np.array([np.random.default_rng(seed).multinomial(shots, probs[:, s])
+                           for s, seed in enumerate(seeds[rows])], dtype=float)
+        # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
+        row_counts = counts[:, plan.row_group]
+        mean = _vdot(plan.readout, row_counts) / shots
+        second = _vdot(plan.readout_sq, row_counts) / shots
+        # ``add.at`` is unbuffered: it adds one term at a time, in sequence order.
+        terms = np.concatenate([np.broadcast_to(plan.constants, mean.shape), mean], axis=1)
+        np.add.at(values[rows], (slice(None), plan._sequence_order), terms[:, plan._sequence])
+        row_var = np.maximum(0.0, second - mean**2) * shots / (shots - 1)
+        np.add.at(variances[rows], (slice(None), plan.row_order), row_var)
+        del rotated, probs, counts, row_counts  # freed before the next block's
     return values, np.sqrt(variances / shots)

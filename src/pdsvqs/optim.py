@@ -31,17 +31,15 @@ one-start case.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .moments import MeasurementPlan
-from .moments import hamiltonian_powers, sampled_moments
+from .moments import MeasurementPlan, hamiltonian_powers
 from .moments import _Krylov, _analytic_rows, _check_shots, _operator
-from .moments import _shift_rows, _values_from_state
+from .moments import _sampled_stack, _shift_rows, _values_from_state
 from .pauli import PauliSum
 from .pds import (
     RegPolicy,
@@ -52,7 +50,6 @@ from .pds import (
 )
 from .statesim import (
     Circuit,
-    State,
     _basis_adjoint,
     _derivative_states,
     _simulate,
@@ -362,9 +359,9 @@ def run_batch(
     row, and an accepted trial point hands its Krylov vectors on.  A
     finite-shot run is ``gd`` on moments and shift-rule rows sampled from
     every string of the expanded powers of H, grouped into one
-    ``MeasurementPlan``; each sampled state draws from one generator seeded
-    by (seed, iteration, its place in the iterate), so equal calls give
-    equal bits.
+    ``MeasurementPlan``; an iterate samples its states and every shifted
+    state in one pass, each from one generator seeded by (seed, iteration,
+    its place in the iterate), so equal calls give equal bits.
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"`` and the records collected so far.  ``thetas`` of
@@ -409,9 +406,7 @@ def run_batch(
         if shots is not None:
             amps = _simulate(circuit, theta)
             seeds = [seed + int(b) for b in live]
-            values, rows = _sampled_table(
-                circuit, theta, amps, plan, shots, seeds, iteration
-            )
+            values, rows = _sampled_table(circuit, theta, amps, plan, shots, seeds, iteration)
             points = _Points(amps, [], values, _solve_rows(values, order, pds_policy))
         else:
             # The ngd/ite metric needs derivative states; one walk builds them.
@@ -492,31 +487,27 @@ def run_batch(
 
 
 def _sampled_table(
-    circuit: Circuit,
-    thetas: np.ndarray,
-    amps: np.ndarray,
-    plan: MeasurementPlan,
-    shots: int,
-    seeds: list[int],
-    iteration: int,
+    circuit: Circuit, thetas: np.ndarray, amps: np.ndarray, plan: MeasurementPlan, shots: int,
+    seeds: list[int], iteration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moment values (B, m) and shift-rule gradient rows (B, P, m) from shots.
 
-    ``amps`` are the circuit states at ``thetas``, which the caller has
-    already simulated.  Row b is sampled on its own with seed ``seeds[b]``:
-    each sampled state gets its own seed, tagged 0 for the state and 1, 2,
-    ... for the shifted states in ``_shift_rows`` order.
+    ``amps``, the circuit states at ``thetas``, lead the stack of shifted
+    states from ``_shift_rows`` in one sampling pass.  State i of the stack
+    is row ``i % B`` with seed ``_mix(seeds[i % B], iteration, i // B)``: tag
+    0 for the iterate's state and 1, 2, ... for the shifts in their order.
     """
-    tags = itertools.count()
+    b, own = len(amps), []
 
-    def sampled(states: np.ndarray) -> np.ndarray:
-        tag = next(tags)
-        return np.array([
-            sampled_moments(State(a), plan, shots, seed=_mix(s, iteration, tag))[0]
-            for a, s in zip(states, seeds)
-        ])
+    def sampled(shifted: np.ndarray) -> np.ndarray:
+        states = np.concatenate([amps, shifted])
+        mixed = [_mix(seeds[i % b], iteration, i // b) for i in range(len(states))]
+        values = _sampled_stack(states, plan, shots, mixed)[0]
+        own.append(values[:b])
+        return values[b:]
 
-    return sampled(amps), _shift_rows(circuit, thetas, sampled, plan.orders)
+    rows = _shift_rows(circuit, thetas, sampled, plan.orders)
+    return own[0], rows
 
 
 def _mix(seed: int, iteration: int, tag: int) -> int:

@@ -25,6 +25,7 @@ record a failing row's error in place of raising it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -141,27 +142,26 @@ def _regularized_solve(
 ) -> np.ndarray:
     """Solve ``matrix[b] @ x = rhs[b, p]`` for every row b and right side p.
 
-    ``matrix`` is (B, K, K) and ``rhs`` (B, P, K).  A row is solved directly
-    unless ``applied``: then with every eigenvalue shifted by ``magnitude``
-    (kind ``"shift"``), or by a singular-value truncation at relative
-    ``magnitude`` (kind ``"truncate"``).  Each right side is its own
-    single-vector solve.
+    ``matrix`` is (B, K, K) and ``rhs`` (B, P, K).  Kind ``"truncate"`` (every
+    row applied) drops singular values below relative ``magnitude``.  Kind
+    ``"shift"`` solves each right side of a row directly, or with every
+    eigenvalue shifted by ``magnitude`` where ``applied``; a row still exactly
+    singular reads NaN, found row by row once the stacked solve has raised.
     """
-    eye = np.eye(matrix.shape[-1])
-    if kind != "truncate":
-        shifted = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * eye
+    if kind == "truncate":
+        u, s, vt = np.linalg.svd(matrix)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > magnitude * s[:, :1])
+        proj = np.swapaxes(u, -1, -2)[:, None] @ rhs[..., None]
+        return (np.swapaxes(vt, -1, -2)[:, None] @ (inv[:, None, :, None] * proj))[..., 0]
+    shifted = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * np.eye(matrix.shape[-1])
+    try:
         return np.linalg.solve(shifted[:, None], rhs[..., None])[..., 0]
-    x = np.empty(rhs.shape)
-    direct = ~applied
-    if direct.any():
-        x[direct] = np.linalg.solve(matrix[direct][:, None], rhs[direct][..., None])[..., 0]
-    if applied.any():
-        u, s, vt = np.linalg.svd(matrix[applied])
-        keep = s > magnitude * s[:, :1]
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        proj = np.swapaxes(u, -1, -2)[:, None] @ rhs[applied][..., None]
-        x[applied] = (np.swapaxes(vt, -1, -2)[:, None] @ (inv[:, None, :, None] * proj))[..., 0]
-    return x
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for b in range(len(x)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[b] = np.linalg.solve(shifted[b, None], rhs[b, ..., None])[..., 0]
+        return x
 
 
 def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRows:
@@ -171,8 +171,8 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     polynomial's roots are the eigenvalues of its companion matrix,
     roundoff-sized imaginary parts are truncated and the smallest real root
     is the energy.  A row whose M is rank-deficient under a direct solve, whose
-    coefficients are not finite, or whose roots are all complex records
-    ``SingularMoments`` or ``ComplexRoots`` instead.
+    coefficients are not finite (a shifted M still exactly singular), or whose
+    roots are all complex records ``SingularMoments`` or ``ComplexRoots``.
     """
     b, k = len(values), order
     matrix, rhs = _hankel(values, k)
@@ -201,7 +201,7 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     )[:, 0]
     ok = np.isfinite(x).all(axis=1)
     for i in np.flatnonzero(~ok & ~singular):
-        errors[i] = SingularMoments("moment solve produced non-finite coefficients")
+        errors[i] = SingularMoments(f"moment matrix is singular (cond ~ {cond[i]:.3g})")
 
     rows = _where(ok)
     companion = np.zeros((b, k, k))[rows]
@@ -244,7 +244,8 @@ def _gradient_rows(
     the row was solved with, and ``dE = -(E^(K-1), ..., 1) . dX / P'(E)``
     is the implicit-function rule.  A row that failed its
     solve keeps its error, a row whose ``P'(E)`` vanishes records
-    ``VanishingDenominator``; both get a NaN gradient.
+    ``VanishingDenominator`` and one whose solve is not finite here
+    ``SingularMoments``; none of them gets a finite gradient.
     """
     errors = solved.errors.copy()
     k = solved.order
@@ -272,4 +273,6 @@ def _gradient_rows(
     powers_vec = energy[:, None] ** np.arange(k - 1, -1, -1)
     grad = np.full(grads.shape[:2], np.nan)
     grad[rows] = -(powers_vec[:, None, None, :] @ dx[..., None])[..., 0, 0] / denom[:, None]
+    for i in np.arange(len(errors))[rows][~np.isfinite(dx).all(axis=(1, 2))]:
+        errors[i] = SingularMoments("moment matrix is singular in the gradient solve")
     return grad, errors

@@ -197,21 +197,19 @@ def _apply_controlled(
     return view.reshape(amps.shape)
 
 
-def _gate_matrices(circuit: Circuit, thetas: np.ndarray, shift=None) -> list:
+def _gate_matrices(circuit: Circuit, thetas: np.ndarray, offsets=None) -> list:
     """Every gate's matrix at the rows of ``thetas`` (B, n_params): (B, 2, 2)
     for a rotation, one shared X otherwise.
 
     All rotation angles come from one product: column ``n_params`` of the
     padded parameters reads 0, so a frozen rotation's angle is its offset.
-    ``R(a) = cos(a/2) I - i sin(a/2) G`` for the generator G.  ``shift``
-    ``(pos, delta)`` adds ``delta`` to the offset of the rotation at ``pos``.
+    ``R(a) = cos(a/2) I - i sin(a/2) G`` for the generator G.  ``offsets``,
+    one row per state (B, rotations) or one for all, replaces the rotations'
+    offsets in ``circuit._rotations`` order.
     """
-    positions, columns, multipliers, offsets, generators = circuit._rotations
-    if shift is not None:
-        offsets = offsets.copy()
-        offsets[positions.index(shift[0])] += shift[1]
+    positions, columns, multipliers, own, generators = circuit._rotations
     padded = np.concatenate([thetas, np.zeros((len(thetas), 1))], axis=1)
-    half = (padded[:, columns] * multipliers + offsets) / 2.0
+    half = (padded[:, columns] * multipliers + (own if offsets is None else offsets)) / 2.0
     u = np.cos(half)[..., None, None] * _I - (1j * np.sin(half))[..., None, None] * generators
     matrices = [_X] * len(circuit.gates)
     for j, pos in enumerate(positions):
@@ -225,12 +223,12 @@ def _apply_gate(amps: np.ndarray, gate: Gate, u: np.ndarray) -> np.ndarray:
     return _apply_controlled(amps, gate.control, gate.target, u)
 
 
-def _simulate(circuit: Circuit, thetas: np.ndarray, shift=None) -> np.ndarray:
+def _simulate(circuit: Circuit, thetas: np.ndarray, offsets=None) -> np.ndarray:
     """Final amplitudes, shape (B, 2**n), at each row of ``thetas`` (B, n_params),
-    with one rotation's offset shifted as ``_gate_matrices`` takes it."""
+    with the rotation offsets ``_gate_matrices`` takes."""
     amps = np.zeros((len(thetas), 1 << circuit.n_qubits), dtype=complex)
     amps[:, int(circuit.initial_bits, 2)] = 1.0
-    for gate, u in zip(circuit.gates, _gate_matrices(circuit, thetas, shift)):
+    for gate, u in zip(circuit.gates, _gate_matrices(circuit, thetas, offsets)):
         amps = _apply_gate(amps, gate, u)
     return amps
 

@@ -9,19 +9,24 @@ masks themselves, from labels or from a sum's words.  The grouping reference
 is the plain first-fit loop over label-sorted terms.  The shot-sampling
 reference is the per-order readout loop; it shares the package's groups and
 one-qubit kernel, so it checks how a plan reads the counts, not those parts.
+The finite-shot table reference samples one state at a time, simulating one
+shift per call, so it checks the stacking of a run's sampling pass.
 The one-point helpers call the package's stacked moment routines on a stack
 of one row.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, union_of_powers
-from pdsvqs.moments import _Krylov, _analytic_rows, _exact_moments, _operator, _shift_rows
+from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, sampled_moments, union_of_powers
+from pdsvqs.moments import _Krylov, _analytic_rows, _operator, _shift_rows, _values_from_state
 from pdsvqs.pauli import _qwc_rows
+from pdsvqs.optim import _mix
 from pdsvqs.pds import RegPolicy, _solve_rows
-from pdsvqs.statesim import Circuit, Gate, _apply_single, _derivative_states, _simulate
+from pdsvqs.statesim import Circuit, Gate, State, _apply_single, _derivative_states, _simulate
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -362,6 +367,38 @@ def per_order_sampled_moments(amps, powers, shots, seed):
             values[order] += mean
             variances[order] += max(0.0, second - mean**2) * shots / (shots - 1)
     return values, np.sqrt(variances / shots)
+
+
+def per_state_sampled_table(circuit, thetas, amps, plan, shots, seeds, iteration):
+    """``optim._sampled_table`` one state at a time: one ``_simulate`` per
+    (parameter, occurrence, sign) with that one rotation offset shifted, and
+    one ``sampled_moments`` per state, seeded ``_mix(seed, iteration, tag)``
+    with tag 0 for ``amps`` and 1, 2, ... for the shifts in loop order."""
+    def sampled(states, tag):
+        return np.array([
+            sampled_moments(State(a), plan, shots, seed=_mix(s, iteration, tag))[0]
+            for a, s in zip(states, seeds)
+        ])
+
+    rows = np.zeros((len(thetas), circuit.n_params, plan.orders))
+    decomposed = circuit.decompose_controlled()
+    positions, _, _, offsets, _ = decomposed._rotations
+    tag = 0
+    for k in range(circuit.n_params):
+        for pos, mult in decomposed.occurrences(k):
+            for sign in (1.0, -1.0):
+                shifted = offsets.copy()
+                shifted[positions.index(pos)] += sign * math.pi / 2.0
+                tag += 1
+                est = sampled(_simulate(decomposed, thetas, shifted), tag)
+                rows[:, k] += 0.5 * mult * sign * est
+    rows[..., 0] = 0.0
+    return sampled(amps, 0), rows
+
+
+def _exact_moments(op, max_order):
+    """``moments_of`` for ``_shift_rows``: exact moments, the analytic rows' reference."""
+    return lambda amps: _values_from_state(_Krylov(op, [amps]), max_order)
 
 
 def point_moments(circuit, theta, h, max_order):

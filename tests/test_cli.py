@@ -153,6 +153,17 @@ class TestRunCommand:
         assert code == 2
         assert "status=error" in capsys.readouterr().out
 
+    def test_singular_shifted_moments_exit_two(self, tmp_path, capsys):
+        # At 1e6 Z the 1e-6 shift vanishes against the order-4 moments, so
+        # the shifted M stays exactly singular: a row error, not a raise.
+        path = tmp_path / "big.txt"
+        path.write_text("1000000 Z\n")
+        code = main(["run", "--file", str(path), "--order", "4", "--max-iters", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert "status=error" in captured.out
+        assert "message='iteration 0: moment matrix is singular" in captured.out
+
     def test_negative_max_iters_exits_one(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(
@@ -200,6 +211,9 @@ class TestRunCommand:
             (["scan", "--model", "toy_a", "--pds-reg", "truncate", "--reg-eps", "1e-3",
               "--out", "{dir}/s"], "--reg-eps is the shift of --pds-reg shift and auto, not "
                                    "truncate"),
+            (["eig", "--file", "{file}", "--layers", "3"], "--layers sets the ansatz"),
+            (["reduce", "--file", "{file}", "--layers", "1"], "--layers sets the ansatz"),
+            (["estimate", "--file", "{file}", "--layers", "2"], "--layers sets the ansatz"),
         ],
     )
     def test_flags_that_select_nothing_exit_one(self, tmp_path, capsys, argv, message):
@@ -338,6 +352,13 @@ class TestScanCommand:
         assert main(base + ["--params", "0,7"]) == 1
         assert main(base + ["--params", "zero,one"]) == 1
 
+    def test_one_parameter_problem_says_so(self, capsys, tmp_path):
+        code = main(["scan", "--model", "heisenberg", "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "pdsvqs: error: heisenberg has 1 variational parameter; scan needs 2" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReportCommands:
     def test_reduce_counts_for_second_toy(self, capsys):
@@ -414,6 +435,16 @@ class TestReportCommands:
         serialize_hamiltonian(PauliSum.from_terms(chain_pairs(4)), path)
         main([a.format(file=path) for a in argv])
         assert len(counted) == calls
+
+    @pytest.mark.parametrize("command", [["reduce", "--max-order", "2"], ["estimate"], ["eig"]])
+    def test_file_reports_build_no_ansatz(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args):
+            raise AssertionError("an ansatz was built")
+
+        monkeypatch.setattr(cli, "hardware_efficient_ansatz", refuse)
+        path = tmp_path / "tiny.txt"
+        path.write_text("0.5 ZI\n0.5 IZ\n")
+        assert main([command[0], "--file", str(path), *command[1:]]) == 0
 
     def test_eig_prints_spectrum(self, capsys):
         code = main(["eig", "--model", "toy_a"])

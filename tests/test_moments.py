@@ -609,6 +609,30 @@ class TestSampledShape:
         assert 0 < len(calls) <= heisenberg.hamiltonian.n_qubits
         assert calls == sorted(set(calls))
 
+    @pytest.mark.parametrize("budget,per_block", [(None, 4), ("tight", 1)])
+    def test_stack_is_sampled_in_blocks(self, heisenberg, monkeypatch, budget, per_block):
+        # Under the default budget the four states share one rotation stack;
+        # a plan whose G * 2**n exceeds the budget rotates one at a time.
+        # Either way every state gets the bits it gets alone.
+        plan = _plan(heisenberg.hamiltonian, 3)
+        thetas = heisenberg.theta0 + np.array([[0.0], [0.4], [-1.1], [2.0]])
+        amps = _simulate(heisenberg.circuit, thetas)
+        if budget == "tight":
+            monkeypatch.setattr(moments, "_BLOCK_AMPS", plan.n_groups * amps.shape[1] - 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape[1])
+            return statesim._apply_single(*args)
+
+        monkeypatch.setattr(moments, "_apply_single", counted)
+        values, errors = moments._sampled_stack(amps, plan, 300, [3, 1, 4, 1])
+        assert calls == [per_block] * (len(plan.turns) * 4 // per_block)
+        monkeypatch.setattr(moments, "_apply_single", statesim._apply_single)
+        for a, seed, v, e in zip(amps, [3, 1, 4, 1], values, errors):
+            alone = sampled_moments(statesim.State(a), plan, 300, seed=seed)
+            assert v.tolist() == alone[0].tolist() and e.tolist() == alone[1].tolist()
+
     def test_zero_sum_has_no_groups(self):
         circuit = Circuit(n_qubits=2, n_params=0, gates=())
         state = apply_circuit(circuit, np.array([]))

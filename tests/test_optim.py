@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import point_moments, point_rows, point_solve
+from helpers import per_state_sampled_table, point_moments, point_rows, point_solve
 from pdsvqs import moments, optim, statesim
-from pdsvqs.models import build_model
+from pdsvqs.models import build_model, hardware_efficient_ansatz, load_hamiltonian
 from pdsvqs.optim import IterationRecord, Trajectory, _metric_rows, run, run_batch, step
 from pdsvqs.pauli import PauliSum
 from pdsvqs.pds import RegPolicy, _gradient_rows
@@ -576,6 +576,39 @@ class TestRunBatch:
             assert_same_trajectory(row, alone)
 
 
+    @pytest.mark.parametrize("name", ["toy_b", "h2", "file"])
+    def test_shot_pass_matches_the_per_state_loop(self, name, request, tmp_path, monkeypatch):
+        # One sampling pass per iterate draws every state's bits as the loop
+        # over states, one shift and one ``sampled_moments`` call each, does;
+        # toy_b's CRY makes the shift rule act on the decomposed circuit.
+        if name == "file":
+            path = tmp_path / "h.txt"
+            path.write_text("0.5 ZZI\n0.3 XIX\n-0.4 IYY\n0.2 IIZ\n")
+            h, circuit = load_hamiltonian(path), hardware_efficient_ansatz(3, 2)
+            start = np.full(circuit.n_params, 0.3)
+        else:
+            model = request.getfixturevalue(name)
+            h, circuit, start = model.hamiltonian, model.circuit, model.theta0
+        starts = [start, start + 0.2]
+        kw = dict(order=3, shots=400, seed=5, max_iters=4, grad_tol=0.0)
+        stacked = run_batch(h, circuit, starts, **kw)
+        monkeypatch.setattr(optim, "_sampled_table", per_state_sampled_table)
+        for got, want in zip(stacked, run_batch(h, circuit, starts, **kw)):
+            assert len(got.records) == 5
+            assert_same_trajectory(got, want)
+
+
+    def test_shot_run_of_a_circuit_with_no_bound_gate(self):
+        # No shift-rule state at all: the pass samples the iterates' states
+        # alone, and the zero gradient converges at once.
+        h = PauliSum.from_terms([(0.5, "ZI"), (0.3, "XX")])
+        circuit = Circuit(2, 0, (Gate("ry", 0, offset=0.4), Gate("cnot", 1, control=0)))
+        trajectories = run_batch(h, circuit, np.zeros((2, 0)), shots=100, max_iters=2)
+        for t in trajectories:
+            assert t.status == "converged" and len(t.records) == 1
+            assert np.isfinite(t.records[0].energy)
+
+
 class TestStepKind:
     """Records tell an accepted preconditioned step from the plain fallback."""
 
@@ -661,8 +694,9 @@ class TestHamiltonianWork:
     def test_shot_iteration_simulates_the_circuit_once_per_point(
         self, heisenberg, monkeypatch
     ):
-        # The state at theta plus the two shifted circuits of its one angle,
-        # counted wherever the driver and the shift-rule loop simulate.
+        # The state at theta, then both shifted circuits of its one angle in
+        # one stack, counted wherever the driver and the shift-rule loop
+        # simulate.
         calls = []
 
         def counted(*args, **kwargs):
@@ -675,7 +709,8 @@ class TestHamiltonianWork:
             heisenberg.hamiltonian, heisenberg.circuit, heisenberg.theta0,
             order=3, shots=500, max_iters=0, grad_tol=0.0,
         )
-        assert len(calls) == 3
+        assert len(calls) == 2
+        assert len(calls[1][1]) == 2
 
     @pytest.mark.parametrize(
         "shots", [2.5, 2.999, 1000.0, True, np.float32(8), 1, 2**63, 10**19]

@@ -6,12 +6,15 @@ from pytest import approx
 
 from helpers import dense_of, point_moments, point_rows, point_solve
 from pdsvqs.models import build_model
+from pdsvqs.optim import _take, evaluate
 from pdsvqs.pds import (
     ComplexRoots,
     RegPolicy,
     SingularMoments,
     VanishingDenominator,
     _gradient_rows,
+    _no_error,
+    _solve_rows,
 )
 
 
@@ -195,6 +198,59 @@ class TestStartPointAnchors:
     def test_fourth_order_shifted_roots(self):
         res = point_solve(self.tables[4], 4, RegPolicy("auto"))
         assert res.energy[0] == approx(-0.2, abs=1e-4)
+
+
+class TestExactlySingularShift:
+    """A shifted M that is still exactly singular is a row error, not a raise."""
+
+    @pytest.mark.parametrize("kind", ["auto", "shift"])
+    def test_evaluate_returns_the_error(self, h2, kind):
+        # At 1e6 times h2 the 1e-6 shift vanishes against the order-4 moments.
+        energies, _, errors = evaluate(
+            h2.hamiltonian.scaled(1e6), h2.circuit, h2.theta0[None], order=4,
+            pds_policy=RegPolicy(kind),
+        )
+        assert isinstance(errors[0], SingularMoments)
+        assert "moment matrix is singular" in str(errors[0])
+        assert np.isnan(energies[0])
+
+    def test_singular_row_leaves_the_others_alone(self, h2):
+        tables = np.array([
+            point_moments(h2.circuit, h2.theta0, h2.hamiltonian.scaled(1e6), 7),
+            moments_of_weights([-1.0, 0.5, 2.0, 3.0], [0.4, 0.3, 0.2, 0.1], 7),
+        ])
+        both = _solve_rows(tables, 4, RegPolicy("shift"))
+        alone = _solve_rows(tables[1:], 4, RegPolicy("shift"))
+        assert isinstance(both.errors[0], SingularMoments) and both.errors[1] is None
+        assert np.isnan(both.x[0]).all()
+        assert both.x[1].tolist() == alone.x[0].tolist()
+        assert both.roots[1].tolist() == alone.roots[0].tolist()
+
+    def test_healthy_stack_is_one_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        values = np.array([moments_of_weights([-1.0, 0.5], [0.4, 0.6], 3)] * 3)
+        res = _solve_rows(values, 2, RegPolicy("shift"))
+        assert len(calls) == 1 and _no_error(res.errors).all()
+
+    def test_gradient_records_a_singular_solve(self):
+        # Rows that solved, then a gradient whose M is exactly singular.
+        values = np.array([moments_of_weights([-1.0, 0.5], [0.4, 0.6], 3)] * 2)
+        res = _solve_rows(values, 2, RegPolicy("none"))
+        singular = values.copy()
+        singular[1] = 0.0
+        grads = np.full((2, 1, 4), 0.1)
+        grad, errors = _gradient_rows(singular, grads, res)
+        expected, _ = _gradient_rows(values[:1], grads[:1], _take(res, [0]))
+        assert errors[0] is None and grad[0].tolist() == expected[0].tolist()
+        assert isinstance(errors[1], SingularMoments)
+        assert "gradient solve" in str(errors[1]) and np.isnan(grad[1]).all()
 
 
 class TestVariationalChain:

@@ -423,18 +423,34 @@ class TestDecomposeControlled:
             assert np.allclose(a, b, atol=1e-13)
 
     def test_with_offset_shift(self):
-        # ``_simulate``'s shift adds to the offset of the rotation at a position.
+        # ``_simulate``'s offsets replace the rotations' offsets row by row:
+        # here each row shifts one rotation by pi/2.
         c = Circuit(
             n_qubits=2, n_params=1,
             gates=(Gate("ry", 0, param=0), Gate("cnot", 1, control=0), Gate("rx", 1)),
         )
-        for pos, angle in ((0, 0.3 + np.pi / 2), (2, np.pi / 2)):
-            got = _simulate(c, np.array([[0.3]]), (pos, np.pi / 2))[0]
+        offsets = np.array([[np.pi / 2, 0.0], [0.0, np.pi / 2]])
+        states = _simulate(c, np.array([[0.3], [0.3]]), offsets)
+        for got, (pos, angle) in zip(states, ((0, 0.3 + np.pi / 2), (2, np.pi / 2))):
             # The same circuit with that rotation frozen at the shifted angle.
             gates = [Gate("ry", 0, offset=0.3), *c.gates[1:]]
             gates[pos] = Gate(gates[pos].kind, gates[pos].target, offset=angle)
             expected = dense_circuit_state(Circuit(2, 0, gates), np.array([]))
             assert np.allclose(got, expected, atol=1e-15)
+
+
+    def test_offset_rows_equal_one_shift_per_call(self, rng):
+        # Every row of a stack with its own offsets gets the bits of a call
+        # that simulates just that row's shift.
+        for _ in range(5):
+            c = random_circuit(rng, 3, 10, 3).decompose_controlled()
+            offsets = c._rotations[3]
+            thetas = rng.normal(size=(2, 3))
+            table = np.repeat(offsets[None], len(offsets), axis=0)
+            table[np.arange(len(offsets)), np.arange(len(offsets))] += np.pi / 2
+            stacked = _simulate(c, np.tile(thetas, (len(table), 1)), table.repeat(2, axis=0))
+            alone = np.concatenate([_simulate(c, thetas, row) for row in table])
+            assert np.array_equal(stacked, alone)
 
 
 class TestParity:
