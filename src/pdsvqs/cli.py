@@ -154,18 +154,24 @@ def _run_options(args, problem: ModelBundle) -> tuple[dict, float, str | None]:
         problem.eta = args.eta
     if args.schedule is not None:
         problem.schedule = args.schedule.replace("-", "_")
-    if args.reg_eps is not None and args.pds_reg in ("none", "truncate"):
-        raise ValueError(f"--reg-eps is the shift of --pds-reg shift and auto, not {args.pds_reg}")
+    pds_flags = {"--order": args.order, "--pds-reg": args.pds_reg, "--reg-eps": args.reg_eps}
+    if args.functional == "vqe" and (given := [f for f, v in pds_flags.items() if v is not None]):
+        raise ValueError(f"{given[0]} sets the pds functional, not --functional vqe")
+    if args.metric_eps is not None and args.metric == "gd":
+        raise ValueError("--metric-eps regularizes the metric of --metric ngd and ite, not gd")
+    pds_reg = args.pds_reg or "auto"
+    if args.reg_eps is not None and pds_reg in ("none", "truncate"):
+        raise ValueError(f"--reg-eps is the shift of --pds-reg shift and auto, not {pds_reg}")
     options = dict(
         functional=args.functional,
-        order=1 if args.functional == "vqe" else args.order,
+        order=1 if args.functional == "vqe" else 2 if args.order is None else args.order,
         metric_kind=args.metric,
         eta=problem.eta,
         schedule=problem.schedule,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
-        pds_policy=RegPolicy(args.pds_reg, **_given(shift_eps=args.reg_eps)),
-        metric_eps=args.metric_eps,
+        pds_policy=RegPolicy(pds_reg, **_given(shift_eps=args.reg_eps)),
+        **_given(metric_eps=args.metric_eps),
     )
     width = f"qubits={problem.hamiltonian.n_qubits}"
     if problem.hamiltonian.n_qubits > REFERENCE_MAX_QUBITS:
@@ -310,7 +316,7 @@ def _add_problem_flags(parser) -> None:
 
 def _add_run_flags(parser) -> None:
     parser.add_argument("--functional", choices=("pds", "vqe"), default="pds")
-    parser.add_argument("--order", type=int, default=2, help="functional order K")
+    parser.add_argument("--order", type=int, default=None, help="pds order K (default 2)")
     parser.add_argument("--metric", choices=("gd", "ngd", "ite"), default="gd",
                         help="preconditioner; finite-shot runs take gd")
     parser.add_argument("--eta", type=float, default=None, help="step size")
@@ -320,10 +326,11 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--max-iters", type=int, default=100)
     parser.add_argument("--grad-tol", type=float, default=1e-8)
     parser.add_argument("--pds-reg", choices=("none", "shift", "truncate", "auto"),
-                        default="auto")
+                        default=None, help="moment-matrix regularization (default auto)")
     parser.add_argument("--reg-eps", type=float, default=None,
                         help="eigenvalue shift of --pds-reg shift and auto (default 1e-6)")
-    parser.add_argument("--metric-eps", type=float, default=1e-6)
+    parser.add_argument("--metric-eps", type=float, default=None,
+                        help="metric regularization of --metric ngd and ite (default 1e-6)")
 
 
 def build_parser() -> _Parser:

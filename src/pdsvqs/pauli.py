@@ -24,15 +24,19 @@ __all__ = ["PauliSum"]
 
 # i^p for p = 0..3, used when composing phase exponents.
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
-# Set bits of each byte value (``np.bitwise_count`` needs numpy 2).
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # Term pairs that a product forms at once.
 _BLOCK_PAIRS = 1 << 16
+# Masks of the SWAR bit count (uint64, so numpy 1.x keeps the word type).
+_M1, _M2, _M4, _H01 = (np.uint64(m * 0x0101010101010101) for m in (0x55, 0x33, 0x0F, 0x01))
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of (..., W) words modulo 256 (phases need 4)."""
-    return _POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.uint8)
+    """Set bits of each row of (..., W) words modulo 256 (phases need 4),
+    counted in word arithmetic (``np.bitwise_count`` needs numpy 2)."""
+    w = words - ((words >> np.uint64(1)) & _M1)
+    w = (w & _M2) + ((w >> np.uint64(2)) & _M2)
+    w = (w + (w >> np.uint64(4))) & _M4
+    return ((w * _H01) >> np.uint64(56)).astype(np.uint8).sum(axis=-1, dtype=np.uint8)
 
 
 def _bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -67,19 +71,26 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_seen(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(heads, at)`` for packed rows that may repeat a string: ``heads``
-    holds the row of each string's first occurrence, in row order, and
-    ``at[r]`` the position in ``heads`` of row r's string."""
-    keys = np.concatenate([x, z], axis=1)
-    order = np.lexsort(keys.T)  # stable, so equal rows keep their row order
-    ranked = keys[order]
+def _first_seen(x: np.ndarray, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(heads, at)`` for packed rows of n-qubit strings that may repeat:
+    ``heads`` holds the row of each string's first occurrence, in row order,
+    and ``at[r]`` the position in ``heads`` of row r's string."""
+    if (n - 1) % 64 < 32:  # the last word's x and z fit one key
+        keys = [*x[:, :-1].T, *z[:, :-1].T, x[:, -1] | z[:, -1] << np.uint64(32)]
+    else:
+        keys = [*x.T, *z.T]
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    heads = order[new]
-    group = np.empty_like(order)  # each row's string, numbered in sorted order
-    group[order] = np.cumsum(new) - 1
-    return np.sort(heads), np.argsort(np.argsort(heads))[group]
+    new[1:] = np.any([r[1:] != r[:-1] for r in (key[order] for key in keys)], axis=0)
+    starts = new.nonzero()[0]
+    # Each string's first row: the sort need not be stable.
+    first = np.minimum.reduceat(order, starts) if starts.size else starts
+    by_row = np.argsort(first)
+    rank = np.empty_like(by_row)
+    rank[by_row] = np.arange(by_row.size)
+    at = np.empty_like(order)
+    at[order] = rank[np.cumsum(new) - 1]
+    return first[by_row], at
 
 
 def _merged(n: int, *parts, add=np.add) -> tuple["PauliSum", np.ndarray]:
@@ -87,7 +98,7 @@ def _merged(n: int, *parts, add=np.add) -> tuple["PauliSum", np.ndarray]:
     its first row, its coefficients combined by ``add`` in row order) and
     ``at`` of ``_first_seen``."""
     x, z, coeffs = (np.concatenate(a) for a in zip(*parts))
-    heads, at = _first_seen(x, z)
+    heads, at = _first_seen(x, z, n)
     merged = np.zeros(heads.size, dtype=coeffs.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # callers check
         add.at(merged, at, coeffs)  # unbuffered, so in row order
@@ -293,6 +304,17 @@ class PauliSum:
         return cls._collect(None, labels, values, lines)
 
 
+def _fit_tables(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(fits, busy, remaining)`` bitsets over the strings whose (T, n) letter
+    ranks are given, 64 strings per word (see ``_qwc_rows``)."""
+    t, words = len(ranks), -(-len(ranks) // 64)
+    ranks = np.vstack([ranks, np.zeros((64 * words - t, ranks.shape[1]), np.uint8)])
+    fit_bits = (ranks.T[:, None] == np.arange(4)[:, None]) | (ranks.T[:, None] == 0)
+    fits = np.packbits(fit_bits, axis=-1, bitorder="little").view("<u8")  # (n, 4, words)
+    remaining = np.packbits(np.arange(64 * words) < t, bitorder="little").view("<u8")
+    return fits, ~fits[:, 0], remaining
+
+
 def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
     """The rows of ``s`` in each of its qubit-wise commuting groups.
 
@@ -304,47 +326,47 @@ def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
     The groups are built one at a time on bitsets over the terms in visiting
     order, 64 terms per word.  ``fits[q, r]`` holds the terms whose letter
     on qubit q is I or has rank r (I, X, Y, Z rank 0..3, so ``~fits[q, 0]``
-    holds the terms that act on q).  A group starts at the first remaining
-    term with no qubit pinned, its fit set being every remaining term.  The
-    first fit term that acts on an unpinned qubit pins its letters, and the
-    fit set keeps the terms that agree with every pin (an AND of ``fits``
-    rows); when no fit term acts on an unpinned qubit, the fit set is the
-    group.  This is exactly first fit.  A member never acts on a qubit
-    pinned after it (the pin would have come at or before it), so it fits
-    the final pins; a term that fits the final pins fits the pins that
-    precede it, so it joins; and a term that clashes with a pin never joins,
-    since pinned letters never change.  Each pin costs a few word operations
-    per qubit, not a test per remaining term.
+    holds the terms that act on q).  A group's first pin is the first
+    remaining term, each later one the first fit term that acts on an
+    unpinned qubit, and its fit set the remaining terms that agree with every
+    pin (an AND of ``fits`` rows); when no pin is left, the fit set is the
+    group.  This is exactly first fit.  A member never acts on a qubit pinned
+    after it (the pin would have come at or before it), so it fits the final
+    pins; a term that fits the final pins fits the pins that precede it, so
+    it joins; and a term that clashes with a pin never joins, since pinned
+    letters never change.  Each pin costs a few word operations per qubit,
+    not a test per remaining term.  Once the remaining terms would fit in
+    half the words from the first that holds any, the tables are rebuilt
+    over those terms alone, in the same order, which changes no group.
     """
     order = _label_order(s, -_abs(s.coeffs))
-    n, words = s.n_qubits, -(-len(s) // 64)
-    pad = np.zeros((64 * words - len(s), n), dtype=np.uint8)
-    ranks = np.vstack([_ranks(s.x[order], s.z[order], n), pad])  # (64 words, n)
-    fit_bits = (ranks.T[:, None] == np.arange(4)[:, None]) | (ranks.T[:, None] == 0)
-    fits = np.packbits(fit_bits, axis=-1, bitorder="little").view("<u8")  # (n, 4, words)
-    busy = ~fits[:, 0]
-    remaining = np.packbits(np.arange(64 * words) < len(s), bitorder="little").view("<u8")
+    n, ranks = s.n_qubits, _ranks(s.x[order], s.z[order], s.n_qubits)
     groups: list[np.ndarray] = []
-    lo = 0  # the words before ``lo`` hold no remaining term
-    while (left := remaining[lo:].nonzero()[0]).size:
-        lo += int(left[0])
-        fit, free, at = remaining[lo:].copy(), np.ones(n, dtype=bool), 0
-        # Terms before the last pin act only on pinned qubits: search after it.
-        while free.any():
-            extends = fit[at:] & np.bitwise_or.reduce(busy[free, lo + at :], axis=0)
-            hit = extends.nonzero()[0]
-            if not hit.size:
-                break
-            at, word = at + int(hit[0]), int(extends[hit[0]])
-            rank = ranks[64 * (lo + at) + (word & -word).bit_length() - 1]
-            # The pin's whole support: it agrees with the letters pinned before.
-            qubits = rank.nonzero()[0]
-            fit[at:] &= np.bitwise_and.reduce(fits[qubits, rank[qubits], lo + at :], axis=0)
-            free[qubits] = False
-        held = fit.nonzero()[0]
-        bits = np.unpackbits(fit[held, None].view(np.uint8), axis=1, bitorder="little")
-        rows, cols = bits.nonzero()
-        groups.append(order[64 * (lo + held[rows]) + cols])
-        remaining[lo:] &= ~fit
+    while order.size:
+        fits, busy, remaining = _fit_tables(ranks)
+        lo, left = 0, order.size  # the words before ``lo`` hold no remaining term
+        while left and 2 * -(-left // 64) > remaining.size - lo:
+            lo += int(remaining[lo:].nonzero()[0][0])
+            fit, free, at = remaining[lo:].copy(), np.ones(n, dtype=bool), 0
+            extends = fit[:1]  # the group's first term is its first pin: no search
+            while (hit := extends.nonzero()[0]).size:
+                at, word = at + int(hit[0]), int(extends[hit[0]])
+                rank = ranks[64 * (lo + at) + (word & -word).bit_length() - 1]
+                # The pin's whole support: it agrees with the letters pinned before.
+                qubits = rank.nonzero()[0]
+                if qubits.size:
+                    fit[at:] &= np.bitwise_and.reduce(fits[qubits, rank[qubits], lo + at :], axis=0)
+                free[qubits] = False
+                if not free.any():
+                    break
+                # Terms before the last pin act only on pinned qubits: search after it.
+                extends = fit[at:] & np.bitwise_or.reduce(busy[free, lo + at :], axis=0)
+            held = fit.nonzero()[0]
+            bits = np.unpackbits(fit[held, None].view(np.uint8), axis=1, bitorder="little")
+            rows, cols = bits.nonzero()
+            groups.append(order[64 * (lo + held[rows]) + cols])
+            remaining[lo:] &= ~fit
+            left -= rows.size
+        keep = np.unpackbits(remaining.view(np.uint8), count=order.size, bitorder="little")
+        order, ranks = order[keep == 1], ranks[keep == 1]
     return groups
-

@@ -255,6 +255,16 @@ def dict_powers(h, max_order, drop_tol=1e-12):
     return powers
 
 
+def dict_union(dicts):
+    """The union of mask dicts, first seen first, each string weighted by
+    its largest coefficient magnitude, as ``union_of_powers`` weights it."""
+    out = {}
+    for d in dicts:
+        for key, c in d.items():
+            out[key] = max(out.get(key, 0.0), abs(c))
+    return {key: complex(w) for key, w in out.items()}
+
+
 def assert_same_dict(s, expected):
     """``s`` holds the keys of ``expected`` in the same order, with
     coefficients equal bit for bit."""

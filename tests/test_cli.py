@@ -214,6 +214,17 @@ class TestRunCommand:
             (["eig", "--file", "{file}", "--layers", "3"], "--layers sets the ansatz"),
             (["reduce", "--file", "{file}", "--layers", "1"], "--layers sets the ansatz"),
             (["estimate", "--file", "{file}", "--layers", "2"], "--layers sets the ansatz"),
+            (["run", "--model", "h2", "--functional", "vqe", "--order", "3"],
+             "--order sets the pds functional, not --functional vqe"),
+            (["run", "--model", "h2", "--functional", "vqe", "--pds-reg", "auto"],
+             "--pds-reg sets the pds functional, not --functional vqe"),
+            (["scan", "--model", "toy_a", "--functional", "vqe", "--reg-eps", "1e-3",
+              "--out", "{dir}/s"], "--reg-eps sets the pds functional, not --functional vqe"),
+            (["run", "--model", "h2", "--metric-eps", "1e-3"],
+             "--metric-eps regularizes the metric of --metric ngd and ite, not gd"),
+            (["scan", "--model", "toy_a", "--metric", "gd", "--metric-eps", "1e-3",
+              "--out", "{dir}/s"],
+             "--metric-eps regularizes the metric of --metric ngd and ite, not gd"),
         ],
     )
     def test_flags_that_select_nothing_exit_one(self, tmp_path, capsys, argv, message):
@@ -540,6 +551,41 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as err:
             main(["--config", str(config), "run", "--model", "toy_a"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"functional": "vqe", "order": 3}, "--order sets the pds functional"),
+            ({"functional": "vqe", "pds_reg": "none"}, "--pds-reg sets the pds functional"),
+            ({"functional": "vqe", "reg_eps": 1e-3}, "--reg-eps sets the pds functional"),
+            ({"metric_eps": 1e-3}, "--metric-eps regularizes the metric of --metric ngd"),
+        ],
+    )
+    def test_config_keys_that_select_nothing_exit_one(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "toy_a", "max_iters": 2, **config}))
+        out = tmp_path / "t.csv"
+        code = main(["--config", str(path), "run", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and f"pdsvqs: error: {message}" in captured.err
+        assert not out.exists()
+
+    def test_unset_pds_flags_keep_their_defaults(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        for functional in ("pds", "vqe"):
+            main(["scan", "--model", "toy_a", "--grid", "1", "--max-iters", "0",
+                  "--functional", functional, "--out", str(tmp_path / functional)])
+        pds, vqe = calls
+        assert (pds["order"], vqe["order"]) == (2, 1)
+        assert pds["pds_policy"] == vqe["pds_policy"] == RegPolicy("auto")
+        assert "metric_eps" not in pds and "metric_eps" not in vqe
 
     @pytest.mark.parametrize(
         "config,message",

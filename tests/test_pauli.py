@@ -13,6 +13,7 @@ from helpers import (
     dict_of,
     dict_powers,
     dict_product,
+    dict_union,
     first_fit_qwc_groups,
     label_masks,
     random_pairs,
@@ -20,7 +21,7 @@ from helpers import (
 )
 from pdsvqs import pauli
 from pdsvqs.models import MODEL_NAMES, build_model
-from pdsvqs.moments import hamiltonian_powers, union_of_powers
+from pdsvqs.moments import _union, hamiltonian_powers, union_of_powers
 from pdsvqs.pauli import PauliSum, _qwc_rows
 
 
@@ -241,6 +242,59 @@ class TestProductMatchesDictLoop:
             assert_same_dict(got, want)
 
 
+def test_popcount_matches_int_bit_count(rng):
+    words = rng.integers(0, 1 << 64, size=(40, 3), dtype=np.uint64)
+    words[0], words[1] = 0, ~np.uint64(0)
+    want = [sum(int(w).bit_count() for w in row) % 256 for row in words]
+    assert pauli._popcount(words).tolist() == want
+
+
+def _edge_pairs(rng, n, n_terms):
+    """Strings of weight 1..3 on qubit 0, the last word's edge qubits (its
+    first, 32nd, 33rd and last) and one random qubit, with repeats,
+    coefficients from a few values.  Where the last word holds more than 32 qubits, X on
+    its qubit 32 and Z on its qubit 0 would share a bit of a fused key."""
+    start = 64 * ((n - 1) // 64)
+    edges = sorted({q for q in (0, start, start + 31, start + 32, n - 1) if q < n})
+    pairs = []
+    for _ in range(n_terms):
+        label = ["I"] * n
+        for q in rng.choice(edges + [int(rng.integers(n))], size=int(rng.integers(1, 4))):
+            label[q] = "XYZ"[rng.integers(3)]
+        pairs.append((rng.choice([1.0, -0.5, 0.25j]), "".join(label)))
+    return pairs + pairs[: n_terms // 3]
+
+
+class TestDedupAtFusedKeyWidths:
+    """Repeated strings merge the same whether the last word's x and z sort
+    as one fused key (at most 32 qubits in it) or as separate keys: sums
+    just below, at and above both boundaries, against the dict loops, with
+    blocks small enough that repeats span them."""
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 95, 96, 97])
+    def test_products_merges_and_unions(self, rng, monkeypatch, n):
+        monkeypatch.setattr(pauli, "_BLOCK_PAIRS", 40)
+        pa, pb = _edge_pairs(rng, n, 30), _edge_pairs(rng, n, 24)
+        a, b = PauliSum.from_terms(pa), PauliSum.from_terms(pb)
+        da, db = dict_from_pairs(pa), dict_from_pairs(pb)
+        assert_same_dict(a, da)
+        assert_same_dict(b, db)
+        assert len(a) < len(pa) and len(b) < len(pb)
+        ab = a * b
+        assert len(ab) < len(a) * len(b)
+        assert_same_dict(ab, dict_product(da, db))
+        assert_same_dict(ab * a, dict_product(dict_product(da, db), da))
+        assert_same_dict(a + b, dict_from_pairs(pa + pb))
+        # The union of the powers: every string once, at its largest |c|, and
+        # for each row of the powers the union row holding its string.
+        powers = [PauliSum.identity(n), a, ab, ab * a]
+        union, at = _union(powers)
+        dicts = [dict_of(p) for p in powers[1:]]
+        assert_same_dict(union, dict_union(dicts))
+        rows = {key: r for r, key in enumerate(dict_of(union))}
+        assert at.tolist() == [rows[key] for d in dicts for key in d]
+
+
 class TestPower:
     def test_matches_dense_powers(self, rng):
         pairs = random_pairs(rng, 2, 4)
@@ -373,9 +427,41 @@ class TestGroupingMatchesFirstFit:
         union = union_of_powers(powers)
         assert qwc_items(union) == first_fit_qwc_groups(union)
 
-    def test_chain8_union_to_order_4(self):
+    @staticmethod
+    def _table_sizes(monkeypatch):
+        """The string count of every bitset table the sweep builds."""
+        sizes, tables = [], pauli._fit_tables
+        monkeypatch.setattr(pauli, "_fit_tables", lambda r: sizes.append(len(r)) or tables(r))
+        return sizes
+
+    def test_chain8_union_to_order_4(self, monkeypatch):
+        # Grouped strings leave holes in the words; the sweep rebuilds its
+        # tables over the rest several times here, and the groups stay first fit.
         powers = hamiltonian_powers(PauliSum.from_terms(chain_pairs(8)), 4)
         union = union_of_powers(powers)
+        sizes = self._table_sizes(monkeypatch)
         groups = qwc_items(union)
         assert len(union) == 4112 and len(groups) == 376
         assert groups == first_fit_qwc_groups(union)
+        assert sizes[0] == 4112 and len(sizes) >= 3
+        assert all(2 * -(-b // 64) <= -(-a // 64) for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("n_terms", [0, 1, 700])
+    def test_repacks_after_an_identity_lead(self, rng, monkeypatch, n_terms):
+        # A leading identity is its group's first pin but pins no qubit, so
+        # the next pin comes from a search; the identity alone and the empty
+        # sum build one table and none.
+        if n_terms == 0:
+            s = PauliSum.zero(8)
+        elif n_terms == 1:
+            s = PauliSum.identity(8, 2.0)
+        else:
+            s = _distinct_sum(rng, 8, n_terms, lead_identity=True)
+        sizes = self._table_sizes(monkeypatch)
+        groups = qwc_items(s)
+        assert groups == first_fit_qwc_groups(s)
+        if n_terms < 2:
+            assert sizes == [1] * n_terms
+        else:
+            assert groups[0][0][0] == (0, 0)
+            assert sizes[0] == n_terms and len(sizes) >= 2
