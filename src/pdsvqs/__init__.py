@@ -10,15 +10,7 @@ a small CLI rounds out the library.
 """
 
 from .pauli import PauliSum
-from .statesim import (
-    Circuit,
-    Gate,
-    State,
-    apply_circuit,
-    expectation,
-    exact_eigensystem,
-    fidelity,
-)
+from .statesim import Circuit, Gate, State, apply_circuit, exact_eigensystem
 from .moments import hamiltonian_powers
 from .pds import ComplexRoots, RegPolicy, SingularMoments, VanishingDenominator
 from .optim import Trajectory, run, step
@@ -33,9 +25,7 @@ __all__ = [
     "Gate",
     "State",
     "apply_circuit",
-    "expectation",
     "exact_eigensystem",
-    "fidelity",
     "hamiltonian_powers",
     "ComplexRoots",
     "RegPolicy",

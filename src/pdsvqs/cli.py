@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``run`` (optimize and write a trajectory CSV), ``scan`` (grid of
-starts plus the functional surface), ``reduce`` (string counts per moment
-order), ``estimate`` (measurement budget), ``eig`` (exact spectrum).  Flags
-can be preloaded from a JSON config file; explicit flags win.  Exit codes:
-0 on success (for ``run``, a converged trajectory), 1 on usage or config
-errors, 2 on numerical failure or a run that did not converge.
+starts plus the functional surface, read from each start's iterate 0),
+``reduce`` (string counts per moment order), ``estimate`` (measurement
+budget), ``eig`` (exact spectrum).  Flags can be preloaded from a JSON config
+file; explicit flags win.  Exit codes: 0 on success (for ``run``, a
+converged trajectory), 1 on usage or config errors, 2 on numerical failure
+or a run that did not converge.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .measure import _check_epsilon, estimate_measurements, reduction_stats
 from .models import MODEL_NAMES, ModelBundle, build_model, hardware_efficient_ansatz
 from .models import load_hamiltonian
 from .moments import hamiltonian_powers
-from .optim import evaluate, run_batch
+from .optim import run_batch
 from .optim import run as run_loop
 from .pauli import _qwc_rows
 from .pds import RegPolicy
@@ -246,18 +247,16 @@ def _cmd_scan(args) -> int:
     thetas = np.repeat(problem.theta0[None], len(pairs), axis=0)
     thetas[:, [pi, pj]] = pairs
     trajectories = run_batch(problem.hamiltonian, problem.circuit, thetas, **options)
-    energies, expvals, errors = evaluate(
-        problem.hamiltonian, problem.circuit, thetas, functional=args.functional,
-        order=options["order"], pds_policy=options["pds_policy"],
-    )
     starts, surface = [], []
-    for (ti, tj), trajectory, energy, expval, error in zip(
-        pairs, trajectories, energies, expvals, errors
-    ):
-        f = trajectory.records[-1] if trajectory.records else None
+    for (ti, tj), trajectory in zip(pairs, trajectories):
+        records = trajectory.records
+        f = records[-1] if records else None
         end = (f.iteration, f.energy, f.fidelity) if f else (-1, math.nan, math.nan)
         starts.append([ti, tj, trajectory.status, *end])
-        surface.append([ti, tj, energy, expval, "ok" if error is None else type(error).__name__])
+        # The surface is iterate 0; a failed solve reads NaN and names its error.
+        first = records[0] if records else trajectory.failed
+        flag = "ok" if math.isfinite(first.energy) else type(trajectory.error).__name__
+        surface.append([ti, tj, first.energy, first.expval_h, flag])
     _write_csv(f"{args.out}_starts.csv", ["theta_i0", "theta_j0", "status", "iterations",
                                           "final_energy", "final_fidelity"], starts)
     _write_csv(f"{args.out}_surface.csv",

@@ -48,7 +48,6 @@ from .statesim import (
 __all__ = [
     "MeasurementPlan",
     "hamiltonian_powers",
-    "union_of_powers",
     "sampled_moments",
 ]
 
@@ -170,22 +169,18 @@ def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) ->
 
 
 def _union(powers: list[PauliSum]) -> tuple[PauliSum, np.ndarray]:
-    """``union_of_powers(powers)`` and, for every row of ``powers[1:]`` taken
-    in order, the union row holding its string."""
-    if len(powers) < 2:
-        raise ValueError("need at least the first power")
-    parts = ((s.x, s.z, _abs(s.coeffs)) for s in powers[1:])
-    return _merged(powers[1].n_qubits, *parts, add=np.maximum)
-
-
-def union_of_powers(powers: list[PauliSum]) -> PauliSum:
-    """One sum holding every string appearing in ``powers[1:]``, first seen first.
+    """One sum holding every string of ``powers[1:]``, first seen first, and,
+    for every row of ``powers[1:]`` taken in order, the union row holding its
+    string.  ``MeasurementPlan`` and ``measure.reduction_stats`` group it.
 
     Each string carries its largest coefficient magnitude across the powers,
     so grouping the union visits dominant strings first and a single pass of
     measurements covers every moment order.
     """
-    return _union(powers)[0]
+    if len(powers) < 2:
+        raise ValueError("need at least the first power")
+    parts = ((s.x, s.z, _abs(s.coeffs)) for s in powers[1:])
+    return _merged(powers[1].n_qubits, *parts, add=np.maximum)
 
 
 # Basis changes that turn X and Y readout into Z readout.
@@ -196,8 +191,8 @@ _Y_TO_Z = _X_TO_Z @ np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
 class MeasurementPlan:
     """Grouped measurement of every string of ``powers[1:]``, built once.
 
-    The union of the strings is split into G qubit-wise commuting groups
-    (``pauli._qwc_rows`` of ``union_of_powers``), which the plan keeps stacked.
+    The union of the strings (``_union``) is split into G qubit-wise
+    commuting groups (``pauli._qwc_rows``), which the plan keeps stacked.
     ``turns`` holds one ``(q, U)`` per qubit that some group reads in X or Y,
     in qubit order; ``U`` has shape (G, 2, 2), and its row g turns group g's
     letter on q into Z readout, or is the identity where the group reads q in

@@ -60,7 +60,6 @@ __all__ = [
     "step",
     "IterationRecord",
     "Trajectory",
-    "evaluate",
     "run",
     "run_batch",
 ]
@@ -178,15 +177,24 @@ class Trajectory:
     """Per-iteration records plus the terminal status.
 
     ``status`` is ``"converged"`` (gradient norm under tolerance),
-    ``"max_iters"``, or ``"error"`` with the failure message; on error the
-    records cover every successfully evaluated iterate.  ``records`` is a
-    list or, from ``run_batch``, a sequence that builds each record when
-    it is read.
+    ``"max_iters"``, or ``"error"``.  ``records`` holds every iterate that
+    evaluated, as a list or, from ``run_batch``, a sequence that builds each
+    record when it is read.  On error, ``error`` is the solver's exception
+    object and ``failed`` the record of the iterate that failed, iteration
+    ``len(records)``: its energy is NaN where the solve failed (a row whose
+    gradient alone failed keeps its energy), and its gradient norm and step
+    size are NaN.  Both are None otherwise.
     """
 
     records: Sequence[IterationRecord] = field(default_factory=list)
     status: str = "max_iters"
-    message: str = ""
+    error: Exception | None = None
+    failed: IterationRecord | None = None
+
+    @property
+    def message(self) -> str:
+        """The failure as text, ``""`` unless ``status == "error"``."""
+        return "" if self.error is None else f"iteration {len(self.records)}: {self.error}"
 
     @property
     def energies(self) -> np.ndarray:
@@ -213,18 +221,6 @@ class _Points:
     krylov: list[np.ndarray]
     values: np.ndarray
     solved: _SolvedRows
-
-
-def _take(obj, rows):
-    """``obj`` (array, list of arrays or dataclass of those) at ``rows``;
-    anything else is shared by every row and passes through."""
-    if isinstance(obj, np.ndarray):
-        return obj[rows]
-    if isinstance(obj, list):
-        return [_take(item, rows) for item in obj]
-    if is_dataclass(obj):
-        return type(obj)(**{f.name: _take(getattr(obj, f.name), rows) for f in fields(obj)})
-    return obj
 
 
 def _put(dst, rows, src):
@@ -279,28 +275,6 @@ def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
     return thetas
 
 
-def evaluate(
-    hamiltonian: PauliSum,
-    circuit: Circuit,
-    thetas,
-    functional: str = "pds",
-    order: int = 2,
-    pds_policy: RegPolicy | None = None,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Exact functional values, ``<H>`` and solver errors at each row of ``thetas``.
-
-    ``thetas`` has shape (B, n_params).  A row whose solve fails has a NaN
-    value and its ``SingularMoments`` or ``ComplexRoots`` in the error list,
-    which is None elsewhere.  This is the evaluation ``run_batch`` applies
-    to its iterates.
-    """
-    order, policy = _functional(functional, order, pds_policy)
-    thetas = _check_thetas(circuit, thetas)
-    op = _operator(hamiltonian, 2 * order - 1)
-    points = _exact_points(op, circuit, thetas, order, policy)
-    return points.solved.energy, points.values[:, 1].copy(), list(points.solved.errors)
-
-
 def run(
     hamiltonian: PauliSum,
     circuit: Circuit,
@@ -340,8 +314,11 @@ def run_batch(
     Returns B trajectories; trajectory b is the one ``run`` gives from
     ``thetas[b]`` (with ``seed + b`` in shot mode).  Every layer, from the
     circuit simulation to the PDS solve, the metric and the step, acts on one
-    stack of the live rows; a row leaves the stack when it converges, reaches
-    ``max_iters`` or hits a solver error.
+    stack of the live rows.  Each iterate writes the record of every live
+    row, a failing row's too, before any row leaves; then the rows that
+    converged, reached ``max_iters`` or hit a solver error leave the stack at
+    once.  ``max_iters=0`` evaluates the functional at each start, without a
+    step.
 
     ``functional`` is ``"pds"`` (moment functional of the given order) or
     ``"vqe"`` (plain energy expectation), which is solved as the order-1
@@ -364,7 +341,8 @@ def run_batch(
     its place in the iterate), so equal calls give equal bits.
 
     Solver failures do not raise: that row's trajectory comes back with
-    ``status="error"`` and the records collected so far.  ``thetas`` of
+    ``status="error"``, the records before the failing iterate, the error
+    object and the failing iterate's record (see ``Trajectory``).  ``thetas`` of
     another shape, with no rows or with a non-finite entry raises
     ``ValueError``, as does an ``eta`` or ``metric_eps`` that is not finite
     and positive, a ``grad_tol`` that is not finite and non-negative,
@@ -397,7 +375,7 @@ def run_batch(
 
     blocks: list[np.ndarray] = []  # one record array per iteration
     slots: list[list[int]] = [[] for _ in theta]  # each start's row in them
-    status, message = ["max_iters"] * len(theta), [""] * len(theta)
+    status, error = ["max_iters"] * len(theta), [None] * len(theta)
     live = np.arange(len(theta))  # start index of each row in the stack
     points = None  # accepted trial points, handed on row by row
     carried = np.zeros(len(theta), dtype=bool)
@@ -421,18 +399,8 @@ def run_batch(
                 points = _put(points, ~carried, fresh) if carried.any() else fresh
             rows = _analytic_rows(_Krylov(op, points.krylov), max_order, circuit, theta, derivs)
         grad, errors = _gradient_rows(points.values, rows, points.solved)
-        roots = points.solved.roots.copy()
         failed = ~_no_error(errors)
-        if failed.any():
-            for i in np.flatnonzero(failed):
-                status[live[i]] = "error"
-                message[live[i]] = f"iteration {iteration}: {errors[i]}"
-            # The rows that evaluated go on to their records and steps.
-            keep = ~failed
-            if not keep.any():
-                break
-            theta, grad, roots, live = theta[keep], grad[keep], roots[keep], live[keep]
-            points, derivs = _take(points, keep), _take(derivs, keep)
+        grad[failed] = math.nan
 
         if metric_kind == "gd":
             metric_matrix = None
@@ -450,39 +418,44 @@ def run_batch(
         grad_norm = np.sqrt(_vdot(grad, grad))
         eta_k = eta if schedule == "constant" else eta / (iteration + 1)
         block = np.column_stack([
-            theta, roots, points.solved.energy, points.values[:, 1], fid, grad_norm,
-            metric_cond, np.full(len(theta), eta_k), np.full(len(theta), np.nan),
+            theta, points.solved.roots, points.solved.energy, points.values[:, 1], fid,
+            grad_norm, metric_cond, np.full(len(theta), eta_k), np.full(len(theta), np.nan),
         ])
         blocks.append(block)
         for r, b in enumerate(live.tolist()):
             slots[b].append(r)
-        done = (grad_norm < grad_tol) | (iteration == max_iters)
+        # Every row wrote its record; the ones that are done leave here.  A
+        # failed row's NaN gradient norm never converges.
+        converged = grad_norm < grad_tol
+        done = failed | converged | (iteration == max_iters)
+        energy, go = points.solved.energy, ~done
         if done.any():
             for i in np.flatnonzero(done):
-                status[live[i]] = "converged" if grad_norm[i] < grad_tol else "max_iters"
+                b = live[i]
+                status[b] = "error" if failed[i] else "converged" if converged[i] else "max_iters"
+                error[b] = errors[i]
             block[done, -2] = math.nan
-            # The rows that go on take their step.
-            go = ~done
-            if not go.any():
+            if done.all():
                 break
-            theta, grad, live = theta[go], grad[go], live[go]
-            points, metric_matrix = _take(points, go), _take(metric_matrix, go)
-        stepping = np.flatnonzero(~done)
+            theta, grad, live, energy = theta[go], grad[go], live[go], energy[go]
+            metric_matrix = None if metric_matrix is None else metric_matrix[go]
         trial = step(theta, grad, metric_matrix, eta_k, metric_eps)
         if metric_matrix is None:
             theta = trial
             points, carried = None, np.zeros(len(theta), dtype=bool)
             continue
-        bound = points.solved.energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
+        bound = energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
         points = _exact_points(op, circuit, trial, order, pds_policy)
         carried = _no_error(points.solved.errors) & (points.solved.energy <= bound)
         if not carried.all():
             trial[~carried] = step(theta[~carried], grad[~carried], None, eta_k)
         theta = trial
-        block[stepping, -1] = carried
+        block[go, -1] = carried
+    # A failed iterate is not a record; it is the trajectory's failed one.
     return [
-        Trajectory(_Records(blocks, r, circuit.n_params), st, msg)
-        for r, st, msg in zip(slots, status, message)
+        Trajectory(_Records(blocks, r[: len(r) - (e is not None)], circuit.n_params), st, e,
+                   None if e is None else _Records(blocks, r, circuit.n_params)[-1])
+        for r, st, e in zip(slots, status, error)
     ]
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "State",
     "apply_circuit",
     "CompiledSum",
-    "expectation",
-    "fidelity",
     "exact_eigensystem",
 ]
 
@@ -326,14 +324,6 @@ def _compiled(s: PauliSum) -> CompiledSum:
     return _last_compiled[1]
 
 
-def expectation(state: State, s: PauliSum) -> float:
-    """Real expectation value ``<psi| s |psi>`` of a Hermitian sum."""
-    if not s.is_hermitian():
-        raise ValueError("expectation requires a Hermitian operator")
-    value = np.vdot(state.amplitudes, CompiledSum(s).apply(state.amplitudes))
-    return float(value.real)
-
-
 def _derivative_states(circuit: Circuit, thetas: np.ndarray) -> np.ndarray:
     """Circuit states and all derivative states from one forward walk.
 
@@ -407,12 +397,6 @@ def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:
     if not np.allclose(adjoint @ basis, np.eye(basis.shape[1]), atol=1e-8):
         raise ValueError("basis columns are not orthonormal")
     return adjoint
-
-
-def fidelity(state: State, basis: np.ndarray) -> float:
-    """Squared overlap of ``state`` with the span of orthonormal columns."""
-    overlaps = _basis_adjoint(basis, state.amplitudes.size) @ state.amplitudes
-    return float(np.sum(np.abs(overlaps) ** 2))
 
 
 def exact_eigensystem(

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, sampled_moments, union_of_powers
+from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, _union, sampled_moments
 from pdsvqs.moments import _Krylov, _analytic_rows, _operator, _shift_rows, _values_from_state
 from pdsvqs.pauli import _qwc_rows
 from pdsvqs.optim import _mix
@@ -115,6 +115,11 @@ def dense_circuit_state(circuit, theta):
     amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
     amps[int(circuit.initial_bits, 2)] = 1.0
     return dense_circuit_matrix(circuit, theta) @ amps
+
+
+def dense_fidelity(amps, basis):
+    """Squared overlap of the amplitudes with the span of orthonormal columns."""
+    return float(np.sum(np.abs(np.asarray(basis).conj().T @ amps) ** 2))
 
 
 def random_label(rng, n_qubits):
@@ -257,7 +262,7 @@ def dict_powers(h, max_order, drop_tol=1e-12):
 
 def dict_union(dicts):
     """The union of mask dicts, first seen first, each string weighted by
-    its largest coefficient magnitude, as ``union_of_powers`` weights it."""
+    its largest coefficient magnitude, as ``moments._union`` weights it."""
     out = {}
     for d in dicts:
         for key, c in d.items():
@@ -307,7 +312,7 @@ def per_order_plan(powers):
     tuple (order, identity constant or None, outcome row or None, row squared
     or None), each row summed term by term in group order.
     """
-    union = union_of_powers(powers)
+    union = _union(powers)[0]
     groups = [[key for key, _ in g] for g in row_items(union, _qwc_rows(union))]
     n = powers[1].n_qubits
     idx = np.arange(1 << n)

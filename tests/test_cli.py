@@ -4,14 +4,15 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import chain_pairs
-from pdsvqs import cli, models, statesim
+from helpers import chain_pairs, dense_circuit_state, dense_of, point_moments, point_solve
+from pdsvqs import cli, models, optim, statesim
 from pdsvqs.cli import SCHEMA_LINE, main, parse_angle, parse_angles
 from pdsvqs.optim import run_batch
-from pdsvqs.pds import RegPolicy
+from pdsvqs.pds import RegPolicy, VanishingDenominator
 from pdsvqs.models import serialize_hamiltonian
 from pdsvqs.pauli import PauliSum
 
@@ -346,6 +347,51 @@ class TestScanCommand:
         _, rows = read_csv(tmp_path / "v_surface.csv")
         for r in rows:
             assert float(r[2]) == approx(float(r[3]), abs=0)
+
+    def test_failing_starts_match_the_oracle(self, tmp_path, capsys):
+        # At K = 3 without regularization a third of the h2 starts span too
+        # few levels: their surface rows read NaN, a finite <H> and the error.
+        code = main(["scan", "--model", "h2", "--order", "3", "--pds-reg", "none",
+                     "--grid", "6", "--max-iters", "2", "--out", str(tmp_path / "h")])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "h_surface.csv")
+        flags = [r[4] for r in rows]
+        assert flags.count("SingularMoments") == 12 and flags.count("ok") == 24
+        h2 = models.build_model("h2")
+        h = dense_of(h2.hamiltonian)
+        for ti, tj, energy, expval, flag in rows:
+            theta = h2.theta0.copy()
+            theta[[0, 1]] = float(ti), float(tj)
+            psi = dense_circuit_state(h2.circuit, theta)
+            assert float(expval) == approx(np.vdot(psi, h @ psi).real, abs=1e-12)
+            solved = point_solve(point_moments(h2.circuit, theta, h2.hamiltonian, 5), 3,
+                                 RegPolicy("none"))
+            error = solved.errors[0]
+            assert flag == ("ok" if error is None else type(error).__name__)
+            assert np.array_equal(float(energy), solved.energy[0], equal_nan=True)
+        assert "0.17320508075688773" in [r[3] for r in rows if r[4] != "ok"]
+
+    def test_failing_gradient_keeps_an_ok_surface_row(self, tmp_path, capsys, monkeypatch):
+        # A start whose solve holds but whose gradient fails reads "ok".
+        def failing(values, grads, solved):
+            grad, errors = gradient_rows(values, grads, solved)
+            if not calls:
+                errors[2] = VanishingDenominator("injected")
+            calls.append(len(values))
+            return grad, errors
+
+        gradient_rows, calls = optim._gradient_rows, []
+        argv = ["scan", "--model", "toy_a", "--grid", "2", "--max-iters", "3"]
+        main(argv + ["--out", str(tmp_path / "clean")])
+        monkeypatch.setattr(optim, "_gradient_rows", failing)
+        main(argv + ["--out", str(tmp_path / "hit")])
+        assert calls[0] == 4 and calls[1] == 3
+        _, clean = read_csv(tmp_path / "clean_surface.csv")
+        _, hit = read_csv(tmp_path / "hit_surface.csv")
+        assert hit == clean
+        assert hit[2][4] == "ok" and math.isfinite(float(hit[2][2]))
+        _, starts = read_csv(tmp_path / "hit_starts.csv")
+        assert [r[2] for r in starts].count("error") == 1 and starts[2][2:4] == ["error", "-1"]
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_exits_one(self, tmp_path, capsys, grid):

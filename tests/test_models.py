@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import chain_pairs, dense_of, kron_all, PAULI
+from helpers import chain_pairs, dense_fidelity, dense_of, kron_all, PAULI
 from pdsvqs import models
 from pdsvqs.models import (
     MODEL_NAMES,
@@ -16,7 +16,7 @@ from pdsvqs.models import (
     serialize_hamiltonian,
 )
 from pdsvqs.pauli import PauliSum
-from pdsvqs.statesim import apply_circuit, exact_eigensystem, fidelity
+from pdsvqs.statesim import apply_circuit, exact_eigensystem
 
 
 class TestCatalog:
@@ -109,7 +109,7 @@ class TestMolecularModel:
 
     def test_start_state_has_no_ground_overlap(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
-        assert fidelity(state, h2.ground_basis) == approx(0.0, abs=1e-12)
+        assert dense_fidelity(state.amplitudes, h2.ground_basis) == approx(0.0, abs=1e-12)
 
     def test_start_point(self, h2):
         assert h2.theta0 == approx([7 * np.pi / 32, np.pi / 2, 0.0, 0.0])
@@ -157,7 +157,7 @@ class TestSpinModel:
 
     def test_substitute_ansatz_reaches_high_fidelity(self, heisenberg):
         state = apply_circuit(heisenberg.circuit, np.array([np.pi]))
-        assert fidelity(state, heisenberg.ground_basis) > 0.95
+        assert dense_fidelity(state.amplitudes, heisenberg.ground_basis) > 0.95
 
 
 class TestGenericAnsatz:

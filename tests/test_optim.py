@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import per_state_sampled_table, point_moments, point_rows, point_solve
+from helpers import (
+    dense_fidelity, per_state_sampled_table, point_moments, point_rows, point_solve,
+)
 from pdsvqs import moments, optim, statesim
 from pdsvqs.models import build_model, hardware_efficient_ansatz, load_hamiltonian
 from pdsvqs.optim import IterationRecord, Trajectory, _metric_rows, run, run_batch, step
 from pdsvqs.pauli import PauliSum
-from pdsvqs.pds import RegPolicy, _gradient_rows
-from pdsvqs.statesim import Circuit, Gate, _derivative_states, apply_circuit, fidelity
+from pdsvqs.pds import RegPolicy, VanishingDenominator, _gradient_rows
+from pdsvqs.statesim import Circuit, Gate, _derivative_states, apply_circuit
 
 
 def point_metric(circuit, theta, kind):
@@ -369,7 +371,7 @@ class TestRunDriver:
         assert len(checks) == 1 and len(traj.records) == 5
         for rec in traj.records:
             state = apply_circuit(h2.circuit, rec.theta)
-            assert rec.fidelity == fidelity(state, h2.ground_basis)
+            assert rec.fidelity == dense_fidelity(state.amplitudes, h2.ground_basis)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_moment_functional_escapes_vqe_trap_points(self, toy_b, sign):
@@ -455,9 +457,14 @@ class TestPreconditionedStepRule:
 
 
 def assert_same_trajectory(a, b):
-    """Two trajectories agree bit for bit, record by record."""
+    """Two trajectories agree bit for bit, record by record, the failed
+    iterate's record included."""
     assert (a.status, a.message, len(a.records)) == (b.status, b.message, len(b.records))
-    for ra, rb in zip(a.records, b.records):
+    assert type(a.error) is type(b.error)
+    pairs = list(zip(a.records, b.records))
+    if a.failed is not None:
+        pairs.append((a.failed, b.failed))
+    for ra, rb in pairs:
         for name in ("theta", "energy", "roots", "expval_h", "fidelity",
                      "grad_norm", "metric_cond", "step_size"):
             assert np.array_equal(
@@ -511,6 +518,37 @@ class TestRunBatch:
         alone = run(h2.hamiltonian, h2.circuit, good, **kw)
         assert alone.status == "max_iters" and len(alone.records) == 4
         assert_same_trajectory(rows[1], alone)
+
+    def test_rows_failing_at_different_iterations(self, toy_a, monkeypatch):
+        # Iterate k's gradient fails on the first row of the stack, k < 3:
+        # start k fails at iteration k, and start 3 runs on to max_iters.
+        def failing(values, grads, solved):
+            grad, errors = gradient_rows(values, grads, solved)
+            if len(calls) < 3:
+                errors[0] = VanishingDenominator(f"injected {len(calls)}")
+            calls.append(len(values))
+            return grad, errors
+
+        gradient_rows, calls = optim._gradient_rows, []
+        starts = [(0.3 * b - 1.0, 0.2 * b + 0.5) for b in range(4)]
+        kw = dict(order=2, max_iters=5, grad_tol=0.0)
+        clean = run_batch(toy_a.hamiltonian, toy_a.circuit, starts, **kw)
+        monkeypatch.setattr(optim, "_gradient_rows", failing)
+        rows = run_batch(toy_a.hamiltonian, toy_a.circuit, starts, **kw)
+        assert calls == [4, 3, 2, 1, 1, 1]
+        assert [row.status for row in rows] == ["error"] * 3 + ["max_iters"]
+        for k, (row, whole) in enumerate(zip(rows[:3], clean)):
+            assert isinstance(row.error, VanishingDenominator)
+            assert row.failed.iteration == len(row.records) == k
+            assert row.message == f"iteration {k}: injected {k}"
+            # The solve held, so the failed iterate keeps the clean run's energy.
+            assert row.failed.energy == whole.records[k].energy
+            assert row.failed.theta.tolist() == whole.records[k].theta.tolist()
+            assert np.isnan(row.failed.grad_norm) and np.isnan(row.failed.step_size)
+            for ra, rb in zip(row.records, whole.records):
+                assert ra.theta.tolist() == rb.theta.tolist() and ra.energy == rb.energy
+        assert_same_trajectory(rows[3], clean[3])
+        assert rows[3].error is None and rows[3].failed is None
 
     def test_records_read_like_a_list_of_copies(self, toy_a):
         traj = run(

@@ -21,7 +21,7 @@ from helpers import (
 )
 from pdsvqs import pauli
 from pdsvqs.models import MODEL_NAMES, build_model
-from pdsvqs.moments import _union, hamiltonian_powers, union_of_powers
+from pdsvqs.moments import _union, hamiltonian_powers
 from pdsvqs.pauli import PauliSum, _qwc_rows
 
 
@@ -424,7 +424,7 @@ class TestGroupingMatchesFirstFit:
     def test_builtin_unions(self, name, order):
         # Order K measures the moments up to 2K - 1.
         powers = hamiltonian_powers(build_model(name).hamiltonian, 2 * order - 1)
-        union = union_of_powers(powers)
+        union = _union(powers)[0]
         assert qwc_items(union) == first_fit_qwc_groups(union)
 
     @staticmethod
@@ -438,7 +438,7 @@ class TestGroupingMatchesFirstFit:
         # Grouped strings leave holes in the words; the sweep rebuilds its
         # tables over the rest several times here, and the groups stay first fit.
         powers = hamiltonian_powers(PauliSum.from_terms(chain_pairs(8)), 4)
-        union = union_of_powers(powers)
+        union = _union(powers)[0]
         sizes = self._table_sizes(monkeypatch)
         groups = qwc_items(union)
         assert len(union) == 4112 and len(groups) == 376

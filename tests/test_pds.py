@@ -6,7 +6,7 @@ from pytest import approx
 
 from helpers import dense_of, point_moments, point_rows, point_solve
 from pdsvqs.models import build_model
-from pdsvqs.optim import _take, evaluate
+from pdsvqs.optim import run_batch
 from pdsvqs.pds import (
     ComplexRoots,
     RegPolicy,
@@ -204,15 +204,21 @@ class TestExactlySingularShift:
     """A shifted M that is still exactly singular is a row error, not a raise."""
 
     @pytest.mark.parametrize("kind", ["auto", "shift"])
-    def test_evaluate_returns_the_error(self, h2, kind):
+    def test_iterate_zero_keeps_the_error(self, h2, kind):
         # At 1e6 times h2 the 1e-6 shift vanishes against the order-4 moments.
-        energies, _, errors = evaluate(
+        (traj,) = run_batch(
             h2.hamiltonian.scaled(1e6), h2.circuit, h2.theta0[None], order=4,
-            pds_policy=RegPolicy(kind),
+            pds_policy=RegPolicy(kind), max_iters=0,
         )
-        assert isinstance(errors[0], SingularMoments)
-        assert "moment matrix is singular" in str(errors[0])
-        assert np.isnan(energies[0])
+        assert traj.status == "error" and traj.records == []
+        assert isinstance(traj.error, SingularMoments)
+        assert traj.message == f"iteration 0: {traj.error}"
+        assert traj.message.startswith("iteration 0: moment matrix is singular (cond ~ ")
+        failed = traj.failed
+        assert failed.iteration == 0 and np.isnan(failed.energy)
+        assert np.isnan(failed.grad_norm) and np.isnan(failed.step_size)
+        assert failed.theta.tolist() == h2.theta0.tolist()
+        assert np.isfinite(failed.expval_h)
 
     def test_singular_row_leaves_the_others_alone(self, h2):
         tables = np.array([
@@ -247,7 +253,8 @@ class TestExactlySingularShift:
         singular[1] = 0.0
         grads = np.full((2, 1, 4), 0.1)
         grad, errors = _gradient_rows(singular, grads, res)
-        expected, _ = _gradient_rows(values[:1], grads[:1], _take(res, [0]))
+        alone = _solve_rows(values[:1], 2, RegPolicy("none"))
+        expected, _ = _gradient_rows(values[:1], grads[:1], alone)
         assert errors[0] is None and grad[0].tolist() == expected[0].tolist()
         assert isinstance(errors[1], SingularMoments)
         assert "gradient solve" in str(errors[1]) and np.isnan(grad[1]).all()

@@ -21,14 +21,13 @@ from pdsvqs.statesim import (
     Circuit,
     CompiledSum,
     Gate,
-    State,
     apply_circuit,
     exact_eigensystem,
-    expectation,
-    fidelity,
 )
 from pdsvqs import statesim
 from pdsvqs.models import build_model, hardware_efficient_ansatz
+from pdsvqs.moments import _Krylov, _operator, _values_from_state
+from pdsvqs.optim import run_batch
 from pdsvqs.statesim import _derivative_states, _parity, _simulate
 
 
@@ -147,11 +146,13 @@ class TestApplyPauliSum:
             CompiledSum(PauliSum.identity(3)).apply(np.zeros(4, dtype=complex))
 
     def test_expectation_matches_dense(self, rng):
+        # <H> is the first exact moment, read from the Krylov vectors.
         pairs = random_pairs(rng, 3, 6)
         s = PauliSum.from_terms(pairs)
         v = random_state_vector(rng, 8)
         expected = np.real(v.conj() @ dense_from_pairs(pairs, 3) @ v)
-        assert expectation(State(v), s) == approx(expected, abs=1e-12)
+        got = _values_from_state(_Krylov(_operator(s, 1), [v[None]]), 1)[0, 1]
+        assert got == approx(expected, abs=1e-12)
 
 
 def derivative_state(circuit, theta, k):
@@ -255,23 +256,37 @@ class TestForwardWalk:
             assert np.allclose(walk[:, 1 + k], fd, atol=1e-8)
 
 
+def record_fidelities(circuit, thetas, basis):
+    """The fidelity of each start's iterate-0 record against ``basis``."""
+    h = PauliSum.from_terms([(1.0, "Z" * circuit.n_qubits)])
+    rows = run_batch(h, circuit, thetas, functional="vqe", max_iters=0, ground_basis=basis)
+    return [row.records[0].fidelity for row in rows]
+
+
 class TestFidelityAndSpectrum:
     def test_fidelity_projects_onto_subspace(self, rng):
         basis = np.linalg.qr(
             rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
         )[0]
-        v = random_state_vector(rng, 8)
-        overlap = basis.conj().T @ v
-        assert fidelity(State(v), basis) == approx(float(np.sum(np.abs(overlap) ** 2)), abs=1e-12)
+        circuit = random_circuit(rng, 3, 12, 3)
+        thetas = rng.normal(size=(4, 3))
+        expected = [
+            np.sum(np.abs(basis.conj().T @ dense_circuit_state(circuit, t)) ** 2) for t in thetas
+        ]
+        assert record_fidelities(circuit, thetas, basis) == approx(expected, abs=1e-12)
+        # Rows of basis vectors read the same as columns.
+        assert record_fidelities(circuit, thetas, basis.T) == approx(expected, abs=1e-12)
 
     def test_fidelity_of_basis_member_is_one(self, rng):
-        basis = np.linalg.qr(rng.normal(size=(4, 1)))[0]
-        assert fidelity(State(basis[:, 0].astype(complex)), basis) == approx(1.0)
+        circuit = random_circuit(rng, 2, 6, 2)
+        theta = rng.normal(size=2)
+        basis = dense_circuit_state(circuit, theta)[:, None]
+        assert record_fidelities(circuit, theta[None], basis) == approx([1.0])
 
     def test_fidelity_rejects_non_orthonormal(self, rng):
         bad = np.ones((4, 2), dtype=complex)
         with pytest.raises(ValueError):
-            fidelity(State(random_state_vector(rng, 4)), bad)
+            record_fidelities(random_circuit(rng, 2, 6, 2), np.zeros((1, 2)), bad)
 
     def test_exact_eigensystem_matches_dense(self, rng):
         pairs = random_pairs(rng, 3, 6)
