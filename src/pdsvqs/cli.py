@@ -163,8 +163,7 @@ def _run_options(args, problem: ModelBundle) -> tuple[dict, float, str | None]:
     pds_reg = args.pds_reg or "auto"
     if args.reg_eps is not None and pds_reg in ("none", "truncate"):
         raise ValueError(f"--reg-eps is the shift of --pds-reg shift and auto, not {pds_reg}")
-    options = dict(
-        functional=args.functional,
+    options = dict(  # vqe is the order-1 functional
         order=1 if args.functional == "vqe" else 2 if args.order is None else args.order,
         metric_kind=args.metric,
         eta=problem.eta,
@@ -380,10 +379,13 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
     """Splice the JSON values of ``--config PATH`` (or ``--config=PATH``) in
     as ``--flag=value`` tokens right after the subcommand, so argparse checks
     them; later explicit flags win.  Keys of other subcommands and nulls are
-    skipped, keys of none are rejected."""
-    at = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
-    if at is None:
+    skipped, keys of none are rejected, and so is a second ``--config``."""
+    given = [i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"]
+    if not given:
         return argv
+    if len(given) > 1:
+        parser.error("--config may be given once")
+    at = given[0]
     _, joined, path = argv[at].partition("=")  # --config=PATH or --config PATH
     if not joined:
         path = argv[at + 1] if at + 1 < len(argv) else ""

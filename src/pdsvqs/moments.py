@@ -21,8 +21,9 @@ Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
 measure every string of every power.  A ``MeasurementPlan`` groups the union
 of those strings into qubit-wise commuting sets once and stacks the groups'
-basis rotations and readout rows; a block of sampled states then costs at
-most n rotation kernels, a seeded multinomial call per state and one product.
+basis rotations and readout rows.  ``sampled_moments`` samples a stack of
+states, one seed each, in one pass: a block of states costs at most n
+rotation kernels, a seeded multinomial call per state and one product.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .pauli import PauliSum, _abs, _bits, _merged, _qwc_rows
 from .statesim import (
     Circuit,
     CompiledSum,
-    State,
     _adjoint_rows,
     _apply_single,
     _compiled,
@@ -150,7 +150,7 @@ def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) ->
     gives the moments (exact or sampled) of all S * B shifted states, one
     stack in shift order, and each adds with weight ``0.5 * multiplier * sign``.
     """
-    b, decomposed = len(thetas), circuit.decompose_controlled()
+    b, decomposed = len(thetas), circuit.decomposed
     rows = np.zeros((b, circuit.n_params, width))
     positions, _, _, offsets, _ = decomposed._rotations
     shifts = [(k, positions.index(pos), mult, sign) for k in range(circuit.n_params)
@@ -262,36 +262,33 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
-def sampled_moments(
-    state: State, plan: MeasurementPlan, shots: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment estimates with standard errors from a shared measurement pass.
-
-    Each group of ``plan`` is sampled once, ``shots`` outcomes drawn from the
-    exact distribution in its rotated basis by one generator per state,
-    ``default_rng(seed)``, in one call.  Every ``<H^n>`` is assembled from the
-    same counts, so covariances between strings measured together propagate
-    into the per-order standard errors exactly as they would on hardware.
-    ``shots`` must be an integer (not a bool) from 2 up to ``2**63 - 1``;
-    anything else raises ``ValueError``.
-    """
-    shots = _check_shots(shots)
-    if state.n_qubits != plan.n_qubits:
-        raise ValueError("state and measurement plan differ in qubit count")
-    values, errors = _sampled_stack(state.amplitudes[None], plan, shots, [seed])
-    return values[0], errors[0]
-
-
 # Rotated amplitudes per sampling block, which holds max(1, this // (G * 2**n)) states.
 _BLOCK_AMPS = 1 << 16
 
 
-def _sampled_stack(amps: np.ndarray, plan: MeasurementPlan, shots: int, seeds: list[int]):
-    """``sampled_moments`` of each amplitude row (S, 2**n), row s drawn by
-    ``default_rng(seeds[s])``: estimates and errors, each (S, orders).  A block
-    of rows is rotated into every group's basis as one (G, rows, 2**n) stack,
-    one kernel per entry of ``plan.turns``, and read out with one product; a
-    row gets the bits it gets alone."""
+def sampled_moments(
+    amps: np.ndarray, plan: MeasurementPlan, shots: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment estimates with standard errors, each (S, orders), of every
+    amplitude row (S, 2**n) from a shared measurement pass.
+
+    Each group of ``plan`` is sampled once per row, ``shots`` outcomes drawn
+    from the exact distribution in its rotated basis, all of row s's groups
+    by one ``default_rng(seeds[s])`` call, so a row gets the bits it gets
+    alone.  Every ``<H^n>`` is assembled from the same counts, so covariances
+    between strings measured together propagate into the per-order standard
+    errors exactly as they would on hardware.  A block of rows is rotated
+    into every group's basis as one (G, rows, 2**n) stack, one kernel per
+    entry of ``plan.turns``, and read out with one product.  ``shots`` must
+    be an integer (not a bool) from 2 up to ``2**63 - 1``, and the rows must
+    span the plan's qubits, with one seed each; anything else raises
+    ``ValueError``.
+    """
+    shots = _check_shots(shots)
+    if amps.ndim != 2 or amps.shape[1] != 1 << plan.n_qubits:
+        raise ValueError(f"amplitudes {amps.shape} do not match the plan's qubit count")
+    if len(seeds) != len(amps):
+        raise ValueError(f"{len(amps)} states need as many seeds, got {len(seeds)}")
     values, variances = np.zeros((2, len(amps), plan.orders))
     values[:, 0] = 1.0
     size = max(1, _BLOCK_AMPS // max(1, plan.n_groups * amps.shape[-1]))

@@ -1,5 +1,9 @@
 """Metric-preconditioned gradient descent on the moment functional.
 
+The functional is the order-K PDS energy estimate of ``pds``; at K = 1 it
+is the plain energy expectation that VQE minimizes, so VQE needs no route of
+its own.
+
 Three metrics are supported for the update ``theta <- theta - eta R^+ grad``:
 plain gradient descent (R = identity), the imaginary-time metric
 ``Re <d_i psi | d_j psi>``, and the natural-gradient (Fubini-Study) metric
@@ -39,7 +43,7 @@ import numpy as np
 
 from .moments import MeasurementPlan, hamiltonian_powers
 from .moments import _Krylov, _analytic_rows, _check_shots, _operator
-from .moments import _sampled_stack, _shift_rows, _values_from_state
+from .moments import _shift_rows, _values_from_state, sampled_moments
 from .pauli import PauliSum
 from .pds import (
     RegPolicy,
@@ -130,6 +134,16 @@ class IterationRecord:
     metric_cond: float
     step_size: float
     preconditioned: bool | None = None
+
+    def __eq__(self, other) -> bool:
+        """Field by field: arrays elementwise, NaN equal to NaN (None reads NaN)."""
+        if not isinstance(other, IterationRecord):
+            return NotImplemented
+        return all(
+            np.array_equal(np.asarray(getattr(self, f.name), dtype=float),
+                           np.asarray(getattr(other, f.name), dtype=float), equal_nan=True)
+            for f in fields(self)
+        )
 
 
 class _Records(Sequence):
@@ -246,22 +260,6 @@ def _exact_points(op, circuit, thetas, order, policy, amps=None) -> _Points:
     return _Points(amps, krylov.vectors, values, _solve_rows(values, order, policy))
 
 
-def _functional(functional: str, order: int, policy: RegPolicy | None):
-    """The order and policy the functional is solved with, after checks.
-
-    The energy expectation (vqe) is the order-1 functional: its 1 x 1 moment
-    matrix is exactly 1, so it is solved without regularization whatever the
-    policy.
-    """
-    if functional not in ("pds", "vqe"):
-        raise ValueError(f"unknown functional {functional!r}")
-    if functional == "vqe":
-        return 1, RegPolicy("none")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return order, RegPolicy("auto") if policy is None else policy
-
-
 def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
     thetas = np.array(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != circuit.n_params:
@@ -296,14 +294,13 @@ def run_batch(
     hamiltonian: PauliSum,
     circuit: Circuit,
     thetas,
-    functional: str = "pds",
     order: int = 2,
     metric_kind: str = "gd",
     eta: float = 0.05,
     schedule: str = "constant",
     max_iters: int = 100,
     grad_tol: float = 1e-8,
-    pds_policy: RegPolicy | None = None,
+    pds_policy: RegPolicy = RegPolicy("auto"),
     metric_eps: float = 1e-6,
     shots: int | None = None,
     seed: int = 0,
@@ -320,11 +317,12 @@ def run_batch(
     once.  ``max_iters=0`` evaluates the functional at each start, without a
     step.
 
-    ``functional`` is ``"pds"`` (moment functional of the given order) or
-    ``"vqe"`` (plain energy expectation), which is solved as the order-1
-    functional and ignores ``pds_policy``.  The schedule is a constant step
-    size or ``eta / iteration``.  Fidelity is the overlap with the span of
-    ``ground_basis``, checked once on entry, and NaN when no basis is passed.
+    ``order`` is the order K of the moment functional, at least 1.  Order 1
+    is the plain energy expectation (VQE): its 1 x 1 moment matrix is exactly
+    1, so the default ``auto`` policy solves it directly.  The schedule is a
+    constant step size or ``eta / iteration``.  Fidelity is the overlap with
+    the span of ``ground_basis``, checked once on entry, and NaN when no
+    basis is passed.
 
     Each mode has one gradient route.  An exact run (no ``shots``) compiles
     H once, and each iterate's moments and analytic rows come from one list
@@ -342,14 +340,15 @@ def run_batch(
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"``, the records before the failing iterate, the error
-    object and the failing iterate's record (see ``Trajectory``).  ``thetas`` of
-    another shape, with no rows or with a non-finite entry raises
-    ``ValueError``, as does an ``eta`` or ``metric_eps`` that is not finite
-    and positive, a ``grad_tol`` that is not finite and non-negative,
-    ``shots`` that are not an integer from 2 up to ``2**63 - 1``, or
-    ``shots`` with ``metric_kind`` ``ngd`` or ``ite``.
+    object and the failing iterate's record (see ``Trajectory``).  ``thetas``
+    of another shape, with no rows or with a non-finite entry raises
+    ``ValueError``, as does an order below 1, an ``eta`` or ``metric_eps``
+    that is not finite and positive, a ``grad_tol`` that is not finite and
+    non-negative, ``shots`` that are not an integer from 2 up to
+    ``2**63 - 1``, or ``shots`` with ``metric_kind`` ``ngd`` or ``ite``.
     """
-    order, pds_policy = _functional(functional, order, pds_policy)
+    if order < 1:
+        raise ValueError("order must be at least 1")
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if metric_kind not in _METRIC_KINDS:
@@ -475,7 +474,7 @@ def _sampled_table(
     def sampled(shifted: np.ndarray) -> np.ndarray:
         states = np.concatenate([amps, shifted])
         mixed = [_mix(seeds[i % b], iteration, i // b) for i in range(len(states))]
-        values = _sampled_stack(states, plan, shots, mixed)[0]
+        values = sampled_moments(states, plan, shots, mixed)[0]
         own.append(values[:b])
         return values[b:]
 

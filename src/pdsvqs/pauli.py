@@ -26,6 +26,9 @@ __all__ = ["PauliSum"]
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
 # Term pairs that a product forms at once.
 _BLOCK_PAIRS = 1 << 16
+# Imaginary parts, relative to the largest coefficient, that still count as
+# Hermitian roundoff.
+_HERMITIAN_TOL = 1e-12
 # Masks of the SWAR bit count (uint64, so numpy 1.x keeps the word type).
 _M1, _M2, _M4, _H01 = (np.uint64(m * 0x0101010101010101) for m in (0x55, 0x33, 0x0F, 0x01))
 
@@ -202,8 +205,8 @@ class PauliSum:
         return cls._collect(n_qubits, [p[1] for p in pairs], [p[0] for p in pairs])
 
     @classmethod
-    def identity(cls, n_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
-        return cls._collect(n_qubits, ["I" * n_qubits], [coefficient])
+    def identity(cls, n_qubits: int) -> "PauliSum":
+        return cls._collect(n_qubits, ["I" * n_qubits], [1.0])
 
     @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
@@ -256,10 +259,11 @@ class PauliSum:
         keep = _abs(self.coeffs) > drop_tol
         return PauliSum(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """``|Im c| <= tol * max(1, max |c|)`` for every c (residues scale with c)."""
+    def is_hermitian(self) -> bool:
+        """``|Im c| <= _HERMITIAN_TOL * max(1, max |c|)`` for every c (residues
+        scale with c)."""
         scale = np.abs(self.coeffs).max(initial=1.0)
-        return bool((np.abs(self.coeffs.imag) <= tol * scale).all())
+        return bool((np.abs(self.coeffs.imag) <= _HERMITIAN_TOL * scale).all())
 
     def to_text(self) -> str:
         """Serialize to the plain-text format, one ``coefficient label`` per line.

@@ -17,7 +17,10 @@ convergence.  The regularization policies control what happens there: the
 strict policy surfaces the singularity, an eigenvalue shift or a
 singular-value truncation keeps the solve defined, and the adaptive policy
 only shifts once the condition number crosses a threshold so that
-well-conditioned solves stay exact.
+well-conditioned solves stay exact.  A policy is its kind and its shift;
+the truncation cutoff and the adaptive threshold are module constants.  At
+K = 1 the functional is ``<H>`` itself: M is exactly ``[[1.0]]``, which no
+policy but an explicit shift touches.
 
 The solve and the gradient each act on a stack of moment rows at once and
 record a failing row's error in place of raising it.
@@ -43,6 +46,12 @@ __all__ = [
 _IMAG_TOL = 1e-8
 # Singular-value ratio at which even the strict policy declares M singular.
 _HARD_SINGULAR = 1e-14
+# Relative singular-value cutoff of the ``truncate`` policy.
+_RCOND = 1e-10
+# Condition number beyond which the ``auto`` policy shifts.  Past
+# cond ~ 1/shift_eps (1e-6 by default) a direct solve carries at least as
+# much noise as the shift introduces bias, so that is where it switches.
+_COND_THRESHOLD = 1e6
 
 
 class SingularMoments(RuntimeError):
@@ -70,25 +79,19 @@ class RegPolicy:
                       semidefinite), which can bias the root and thereby
                       weaken the variational bound;
         ``"truncate"`` minimum-norm solve with singular values below
-                      ``rcond`` (relative) discarded;
+                      ``_RCOND`` (relative) discarded;
         ``"auto"``    direct solve while the condition number stays below
-                      ``cond_threshold``, shifted solve beyond it.
+                      ``_COND_THRESHOLD``, shifted solve beyond it.
     """
 
     kind: str = "none"
     shift_eps: float = 1e-6
-    rcond: float = 1e-10
-    # Past cond ~ 1/shift_eps a direct solve carries at least as much noise as
-    # the shift introduces bias, so that is where the adaptive policy switches.
-    cond_threshold: float = 1e6
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "shift", "truncate", "auto"):
             raise ValueError(f"unknown regularization kind {self.kind!r}")
-        for name in ("shift_eps", "rcond", "cond_threshold"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.shift_eps) and self.shift_eps > 0):
+            raise ValueError(f"shift_eps must be finite and positive, got {self.shift_eps!r}")
 
 
 @dataclass
@@ -180,11 +183,11 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     smax, smin = svals[:, 0], svals[:, -1]
     cond = np.divide(smax, smin, out=np.full(b, np.inf), where=smin != 0.0)
     if policy.kind == "auto":
-        applied = ~(cond <= policy.cond_threshold)  # an infinite cond is applied
+        applied = ~(cond <= _COND_THRESHOLD)  # an infinite cond is applied
     else:
         applied = np.full(b, policy.kind != "none")
     if policy.kind == "truncate":
-        kind, magnitude = "truncate", policy.rcond
+        kind, magnitude = "truncate", _RCOND
     else:
         kind, magnitude = "shift", policy.shift_eps
     errors = np.full(b, None, dtype=object)

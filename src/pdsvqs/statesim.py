@@ -48,11 +48,6 @@ class Gate:
     multiplier: float = 1.0
     offset: float = 0.0
 
-    def angle(self, theta: np.ndarray) -> float:
-        if self.param is None:
-            return self.offset
-        return self.multiplier * float(theta[self.param]) + self.offset
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -109,18 +104,16 @@ class Circuit:
             if g.param == param
         ]
 
-    def decompose_controlled(self) -> "Circuit":
-        """Rewrite controlled rotations into one-qubit rotations plus CNOTs.
+    @functools.cached_property
+    def decomposed(self) -> "Circuit":
+        """The circuit with controlled rotations rewritten into one-qubit
+        rotations plus CNOTs, built once.
 
         ``CRY(a)`` on (control c, target t) becomes ``CNOT(c,t)``,
         ``RY_t(-a/2)``, ``CNOT(c,t)``, ``RY_t(a/2)`` in application order; the
         two half-rotations inherit the parameter binding with halved
         multipliers, which is what the shift rule differentiates.
         """
-        return self._decomposed
-
-    @functools.cached_property
-    def _decomposed(self) -> "Circuit":
         gates: list[Gate] = []
         for g in self.gates:
             if g.kind != "cry":
@@ -154,9 +147,6 @@ class State:
     @property
     def n_qubits(self) -> int:
         return int(round(math.log2(self.amplitudes.size)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 # The gate kernels act on amplitudes of shape (..., 2**n), split from the
@@ -399,9 +389,11 @@ def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:
     return adjoint
 
 
-def exact_eigensystem(
-    s: PauliSum, ground_tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+# Relative spread of the eigenvalues ``exact_eigensystem`` counts as ground.
+_GROUND_TOL = 1e-9
+
+
+def exact_eigensystem(s: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and an orthonormal ground-space basis.
 
     The nonzero entries ``H[i, i ^ x] = d_x[i]`` of the compiled pairs link
@@ -410,11 +402,8 @@ def exact_eigensystem(
     entry is imaginary.  It reads one triangle, which for real coefficients
     is exact: ``d_x[i ^ x]`` adds the conjugates of ``d_x[i]``'s terms in the
     same order.  The ground space is every eigenvector within
-    ``ground_tol * max(1, max |eigenvalue|)`` of the lowest eigenvalue; a
-    ``ground_tol`` that is not finite and non-negative raises ``ValueError``.
+    ``_GROUND_TOL * max(1, max |eigenvalue|)`` of the lowest eigenvalue.
     """
-    if not (math.isfinite(ground_tol) and ground_tol >= 0):
-        raise ValueError(f"ground_tol must be finite and non-negative, got {ground_tol!r}")
     if not s.is_hermitian():
         raise ValueError("eigensystem requires a Hermitian operator")
     idx = np.arange(1 << s.n_qubits)
@@ -445,7 +434,7 @@ def exact_eigensystem(
         stack[place[rows[mine]] * m + place[cols[mine]] % m] += vals[mine]
         found.append((members, *np.linalg.eigh(stack.reshape(-1, m, m))))
     eigenvalues = np.sort(np.concatenate([w.ravel() for _, w, _ in found]))
-    tol = ground_tol * max(1.0, np.abs(eigenvalues[[0, -1]]).max())
+    tol = _GROUND_TOL * max(1.0, np.abs(eigenvalues[[0, -1]]).max())
     columns = []
     for members, w, v in found:
         j, c = np.nonzero(np.abs(w - eigenvalues[0]) <= tol)

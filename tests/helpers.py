@@ -11,8 +11,8 @@ reference is the per-order readout loop; it shares the package's groups and
 one-qubit kernel, so it checks how a plan reads the counts, not those parts.
 The finite-shot table reference samples one state at a time, simulating one
 shift per call, so it checks the stacking of a run's sampling pass.
-The one-point helpers call the package's stacked moment routines on a stack
-of one row.
+The one-point helpers and ``sampled_one`` call the package's stacked moment
+and sampling routines on a stack of one row.
 """
 
 from __future__ import annotations
@@ -99,14 +99,17 @@ def dense_circuit_matrix(circuit, theta):
     n = circuit.n_qubits
     u = np.eye(1 << n, dtype=complex)
     for g in circuit.gates:
+        angle = g.offset
+        if g.param is not None:
+            angle += g.multiplier * float(theta[g.param])
         if g.kind == "x":
             m = one_qubit_embedded(PAULI["X"], g.target, n)
         elif g.kind == "cnot":
             m = controlled(PAULI["X"], g.control, g.target, n)
         elif g.kind == "cry":
-            m = controlled(rotation("ry", g.angle(theta)), g.control, g.target, n)
+            m = controlled(rotation("ry", angle), g.control, g.target, n)
         else:
-            m = one_qubit_embedded(rotation(g.kind, g.angle(theta)), g.target, n)
+            m = one_qubit_embedded(rotation(g.kind, angle), g.target, n)
         u = m @ u
     return u
 
@@ -384,6 +387,13 @@ def per_order_sampled_moments(amps, powers, shots, seed):
     return values, np.sqrt(variances / shots)
 
 
+def sampled_one(state, plan, shots, seed=0):
+    """``sampled_moments`` of one ``State``, drawn by ``default_rng(seed)``:
+    its estimates and standard errors, each (orders,)."""
+    values, errors = sampled_moments(state.amplitudes[None], plan, shots, [seed])
+    return values[0], errors[0]
+
+
 def per_state_sampled_table(circuit, thetas, amps, plan, shots, seeds, iteration):
     """``optim._sampled_table`` one state at a time: one ``_simulate`` per
     (parameter, occurrence, sign) with that one rotation offset shifted, and
@@ -391,12 +401,12 @@ def per_state_sampled_table(circuit, thetas, amps, plan, shots, seeds, iteration
     with tag 0 for ``amps`` and 1, 2, ... for the shifts in loop order."""
     def sampled(states, tag):
         return np.array([
-            sampled_moments(State(a), plan, shots, seed=_mix(s, iteration, tag))[0]
+            sampled_one(State(a), plan, shots, _mix(s, iteration, tag))[0]
             for a, s in zip(states, seeds)
         ])
 
     rows = np.zeros((len(thetas), circuit.n_params, plan.orders))
-    decomposed = circuit.decompose_controlled()
+    decomposed = circuit.decomposed
     positions, _, _, offsets, _ = decomposed._rotations
     tag = 0
     for k in range(circuit.n_params):
@@ -422,7 +432,7 @@ def point_moments(circuit, theta, h, max_order):
     return _exact_moments(_operator(h, max_order), max_order)(amps)[0]
 
 
-def point_solve(values, order, policy=RegPolicy()):
+def point_solve(values, order, policy=RegPolicy("none")):
     """``_solve_rows`` of one moment row: every field keeps its row axis."""
     return _solve_rows(np.asarray(values, dtype=float)[None], order, policy)
 

@@ -171,7 +171,7 @@ def test_criterion_4_vqe_plateau_all_metrics():
     for kind in ("gd", "ngd", "ite"):
         traj = run(
             h2.hamiltonian, h2.circuit, h2.theta0,
-            functional="vqe", metric_kind=kind, eta=0.05,
+            order=1, metric_kind=kind, eta=0.05,
             max_iters=100, grad_tol=0.0,
         )
         finals[kind] = traj.records[100].energy
@@ -202,7 +202,7 @@ def test_criterion_5b_vqe_gd_trapped_at_origin_plateau():
     toy_a = build_model("toy_a")
     traj = run(
         toy_a.hamiltonian, toy_a.circuit, (0.01, 0.01),
-        functional="vqe", metric_kind="gd", eta=0.05,
+        order=1, metric_kind="gd", eta=0.05,
         max_iters=500, grad_tol=0.0,
     )
     worst = float(np.abs(traj.energies - 1.0).max())
@@ -221,7 +221,7 @@ def test_criterion_5c_vqe_metric_flows_stay_trapped():
         for kind in ("ngd", "ite"):
             traj = run(
                 toy_b.hamiltonian, toy_b.circuit, start,
-                functional="vqe", metric_kind=kind, eta=0.05,
+                order=1, metric_kind=kind, eta=0.05,
                 max_iters=2000, grad_tol=0.0,
             )
             finals[f"{kind}@{sign:+d}"] = traj.final.energy
@@ -476,7 +476,7 @@ def test_criterion_8_shot_noise_consistency():
         state = apply_circuit(model.circuit, model.theta0)
         exact = point_moments(model.circuit, model.theta0, model.hamiltonian, 7)
         plan = MeasurementPlan(powers)
-        values, errors = sampled_moments(state, plan, shots=10**6, seed=7)
+        values, errors = (r[0] for r in sampled_moments(state.amplitudes[None], plan, 10**6, [7]))
         for n in range(1, 8):
             if errors[n] == 0.0:
                 assert values[n] == approx(exact[n], abs=1e-9)

@@ -705,6 +705,45 @@ class TestConfigFile:
             main(["--config", str(tmp_path / "no.json"), "run", "--model", "toy_a"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("second", ["--config", "--config="])
+    def test_repeated_config_rejected(self, tmp_path, capsys, second):
+        first, other = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps({"max_iters": 1}))
+        other.write_text(json.dumps({"max_iters": 3}))
+        repeated = [second, str(other)] if second == "--config" else [second + str(other)]
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(first), *repeated, "run", "--model", "toy_a",
+                  "--out", str(out)])
+        assert err.value.code == 1
+        assert "--config may be given once" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestVqeIsOrderOne:
+    """``--functional vqe`` is ``--order 1``, byte for byte."""
+
+    @staticmethod
+    def _outputs(argv, out, capsys):
+        code = main([*argv, "--out", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        return code, stdout, [f.read_bytes() for f in sorted(out.parent.glob(out.name + "*"))]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["run", "--model", m, "--metric", k]
+              for m in ("toy_a", "toy_b", "h2", "heisenberg") for k in ("gd", "ngd", "ite")),
+            ["run", "--model", "heisenberg", "--shots", "500", "--max-iters", "20"],
+            ["scan", "--model", "h2", "--grid", "4", "--max-iters", "5"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+    )
+    def test_same_csv_and_stdout(self, tmp_path, capsys, argv):
+        vqe = self._outputs([*argv, "--functional", "vqe"], tmp_path / "vqe", capsys)
+        one = self._outputs([*argv, "--order", "1"], tmp_path / "one", capsys)
+        assert vqe[2] and vqe == one
+
 
 # Standard output of the measurement-cost commands as the term-by-term
 # first-fit grouping printed it; the vectorized group sweep must match it

@@ -13,6 +13,7 @@ from helpers import (
     point_rows,
     random_circuit,
     random_pairs,
+    sampled_one,
 )
 from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
@@ -407,15 +408,15 @@ class TestSampledExpectation:
     def test_deterministic_given_seed(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         plan = _plan(h2.hamiltonian)
-        est1, err1 = sampled_moments(state, plan, shots=400, seed=11)
-        est2, err2 = sampled_moments(state, plan, shots=400, seed=11)
+        est1, err1 = sampled_one(state, plan, 400, 11)
+        est2, err2 = sampled_one(state, plan, 400, 11)
         assert np.array_equal(est1, est2) and np.array_equal(err1, err2)
 
     def test_seed_changes_draws(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         plan = _plan(h2.hamiltonian)
-        est1, _ = sampled_moments(state, plan, shots=400, seed=1)
-        est2, _ = sampled_moments(state, plan, shots=400, seed=2)
+        est1, _ = sampled_one(state, plan, 400, 1)
+        est2, _ = sampled_one(state, plan, 400, 2)
         assert est1[1] != est2[1]
 
     def test_basis_state_measured_exactly(self):
@@ -424,7 +425,7 @@ class TestSampledExpectation:
         state = apply_circuit(circuit, np.array([]))
         for label, expected in (("ZI", -1.0), ("IZ", 1.0), ("ZZ", -1.0)):
             h = PauliSum.from_terms([(1.0, label)])
-            est, err = sampled_moments(state, _plan(h), shots=64, seed=0)
+            est, err = sampled_one(state, _plan(h), 64, 0)
             assert est[1] == approx(expected) and err[1] == 0.0, label
 
     def test_plus_state_x_measured_exactly(self):
@@ -444,7 +445,7 @@ class TestSampledExpectation:
             circuit = Circuit(n_qubits=n, n_params=0, gates=gates, initial_bits=bits)
             state = apply_circuit(circuit, np.array([]))
             h = PauliSum.from_terms([(1.0, label)])
-            est, err = sampled_moments(state, _plan(h), shots=32, seed=0)
+            est, err = sampled_one(state, _plan(h), 32, 0)
             assert est[1] == approx(expected), label
             assert err[1] == 0.0, label
 
@@ -454,7 +455,7 @@ class TestSampledExpectation:
         v = state.amplitudes
         for _, label in heisenberg.hamiltonian.terms():
             string = PauliSum.from_terms([(1.0, label)])
-            est, err = sampled_moments(state, _plan(string), shots=20000, seed=3)
+            est, err = sampled_one(state, _plan(string), 20000, 3)
             exact = np.vdot(v, dense_of(string) @ v).real
             assert abs(est[1] - exact) <= 6 * max(err[1], 1e-3), label
 
@@ -463,20 +464,20 @@ class TestSampledExpectation:
         circuit = Circuit(n_qubits=1, n_params=0, gates=())
         state = apply_circuit(circuit, np.array([]))
         h = PauliSum.from_terms([(2.0, "I")])
-        est, err = sampled_moments(state, _plan(h, 2), shots=16, seed=0)
+        est, err = sampled_one(state, _plan(h, 2), shots=16, seed=0)
         assert list(est) == [1.0, 2.0, 4.0] and list(err) == [0.0, 0.0, 0.0]
 
     def test_too_few_shots(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         with pytest.raises(ValueError):
-            sampled_moments(state, _plan(h2.hamiltonian), shots=1)
+            sampled_one(state, _plan(h2.hamiltonian), 1)
 
 
 class TestSampledMoments:
     def test_matches_exact_within_errors(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         exact = point_moments(h2.circuit, h2.theta0, h2.hamiltonian, 5)
-        est, se = sampled_moments(state, _plan(h2.hamiltonian, 5), shots=200000, seed=5)
+        est, se = sampled_one(state, _plan(h2.hamiltonian, 5), shots=200000, seed=5)
         assert est[0] == 1.0 and se[0] == 0.0
         for n in range(1, 6):
             slack = 5 * se[n] if se[n] > 0 else 1e-12
@@ -485,8 +486,8 @@ class TestSampledMoments:
     def test_error_shrinks_with_shots(self, heisenberg):
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
         plan = _plan(heisenberg.hamiltonian, 3)
-        _, se_small = sampled_moments(state, plan, shots=1000, seed=9)
-        _, se_big = sampled_moments(state, plan, shots=100000, seed=9)
+        _, se_small = sampled_one(state, plan, 1000, 9)
+        _, se_big = sampled_one(state, plan, 100000, 9)
         # 100x the shots should cut the standard error by roughly 10x
         for n in range(1, 4):
             assert se_big[n] < 0.3 * se_small[n]
@@ -494,8 +495,8 @@ class TestSampledMoments:
     def test_deterministic_given_seed(self, heisenberg):
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
         plan = _plan(heisenberg.hamiltonian, 2)
-        a = sampled_moments(state, plan, shots=500, seed=21)
-        b = sampled_moments(state, plan, shots=500, seed=21)
+        a = sampled_one(state, plan, 500, 21)
+        b = sampled_one(state, plan, 500, 21)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_eigenstate_zero_error(self):
@@ -503,7 +504,7 @@ class TestSampledMoments:
         circuit = Circuit(n_qubits=2, n_params=0, gates=(), initial_bits="01")
         state = apply_circuit(circuit, np.array([]))
         h = PauliSum.from_terms([(1.5, "II"), (0.5, "IZ"), (-1.0, "ZZ")])
-        est, se = sampled_moments(state, _plan(h, 3), shots=50, seed=0)
+        est, se = sampled_one(state, _plan(h, 3), shots=50, seed=0)
         assert np.allclose(se, 0.0)
         # |01> sits at diagonal entry 2 of diag(1,2,3,0)
         assert np.allclose(est, 2.0 ** np.arange(4), atol=1e-12)
@@ -511,12 +512,20 @@ class TestSampledMoments:
     def test_too_few_shots(self, h2):
         state = apply_circuit(h2.circuit, h2.theta0)
         with pytest.raises(ValueError):
-            sampled_moments(state, _plan(h2.hamiltonian, 2), shots=1)
+            sampled_one(state, _plan(h2.hamiltonian, 2), shots=1)
 
     def test_plan_width_must_match_state(self, h2, heisenberg):
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
         with pytest.raises(ValueError, match="qubit count"):
-            sampled_moments(state, _plan(h2.hamiltonian), shots=10)
+            sampled_one(state, _plan(h2.hamiltonian), 10)
+
+    def test_stack_takes_rows_of_states_with_one_seed_each(self, h2):
+        amps = _simulate(h2.circuit, np.stack([h2.theta0, h2.theta0 + 0.1]))
+        plan = _plan(h2.hamiltonian)
+        with pytest.raises(ValueError, match="2 states need as many seeds, got 1"):
+            sampled_moments(amps, plan, 10, [0])
+        with pytest.raises(ValueError, match="qubit count"):
+            sampled_moments(amps[0], plan, 10, [0])
 
 
 def _random_state(circuit, seed):
@@ -531,7 +540,7 @@ class TestSampledMatchesPerOrderLoop:
         powers = hamiltonian_powers(h, max_order)
         plan = MeasurementPlan(powers)
         for seed in range(5):
-            values, errors = sampled_moments(state, plan, shots, seed=seed)
+            values, errors = sampled_one(state, plan, shots, seed)
             ref_values, ref_errors = per_order_sampled_moments(
                 state.amplitudes, powers, shots, seed
             )
@@ -604,7 +613,7 @@ class TestSampledShape:
             return statesim._apply_single(*args)
 
         monkeypatch.setattr(moments, "_apply_single", counted)
-        sampled_moments(state, plan, 100, seed=0)
+        sampled_one(state, plan, 100, 0)
         assert 0 < len(calls) <= heisenberg.hamiltonian.n_qubits
         assert calls == sorted(set(calls))
 
@@ -625,18 +634,18 @@ class TestSampledShape:
             return statesim._apply_single(*args)
 
         monkeypatch.setattr(moments, "_apply_single", counted)
-        values, errors = moments._sampled_stack(amps, plan, 300, [3, 1, 4, 1])
+        values, errors = sampled_moments(amps, plan, 300, [3, 1, 4, 1])
         assert calls == [per_block] * (len(plan.turns) * 4 // per_block)
         monkeypatch.setattr(moments, "_apply_single", statesim._apply_single)
         for a, seed, v, e in zip(amps, [3, 1, 4, 1], values, errors):
-            alone = sampled_moments(statesim.State(a), plan, 300, seed=seed)
+            alone = sampled_one(statesim.State(a), plan, 300, seed)
             assert v.tolist() == alone[0].tolist() and e.tolist() == alone[1].tolist()
 
     def test_zero_sum_has_no_groups(self):
         circuit = Circuit(n_qubits=2, n_params=0, gates=())
         state = apply_circuit(circuit, np.array([]))
         plan = _plan(PauliSum.zero(2), 2)
-        est, err = sampled_moments(state, plan, shots=10, seed=0)
+        est, err = sampled_one(state, plan, 10, 0)
         assert plan.n_groups == 0
         assert list(est) == [1.0, 0.0, 0.0] and list(err) == [0.0, 0.0, 0.0]
 
@@ -647,12 +656,12 @@ class TestSampledShape:
     def test_shot_count_must_be_an_integer_in_range(self, h2, shots):
         state = apply_circuit(h2.circuit, h2.theta0)
         with pytest.raises(ValueError, match="shots"):
-            sampled_moments(state, _plan(h2.hamiltonian, 2), shots)
+            sampled_one(state, _plan(h2.hamiltonian, 2), shots)
 
     @pytest.mark.parametrize("shots", [np.int32(400), np.int64(400), np.uint16(400)])
     def test_numpy_integer_shots_count(self, h2, shots):
         state = apply_circuit(h2.circuit, h2.theta0)
         plan = _plan(h2.hamiltonian, 2)
-        a = sampled_moments(state, plan, shots, seed=4)
-        b = sampled_moments(state, plan, 400, seed=4)
+        a = sampled_one(state, plan, shots, 4)
+        b = sampled_one(state, plan, 400, 4)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

@@ -1,5 +1,7 @@
 """Tests for metric construction, the descent step, and the run driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -162,25 +164,14 @@ class TestRunDriver:
             )
 
     def test_first_order_functional_matches_vqe(self, toy_b):
-        kw = dict(eta=0.05, max_iters=20, grad_tol=0.0)
-        pds1 = run(
-            toy_b.hamiltonian, toy_b.circuit, toy_b.theta0,
-            functional="pds", order=1, **kw,
-        )
-        vqe = run(
-            toy_b.hamiltonian, toy_b.circuit, toy_b.theta0,
-            functional="vqe", **kw,
-        )
-        assert pds1.energies == approx(vqe.energies, abs=1e-12)
-        assert pds1.thetas == approx(vqe.thetas, abs=1e-12)
-
-    def test_vqe_forces_first_order_roots(self, toy_a):
+        # VQE is the order-1 functional: its one root is <H> itself.
         traj = run(
-            toy_a.hamiltonian, toy_a.circuit, toy_a.theta0,
-            functional="vqe", order=3, max_iters=2,
+            toy_b.hamiltonian, toy_b.circuit, toy_b.theta0,
+            order=1, eta=0.05, max_iters=20, grad_tol=0.0,
         )
-        assert traj.records[0].roots.shape == (1,)
-        assert traj.records[0].energy == approx(traj.records[0].expval_h)
+        assert len(traj.records) == 21
+        assert all(r.roots.tolist() == [r.energy] for r in traj.records)
+        assert [r.energy for r in traj.records] == [r.expval_h for r in traj.records]
 
     def test_grad_tol_reports_converged(self, toy_a):
         traj = run(
@@ -244,8 +235,6 @@ class TestRunDriver:
         assert not np.allclose(a.thetas, c.thetas)
 
     def test_validation_errors(self, toy_a):
-        with pytest.raises(ValueError, match="unknown functional"):
-            run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, functional="qaoa")
         with pytest.raises(ValueError, match="unknown schedule"):
             run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, schedule="cosine")
         with pytest.raises(ValueError, match="unknown metric kind"):
@@ -347,14 +336,15 @@ class TestRunDriver:
 
     @pytest.mark.parametrize("kind,shots", [("gd", None), ("gd", 500), ("ngd", None)])
     def test_vqe_is_the_order_one_functional(self, toy_b, kind, shots):
-        kw = dict(metric_kind=kind, shots=shots,
+        # Order 1 is VQE: under the default auto policy its 1 x 1 moment
+        # matrix, exactly 1, is solved directly, with the bits of "none".
+        kw = dict(order=1, metric_kind=kind, shots=shots,
                   max_iters=10, grad_tol=0.0, ground_basis=toy_b.ground_basis)
         start = (3 * np.pi / 8 + 0.05, 0.05)
-        vqe = run(toy_b.hamiltonian, toy_b.circuit, start, functional="vqe",
-                  pds_policy=RegPolicy("shift"), **kw)
-        pds = run(toy_b.hamiltonian, toy_b.circuit, start, functional="pds",
-                  order=1, pds_policy=RegPolicy("none"), **kw)
-        assert_same_trajectory(vqe, pds)
+        default = run(toy_b.hamiltonian, toy_b.circuit, start, **kw)
+        strict = run(toy_b.hamiltonian, toy_b.circuit, start,
+                     pds_policy=RegPolicy("none"), **kw)
+        assert_same_trajectory(default, strict)
 
     def test_ground_basis_checked_once_per_run(self, h2, monkeypatch):
         checks = []
@@ -381,7 +371,7 @@ class TestRunDriver:
         start = (sign * 3 * np.pi / 8 + 0.05, 0.05)
         traj = run(
             toy_b.hamiltonian, toy_b.circuit, start,
-            functional="pds", order=2, eta=0.05,
+            order=2, eta=0.05,
             max_iters=2000, grad_tol=0.0,
         )
         assert np.abs(traj.energies - 0.0).min() <= 1e-6
@@ -461,16 +451,7 @@ def assert_same_trajectory(a, b):
     iterate's record included."""
     assert (a.status, a.message, len(a.records)) == (b.status, b.message, len(b.records))
     assert type(a.error) is type(b.error)
-    pairs = list(zip(a.records, b.records))
-    if a.failed is not None:
-        pairs.append((a.failed, b.failed))
-    for ra, rb in pairs:
-        for name in ("theta", "energy", "roots", "expval_h", "fidelity",
-                     "grad_norm", "metric_cond", "step_size"):
-            assert np.array_equal(
-                getattr(ra, name), getattr(rb, name), equal_nan=True
-            ), (ra.iteration, name)
-        assert (ra.iteration, ra.preconditioned) == (rb.iteration, rb.preconditioned)
+    assert a.records == b.records and a.failed == b.failed
 
 
 class TestRunBatch:
@@ -811,6 +792,22 @@ class TestTrajectoryContainer:
         assert traj.final is rec
         assert traj.energies == approx([-1.0])
         assert traj.thetas == approx(np.array([[0.1]]))
+
+    def test_records_compare_field_by_field(self, toy_a):
+        # No ground basis, so every fidelity is NaN; the final record's step
+        # size is NaN and gd's ``preconditioned`` None.
+        kw = dict(order=2, max_iters=2, grad_tol=0.0)
+        a = run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, **kw)
+        b = run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, **kw)
+        assert np.isnan(a.final.fidelity) and np.isnan(a.final.step_size)
+        assert a.records == b.records and a.records[-1] == b.records[-1] and a == b
+        record = a.records[1]
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            other = True if value is None else value + 1 if np.isfinite(value).all() else 0.5
+            assert dataclasses.replace(record, **{f.name: other}) != record, f.name
+        assert dataclasses.replace(record, theta=record.theta[:1]) != record
+        assert a.records != b.records[:2]
 
 
 # Energies of a 20-iterate, 1000-shot order-3 heisenberg run with seed 7, as

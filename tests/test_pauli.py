@@ -137,8 +137,7 @@ class TestPauliSum:
 
     def test_zero_and_identity(self):
         assert len(PauliSum.zero(3)) == 0
-        ident = PauliSum.identity(2, 2.5)
-        assert np.allclose(dense_of(ident), 2.5 * np.eye(4))
+        assert np.allclose(dense_of(PauliSum.identity(2)), np.eye(4))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -416,7 +415,7 @@ class TestGroupingMatchesFirstFit:
 
     @pytest.mark.parametrize("n", [1, 64, 70])
     def test_identity_only(self, n):
-        s = PauliSum.identity(n, -2.5)
+        s = PauliSum.from_terms([(-2.5, "I" * n)])
         assert qwc_items(s) == first_fit_qwc_groups(s) == [[((0, 0), -2.5 + 0j)]]
 
     @pytest.mark.parametrize("order", [3, 5])
@@ -454,7 +453,7 @@ class TestGroupingMatchesFirstFit:
         if n_terms == 0:
             s = PauliSum.zero(8)
         elif n_terms == 1:
-            s = PauliSum.identity(8, 2.0)
+            s = PauliSum.from_terms([(2.0, "I" * 8)])
         else:
             s = _distinct_sum(rng, 8, n_terms, lead_identity=True)
         sizes = self._table_sizes(monkeypatch)

@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from helpers import dense_of, point_moments, point_rows, point_solve
+from pdsvqs import pds
 from pdsvqs.models import build_model
 from pdsvqs.optim import run_batch
 from pdsvqs.pds import (
@@ -91,7 +92,7 @@ class TestPolicies:
             RegPolicy(kind="ridge")
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["shift_eps", "rcond", "cond_threshold"])
+    @pytest.mark.parametrize("name", ["shift_eps"])
     def test_policy_magnitudes_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             RegPolicy(kind="auto", **{name: value})
@@ -118,8 +119,9 @@ class TestPolicies:
         shifted = point_solve(values, 2, RegPolicy("shift"))
         assert adaptive.x.tolist() == shifted.x.tolist()
 
-    def test_auto_threshold_is_configurable(self):
-        res = point_solve(self.well_conditioned(), 2, RegPolicy("auto", cond_threshold=1.0))
+    def test_auto_threshold_is_configurable(self, monkeypatch):
+        monkeypatch.setattr(pds, "_COND_THRESHOLD", 1.0)
+        res = point_solve(self.well_conditioned(), 2, RegPolicy("auto"))
         assert res.applied.tolist() == [True]
         assert res.kind == "shift"
 

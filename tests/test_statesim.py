@@ -101,7 +101,7 @@ class TestApplyCircuit:
     def test_norm_preserved(self, rng):
         c = random_circuit(rng, 3, 10, 2)
         state = apply_circuit(c, rng.normal(size=2))
-        assert state.norm() == approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == approx(1.0, abs=1e-12)
 
     def test_angle_multiplier_and_offset(self):
         c1 = Circuit(
@@ -259,7 +259,7 @@ class TestForwardWalk:
 def record_fidelities(circuit, thetas, basis):
     """The fidelity of each start's iterate-0 record against ``basis``."""
     h = PauliSum.from_terms([(1.0, "Z" * circuit.n_qubits)])
-    rows = run_batch(h, circuit, thetas, functional="vqe", max_iters=0, ground_basis=basis)
+    rows = run_batch(h, circuit, thetas, order=1, max_iters=0, ground_basis=basis)
     return [row.records[0].fidelity for row in rows]
 
 
@@ -399,11 +399,6 @@ class TestBlockEigensystem:
         assert ground.shape[1] == degeneracy
         assert eigenvalues[0] == approx(-1e8 * (n_sites - 1), rel=1e-12)
 
-    @pytest.mark.parametrize("ground_tol", [np.nan, -1.0, np.inf])
-    def test_rejects_ground_tol_that_is_not_finite_and_non_negative(self, h2, ground_tol):
-        with pytest.raises(ValueError, match="ground_tol must be finite and non-negative"):
-            exact_eigensystem(h2.hamiltonian, ground_tol=ground_tol)
-
     def test_ten_site_chain_never_builds_the_dense_matrix(self):
         s = PauliSum.from_terms(chain_pairs(10))
         tracemalloc.start()
@@ -427,7 +422,8 @@ class TestDecomposeControlled:
                 Gate("cnot", 1, control=2),
             ),
         )
-        decomposed = c.decompose_controlled()
+        decomposed = c.decomposed
+        assert c.decomposed is decomposed  # built once
         assert all(g.kind != "cry" for g in decomposed.gates)
         for _ in range(5):
             theta = rng.normal(size=2)
@@ -458,7 +454,7 @@ class TestDecomposeControlled:
         # Every row of a stack with its own offsets gets the bits of a call
         # that simulates just that row's shift.
         for _ in range(5):
-            c = random_circuit(rng, 3, 10, 3).decompose_controlled()
+            c = random_circuit(rng, 3, 10, 3).decomposed
             offsets = c._rotations[3]
             thetas = rng.normal(size=(2, 3))
             table = np.repeat(offsets[None], len(offsets), axis=0)
