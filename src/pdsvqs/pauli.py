@@ -24,8 +24,8 @@ __all__ = ["PauliSum"]
 
 # i^p for p = 0..3, used when composing phase exponents.
 _PHASES = np.array([1.0, 1.0j, -1.0, -1.0j])
-# Term pairs that a product forms at once.
-_BLOCK_PAIRS = 1 << 16
+# Term pairs that a product forms, and rows that a merge sorts, at once.
+_BLOCK_PAIRS = 1 << 14
 # Imaginary parts, relative to the largest coefficient, that still count as
 # Hermitian roundoff.
 _HERMITIAN_TOL = 1e-12
@@ -74,38 +74,88 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_seen(x: np.ndarray, z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(heads, at)`` for packed rows of n-qubit strings that may repeat:
-    ``heads`` holds the row of each string's first occurrence, in row order,
-    and ``at[r]`` the position in ``heads`` of row r's string."""
-    if (n - 1) % 64 < 32:  # the last word's x and z fit one key
-        keys = [*x[:, :-1].T, *z[:, :-1].T, x[:, -1] | z[:, -1] << np.uint64(32)]
-    else:
-        keys = [*x.T, *z.T]
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any([r[1:] != r[:-1] for r in (key[order] for key in keys)], axis=0)
-    starts = new.nonzero()[0]
-    # Each string's first row: the sort need not be stable.
-    first = np.minimum.reduceat(order, starts) if starts.size else starts
-    by_row = np.argsort(first)
-    rank = np.empty_like(by_row)
-    rank[by_row] = np.arange(by_row.size)
-    at = np.empty_like(order)
-    at[order] = rank[np.cumsum(new) - 1]
-    return first[by_row], at
+def _keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """One key per row of (T, W) words, equal exactly where the strings are:
+    ``x | z << 32`` as one uint64 up to 32 qubits, else the row's x and z
+    words as one fixed-width ``void`` scalar (ordered bytewise)."""
+    if n <= 32:
+        return x[:, 0] | z[:, 0] << np.uint64(32)
+    return np.hstack([x, z]).view(f"V{16 * x.shape[1]}").reshape(-1)
+
+
+class _StringIndex:
+    """The distinct strings of parts absorbed in row order, each with its
+    coefficients combined by ``add`` in that order.
+
+    ``keys`` holds the strings' keys (``_keys``) sorted, and ``ids`` the
+    first-seen id of each: the number of distinct strings absorbed before it.
+    A part is taken ``_BLOCK_PAIRS`` rows at a time; each block is sorted
+    and deduplicated on its own, and its distinct keys are looked up in the
+    index with ``searchsorted``.  New strings take the next ids in first-seen
+    order and are inserted in place, so no earlier row is sorted again and
+    the temporaries stay within one block.
+    """
+
+    def __init__(self, n: int, add=np.add) -> None:
+        self.n, self.add = n, add
+        empty = np.zeros((0, -(-n // 64)), dtype=np.uint64)
+        self.keys, self.ids, self.coeffs = _keys(empty, empty, n), np.zeros(0, np.intp), np.zeros(0)
+
+    def absorb(self, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Add the rows of one part and return the id of each row's string."""
+        at = np.empty(len(coeffs), dtype=np.intp)
+        for i in range(0, len(coeffs), _BLOCK_PAIRS):
+            rows = slice(i, i + _BLOCK_PAIRS)
+            at[rows] = self._block(x[rows], z[rows], coeffs[rows])
+        return at
+
+    def _block(self, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        keys = _keys(x, z, self.n)
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        starts = new.nonzero()[0]
+        keys = keys[starts]  # the block's distinct keys, sorted
+        # Each string's first row: the sort need not be stable.
+        first = np.minimum.reduceat(order, starts)
+        pos = np.searchsorted(self.keys, keys)
+        seen = pos < len(self.keys)
+        seen[seen] = self.keys[pos[seen]] == keys[seen]
+        ids = np.empty(len(keys), dtype=np.intp)
+        ids[seen] = self.ids[pos[seen]]
+        fresh = (~seen).nonzero()[0]  # in key order, as the index inserts them
+        size = len(self.coeffs)  # new strings take the next ids, first seen first
+        ids[fresh[np.argsort(first[fresh])]] = np.arange(size, size + fresh.size)
+        self.keys = np.insert(self.keys, pos[fresh], keys[fresh])
+        self.ids = np.insert(self.ids, pos[fresh], ids[fresh])
+        self.coeffs = np.concatenate([self.coeffs, np.zeros(fresh.size, coeffs.dtype)])
+        at = np.empty_like(order)
+        at[order] = ids[np.cumsum(new) - 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check
+            self.add.at(self.coeffs, at, coeffs)  # unbuffered, so in row order
+        return at
+
+    def sum(self) -> "PauliSum":
+        """The strings absorbed so far, in first-seen order."""
+        t, w = len(self.ids), -(-self.n // 64)
+        x, z = np.empty((t, w), dtype=np.uint64), np.empty((t, w), dtype=np.uint64)
+        if self.n <= 32:
+            x[self.ids, 0] = self.keys & np.uint64(0xFFFFFFFF)
+            z[self.ids, 0] = self.keys >> np.uint64(32)
+        else:
+            words = self.keys.view("<u8").reshape(t, 2 * w)
+            x[self.ids], z[self.ids] = words[:, :w], words[:, w:]
+        return PauliSum(self.n, x, z, self.coeffs.astype(complex, copy=False))
 
 
 def _merged(n: int, *parts, add=np.add) -> tuple["PauliSum", np.ndarray]:
-    """The ``(x, z, coeffs)`` parts, concatenated, as one sum (each string at
-    its first row, its coefficients combined by ``add`` in row order) and
-    ``at`` of ``_first_seen``."""
-    x, z, coeffs = (np.concatenate(a) for a in zip(*parts))
-    heads, at = _first_seen(x, z, n)
-    merged = np.zeros(heads.size, dtype=coeffs.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # callers check
-        add.at(merged, at, coeffs)  # unbuffered, so in row order
-    return PauliSum(n, x[heads], z[heads], merged.astype(complex, copy=False)), at
+    """The ``(x, z, coeffs)`` parts, absorbed in order into one
+    ``_StringIndex``, as one sum, and for every row of the parts the row of
+    the sum holding its string."""
+    index = _StringIndex(n, add)
+    at = np.concatenate([index.absorb(*part) for part in parts])
+    return index.sum(), at
 
 
 def _pair_products(x1, z1, c1, right: "PauliSum"):
@@ -237,20 +287,20 @@ class PauliSum:
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
         """Product of every term pair, left term outer.  The pairs of a block
-        of left terms at a time are merged into the product so far, which
-        keeps the temporaries near ``_BLOCK_PAIRS`` pairs and still adds the
-        coefficients in pair order."""
+        of left terms at a time (about ``_BLOCK_PAIRS``) are absorbed into
+        one ``_StringIndex``, so the temporaries stay within a block, the
+        product so far is never sorted again, and the coefficients still add
+        in pair order."""
         if not isinstance(other, PauliSum):
             return NotImplemented
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit count mismatch in Pauli sum product")
-        out = PauliSum.zero(self.n_qubits)
+        index = _StringIndex(self.n_qubits)
         step = max(1, _BLOCK_PAIRS // max(1, len(other)))
         for i in range(0, len(self), step):
             rows = slice(i, i + step)
-            block = _pair_products(self.x[rows], self.z[rows], self.coeffs[rows], other)
-            out, _ = _merged(self.n_qubits, (out.x, out.z, out.coeffs), block)
-        return out
+            index.absorb(*_pair_products(self.x[rows], self.z[rows], self.coeffs[rows], other))
+        return index.sum()
 
     def simplify(self, drop_tol: float = 1e-12) -> "PauliSum":
         """Drop terms whose coefficient magnitude is at most ``drop_tol``."""
@@ -310,11 +360,16 @@ class PauliSum:
 
 def _fit_tables(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(fits, busy, remaining)`` bitsets over the strings whose (T, n) letter
-    ranks are given, 64 strings per word (see ``_qwc_rows``)."""
+    ranks are given, 64 strings per word (see ``_qwc_rows``).  The (n, 4,
+    words) ``fits`` is built one qubit at a time; the padding past T fits
+    every letter."""
     t, words = len(ranks), -(-len(ranks) // 64)
-    ranks = np.vstack([ranks, np.zeros((64 * words - t, ranks.shape[1]), np.uint8)])
-    fit_bits = (ranks.T[:, None] == np.arange(4)[:, None]) | (ranks.T[:, None] == 0)
-    fits = np.packbits(fit_bits, axis=-1, bitorder="little").view("<u8")  # (n, 4, words)
+    fits = np.empty((ranks.shape[1], 4, words), dtype=np.uint64)
+    column = np.zeros(64 * words, dtype=np.uint8)
+    for q in range(ranks.shape[1]):
+        column[:t] = ranks[:, q]
+        fit_bits = (column == np.arange(4, dtype=np.uint8)[:, None]) | (column == 0)
+        fits[q] = np.packbits(fit_bits, axis=-1, bitorder="little").view("<u8")
     remaining = np.packbits(np.arange(64 * words) < t, bitorder="little").view("<u8")
     return fits, ~fits[:, 0], remaining
 

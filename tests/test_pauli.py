@@ -1,5 +1,7 @@
 """Pauli string algebra against the dense kron oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -292,6 +294,142 @@ class TestDedupAtFusedKeyWidths:
         assert_same_dict(union, dict_union(dicts))
         rows = {key: r for r, key in enumerate(dict_of(union))}
         assert at.tolist() == [rows[key] for d in dicts for key in d]
+
+
+def _on(n, letters):
+    """The n-letter label with ``letters[q]`` on qubit q and I elsewhere."""
+    return "".join(letters.get(q, "I") for q in range(n))
+
+
+def _two_qubit_group(n, values):
+    """``(coefficient, label)`` pairs of the eight strings A B, with A in
+    IXYZ on one qubit and B in IZ on another, both at word edges; products of
+    these strings stay among them."""
+    s = 64 * ((n - 1) // 64)  # the last word's first qubit
+    q1, q2 = (s, n - 1) if s < n - 1 else (0, n - 1)
+    labels = [_on(n, {q1: a, q2: b}) for b in "IZ" for a in "IXYZ"]
+    return list(zip(values, labels))
+
+
+class TestStringIndexEdges:
+    """Edge cases of the sorted string index against the dict loops, with
+    blocks of a few rows so that every product and merge spans several."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """``(strings before, strings after)`` of every block the index absorbs."""
+        seen, absorb = [], pauli._StringIndex._block
+
+        def spy(index, x, z, coeffs):
+            before = len(index.ids)
+            at = absorb(index, x, z, coeffs)
+            seen.append((before, len(index.ids)))
+            return at
+
+        monkeypatch.setattr(pauli._StringIndex, "_block", spy)
+        monkeypatch.setattr(pauli, "_BLOCK_PAIRS", 8)
+        return seen
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 97])
+    def test_empty_operand_on_either_side(self, blocks, n):
+        pairs = _two_qubit_group(n, [1.0, -0.5, 0.25j, 2.0, 3.0, -1.0, 0.5, 1j])
+        a, zero = PauliSum.from_terms(pairs), PauliSum.zero(n)
+        for product in (zero * a, a * zero, zero * zero):
+            assert_same_dict(product, {})
+            assert product.x.shape == product.z.shape == (0, -(-n // 64))
+        assert_same_dict(zero + a, dict_from_pairs(pairs))
+        assert_same_dict(a + zero, dict_from_pairs(pairs))
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 97])
+    def test_blocks_of_strings_already_in_the_index(self, blocks, n):
+        pairs = _two_qubit_group(n, [1.0, -0.5, 0.25j, 2.0, 3.0, -1.0, 0.5, 1j])
+        left = _two_qubit_group(n, [0.5, 1.5, -2.0j, 0.75])[::-1]
+        a, b = PauliSum.from_terms(pairs), PauliSum.from_terms(left)
+        da, db = dict_from_pairs(pairs), dict_from_pairs(left)
+        blocks.clear()
+        # One left term per block of 8 pairs: the first adds all eight
+        # strings, and every later block only adds to them.
+        assert_same_dict(b * a, dict_product(db, da))
+        assert blocks == [(0, 8), (8, 8), (8, 8), (8, 8)]
+        blocks.clear()
+        assert_same_dict(a + a, dict_from_pairs(pairs + pairs))
+        assert blocks == [(0, 8), (8, 8)]
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 97])
+    def test_blocks_of_new_strings_only(self, blocks, n):
+        pairs = _two_qubit_group(n, [1.0, -0.5, 0.25j, 2.0, 3.0, -1.0, 0.5, 1j])
+        left = [(c, _on(n, {1: a, n // 2: a})) for c, a in zip([1.0, 2.0, -3.0], "XYZ")]
+        a, b = PauliSum.from_terms(pairs), PauliSum.from_terms(left)
+        da, db = dict_from_pairs(pairs), dict_from_pairs(left)
+        blocks.clear()
+        assert_same_dict(b * a, dict_product(db, da))
+        assert blocks == [(0, 8), (8, 16), (16, 24)]
+        blocks.clear()
+        assert_same_dict(b * a + a, dict_product(db, da) | da)
+        assert blocks[-1] == (24, 32)
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 97])
+    def test_repeats_that_cancel_stay_as_exact_zeros(self, blocks, n):
+        s = 64 * ((n - 1) // 64)
+        # XZ = -iY and ZX = iY, from different blocks, cancel exactly.
+        pairs = [(1.0, _on(n, {s: "X"})), (1.0, _on(n, {s: "Z"}))]
+        pairs.append((0.5, _on(n, {0: "Z", n - 1: "X"})))
+        a = PauliSum.from_terms(pairs)
+        blocks.clear()
+        square = a * a
+        assert len(blocks) == 2
+        assert_same_dict(square, dict_product(dict_from_pairs(pairs), dict_from_pairs(pairs)))
+        y = _on(n, {s: "Y"})
+        assert y in {label for _, label in square.terms()}
+        assert square.coefficient(y) == 0.0
+        assert y not in {label for _, label in square.simplify().terms()}
+        zeros = int((square.coeffs == 0).sum())
+        assert len(square.simplify()) == len(square) - zeros
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 97])
+    def test_union_whose_later_powers_add_no_string(self, blocks, n):
+        a = PauliSum.from_terms(_two_qubit_group(n, [1.0, -0.5, 0.25, 2.0, 3.0, -1.0, 0.5, 1.5]))
+        powers = [PauliSum.identity(n), a, a * a, a * a * a]
+        blocks.clear()
+        union, at = _union(powers)
+        dicts = [dict_of(p) for p in powers[1:]]
+        assert_same_dict(union, dict_union(dicts))
+        rows = {key: r for r, key in enumerate(dict_of(union))}
+        assert at.tolist() == [rows[key] for d in dicts for key in d]
+        assert blocks[0] == (0, 8) and all(block == (8, 8) for block in blocks[1:])
+
+
+class TestMergeMemory:
+    """Traced peaks on the 12-site chain to order 4: the expansion, the union
+    of its powers and the union's grouping.  Merging each block of pairs by
+    re-sorting the product so far, and building the sweep's bitsets through
+    (n, 4, T) bool arrays, peaked at 16.7, 5.2 and 6.1 MB; the bounds sit
+    well below, so a return to either cannot pass."""
+
+    @pytest.fixture(scope="class")
+    def chain12(self):
+        h = PauliSum.from_terms(chain_pairs(12))
+        powers = hamiltonian_powers(h, 4)
+        return h, powers, _union(powers)[0]
+
+    @staticmethod
+    def _peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_expansion(self, chain12):
+        # 1.66 MB of powers; every product keeps its temporaries within a block.
+        assert self._peak(hamiltonian_powers, chain12[0], 4) < 8e6
+
+    def test_union(self, chain12):
+        assert self._peak(_union, chain12[1]) < 4.2e6
+
+    def test_grouping(self, chain12):
+        assert self._peak(_qwc_rows, chain12[2]) < 4.5e6
 
 
 class TestPower:
