@@ -4,18 +4,17 @@ The moment table collects ``<psi(theta)| H^n |psi(theta)>`` for n up to a
 configured order.  Exact moments need only H applied to a vector: with the
 Krylov vectors ``v_j = H^j psi`` of the compiled H, ``<H^n>`` is
 ``<v_floor(n/2)| v_ceil(n/2)>``, so orders up to ``2K - 1`` cost K
-applications.  Exact runs take the analytic derivative rows
-``2 Re <d_k psi| v_n>``, which continue the same Krylov list to
-``v_{2K-1}``.  They dot the derivative states when the iterate already holds
-them (the ngd and ite metrics need them); otherwise a backward sweep carries
-``psi, v_1 .. v_{2K-1}`` back through the circuit and builds none, which
-costs 2K vectors and O(K * gates * 2**n) instead of the walk's
-n_params + 1 vectors and O(n_params * gates * 2**n).
-Finite-shot runs take the two-point rotation shift rule per gate occurrence,
-with controlled rotations rewritten to one-qubit rotations first.  All the
-shifted states are simulated as one stack, handed to the function that gives
-their moment values: sampled ones in a run, exact ones as the reference for
-the analytic rows.  These routines act on stacks of states, one row per point.
+applications.  An exact gradient is ``2 Re <d_k psi| w>`` for one adjoint
+vector ``w = sum_n g_n v_n`` of the energy weights g of ``pds``, which
+continues the Krylov list to ``v_{2K-1}``.  The derivative states that an
+ngd or ite iterate holds for its metric are dotted with w; otherwise a
+backward sweep carries ``psi, w`` back through the circuit: two vectors,
+where the walk holds n_params + 1.  Finite-shot runs take the two-point
+rotation shift rule per gate occurrence, with controlled rotations rewritten
+to one-qubit rotations first.  All the shifted states are simulated as one
+stack, handed to the function that gives their moment values: sampled ones
+in a run, exact ones as the reference for the analytic rows.  These routines
+act on stacks of states, one row per point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -121,25 +120,24 @@ def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
 
 def _analytic_rows(
     krylov: _Krylov,
-    max_order: int,
+    weights: np.ndarray,
     circuit: Circuit,
     thetas: np.ndarray,
     derivs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rows ``2 Re <d_k psi| v_n>`` of shape (B, n_params, max_order + 1).
-
-    An iterate that already holds its derivative states ``derivs``
-    (B, n_params, 2**n), from the walk its metric needs, dots them with the
-    Krylov vectors.  Otherwise the backward sweep carries ``psi, v_1 ..
-    v_max_order`` back through the circuit at ``thetas`` and builds no
-    derivative state.
+    """``sum_n weights_n d<H^n>/d theta_k`` (B, n_params) for weights (B, N),
+    as ``2 Re <d_k psi| w>`` with ``w = sum_(n >= 1) weights_n v_n``: the
+    derivative states ``derivs`` (B, n_params, 2**n) an ngd or ite iterate
+    holds are dotted with w; otherwise the backward sweep carries ``psi, w``.
     """
+    w, v = np.zeros_like(krylov[0]), krylov[0]
+    for n in range(1, weights.shape[1]):
+        # Vectors past the held ones are applied here and not kept.
+        v = krylov[n] if n < len(krylov.vectors) else krylov.op.apply(v)
+        w += weights[:, n, None] * v
     if derivs is None:
-        return _adjoint_rows(circuit, thetas, [krylov[n] for n in range(max_order + 1)])
-    rows = np.zeros(derivs.shape[:-1] + (max_order + 1,))
-    for n in range(1, max_order + 1):
-        rows[..., n] = 2.0 * _vdot(derivs, krylov[n][..., None, :]).real
-    return rows
+        return _adjoint_rows(circuit, thetas, krylov[0], w)
+    return 2.0 * _vdot(derivs, w[:, None, :]).real
 
 
 def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) -> np.ndarray:

@@ -48,9 +48,9 @@ from .pauli import PauliSum
 from .pds import (
     RegPolicy,
     _SolvedRows,
-    _gradient_rows,
     _no_error,
     _solve_rows,
+    _weights,
 )
 from .statesim import (
     Circuit,
@@ -324,17 +324,18 @@ def run_batch(
     the span of ``ground_basis``, checked once on entry, and NaN when no
     basis is passed.
 
-    Each mode has one gradient route.  An exact run (no ``shots``) compiles
-    H once, and each iterate's moments and analytic rows come from one list
-    of Krylov vectors ``H^j psi``, ``2K - 1`` applications of H in all.  A
-    ``gd`` iterate sweeps its states and Krylov vectors back through the
-    circuit.  An ``ngd`` or ``ite`` iterate builds its states and the
-    derivative states its metric needs in one forward walk and dots them; it
-    steps by the sufficient-decrease rule of the module docstring, row by
-    row, and an accepted trial point hands its Krylov vectors on.  A
-    finite-shot run is ``gd`` on moments and shift-rule rows sampled from
-    every string of the expanded powers of H, grouped into one
-    ``MeasurementPlan``; an iterate samples its states and every shifted
+    Each mode has one gradient route, which contracts the energy weights
+    ``g = dE/dm`` of ``pds``.  An exact run (no ``shots``) compiles H once;
+    an iterate's moments and its adjoint vector ``w = sum_n g_n H^n psi``
+    come from one list of Krylov vectors, ``2K - 1`` applications of H.  A
+    ``gd`` iterate sweeps its states and ``w`` back through the circuit.  An
+    ``ngd`` or ``ite`` iterate builds its states and the derivative states
+    its metric needs in one forward walk and dots them with ``w``; it steps
+    by the sufficient-decrease rule of the module docstring, row by row, and
+    an accepted trial point hands its Krylov vectors on.  A finite-shot run
+    is ``gd`` that contracts g with shift-rule rows; its moments and rows are
+    sampled from every string of the expanded powers of H, grouped into one
+    ``MeasurementPlan``.  An iterate samples its states and every shifted
     state in one pass, each from one generator seeded by (seed, iteration,
     its place in the iterate), so equal calls give equal bits.
 
@@ -396,8 +397,10 @@ def run_batch(
                     None if walk is None else walk[~carried, 0],
                 )
                 points = _put(points, ~carried, fresh) if carried.any() else fresh
-            rows = _analytic_rows(_Krylov(op, points.krylov), max_order, circuit, theta, derivs)
-        grad, errors = _gradient_rows(points.values, rows, points.solved)
+        # Every mode contracts the same energy weights; a failed row's read 0.
+        weights, errors = _weights(points.values, points.solved)
+        grad = ((rows @ weights[..., None])[..., 0] if shots is not None else
+                _analytic_rows(_Krylov(op, points.krylov), weights, circuit, theta, derivs))
         failed = ~_no_error(errors)
         grad[failed] = math.nan
 

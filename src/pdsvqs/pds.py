@@ -8,8 +8,9 @@ K x K Hankel system ``M X = -Y`` with ``M[i, j] = m_{2K-i-j}`` and
 
 whose smallest real root is a variational upper bound on the ground energy:
 in exact arithmetic it lies between the ground energy and ``<H>``.  The root
-is differentiable in the circuit parameters through the implicit-function
-rule, which is what drives the optimizer.
+depends on the circuit parameters only through the moments, so its gradient,
+which drives the optimizer, is ``sum_n g_n dm_n/dtheta`` with the weights
+``g = dE/dm`` of the implicit-function rule: one solve in M per row.
 
 M is a Gram matrix of Krylov vectors and becomes singular exactly when the
 trial state is supported on fewer than K eigenvectors, e.g. close to
@@ -22,7 +23,7 @@ the truncation cutoff and the adaptive threshold are module constants.  At
 K = 1 the functional is ``<H>`` itself: M is exactly ``[[1.0]]``, which no
 policy but an explicit shift touches.
 
-The solve and the gradient each act on a stack of moment rows at once and
+The solve and the weights each act on a stack of moment rows at once and
 record a failing row's error in place of raising it.
 """
 
@@ -143,27 +144,27 @@ def _where(mask: np.ndarray):
 def _regularized_solve(
     matrix: np.ndarray, rhs: np.ndarray, applied: np.ndarray, kind: str, magnitude: float
 ) -> np.ndarray:
-    """Solve ``matrix[b] @ x = rhs[b, p]`` for every row b and right side p.
+    """Solve ``matrix[b] @ x = rhs[b]`` for every row b.
 
-    ``matrix`` is (B, K, K) and ``rhs`` (B, P, K).  Kind ``"truncate"`` (every
+    ``matrix`` is (B, K, K) and ``rhs`` (B, K).  Kind ``"truncate"`` (every
     row applied) drops singular values below relative ``magnitude``.  Kind
-    ``"shift"`` solves each right side of a row directly, or with every
-    eigenvalue shifted by ``magnitude`` where ``applied``; a row still exactly
-    singular reads NaN, found row by row once the stacked solve has raised.
+    ``"shift"`` solves a row directly, or with every eigenvalue shifted by
+    ``magnitude`` where ``applied``; a row still exactly singular reads NaN,
+    found row by row once the stacked solve has raised.
     """
     if kind == "truncate":
         u, s, vt = np.linalg.svd(matrix)
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > magnitude * s[:, :1])
-        proj = np.swapaxes(u, -1, -2)[:, None] @ rhs[..., None]
-        return (np.swapaxes(vt, -1, -2)[:, None] @ (inv[:, None, :, None] * proj))[..., 0]
+        proj = np.swapaxes(u, -1, -2) @ rhs[..., None]
+        return (np.swapaxes(vt, -1, -2) @ (inv[..., None] * proj))[..., 0]
     shifted = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * np.eye(matrix.shape[-1])
     try:
-        return np.linalg.solve(shifted[:, None], rhs[..., None])[..., 0]
+        return np.linalg.solve(shifted, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full(rhs.shape, np.nan)
         for b in range(len(x)):
             with contextlib.suppress(np.linalg.LinAlgError):
-                x[b] = np.linalg.solve(shifted[b, None], rhs[b, ..., None])[..., 0]
+                x[b] = np.linalg.solve(shifted[b], rhs[b, :, None])[:, 0]
         return x
 
 
@@ -199,9 +200,7 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
         )
     x = np.full((b, k), np.nan)
     rows = _where(~singular)
-    x[rows] = _regularized_solve(
-        matrix[rows], -rhs[rows][:, None], applied[rows], kind, magnitude
-    )[:, 0]
+    x[rows] = _regularized_solve(matrix[rows], -rhs[rows], applied[rows], kind, magnitude)
     ok = np.isfinite(x).all(axis=1)
     for i in np.flatnonzero(~ok & ~singular):
         errors[i] = SingularMoments(f"moment matrix is singular (cond ~ {cond[i]:.3g})")
@@ -236,46 +235,45 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     )
 
 
-def _gradient_rows(
-    values: np.ndarray, grads: np.ndarray, solved: _SolvedRows
-) -> tuple[np.ndarray, np.ndarray]:
-    """Root gradients (B, P) of solved moment rows, plus each row's error.
+def _weights(values: np.ndarray, solved: _SolvedRows) -> tuple[np.ndarray, np.ndarray]:
+    """Energy weights ``g = dE/dm`` (B, 2K) of solved moment rows, plus each
+    row's error.
 
-    ``values`` (B, m) and ``grads`` (B, P, m) are the moment rows and their
-    derivatives, ``solved`` their solve.  Every parameter's
-    ``M dX = -dY - dM X`` is one solve of one stack, under the regularization
-    the row was solved with, and ``dE = -(E^(K-1), ..., 1) . dX / P'(E)``
-    is the implicit-function rule.  A row that failed its
-    solve keeps its error, a row whose ``P'(E)`` vanishes records
-    ``VanishingDenominator`` and one whose solve is not finite here
-    ``SingularMoments``; none of them gets a finite gradient.
+    ``values`` (B, >= 2K) are the moment rows and ``solved`` their solve.  The
+    implicit-function rule gives ``dE = lambda . (dY + dM X) / P'(E)`` with
+    ``lambda = M^-1 (E^(K-1), .., 1)``, one solve per row under the
+    regularization the row was solved with (M is symmetric).  With
+    ``c = (1, X_1 .. X_K)`` that is ``g_(2K-s) = sum_(i+j=s) lambda_i c_j / P'(E)``.
+    A row that failed its solve keeps its error, a row whose ``P'(E)``
+    vanishes records ``VanishingDenominator`` and one whose ``lambda`` is not
+    finite ``SingularMoments``; the weights of all of them read 0.
     """
     errors = solved.errors.copy()
     k = solved.order
-    rows = _where(_no_error(errors))
-    x, energy = solved.x[rows], solved.energy[rows]
+    index = np.flatnonzero(_no_error(errors))
+    x, energy = solved.x[index], solved.energy[index]
     # P'(E) = sum_i (K - i) X_i E^(K-i-1) with X_0 = 1; float_power is the C
     # library's pow, the one Python's float power uses.
     powers = np.float_power(energy[:, None], np.arange(k))
     denom = k * powers[:, k - 1]
     for i in range(1, k):
         denom = denom + (k - i) * x[:, i - 1] * powers[:, k - i - 1]
+    lam = _regularized_solve(_hankel(values[index], k)[0], powers[:, ::-1],
+                             solved.applied[index], solved.kind, solved.magnitude)
     vanishing = np.abs(denom) < 1e-12
-    if vanishing.any():
-        index = np.arange(len(errors))[rows]
-        for i in np.flatnonzero(vanishing):
-            errors[index[i]] = VanishingDenominator(
-                f"polynomial derivative {denom[i]:.3g} at the root; gradient undefined"
-            )
-        keep = ~vanishing
-        rows, x, energy, denom = index[keep], x[keep], energy[keep], denom[keep]
-    matrix, _ = _hankel(values[rows], k)
-    d_matrix, d_rhs = _hankel(grads[rows], k)
-    rhs = -d_rhs - (d_matrix @ x[:, None, :, None])[..., 0]
-    dx = _regularized_solve(matrix, rhs, solved.applied[rows], solved.kind, solved.magnitude)
-    powers_vec = energy[:, None] ** np.arange(k - 1, -1, -1)
-    grad = np.full(grads.shape[:2], np.nan)
-    grad[rows] = -(powers_vec[:, None, None, :] @ dx[..., None])[..., 0, 0] / denom[:, None]
-    for i in np.arange(len(errors))[rows][~np.isfinite(dx).all(axis=(1, 2))]:
+    singular = ~vanishing & ~np.isfinite(lam).all(axis=1)
+    for i, d in zip(index[vanishing], denom[vanishing]):
+        errors[i] = VanishingDenominator(f"polynomial derivative {d:.3g} at the root; "
+                                         "gradient undefined")
+    for i in index[singular]:
         errors[i] = SingularMoments("moment matrix is singular in the gradient solve")
-    return grad, errors
+    ok = _where(~(vanishing | singular))
+    index, x, denom, lam = index[ok], x[ok], denom[ok], lam[ok]
+    # lambda_i c_j adds to moment 2K - i - j: c reversed onto moments K - i .. 2K - i.
+    c = np.concatenate([np.ones((len(x), 1)), x], axis=1)[:, ::-1]
+    part = np.zeros((len(x), 2 * k))
+    for i in range(1, k + 1):
+        part[:, k - i : 2 * k - i + 1] += lam[:, i - 1 : i] * c
+    weights = np.zeros((len(values), 2 * k))
+    weights[index] = part / denom[:, None]
+    return weights, errors

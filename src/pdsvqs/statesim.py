@@ -349,31 +349,29 @@ def _generated(amps: np.ndarray, gate: Gate) -> np.ndarray:
     return gen
 
 
-def _adjoint_rows(circuit: Circuit, thetas: np.ndarray, vectors: list) -> np.ndarray:
-    """Rows ``2 Re <d_k psi| v_j>`` of shape (B, n_params, M) from one
-    backward sweep, with no derivative state built.
+def _adjoint_rows(circuit: Circuit, thetas: np.ndarray, amps, w) -> np.ndarray:
+    """Gradient ``2 Re <d_k psi| w>`` (B, n_params) of the circuit states
+    ``amps`` (B, 2**n) at ``thetas`` against one vector ``w`` per row, from
+    one backward sweep that builds no derivative state.
 
-    ``vectors`` holds M amplitude stacks (B, 2**n): first the circuit states
-    psi at the rows of ``thetas``, then v_1 .. v_{M-1}.  Column 0,
-    ``d <psi|psi>``, reads 0.  The sweep undoes the gates in reverse on the
-    whole stack (Jones & Gacon, arXiv:2009.02823): just before gate g is
-    undone, row 0 is the state psi_g right after g and row j is
-    ``lambda_j = U_{>g}^H v_j``.  The derivative of psi in g's angle is
-    ``U_{>g} (-(i mult / 2) G psi_g)``, so g adds
-    ``2 Re((i mult / 2) <G psi_g| lambda_j>)`` to every row j of its
-    parameter; a parameter bound to several gates adds each in turn.  This
-    holds M vectors instead of the walk's 1 + n_params.
+    The sweep undoes the gates in reverse on the stack ``[psi, w]`` (Jones &
+    Gacon, arXiv:2009.02823): just before gate g is undone it holds psi_g,
+    the state right after g, and ``lambda = U_{>g}^H w``.  The derivative of
+    psi in g's angle is ``U_{>g} (-(i mult / 2) G psi_g)``, so g adds
+    ``2 Re((i mult / 2) <G psi_g| lambda>)`` to its parameter's entry, each
+    gate of a shared parameter in turn.  It holds two vectors per row, where
+    the walk holds 1 + n_params.
     """
-    rows = np.zeros((len(thetas), circuit.n_params, len(vectors)))
-    stack = np.stack(vectors, axis=1)
+    grad = np.zeros((len(thetas), circuit.n_params))
+    stack = np.stack([amps, w], axis=1)
     matrices = _gate_matrices(circuit, thetas)
     for gate, u in zip(reversed(circuit.gates), reversed(matrices)):
         if gate.param is not None:
-            dots = _vdot(_generated(stack[:, 0], gate)[:, None], stack[:, 1:])
+            dots = _vdot(_generated(stack[:, 0], gate), stack[:, 1])
             # 2 Re((i mult / 2) z) = -mult Im z
-            rows[:, gate.param, 1:] -= gate.multiplier * dots.imag
+            grad[:, gate.param] -= gate.multiplier * dots.imag
         stack = _apply_gate(stack, gate, np.conj(np.swapaxes(u, -1, -2)))
-    return rows
+    return grad
 
 
 def _basis_adjoint(basis: np.ndarray, dim: int) -> np.ndarray:

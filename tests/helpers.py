@@ -12,7 +12,9 @@ one-qubit kernel, so it checks how a plan reads the counts, not those parts.
 The finite-shot table reference samples one state at a time, simulating one
 shift per call, so it checks the stacking of a run's sampling pass.
 The one-point helpers and ``sampled_one`` call the package's stacked moment
-and sampling routines on a stack of one row.
+and sampling routines on a stack of one row.  The forward gradient reference
+is the implicit-function rule one parameter at a time, each parameter's
+derivative rows its own right side, which the energy weights replace.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, _union, sampled_moments
 from pdsvqs.moments import _Krylov, _analytic_rows, _operator, _shift_rows, _values_from_state
 from pdsvqs.pauli import _qwc_rows
 from pdsvqs.optim import _mix
-from pdsvqs.pds import RegPolicy, _solve_rows
+from pdsvqs.pds import (
+    RegPolicy, SingularMoments, VanishingDenominator, _hankel, _no_error, _regularized_solve,
+    _solve_rows, _weights,
+)
 from pdsvqs.statesim import Circuit, Gate, State, _apply_single, _derivative_states, _simulate
 
 I2 = np.eye(2, dtype=complex)
@@ -437,17 +442,74 @@ def point_solve(values, order, policy=RegPolicy("none")):
     return _solve_rows(np.asarray(values, dtype=float)[None], order, policy)
 
 
+def _point_krylov(circuit, thetas, h, max_order, method):
+    """Krylov list and derivative states (None for the sweep) at ``thetas``."""
+    op = _operator(h, max_order)
+    if method == "sweep":
+        return _Krylov(op, [_simulate(circuit, thetas)]), None
+    walk = _derivative_states(circuit, thetas)
+    return _Krylov(op, [walk[:, 0]]), walk[:, 1:]
+
+
 def point_rows(circuit, theta, h, max_order, method="analytic"):
     """Exact ``d<H^n>/d theta_k``, shape (n_params, max_order + 1), at one point.
 
     ``method`` is "analytic" (derivative states from the forward walk),
-    "sweep" (the backward sweep, no derivative states) or "shift"."""
+    "sweep" (the backward sweep, no derivative states) or "shift".  The first
+    two contract one unit weight vector per order n, so column n is the
+    gradient of ``<H^n>`` alone."""
     thetas = np.asarray(theta, dtype=float)[None]
-    op = _operator(h, max_order)
     if method == "shift":
+        op = _operator(h, max_order)
         return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[0]
-    if method == "sweep":
-        krylov = _Krylov(op, [_simulate(circuit, thetas)])
-        return _analytic_rows(krylov, max_order, circuit, thetas)[0]
-    walk = _derivative_states(circuit, thetas)
-    return _analytic_rows(_Krylov(op, [walk[:, 0]]), max_order, circuit, thetas, walk[:, 1:])[0]
+    krylov, derivs = _point_krylov(circuit, thetas, h, max_order, method)
+    return np.stack([
+        _analytic_rows(krylov, unit[None], circuit, thetas, derivs)[0]
+        for unit in np.eye(max_order + 1)
+    ], axis=1)
+
+
+def point_gradient(circuit, theta, h, values, solved, method="analytic"):
+    """The program's energy gradient (n_params,) at one point and its error:
+    the weights of the solved moment row ``values``, contracted through the
+    walk's derivative states ("analytic") or the backward sweep ("sweep")."""
+    thetas = np.asarray(theta, dtype=float)[None]
+    weights, errors = _weights(np.asarray(values, dtype=float)[None], solved)
+    krylov, derivs = _point_krylov(circuit, thetas, h, 2 * solved.order - 1, method)
+    return _analytic_rows(krylov, weights, circuit, thetas, derivs)[0], errors[0]
+
+
+def forward_gradient(values, grads, solved):
+    """Root gradients (B, P) of solved moment rows and each row's error, one
+    parameter at a time.
+
+    ``grads`` (B, P, >= 2K) are the moment rows' derivatives.  Parameter p's
+    ``M dX = -dY - dM X`` is solved as its own right side, under the
+    regularization the row was solved with, and
+    ``dE = -(E^(K-1), .., 1) . dX / P'(E)``.  Errors are recorded as the
+    weights record them; a row with an error reads NaN.
+    """
+    errors = solved.errors.copy()
+    k = solved.order
+    b, n_params = grads.shape[:2]
+    grad = np.full((b, n_params), np.nan)
+    for r in np.flatnonzero(_no_error(errors)):
+        x, energy = solved.x[r], solved.energy[r]
+        denom = k * energy ** (k - 1) + sum(
+            (k - i) * x[i - 1] * energy ** (k - i - 1) for i in range(1, k)
+        )
+        if abs(denom) < 1e-12:
+            errors[r] = VanishingDenominator(f"polynomial derivative {denom:.3g}")
+            continue
+        matrix, _ = _hankel(values[r], k)
+        d_matrix, d_rhs = _hankel(grads[r], k)
+        rhs = -d_rhs - d_matrix @ x
+        dx = _regularized_solve(
+            np.repeat(matrix[None], n_params, axis=0), rhs,
+            np.full(n_params, solved.applied[r]), solved.kind, solved.magnitude,
+        )
+        if not np.isfinite(dx).all():
+            errors[r] = SingularMoments("moment matrix is singular in the gradient solve")
+            continue
+        grad[r] = -(dx @ energy ** np.arange(k - 1, -1, -1)) / denom
+    return grad, errors

@@ -13,6 +13,7 @@ from helpers import (
     PAULI,
     dense_of,
     kron_all,
+    point_gradient,
     point_moments,
     point_rows,
     point_solve,
@@ -23,7 +24,7 @@ from pdsvqs.models import build_model
 from pdsvqs.moments import MeasurementPlan, hamiltonian_powers, sampled_moments
 from pdsvqs.optim import run, run_batch
 from pdsvqs.pauli import PauliSum
-from pdsvqs.pds import SingularMoments, _gradient_rows
+from pdsvqs.pds import SingularMoments
 from pdsvqs.statesim import apply_circuit
 
 
@@ -354,16 +355,16 @@ def test_criterion_7c_gradient_vs_finite_differences():
                     ) / (12 * h)
                 if not np.linalg.norm(fd) >= 1e-2:
                     continue
-                # The walk's rows and the backward sweep's, each checked.
+                # The contracted gradient through the walk and through the
+                # backward sweep, each checked.
                 for method in ("analytic", "sweep"):
-                    rows = point_rows(
-                        model.circuit, theta, model.hamiltonian, 2 * k - 1, method=method
+                    grad, error = point_gradient(
+                        model.circuit, theta, model.hamiltonian, values, res, method=method
                     )
-                    grad, errors = _gradient_rows(values[None], rows[None], res)
-                    assert errors[0] is None
+                    assert error is None
                     worst = max(
                         worst,
-                        float(np.linalg.norm(grad[0] - fd) / np.linalg.norm(fd)),
+                        float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)),
                     )
                 tested += 1
             worst_overall = max(worst_overall, worst)
@@ -371,8 +372,8 @@ def test_criterion_7c_gradient_vs_finite_differences():
     ok = worst_overall <= 1e-6
     assert report(
         "7c", ok,
-        f"worst relative error {worst_overall:.2e} (tol 1e-6), walk and sweep "
-        f"rows, over " + " ".join(lines),
+        f"worst relative error {worst_overall:.2e} (tol 1e-6), contracted through "
+        f"the walk and the sweep, over " + " ".join(lines),
     )
 
 

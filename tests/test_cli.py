@@ -373,17 +373,17 @@ class TestScanCommand:
 
     def test_failing_gradient_keeps_an_ok_surface_row(self, tmp_path, capsys, monkeypatch):
         # A start whose solve holds but whose gradient fails reads "ok".
-        def failing(values, grads, solved):
-            grad, errors = gradient_rows(values, grads, solved)
+        def failing(values, solved):
+            weights, errors = weights_of(values, solved)
             if not calls:
                 errors[2] = VanishingDenominator("injected")
             calls.append(len(values))
-            return grad, errors
+            return weights, errors
 
-        gradient_rows, calls = optim._gradient_rows, []
+        weights_of, calls = optim._weights, []
         argv = ["scan", "--model", "toy_a", "--grid", "2", "--max-iters", "3"]
         main(argv + ["--out", str(tmp_path / "clean")])
-        monkeypatch.setattr(optim, "_gradient_rows", failing)
+        monkeypatch.setattr(optim, "_weights", failing)
         main(argv + ["--out", str(tmp_path / "hit")])
         assert calls[0] == 4 and calls[1] == 3
         _, clean = read_csv(tmp_path / "clean_surface.csv")

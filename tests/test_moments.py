@@ -27,6 +27,7 @@ from pdsvqs.moments import (
 )
 from pdsvqs import moments, optim, statesim
 from pdsvqs.pauli import PauliSum
+from pdsvqs.pds import RegPolicy
 from pdsvqs.statesim import (
     Circuit,
     CompiledSum,
@@ -344,8 +345,8 @@ SWEEP_CASES = _sweep_cases()
 
 
 class TestAdjointSweep:
-    """Rows from the backward sweep against rows from the forward walk's
-    derivative states, relative to each order's largest row entry."""
+    """The backward sweep against the forward walk's derivative states, one
+    unit weight vector per order, relative to each order's largest entry."""
 
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
@@ -356,14 +357,15 @@ class TestAdjointSweep:
         walk = _derivative_states(circuit, thetas)
         for max_order in (1, 4, 7):
             op = _operator(h, max_order)
-            expected = _analytic_rows(
-                _Krylov(op, [walk[:, 0]]), max_order, circuit, thetas, walk[:, 1:]
-            )
-            got = _analytic_rows(_Krylov(op, [_simulate(circuit, thetas)]), max_order, circuit, thetas)
-            assert got.shape == expected.shape == (batch, circuit.n_params, max_order + 1)
-            assert np.all(got[..., 0] == 0.0)
-            scale = np.abs(expected).max(axis=(0, 1))
-            assert np.all(np.abs(got - expected) <= 1e-12 * scale), max_order
+            walked = _Krylov(op, [walk[:, 0]])
+            swept = _Krylov(op, [_simulate(circuit, thetas)])
+            for unit in np.eye(max_order + 1):
+                weights = np.tile(unit, (batch, 1))
+                expected = _analytic_rows(walked, weights, circuit, thetas, walk[:, 1:])
+                got = _analytic_rows(swept, weights, circuit, thetas)
+                assert got.shape == expected.shape == (batch, circuit.n_params)
+                scale = np.abs(expected).max()
+                assert np.all(np.abs(got - expected) <= 1e-12 * scale), (max_order, unit)
 
     def test_unbound_parameter_reads_zero(self, heisenberg):
         circuit = Circuit(
@@ -372,8 +374,29 @@ class TestAdjointSweep:
         )
         thetas = np.array([[0.3, -1.1, 0.7], [1.0, 2.0, -0.4]])
         op = _operator(heisenberg.hamiltonian, 3)
-        rows = _analytic_rows(_Krylov(op, [_simulate(circuit, thetas)]), 3, circuit, thetas)
-        assert np.all(rows[:, :2] == 0.0) and np.abs(rows[:, 2]).max() > 0.1
+        grad = _analytic_rows(
+            _Krylov(op, [_simulate(circuit, thetas)]), np.ones((2, 4)), circuit, thetas
+        )
+        assert np.all(grad[:, :2] == 0.0) and np.abs(grad[:, 2]).max() > 0.1
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_gd_iterate_sweeps_two_vectors_per_row(self, h2, order, monkeypatch):
+        # The state and the one adjoint vector, whatever the order.
+        apply_gate, swept = statesim._apply_gate, []
+
+        def spy(amps, gate, u):
+            if amps.ndim == 3:
+                swept.append(amps.shape)
+            return apply_gate(amps, gate, u)
+
+        monkeypatch.setattr(statesim, "_apply_gate", spy)
+        starts = np.stack([h2.theta0, -h2.theta0])
+        rows = optim.run_batch(
+            h2.hamiltonian, h2.circuit, starts, order=order, max_iters=0,
+            pds_policy=RegPolicy("shift"),
+        )
+        assert [row.error for row in rows] == [None, None]
+        assert swept == [(2, 2, 1 << h2.circuit.n_qubits)] * len(h2.circuit.gates)
 
 
 class TestUnionOfPowers:

@@ -7,13 +7,13 @@ import pytest
 from pytest import approx
 
 from helpers import (
-    dense_fidelity, per_state_sampled_table, point_moments, point_rows, point_solve,
+    dense_fidelity, per_state_sampled_table, point_gradient, point_moments, point_solve,
 )
 from pdsvqs import moments, optim, statesim
 from pdsvqs.models import build_model, hardware_efficient_ansatz, load_hamiltonian
 from pdsvqs.optim import IterationRecord, Trajectory, _metric_rows, run, run_batch, step
 from pdsvqs.pauli import PauliSum
-from pdsvqs.pds import RegPolicy, VanishingDenominator, _gradient_rows
+from pdsvqs.pds import RegPolicy, VanishingDenominator
 from pdsvqs.statesim import Circuit, Gate, _derivative_states, apply_circuit
 
 
@@ -391,10 +391,9 @@ class TestPreconditionedStepRule:
     def energy_and_gradient(model, theta):
         values = point_moments(model.circuit, theta, model.hamiltonian, 3)
         solved = point_solve(values, 2, RegPolicy("auto"))
-        rows = point_rows(model.circuit, theta, model.hamiltonian, 3)
-        grad, errors = _gradient_rows(values[None], rows[None], solved)
-        assert errors[0] is None
-        return solved.energy[0], grad[0]
+        grad, error = point_gradient(model.circuit, theta, model.hamiltonian, values, solved)
+        assert error is None
+        return solved.energy[0], grad
 
     @pytest.mark.parametrize("name", ["toy_a", "toy_b"])
     def test_ngd_reaches_ground_from_former_cycling_start(self, name, request):
@@ -503,18 +502,18 @@ class TestRunBatch:
     def test_rows_failing_at_different_iterations(self, toy_a, monkeypatch):
         # Iterate k's gradient fails on the first row of the stack, k < 3:
         # start k fails at iteration k, and start 3 runs on to max_iters.
-        def failing(values, grads, solved):
-            grad, errors = gradient_rows(values, grads, solved)
+        def failing(values, solved):
+            weights, errors = weights_of(values, solved)
             if len(calls) < 3:
                 errors[0] = VanishingDenominator(f"injected {len(calls)}")
             calls.append(len(values))
-            return grad, errors
+            return weights, errors
 
-        gradient_rows, calls = optim._gradient_rows, []
+        weights_of, calls = optim._weights, []
         starts = [(0.3 * b - 1.0, 0.2 * b + 0.5) for b in range(4)]
         kw = dict(order=2, max_iters=5, grad_tol=0.0)
         clean = run_batch(toy_a.hamiltonian, toy_a.circuit, starts, **kw)
-        monkeypatch.setattr(optim, "_gradient_rows", failing)
+        monkeypatch.setattr(optim, "_weights", failing)
         rows = run_batch(toy_a.hamiltonian, toy_a.circuit, starts, **kw)
         assert calls == [4, 3, 2, 1, 1, 1]
         assert [row.status for row in rows] == ["error"] * 3 + ["max_iters"]
@@ -812,17 +811,18 @@ class TestTrajectoryContainer:
 
 # Energies of a 20-iterate, 1000-shot order-3 heisenberg run with seed 7, as
 # the one-generator-per-state sampler recorded them (each sampled state draws
-# all its groups' counts from one ``default_rng`` in one multinomial call).
+# all its groups' counts from one ``default_rng`` in one multinomial call),
+# with the shift-rule rows contracted with the energy weights.
 # A change of seeds, group order or draw order moves an estimate by about
 # 1/sqrt(shots), far beyond the tolerance.
 RECORDED_SHOT_ENERGIES = [
-    -3.5968962254465455, -3.597409706607788, -3.598568972732489,
-    -7.711230896545647, -4.412586739930429, -3.596645168546292,
-    -3.598172220305616, -3.5950134512303653, -3.5958935328958344,
-    -3.5972349297291837, -3.596631379520915, -3.596463082101528,
-    -3.5979445440676425, -3.5968119221463626, -3.599682387256282,
-    -3.598335811871358, -3.5989735912473164, -3.594219368287136,
-    -3.5945875533300105, -3.5992482882860566, -3.5973534033469807,
+    -3.5968962254465455, -3.5974514284343333, -3.59974300555637,
+    -3.6004278979526143, -3.5977566365692417, -3.5976086674148693,
+    -3.602129199743121, -3.6000533527291325, -3.5986760850539534,
+    -3.598453403533876, -3.601247047829077, -3.596727726219018,
+    -3.598615015717746, -3.598640402274942, -3.601452252036359,
+    -3.598663167752044, -3.600633581701532, -3.5997016819517578,
+    -3.596240588970831, -3.6008216542137115, -3.597973602394562,
 ]
 
 

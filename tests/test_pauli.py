@@ -267,10 +267,11 @@ def _edge_pairs(rng, n, n_terms):
 
 
 class TestDedupAtFusedKeyWidths:
-    """Repeated strings merge the same whether the last word's x and z sort
-    as one fused key (at most 32 qubits in it) or as separate keys: sums
-    just below, at and above both boundaries, against the dict loops, with
-    blocks small enough that repeats span them."""
+    """Repeated strings merge the same whether a string's key is the fused
+    uint64 ``x | z << 32`` (at most 32 qubits) or its x and z words as one
+    fixed-width ``void`` scalar: sums just below, at and above the 32- and
+    96-qubit boundaries, against the dict loops, with blocks small enough
+    that repeats span them."""
 
     @pytest.mark.parametrize("n", [31, 32, 33, 95, 96, 97])
     def test_products_merges_and_unions(self, rng, monkeypatch, n):

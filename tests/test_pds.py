@@ -1,10 +1,14 @@
 """Tests for the moment-functional solver: roots, policies, and gradients."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from pytest import approx
 
-from helpers import dense_of, point_moments, point_rows, point_solve
+from helpers import (
+    dense_of, forward_gradient, point_gradient, point_moments, point_rows, point_solve,
+)
 from pdsvqs import pds
 from pdsvqs.models import build_model
 from pdsvqs.optim import run_batch
@@ -13,9 +17,9 @@ from pdsvqs.pds import (
     RegPolicy,
     SingularMoments,
     VanishingDenominator,
-    _gradient_rows,
     _no_error,
     _solve_rows,
+    _weights,
 )
 
 
@@ -62,9 +66,9 @@ class TestHandCraftedTables:
         values = np.array([1.0, 0.0, -1.0, 2.0])
         res = point_solve(values, 2)
         assert res.energy[0] == approx(-1.0, abs=1e-8)
-        grad, errors = _gradient_rows(values[None], np.zeros((1, 1, 4)), res)
+        weights, errors = _weights(values[None], res)
         assert isinstance(errors[0], VanishingDenominator)
-        assert np.isnan(grad).all()
+        assert weights.tolist() == [[0.0] * 4]
 
     def test_complex_root_pair_raises(self):
         # x solves to (0, 1): the polynomial is E^2 + 1 with roots +-i.
@@ -157,22 +161,71 @@ class TestPolicies:
         res = point_solve(values, 2, RegPolicy("auto"))
         assert res.applied.tolist() == [True]
         assert res.kind == "shift"
-        grad, errors = _gradient_rows(values[None], grads[None], res)
+        weights, errors = _weights(values[None], res)
         assert errors[0] is None
+        grad = grads @ weights[0]
         assert np.all(np.isfinite(grad))
-        # Rebuild the same implicit derivative using the shifted matrix.
+        # The same implicit derivative through the shifted matrix, evaluated
+        # in exact rational arithmetic from the same float inputs: at
+        # cond(M) ~ 1.8e9 a float evaluation of the formula is itself off by
+        # about 1e-11.
         m = np.array([[values[2], values[1]], [values[1], values[0]]])
-        shifted = m + res.magnitude * np.eye(2)
-        energy, x = res.energy[0], res.x[0]
+        (a, c), (_, d) = [[Fraction(v) for v in row] for row in m + res.magnitude * np.eye(2)]
+        energy, x = Fraction(res.energy[0]), [Fraction(v) for v in res.x[0]]
+        det = a * d - c * c
         denom = 2 * energy + x[0]
         expected = np.zeros(2)
         for p in range(2):
-            g = grads[p]
-            d_m = np.array([[g[2], g[1]], [g[1], g[0]]])
-            d_y = np.array([g[3], g[2]])
-            dx = np.linalg.solve(shifted, -d_y - d_m @ x)
-            expected[p] = -(np.array([energy, 1.0]) @ dx) / denom
-        assert grad[0] == approx(expected, abs=1e-12)
+            g = [Fraction(v) for v in grads[p]]
+            r0 = -g[3] - (g[2] * x[0] + g[1] * x[1])
+            r1 = -g[2] - (g[1] * x[0] + g[0] * x[1])
+            dx = ((d * r0 - c * r1) / det, (a * r1 - c * r0) / det)
+            expected[p] = float(-(energy * dx[0] + dx[1]) / denom)
+        assert grad == approx(expected, abs=1e-12)
+
+
+class TestWeightsAgainstForward:
+    """The weights contracted with the derivative rows against the
+    implicit-function rule solved one parameter at a time."""
+
+    @pytest.mark.parametrize("kind", ["none", "shift", "truncate", "auto"])
+    @pytest.mark.parametrize("name", ["toy_a", "toy_b", "h2", "heisenberg"])
+    def test_contraction_matches_forward_gradient(self, name, kind):
+        model = build_model(name)
+        rng = np.random.default_rng(11)
+        worst, tested = 0.0, 0
+        for k in (1, 2, 3, 4):
+            for _ in range(6):
+                theta = rng.uniform(-np.pi, np.pi, size=model.circuit.n_params)
+                values = point_moments(model.circuit, theta, model.hamiltonian, 2 * k - 1)
+                res = point_solve(values, k, RegPolicy(kind))
+                if res.errors[0] is not None or res.cond_m[0] >= 1e4:
+                    continue
+                rows = point_rows(model.circuit, theta, model.hamiltonian, 2 * k - 1)
+                weights, errors = _weights(values[None], res)
+                expected, forward_errors = forward_gradient(values[None], rows[None], res)
+                assert errors[0] is None and forward_errors[0] is None
+                scale = max(1.0, np.abs(expected).max())
+                worst = max(worst, np.abs(rows @ weights[0] - expected[0]).max() / scale)
+                tested += 1
+        assert tested >= 10 and worst <= 1e-10
+
+    def test_errors_fire_on_the_same_rows(self):
+        healthy = moments_of_weights([-1.0, 0.5], [0.4, 0.6], 3)
+        # A double root, an eigenstate whose solve fails, and a row that
+        # solved but whose gradient sees an exactly singular M.
+        values = np.array([healthy, [1.0, 0.0, -1.0, 2.0], [1.0] * 4, healthy])
+        res = _solve_rows(values, 2, RegPolicy("none"))
+        seen = values.copy()
+        seen[3] = 0.0
+        grads = np.random.default_rng(2).normal(size=(4, 3, 4))
+        weights, errors = _weights(seen, res)
+        forward, forward_errors = forward_gradient(seen, grads, res)
+        kinds = [type(e) for e in errors]
+        assert kinds == [type(e) for e in forward_errors]
+        assert kinds == [type(None), VanishingDenominator, SingularMoments, SingularMoments]
+        assert not weights[1:].any() and np.isnan(forward[1:]).all()
+        assert grads[0] @ weights[0] == approx(forward[0], rel=1e-12)
 
 
 class TestStartPointAnchors:
@@ -253,13 +306,12 @@ class TestExactlySingularShift:
         res = _solve_rows(values, 2, RegPolicy("none"))
         singular = values.copy()
         singular[1] = 0.0
-        grads = np.full((2, 1, 4), 0.1)
-        grad, errors = _gradient_rows(singular, grads, res)
+        weights, errors = _weights(singular, res)
         alone = _solve_rows(values[:1], 2, RegPolicy("none"))
-        expected, _ = _gradient_rows(values[:1], grads[:1], alone)
-        assert errors[0] is None and grad[0].tolist() == expected[0].tolist()
+        expected, _ = _weights(values[:1], alone)
+        assert errors[0] is None and weights[0].tolist() == expected[0].tolist()
         assert isinstance(errors[1], SingularMoments)
-        assert "gradient solve" in str(errors[1]) and np.isnan(grad[1]).all()
+        assert "gradient solve" in str(errors[1]) and not weights[1].any()
 
 
 class TestVariationalChain:
@@ -367,10 +419,9 @@ class TestGradientAgainstDifferences:
                 ) / (12 * h)
             if not np.linalg.norm(fd) >= 1e-2:
                 continue
-            rows = point_rows(model.circuit, theta, model.hamiltonian, 3)
-            grad, errors = _gradient_rows(values[None], rows[None], res)
-            assert errors[0] is None
-            assert np.linalg.norm(grad[0] - fd) <= 1e-6 * np.linalg.norm(fd)
+            grad, error = point_gradient(model.circuit, theta, model.hamiltonian, values, res)
+            assert error is None
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
             tested += 1
 
     def test_flat_surface_has_zero_gradient(self, h2):
@@ -383,7 +434,6 @@ class TestGradientAgainstDifferences:
             res = point_solve(values, 4)
             if res.errors[0] is not None or res.cond_m[0] >= 1e4:
                 continue
-            rows = point_rows(h2.circuit, theta, h2.hamiltonian, 8)
-            grad, errors = _gradient_rows(values[None], rows[None], res)
-            assert errors[0] is None
+            grad, error = point_gradient(h2.circuit, theta, h2.hamiltonian, values, res)
+            assert error is None
             assert np.linalg.norm(grad) < 1e-6
