@@ -83,6 +83,13 @@ def _keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return np.hstack([x, z]).view(f"V{16 * x.shape[1]}").reshape(-1)
 
 
+def _spliced(a: np.ndarray, kept: np.ndarray, slots: np.ndarray, put: np.ndarray) -> np.ndarray:
+    """``a`` grown to ``kept.size``: its rows where ``kept`` is set, ``put`` at ``slots``."""
+    out = np.empty(kept.size, a.dtype)
+    out[kept], out[slots] = a, put
+    return out
+
+
 class _StringIndex:
     """The distinct strings of parts absorbed in row order, each with its
     coefficients combined by ``add`` in that order.
@@ -127,8 +134,11 @@ class _StringIndex:
         fresh = (~seen).nonzero()[0]  # in key order, as the index inserts them
         size = len(self.coeffs)  # new strings take the next ids, first seen first
         ids[fresh[np.argsort(first[fresh])]] = np.arange(size, size + fresh.size)
-        self.keys = np.insert(self.keys, pos[fresh], keys[fresh])
-        self.ids = np.insert(self.ids, pos[fresh], ids[fresh])
+        slots = pos[fresh] + np.arange(fresh.size)  # in the grown index, for keys and ids
+        kept = np.ones(len(self.ids) + fresh.size, dtype=bool)
+        kept[slots] = False
+        self.keys = _spliced(self.keys, kept, slots, keys[fresh])
+        self.ids = _spliced(self.ids, kept, slots, ids[fresh])
         self.coeffs = np.concatenate([self.coeffs, np.zeros(fresh.size, coeffs.dtype)])
         at = np.empty_like(order)
         at[order] = ids[np.cumsum(new) - 1]
@@ -358,20 +368,22 @@ class PauliSum:
         return cls._collect(None, labels, values, lines)
 
 
-def _fit_tables(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(fits, busy, remaining)`` bitsets over the strings whose (T, n) letter
-    ranks are given, 64 strings per word (see ``_qwc_rows``).  The (n, 4,
-    words) ``fits`` is built one qubit at a time; the padding past T fits
-    every letter."""
-    t, words = len(ranks), -(-len(ranks) // 64)
-    fits = np.empty((ranks.shape[1], 4, words), dtype=np.uint64)
-    column = np.zeros(64 * words, dtype=np.uint8)
-    for q in range(ranks.shape[1]):
-        column[:t] = ranks[:, q]
-        fit_bits = (column == np.arange(4, dtype=np.uint8)[:, None]) | (column == 0)
-        fits[q] = np.packbits(fit_bits, axis=-1, bitorder="little").view("<u8")
-    remaining = np.packbits(np.arange(64 * words) < t, bitorder="little").view("<u8")
-    return fits, ~fits[:, 0], remaining
+def _set_bits(b: int) -> np.ndarray:
+    """The positions of the set bits of ``b``, ascending, unpacked from its bytes."""
+    held = np.frombuffer(b.to_bytes(-(-b.bit_length() // 8), "little"), np.uint8)
+    # Unpacked bits are 0 or 1, so they read as bools, whose scan is the fast one.
+    return np.unpackbits(held, bitorder="little").view(bool).nonzero()[0]
+
+
+def _fit_tables(ranks: np.ndarray) -> list[list[int]]:
+    """Per qubit q of the (T, n) ranks, the strings that act on q, then those whose letter
+    there is I or rank 1, 2 or 3: ints whose bit i is string i, built from packed bytes."""
+    tables, full = [], (1 << len(ranks)) - 1
+    for column in np.ascontiguousarray(ranks.T):  # a strided column packs slowly
+        eq = np.packbits(column == np.arange(4, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+        idle, *letters = (int.from_bytes(row.tobytes(), "little") for row in eq)
+        tables.append([full ^ idle] + [idle | b for b in letters])
+    return tables
 
 
 def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
@@ -383,49 +395,36 @@ def _qwc_rows(s: PauliSum) -> list[np.ndarray]:
     deterministic; each group lists its rows in visiting order.
 
     The groups are built one at a time on bitsets over the terms in visiting
-    order, 64 terms per word.  ``fits[q, r]`` holds the terms whose letter
-    on qubit q is I or has rank r (I, X, Y, Z rank 0..3, so ``~fits[q, 0]``
-    holds the terms that act on q).  A group's first pin is the first
-    remaining term, each later one the first fit term that acts on an
-    unpinned qubit, and its fit set the remaining terms that agree with every
-    pin (an AND of ``fits`` rows); when no pin is left, the fit set is the
-    group.  This is exactly first fit.  A member never acts on a qubit pinned
-    after it (the pin would have come at or before it), so it fits the final
-    pins; a term that fits the final pins fits the pins that precede it, so
-    it joins; and a term that clashes with a pin never joins, since pinned
-    letters never change.  Each pin costs a few word operations per qubit,
-    not a test per remaining term.  Once the remaining terms would fit in
-    half the words from the first that holds any, the tables are rebuilt
-    over those terms alone, in the same order, which changes no group.
+    order, Python ints whose bit i is term i, so each step is one C-level int
+    operation.  ``fits[q][r]`` holds the terms whose letter on qubit q is I
+    or has rank r (X, Y, Z rank 1..3), ``fits[q][0]`` those that act on q.  A
+    group's first pin is the first remaining term, each later one the first
+    fit term that acts on an unpinned qubit, and its fit set the remaining
+    terms that agree with every pin (an AND of the rows of the qubits each
+    pin newly pins).  With no pin left, the fit set is the group, exactly
+    first fit: a member never acts on a qubit pinned after it (that pin would
+    have come at or before it), so it fits the final pins; a term that fits
+    them fits the earlier pins; a clashing term never joins.  Once at most
+    half the terms are left, the tables are rebuilt over them, in order.
     """
     order = _label_order(s, -_abs(s.coeffs))
-    n, ranks = s.n_qubits, _ranks(s.x[order], s.z[order], s.n_qubits)
     groups: list[np.ndarray] = []
     while order.size:
-        fits, busy, remaining = _fit_tables(ranks)
-        lo, left = 0, order.size  # the words before ``lo`` hold no remaining term
-        while left and 2 * -(-left // 64) > remaining.size - lo:
-            lo += int(remaining[lo:].nonzero()[0][0])
-            fit, free, at = remaining[lo:].copy(), np.ones(n, dtype=bool), 0
-            extends = fit[:1]  # the group's first term is its first pin: no search
-            while (hit := extends.nonzero()[0]).size:
-                at, word = at + int(hit[0]), int(extends[hit[0]])
-                rank = ranks[64 * (lo + at) + (word & -word).bit_length() - 1]
-                # The pin's whole support: it agrees with the letters pinned before.
-                qubits = rank.nonzero()[0]
-                if qubits.size:
-                    fit[at:] &= np.bitwise_and.reduce(fits[qubits, rank[qubits], lo + at :], axis=0)
-                free[qubits] = False
-                if not free.any():
-                    break
-                # Terms before the last pin act only on pinned qubits: search after it.
-                extends = fit[at:] & np.bitwise_or.reduce(busy[free, lo + at :], axis=0)
-            held = fit.nonzero()[0]
-            bits = np.unpackbits(fit[held, None].view(np.uint8), axis=1, bitorder="little")
-            rows, cols = bits.nonzero()
-            groups.append(order[64 * (lo + held[rows]) + cols])
-            remaining[lo:] &= ~fit
-            left -= rows.size
-        keep = np.unpackbits(remaining.view(np.uint8), count=order.size, bitorder="little")
-        order, ranks = order[keep == 1], ranks[keep == 1]
+        ranks = _ranks(s.x[order], s.z[order], s.n_qubits)
+        fits, remaining = _fit_tables(ranks), (1 << order.size) - 1
+        while 2 * remaining.bit_count() > order.size:
+            fit, free, pin = remaining, range(s.n_qubits), (remaining & -remaining).bit_length() - 1
+            while pin >= 0:
+                row, acts = ranks[pin].tolist(), 0
+                for q in free:
+                    if row[q]:
+                        fit &= fits[q][row[q]]
+                free = [q for q in free if not row[q]]
+                for q in free:
+                    acts |= fits[q][0]
+                acts &= fit  # the fit terms before the pin act only on pinned qubits
+                pin = (acts & -acts).bit_length() - 1
+            groups.append(order[_set_bits(fit)])
+            remaining ^= fit
+        order = order[_set_bits(remaining)]
     return groups
