@@ -19,10 +19,11 @@ act on stacks of states, one row per point.
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
 measure every string of every power.  A ``MeasurementPlan`` groups the union
-of those strings into qubit-wise commuting sets once and stacks the groups'
-basis rotations and readout rows.  ``sampled_moments`` samples a stack of
-states, one seed each, in one pass: a block of states costs at most n
-rotation kernels, a seeded multinomial call per state and one product.
+of those strings into qubit-wise commuting sets once, turns each distinct
+letter prefix once on a shared tree and stacks the readout rows.
+``sampled_moments`` samples a stack of states, one seed each, in one pass: a
+block costs at most two turn kernels per turned qubit, a seeded multinomial
+call per state, one product and two accumulates.
 """
 
 from __future__ import annotations
@@ -191,10 +192,12 @@ class MeasurementPlan:
 
     The union of the strings (``_union``) is split into G qubit-wise
     commuting groups (``pauli._qwc_rows``), which the plan keeps stacked.
-    ``turns`` holds one ``(q, U)`` per qubit that some group reads in X or Y,
-    in qubit order; ``U`` has shape (G, 2, 2), and its row g turns group g's
-    letter on q into Z readout, or is the identity where the group reads q in
-    Z or not at all (an exact map, so the probabilities keep their bits).
+    On each qubit some group reads in X or Y, in qubit order, groups that
+    read the same letters on the qubits turned so far share a ``tree`` node:
+    step ``(q, parent, x, y)`` continues node ``parent[i]`` as node i (the
+    states are node 0 at the start), turns nodes ``x:y`` with ``_X_TO_Z`` and
+    ``y:`` with ``_Y_TO_Z``, and leaves the rest (Z or no read) alone, which
+    is exact.  Group g is read at node ``final[g]``.
     Each group has a readout row per order whose power has strings in it,
     ``sum_P c_P s_P`` with ``s_P`` the +-1 eigenvalue of string P on each
     basis outcome.  ``readout`` (R, 2**n) stacks the rows of every group,
@@ -208,16 +211,17 @@ class MeasurementPlan:
         self.n_qubits = n = union.n_qubits
         self.orders = len(powers)
         idx = np.arange(1 << n)
+        signs = 1.0 - 2.0 * _parity(idx)  # s_P on outcome i is signs[i & mask_P]
         # The real coefficient of each union string in each of powers[1:],
         # 0.0 where the power lacks the string.
         table = np.zeros((len(union), self.orders - 1))
         order_of = np.repeat(np.arange(self.orders - 1), [len(s) for s in powers[1:]])
         table[at, order_of] = np.concatenate([s.coeffs.real for s in powers[1:]])
         groups = _qwc_rows(union)
-        self.n_groups = len(groups)
+        self.n_groups = g = len(groups)
         support = _index_masks(union.x | union.z, n)
         # Per group and qubit, the basis read: 0 for Z (or none), 1 for X, 2 for Y.
-        letters = np.zeros((len(groups), n), dtype=int)
+        letters = np.zeros((g, n), dtype=int)
         row_group, row_order, constants, readout = [], [], [], []
         for gi, group in enumerate(groups):
             coeffs = table[group]
@@ -229,26 +233,38 @@ class MeasurementPlan:
                 if mask == 0:
                     consts = c
                 else:
-                    rows += c[:, None] * (1.0 - 2.0 * _parity(idx & mask))
+                    rows += c[:, None] * signs[idx & mask]
             xb, zb = (_bits(np.bitwise_or.reduce(m[group]), n) for m in (union.x, union.z))
             letters[gi] = xb * (1 + zb)
             row_group += [gi] * columns.size
             row_order += list(columns + 1)
             constants += list(consts)
             readout += list(rows)
-        bases = np.stack([np.eye(2, dtype=complex), _X_TO_Z, _Y_TO_Z])
-        self.turns = [(q, bases[letters[:, q]]) for q in range(n) if letters[:, q].any()]
+        # Nodes keyed letter-major, so the X and the Y nodes of a step are runs.
+        self.final, self.tree = np.zeros(g, dtype=int), []
+        for q in np.flatnonzero(letters.any(axis=0)):
+            keys, self.final = np.unique(letters[:, q] * g + self.final, return_inverse=True)
+            self.tree.append((int(q), keys % g, *np.searchsorted(keys, [g, 2 * g]).tolist()))
         self.row_group = np.array(row_group, dtype=int)
         self.row_order = np.array(row_order, dtype=int)
         self.constants = np.array(constants, dtype=float)
         self.readout = np.array(readout, dtype=float).reshape(-1, idx.size)
         self.readout_sq = self.readout**2
-        # Moments add group by group, each group's constants before its means:
-        # positions in ``concatenate([constants, means])`` and their orders.
-        self._sequence = np.argsort(
-            np.concatenate([2 * self.row_group, 2 * self.row_group + 1]), kind="stable"
-        )
-        self._sequence_order = np.tile(self.row_order, 2)[self._sequence]
+        # Per order, 1 + r for its rows r in group order, zero-led and zero-padded.
+        by_order = [1 + np.flatnonzero(self.row_order == k) for k in range(1, self.orders)]
+        self._fold = np.array([np.pad(r, (1, max(map(len, by_order)) - r.size)) for r in by_order])
+
+
+def _probabilities(amps: np.ndarray, plan: MeasurementPlan) -> np.ndarray:
+    """Probabilities (nodes, B, 2**n) of ``amps`` (B, 2**n) at the tree's last nodes."""
+    turned = amps[None].astype(complex, copy=False)
+    for q, parent, x, y in plan.tree:
+        turned = turned.take(parent, axis=0)
+        for nodes, u in ((slice(x, y), _X_TO_Z), (slice(y, None), _Y_TO_Z)):
+            if turned[nodes].size:
+                turned[nodes] = _apply_single(turned[nodes], q, u)
+    probs = np.abs(turned) ** 2
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _check_shots(shots) -> int:
@@ -275,11 +291,12 @@ def sampled_moments(
     by one ``default_rng(seeds[s])`` call, so a row gets the bits it gets
     alone.  Every ``<H^n>`` is assembled from the same counts, so covariances
     between strings measured together propagate into the per-order standard
-    errors exactly as they would on hardware.  A block of rows is rotated
-    into every group's basis as one (G, rows, 2**n) stack, one kernel per
-    entry of ``plan.turns``, and read out with one product.  ``shots`` must
-    be an integer (not a bool) from 2 up to ``2**63 - 1``, and the rows must
-    span the plan's qubits, with one seed each; anything else raises
+    errors exactly as they would on hardware.  A block of rows goes down
+    ``plan.tree`` as one (nodes, rows, 2**n) stack, at most two kernels per
+    turned qubit, is read out with one product, and each order's terms add
+    one at a time, group by group (an accumulate).  ``shots`` must be an
+    integer (not a bool) from 2 up to ``2**63 - 1``, and the rows must span
+    the plan's qubits, with one seed each; anything else raises
     ``ValueError``.
     """
     shots = _check_shots(shots)
@@ -292,22 +309,21 @@ def sampled_moments(
     size = max(1, _BLOCK_AMPS // max(1, plan.n_groups * amps.shape[-1]))
     for start in range(0, len(amps), size):
         rows = slice(start, start + size)
-        rotated = np.broadcast_to(amps[rows], (plan.n_groups,) + amps[rows].shape)
-        for q, u in plan.turns:
-            rotated = _apply_single(rotated, q, u)
-        probs = np.abs(rotated) ** 2
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = _probabilities(amps[rows], plan)
         # Float counts, cast as a product with the readout would cast them.
-        counts = np.array([np.random.default_rng(seed).multinomial(shots, probs[:, s])
+        counts = np.array([np.random.default_rng(seed).multinomial(shots, probs[plan.final, s])
                            for s, seed in enumerate(seeds[rows])], dtype=float)
         # One BLAS dot per row, the bits of a row-by-row ``counts @ row``.
         row_counts = counts[:, plan.row_group]
         mean = _vdot(plan.readout, row_counts) / shots
         second = _vdot(plan.readout_sq, row_counts) / shots
-        # ``add.at`` is unbuffered: it adds one term at a time, in sequence order.
-        terms = np.concatenate([np.broadcast_to(plan.constants, mean.shape), mean], axis=1)
-        np.add.at(values[rows], (slice(None), plan._sequence_order), terms[:, plan._sequence])
+        # Per state a zero, then each readout row's constant, mean and variance.
+        terms = np.zeros((len(mean), 1 + len(plan.row_order), 3))
         row_var = np.maximum(0.0, second - mean**2) * shots / (shots - 1)
-        np.add.at(variances[rows], (slice(None), plan.row_order), row_var)
-        del rotated, probs, counts, row_counts  # freed before the next block's
+        terms[:, 1:, 0], terms[:, 1:, 1], terms[:, 1:, 2] = plan.constants, mean, row_var
+        # Accumulated, not summed pairwise: each order's terms add in group order.
+        folded = terms.take(plan._fold, axis=1)
+        values[rows, 1:] = folded[..., :2].reshape(folded.shape[:2] + (-1,)).cumsum(-1)[..., -1]
+        variances[rows, 1:] = folded[..., 2].cumsum(-1)[..., -1]
+        del probs, counts, row_counts  # freed before the next block's
     return values, np.sqrt(variances / shots)

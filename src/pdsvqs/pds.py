@@ -120,7 +120,7 @@ class _SolvedRows:
 
 def _no_error(errors: np.ndarray) -> np.ndarray:
     """Mask of the rows whose error entry is None."""
-    return np.array([e is None for e in errors], dtype=bool)
+    return np.equal(errors, None)
 
 
 @functools.cache
@@ -157,14 +157,15 @@ def _regularized_solve(
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > magnitude * s[:, :1])
         proj = np.swapaxes(u, -1, -2) @ rhs[..., None]
         return (np.swapaxes(vt, -1, -2) @ (inv[..., None] * proj))[..., 0]
-    shifted = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * np.eye(matrix.shape[-1])
+    if applied.any():  # shifted where applied; no row shifted keeps ``matrix`` itself
+        matrix = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * np.eye(rhs.shape[1])
     try:
-        return np.linalg.solve(shifted, rhs[..., None])[..., 0]
+        return np.linalg.solve(matrix, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         x = np.full(rhs.shape, np.nan)
         for b in range(len(x)):
             with contextlib.suppress(np.linalg.LinAlgError):
-                x[b] = np.linalg.solve(shifted[b], rhs[b, :, None])[:, 0]
+                x[b] = np.linalg.solve(matrix[b], rhs[b, :, None])[:, 0]
         return x
 
 
@@ -191,19 +192,11 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
         kind, magnitude = "truncate", _RCOND
     else:
         kind, magnitude = "shift", policy.shift_eps
-    errors = np.full(b, None, dtype=object)
     singular = ~applied & (smin <= smax * _HARD_SINGULAR)  # also when smax is 0
-    for i in np.flatnonzero(singular):
-        errors[i] = SingularMoments(
-            f"moment matrix is rank-deficient (cond ~ {cond[i]:.3g}); "
-            "the trial state spans too few eigenvectors"
-        )
     x = np.full((b, k), np.nan)
     rows = _where(~singular)
     x[rows] = _regularized_solve(matrix[rows], -rhs[rows], applied[rows], kind, magnitude)
     ok = np.isfinite(x).all(axis=1)
-    for i in np.flatnonzero(~ok & ~singular):
-        errors[i] = SingularMoments(f"moment matrix is singular (cond ~ {cond[i]:.3g})")
 
     rows = _where(ok)
     companion = np.zeros((b, k, k))[rows]
@@ -217,10 +210,15 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     roots[rows] = np.where(real == np.inf, np.nan, real)
     imag_residue = np.full(b, np.nan)
     imag_residue[rows] = imag.max(axis=1)
-    for i in np.flatnonzero(ok & np.isnan(roots[:, 0])):
-        errors[i] = ComplexRoots(
-            f"all roots kept imaginary parts up to {imag_residue[i]:.3g}"
-        )
+    errors = np.full(b, None, dtype=object)
+    if np.isnan(roots[:, 0]).any():  # some row failed; a row that did not has a root
+        for i in np.flatnonzero(singular):
+            errors[i] = SingularMoments(f"moment matrix is rank-deficient (cond ~ {cond[i]:.3g}); "
+                                        "the trial state spans too few eigenvectors")
+        for i in np.flatnonzero(~ok & ~singular):
+            errors[i] = SingularMoments(f"moment matrix is singular (cond ~ {cond[i]:.3g})")
+        for i in np.flatnonzero(ok & np.isnan(roots[:, 0])):
+            errors[i] = ComplexRoots(f"all roots kept imaginary parts up to {imag_residue[i]:.3g}")
     return _SolvedRows(
         order=k,
         x=x,
@@ -262,13 +260,14 @@ def _weights(values: np.ndarray, solved: _SolvedRows) -> tuple[np.ndarray, np.nd
                              solved.applied[index], solved.kind, solved.magnitude)
     vanishing = np.abs(denom) < 1e-12
     singular = ~vanishing & ~np.isfinite(lam).all(axis=1)
-    for i, d in zip(index[vanishing], denom[vanishing]):
-        errors[i] = VanishingDenominator(f"polynomial derivative {d:.3g} at the root; "
-                                         "gradient undefined")
-    for i in index[singular]:
-        errors[i] = SingularMoments("moment matrix is singular in the gradient solve")
-    ok = _where(~(vanishing | singular))
-    index, x, denom, lam = index[ok], x[ok], denom[ok], lam[ok]
+    if (vanishing | singular).any():
+        for i, d in zip(index[vanishing], denom[vanishing]):
+            errors[i] = VanishingDenominator(f"polynomial derivative {d:.3g} at the root; "
+                                             "gradient undefined")
+        for i in index[singular]:
+            errors[i] = SingularMoments("moment matrix is singular in the gradient solve")
+        ok = ~(vanishing | singular)
+        index, x, denom, lam = index[ok], x[ok], denom[ok], lam[ok]
     # lambda_i c_j adds to moment 2K - i - j: c reversed onto moments K - i .. 2K - i.
     c = np.concatenate([np.ones((len(x), 1)), x], axis=1)[:, ::-1]
     part = np.zeros((len(x), 2 * k))

@@ -9,6 +9,10 @@ masks themselves, from labels or from a sum's words.  The grouping reference
 is the plain first-fit loop over label-sorted terms.  The shot-sampling
 reference is the per-order readout loop; it shares the package's groups and
 one-qubit kernel, so it checks how a plan reads the counts, not those parts.
+The turn reference rotates every group on its own, one (G, 2, 2) stack of
+maps per turned qubit, and folds the moments with unbuffered ``np.add.at``,
+as plans did before they shared letter prefixes on a tree; the readout
+reference builds each string's sign row from its own parity.
 The finite-shot table reference samples one state at a time, simulating one
 shift per call, so it checks the stacking of a run's sampling pass.
 The one-point helpers and ``sampled_one`` call the package's stacked moment
@@ -31,7 +35,9 @@ from pdsvqs.pds import (
     RegPolicy, SingularMoments, VanishingDenominator, _hankel, _no_error, _regularized_solve,
     _solve_rows, _weights,
 )
-from pdsvqs.statesim import Circuit, Gate, State, _apply_single, _derivative_states, _simulate
+from pdsvqs.statesim import (
+    Circuit, Gate, State, _apply_single, _derivative_states, _index_masks, _parity, _simulate,
+)
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -390,6 +396,71 @@ def per_order_sampled_moments(amps, powers, shots, seed):
             values[order] += mean
             variances[order] += max(0.0, second - mean**2) * shots / (shots - 1)
     return values, np.sqrt(variances / shots)
+
+
+def per_group_probabilities(amps, powers):
+    """Outcome probabilities (G, B, 2**n) of amplitude rows (B, 2**n) in every
+    group's basis, each group turned on its own: per qubit that some group
+    reads in X or Y, one (G, 2, 2) stack of maps, the identity where a group
+    reads Z or nothing."""
+    masks = [(x, z) for x, z, _ in per_order_plan(powers)]
+    bases = np.stack([I2, _X_TO_Z, _Y_TO_Z])
+    rotated = np.broadcast_to(amps, (len(masks),) + amps.shape)
+    for q in range(powers[1].n_qubits):
+        letters = [((x >> q) & 1) * (1 + ((z >> q) & 1)) for x, z in masks]
+        if any(letters):
+            rotated = _apply_single(rotated, q, bases[letters])
+    probs = np.abs(rotated) ** 2
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def per_group_sampled_moments(amps, powers, plan, shots, seeds):
+    """``sampled_moments`` one state at a time from ``per_group_probabilities``,
+    reading ``plan``'s rows: every moment adds group by group, each group's
+    constant before its mean, and every variance row by row, with unbuffered
+    ``np.add.at``."""
+    probs = per_group_probabilities(amps, powers)
+    values, variances = np.zeros((2, len(amps), plan.orders))
+    values[:, 0] = 1.0
+    sequence = np.argsort(np.concatenate([2 * plan.row_group, 2 * plan.row_group + 1]),
+                          kind="stable")
+    for s, seed in enumerate(seeds):
+        counts = np.random.default_rng(seed).multinomial(shots, probs[:, s]).astype(float)
+        row_counts = counts[plan.row_group]
+        mean = np.array([c @ row for c, row in zip(row_counts, plan.readout)]) / shots
+        second = np.array([c @ row for c, row in zip(row_counts, plan.readout_sq)]) / shots
+        terms = np.concatenate([plan.constants, mean])
+        np.add.at(values[s], np.tile(plan.row_order, 2)[sequence], terms[sequence])
+        row_var = np.maximum(0.0, second - mean**2) * shots / (shots - 1)
+        np.add.at(variances[s], plan.row_order, row_var)
+    return values, np.sqrt(variances / shots)
+
+
+def per_string_readout(powers):
+    """A plan's readout rows as a loop over strings builds them, each
+    string's sign row ``1 - 2 * parity(i & mask)`` from its own parity:
+    (readout, constants, row_group, row_order) in the plan's row order."""
+    union, at = _union(powers)
+    n = union.n_qubits
+    idx = np.arange(1 << n)
+    table = np.zeros((len(union), len(powers) - 1))
+    order_of = np.repeat(np.arange(len(powers) - 1), [len(s) for s in powers[1:]])
+    table[at, order_of] = np.concatenate([s.coeffs.real for s in powers[1:]])
+    support = _index_masks(union.x | union.z, n)
+    readout, constants, row_group, row_order = [], [], [], []
+    for gi, group in enumerate(_qwc_rows(union)):
+        for column in np.flatnonzero(table[group].any(axis=0)):
+            row, constant = np.zeros(idx.size), 0.0
+            for mask, c in zip(support[group].tolist(), table[group, column]):
+                if mask == 0:
+                    constant = c
+                else:
+                    row += c * (1.0 - 2.0 * _parity(idx & mask))
+            readout.append(row)
+            constants.append(constant)
+            row_group.append(gi)
+            row_order.append(column + 1)
+    return np.array(readout).reshape(-1, idx.size), constants, row_group, row_order
 
 
 def sampled_one(state, plan, shots, seed=0):

@@ -8,7 +8,11 @@ from helpers import (
     chain_pairs,
     dense_from_pairs,
     dense_of,
+    per_group_probabilities,
+    per_group_sampled_moments,
+    per_order_plan,
     per_order_sampled_moments,
+    per_string_readout,
     point_moments,
     point_rows,
     random_circuit,
@@ -601,6 +605,57 @@ class TestSampledMatchesPerOrderLoop:
         self._assert_bitwise(h, 3, _random_state(hardware_efficient_ansatz(10, 1), 4))
 
 
+def _tree_cases():
+    rng = np.random.default_rng(5)
+    cases = [(build_model(name).hamiltonian, 5) for name in ("h2", "heisenberg")]
+    cases.append((PauliSum.from_terms(chain_pairs(6)), 3))  # Y turns on every qubit
+    cases += [(PauliSum.from_terms(random_pairs(rng, 5, 6)), 3) for _ in range(4)]
+    cases.append((PauliSum.from_terms([(0.5, "II")]), 3))  # one identity-only group
+    cases.append((PauliSum.zero(2), 2))  # no group
+    return cases
+
+
+class TestTurnTree:
+    """Groups share the turns of their common letter prefix, and the plan
+    builds its sign rows from one parity table; both keep every bit of the
+    per-group turns and the per-string loop."""
+
+    @pytest.mark.parametrize("h,max_order", _tree_cases())
+    def test_matches_per_group_turns(self, h, max_order):
+        powers = hamiltonian_powers(h, max_order)
+        plan = MeasurementPlan(powers)
+        circuit = hardware_efficient_ansatz(h.n_qubits, 1)
+        thetas = np.random.default_rng(h.n_qubits).uniform(-np.pi, np.pi, (3, circuit.n_params))
+        amps = _simulate(circuit, thetas)
+        turned = moments._probabilities(amps, plan)[plan.final]
+        assert turned.tobytes() == per_group_probabilities(amps, powers).tobytes()
+        for seeds in ([0, 1, 2], [7, 7, 3]):
+            got = sampled_moments(amps, plan, 1000, seeds)
+            ref = per_group_sampled_moments(amps, powers, plan, 1000, seeds)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+
+    def test_shares_letter_prefixes(self):
+        # Over its 6 turned qubits the 6-site chain's tree holds 448 node rows
+        # for 181 groups, under half of the 1086 that per-group turns carry.
+        plan = _plan(PauliSum.from_terms(chain_pairs(6)), 5)
+        nodes = [len(parent) for _, parent, _, _ in plan.tree]
+        assert plan.n_groups == 181 and len(nodes) == 6
+        assert nodes == sorted(nodes) and nodes[-1] <= plan.n_groups
+        assert sum(nodes) < plan.n_groups * len(nodes) / 2
+
+    @pytest.mark.parametrize("n_sites,max_order", [(4, 5), (6, 5), (8, 3)])
+    def test_rows_match_per_string_loop(self, n_sites, max_order):
+        powers = hamiltonian_powers(PauliSum.from_terms(chain_pairs(n_sites)), max_order)
+        plan = MeasurementPlan(powers)
+        readout, constants, row_group, row_order = per_string_readout(powers)
+        assert plan.readout.tobytes() == readout.tobytes()
+        assert plan.readout_sq.tobytes() == (readout**2).tobytes()
+        assert plan.constants.tolist() == constants
+        assert plan.row_group.tolist() == row_group
+        assert plan.row_order.tolist() == row_order
+
+
 class TestStackedDraw:
     """``sampled_moments`` draws every group's counts with one 2-D
     ``multinomial`` call; numpy must give the draws of one row at a time from
@@ -623,29 +678,43 @@ class TestStackedDraw:
                 assert np.array_equal(stacked, self._row_by_row(seed, shots, probs))
 
 
-class TestSampledShape:
-    """One rotation stack per sampled state, and the shot count checked."""
+def _turned_qubits(powers):
+    """Qubits that some first-fit group of the powers' union reads in X or Y."""
+    x_or = 0
+    for x, _, _ in per_order_plan(powers):
+        x_or |= x
+    return [q for q in range(powers[1].n_qubits) if (x_or >> q) & 1]
 
-    def test_at_most_one_rotation_kernel_per_qubit(self, heisenberg, monkeypatch):
-        plan = _plan(heisenberg.hamiltonian, 5)
+
+class TestSampledShape:
+    """One turn tree per block of sampled states, and the shot count checked."""
+
+    def test_at_most_two_turn_kernels_per_turned_qubit(self, heisenberg, monkeypatch):
+        # One kernel for the X nodes and one for the Y nodes of each step,
+        # each a single shared 2 x 2 map, in qubit order.
+        powers = hamiltonian_powers(heisenberg.hamiltonian, 5)
         state = apply_circuit(heisenberg.circuit, heisenberg.theta0)
         calls = []
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append((args[1], args[2].shape))
             return statesim._apply_single(*args)
 
         monkeypatch.setattr(moments, "_apply_single", counted)
-        sampled_one(state, plan, 100, 0)
-        assert 0 < len(calls) <= heisenberg.hamiltonian.n_qubits
-        assert calls == sorted(set(calls))
+        sampled_one(state, MeasurementPlan(powers), 100, 0)
+        targets = [q for q, _ in calls]
+        assert sorted(set(targets)) == _turned_qubits(powers) != []
+        assert targets == sorted(targets)
+        assert all(targets.count(q) <= 2 for q in targets)
+        assert all(shape == (2, 2) for _, shape in calls)
 
     @pytest.mark.parametrize("budget,per_block", [(None, 4), ("tight", 1)])
     def test_stack_is_sampled_in_blocks(self, heisenberg, monkeypatch, budget, per_block):
-        # Under the default budget the four states share one rotation stack;
-        # a plan whose G * 2**n exceeds the budget rotates one at a time.
+        # Under the default budget the four states go down one tree together;
+        # a plan whose G * 2**n exceeds the budget turns one at a time.
         # Either way every state gets the bits it gets alone.
-        plan = _plan(heisenberg.hamiltonian, 3)
+        powers = hamiltonian_powers(heisenberg.hamiltonian, 3)
+        plan = MeasurementPlan(powers)
         thetas = heisenberg.theta0 + np.array([[0.0], [0.4], [-1.1], [2.0]])
         amps = _simulate(heisenberg.circuit, thetas)
         if budget == "tight":
@@ -653,12 +722,16 @@ class TestSampledShape:
         calls = []
 
         def counted(*args):
-            calls.append(args[0].shape[1])
+            calls.append((args[1], args[0].shape[1]))
             return statesim._apply_single(*args)
 
         monkeypatch.setattr(moments, "_apply_single", counted)
         values, errors = sampled_moments(amps, plan, 300, [3, 1, 4, 1])
-        assert calls == [per_block] * (len(plan.turns) * 4 // per_block)
+        blocks = 4 // per_block
+        per = len(calls) // blocks
+        assert len(calls) == per * blocks and 0 < per <= 2 * len(_turned_qubits(powers))
+        assert calls == calls[:per] * blocks
+        assert all(rows == per_block for _, rows in calls)
         monkeypatch.setattr(moments, "_apply_single", statesim._apply_single)
         for a, seed, v, e in zip(amps, [3, 1, 4, 1], values, errors):
             alone = sampled_one(statesim.State(a), plan, 300, seed)
