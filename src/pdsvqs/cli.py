@@ -161,8 +161,8 @@ def _run_options(args, problem: ModelBundle) -> tuple[dict, float, str | None]:
     if args.metric_eps is not None and args.metric == "gd":
         raise ValueError("--metric-eps regularizes the metric of --metric ngd and ite, not gd")
     pds_reg = args.pds_reg or "auto"
-    if args.reg_eps is not None and pds_reg in ("none", "truncate"):
-        raise ValueError(f"--reg-eps is the shift of --pds-reg shift and auto, not {pds_reg}")
+    if args.reg_eps is not None and pds_reg == "none":
+        raise ValueError("--reg-eps is the shift of --pds-reg shift and auto, not none")
     options = dict(  # vqe is the order-1 functional
         order=1 if args.functional == "vqe" else 2 if args.order is None else args.order,
         metric_kind=args.metric,
@@ -323,8 +323,8 @@ def _add_run_flags(parser) -> None:
                         help="comma-separated start angles; accepts pi arithmetic")
     parser.add_argument("--max-iters", type=int, default=100)
     parser.add_argument("--grad-tol", type=float, default=1e-8)
-    parser.add_argument("--pds-reg", choices=("none", "shift", "truncate", "auto"),
-                        default=None, help="moment-matrix regularization (default auto)")
+    parser.add_argument("--pds-reg", choices=("none", "shift", "auto"), default=None,
+                        help="eigenvalue shift: never, always or past cond 1e6 (default auto)")
     parser.add_argument("--reg-eps", type=float, default=None,
                         help="eigenvalue shift of --pds-reg shift and auto (default 1e-6)")
     parser.add_argument("--metric-eps", type=float, default=None,

@@ -398,7 +398,7 @@ def run_batch(
                 )
                 points = _put(points, ~carried, fresh) if carried.any() else fresh
         # Every mode contracts the same energy weights; a failed row's read 0.
-        weights, errors = _weights(points.values, points.solved)
+        weights, errors = _weights(points.solved)
         grad = ((rows @ weights[..., None])[..., 0] if shots is not None else
                 _analytic_rows(_Krylov(op, points.krylov), weights, circuit, theta, derivs))
         failed = ~_no_error(errors)

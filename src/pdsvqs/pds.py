@@ -15,16 +15,16 @@ which drives the optimizer, is ``sum_n g_n dm_n/dtheta`` with the weights
 M is a Gram matrix of Krylov vectors and becomes singular exactly when the
 trial state is supported on fewer than K eigenvectors, e.g. close to
 convergence.  The regularization policies control what happens there: the
-strict policy surfaces the singularity, an eigenvalue shift or a
-singular-value truncation keeps the solve defined, and the adaptive policy
-only shifts once the condition number crosses a threshold so that
-well-conditioned solves stay exact.  A policy is its kind and its shift;
-the truncation cutoff and the adaptive threshold are module constants.  At
-K = 1 the functional is ``<H>`` itself: M is exactly ``[[1.0]]``, which no
-policy but an explicit shift touches.
+strict policy records the singularity as the row's error, an eigenvalue
+shift keeps the solve defined, and the adaptive policy only shifts once the
+condition number crosses a threshold so that well-conditioned solves stay
+exact.  A policy is its kind and its shift; the adaptive threshold is a
+module constant.  At K = 1 the functional is ``<H>`` itself: M is exactly
+``[[1.0]]``, which no policy but an explicit shift touches.
 
 The solve and the weights each act on a stack of moment rows at once and
-record a failing row's error in place of raising it.
+record a failing row's error in place of raising it; a row's weights solve
+in the matrix its energy was solved with.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
 _IMAG_TOL = 1e-8
 # Singular-value ratio at which even the strict policy declares M singular.
 _HARD_SINGULAR = 1e-14
-# Relative singular-value cutoff of the ``truncate`` policy.
-_RCOND = 1e-10
 # Condition number beyond which the ``auto`` policy shifts.  Past
 # cond ~ 1/shift_eps (1e-6 by default) a direct solve carries at least as
 # much noise as the shift introduces bias, so that is where it switches.
@@ -74,22 +72,20 @@ class RegPolicy:
     """How to solve linear systems in the moment matrix.
 
     kind:
-        ``"none"``    solve directly, raise ``SingularMoments`` when M is
-                      rank-deficient at machine precision;
-        ``"shift"``   add ``shift_eps`` to every eigenvalue (M is positive
-                      semidefinite), which can bias the root and thereby
-                      weaken the variational bound;
-        ``"truncate"`` minimum-norm solve with singular values below
-                      ``_RCOND`` (relative) discarded;
-        ``"auto"``    direct solve while the condition number stays below
-                      ``_COND_THRESHOLD``, shifted solve beyond it.
+        ``"none"``  solve directly, record ``SingularMoments`` as the row's
+                    error when M is rank-deficient at machine precision;
+        ``"shift"`` add ``shift_eps`` to every eigenvalue (M is positive
+                    semidefinite), which can bias the root and thereby
+                    weaken the variational bound;
+        ``"auto"``  direct solve while the condition number stays below
+                    ``_COND_THRESHOLD``, shifted solve beyond it.
     """
 
     kind: str = "none"
     shift_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "shift", "truncate", "auto"):
+        if self.kind not in ("none", "shift", "auto"):
             raise ValueError(f"unknown regularization kind {self.kind!r}")
         if not (math.isfinite(self.shift_eps) and self.shift_eps > 0):
             raise ValueError(f"shift_eps must be finite and positive, got {self.shift_eps!r}")
@@ -100,10 +96,11 @@ class _SolvedRows:
     """The functional at a stack of moment rows, one entry per row.
 
     Row b failed when ``errors[b]`` holds its solver error, an exception
-    object, not raised; its other entries are then NaN.  ``roots[b]`` holds that row's real roots
-    in ascending order, NaN-padded to the order.  ``applied[b]`` tells whether
-    row b was solved with the policy's regularization, ``kind`` at
-    ``magnitude``, rather than directly.
+    object, not raised; its other entries are then NaN.  ``roots[b]`` holds
+    that row's real roots in ascending order, NaN-padded to the order.
+    ``applied[b]`` tells whether row b's eigenvalues were shifted by
+    ``magnitude`` rather than solved directly, and ``matrix[b]`` is the M it
+    was solved with, the shift included.
     """
 
     order: int
@@ -113,8 +110,8 @@ class _SolvedRows:
     cond_m: np.ndarray
     imag_residue: np.ndarray
     applied: np.ndarray
-    kind: str
     magnitude: float
+    matrix: np.ndarray
     errors: np.ndarray
 
 
@@ -141,24 +138,11 @@ def _where(mask: np.ndarray):
     return slice(None) if mask.all() else mask
 
 
-def _regularized_solve(
-    matrix: np.ndarray, rhs: np.ndarray, applied: np.ndarray, kind: str, magnitude: float
-) -> np.ndarray:
-    """Solve ``matrix[b] @ x = rhs[b]`` for every row b.
-
-    ``matrix`` is (B, K, K) and ``rhs`` (B, K).  Kind ``"truncate"`` (every
-    row applied) drops singular values below relative ``magnitude``.  Kind
-    ``"shift"`` solves a row directly, or with every eigenvalue shifted by
-    ``magnitude`` where ``applied``; a row still exactly singular reads NaN,
-    found row by row once the stacked solve has raised.
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix[b] @ x = rhs[b]`` for every row b of the (B, K, K) and
+    (B, K) stacks.  A row whose matrix is exactly singular reads NaN, found
+    row by row once the stacked solve has raised.
     """
-    if kind == "truncate":
-        u, s, vt = np.linalg.svd(matrix)
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > magnitude * s[:, :1])
-        proj = np.swapaxes(u, -1, -2) @ rhs[..., None]
-        return (np.swapaxes(vt, -1, -2) @ (inv[..., None] * proj))[..., 0]
-    if applied.any():  # shifted where applied; no row shifted keeps ``matrix`` itself
-        matrix = matrix + np.where(applied, magnitude, 0.0)[:, None, None] * np.eye(rhs.shape[1])
     try:
         return np.linalg.solve(matrix, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -188,14 +172,12 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
         applied = ~(cond <= _COND_THRESHOLD)  # an infinite cond is applied
     else:
         applied = np.full(b, policy.kind != "none")
-    if policy.kind == "truncate":
-        kind, magnitude = "truncate", _RCOND
-    else:
-        kind, magnitude = "shift", policy.shift_eps
+    if applied.any():  # every eigenvalue of an applied row shifted
+        matrix[_where(applied)] += policy.shift_eps * np.eye(k)
     singular = ~applied & (smin <= smax * _HARD_SINGULAR)  # also when smax is 0
     x = np.full((b, k), np.nan)
     rows = _where(~singular)
-    x[rows] = _regularized_solve(matrix[rows], -rhs[rows], applied[rows], kind, magnitude)
+    x[rows] = _solve(matrix[rows], -rhs[rows])
     ok = np.isfinite(x).all(axis=1)
 
     rows = _where(ok)
@@ -227,20 +209,19 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
         cond_m=cond,
         imag_residue=imag_residue,
         applied=applied,
-        kind=kind,
-        magnitude=magnitude,
+        magnitude=policy.shift_eps,
+        matrix=matrix,
         errors=errors,
     )
 
 
-def _weights(values: np.ndarray, solved: _SolvedRows) -> tuple[np.ndarray, np.ndarray]:
+def _weights(solved: _SolvedRows) -> tuple[np.ndarray, np.ndarray]:
     """Energy weights ``g = dE/dm`` (B, 2K) of solved moment rows, plus each
     row's error.
 
-    ``values`` (B, >= 2K) are the moment rows and ``solved`` their solve.  The
-    implicit-function rule gives ``dE = lambda . (dY + dM X) / P'(E)`` with
-    ``lambda = M^-1 (E^(K-1), .., 1)``, one solve per row under the
-    regularization the row was solved with (M is symmetric).  With
+    The implicit-function rule gives ``dE = lambda . (dY + dM X) / P'(E)``
+    with ``lambda = M^-1 (E^(K-1), .., 1)``, one solve per row in the matrix
+    the row was solved with, ``solved.matrix`` (M is symmetric).  With
     ``c = (1, X_1 .. X_K)`` that is ``g_(2K-s) = sum_(i+j=s) lambda_i c_j / P'(E)``.
     A row that failed its solve keeps its error, a row whose ``P'(E)``
     vanishes records ``VanishingDenominator`` and one whose ``lambda`` is not
@@ -256,8 +237,7 @@ def _weights(values: np.ndarray, solved: _SolvedRows) -> tuple[np.ndarray, np.nd
     denom = k * powers[:, k - 1]
     for i in range(1, k):
         denom = denom + (k - i) * x[:, i - 1] * powers[:, k - i - 1]
-    lam = _regularized_solve(_hankel(values[index], k)[0], powers[:, ::-1],
-                             solved.applied[index], solved.kind, solved.magnitude)
+    lam = _solve(solved.matrix[index], powers[:, ::-1])
     vanishing = np.abs(denom) < 1e-12
     singular = ~vanishing & ~np.isfinite(lam).all(axis=1)
     if (vanishing | singular).any():
@@ -273,6 +253,6 @@ def _weights(values: np.ndarray, solved: _SolvedRows) -> tuple[np.ndarray, np.nd
     part = np.zeros((len(x), 2 * k))
     for i in range(1, k + 1):
         part[:, k - i : 2 * k - i + 1] += lam[:, i - 1 : i] * c
-    weights = np.zeros((len(values), 2 * k))
+    weights = np.zeros((len(solved.energy), 2 * k))
     weights[index] = part / denom[:, None]
     return weights, errors

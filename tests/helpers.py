@@ -32,8 +32,7 @@ from pdsvqs.moments import _Krylov, _analytic_rows, _operator, _shift_rows, _val
 from pdsvqs.pauli import _qwc_rows
 from pdsvqs.optim import _mix
 from pdsvqs.pds import (
-    RegPolicy, SingularMoments, VanishingDenominator, _hankel, _no_error, _regularized_solve,
-    _solve_rows, _weights,
+    RegPolicy, SingularMoments, VanishingDenominator, _hankel, _no_error, _solve_rows, _weights,
 )
 from pdsvqs.statesim import (
     Circuit, Gate, State, _apply_single, _derivative_states, _index_masks, _parity, _simulate,
@@ -540,12 +539,12 @@ def point_rows(circuit, theta, h, max_order, method="analytic"):
     ], axis=1)
 
 
-def point_gradient(circuit, theta, h, values, solved, method="analytic"):
+def point_gradient(circuit, theta, h, solved, method="analytic"):
     """The program's energy gradient (n_params,) at one point and its error:
-    the weights of the solved moment row ``values``, contracted through the
-    walk's derivative states ("analytic") or the backward sweep ("sweep")."""
+    the weights of the solved moment row, contracted through the walk's
+    derivative states ("analytic") or the backward sweep ("sweep")."""
     thetas = np.asarray(theta, dtype=float)[None]
-    weights, errors = _weights(np.asarray(values, dtype=float)[None], solved)
+    weights, errors = _weights(solved)
     krylov, derivs = _point_krylov(circuit, thetas, h, 2 * solved.order - 1, method)
     return _analytic_rows(krylov, weights, circuit, thetas, derivs)[0], errors[0]
 
@@ -555,8 +554,8 @@ def forward_gradient(values, grads, solved):
     parameter at a time.
 
     ``grads`` (B, P, >= 2K) are the moment rows' derivatives.  Parameter p's
-    ``M dX = -dY - dM X`` is solved as its own right side, under the
-    regularization the row was solved with, and
+    ``M dX = -dY - dM X`` is solved as its own right side, in an M built here
+    from ``values`` and shifted where the row was shifted, and
     ``dE = -(E^(K-1), .., 1) . dX / P'(E)``.  Errors are recorded as the
     weights record them; a row with an error reads NaN.
     """
@@ -573,12 +572,14 @@ def forward_gradient(values, grads, solved):
             errors[r] = VanishingDenominator(f"polynomial derivative {denom:.3g}")
             continue
         matrix, _ = _hankel(values[r], k)
+        if solved.applied[r]:
+            matrix = matrix + solved.magnitude * np.eye(k)
         d_matrix, d_rhs = _hankel(grads[r], k)
         rhs = -d_rhs - d_matrix @ x
-        dx = _regularized_solve(
-            np.repeat(matrix[None], n_params, axis=0), rhs,
-            np.full(n_params, solved.applied[r]), solved.kind, solved.magnitude,
-        )
+        try:
+            dx = np.linalg.solve(matrix, rhs.T).T
+        except np.linalg.LinAlgError:
+            dx = np.full(rhs.shape, np.nan)
         if not np.isfinite(dx).all():
             errors[r] = SingularMoments("moment matrix is singular in the gradient solve")
             continue

@@ -359,7 +359,7 @@ def test_criterion_7c_gradient_vs_finite_differences():
                 # backward sweep, each checked.
                 for method in ("analytic", "sweep"):
                     grad, error = point_gradient(
-                        model.circuit, theta, model.hamiltonian, values, res, method=method
+                        model.circuit, theta, model.hamiltonian, res, method=method
                     )
                     assert error is None
                     worst = max(

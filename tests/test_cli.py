@@ -209,9 +209,8 @@ class TestRunCommand:
             (["run", "--model", "h2", "--seed", "3"], "--seed seeds --shots runs only"),
             (["run", "--model", "h2", "--pds-reg", "none", "--reg-eps", "1e-3"],
              "--reg-eps is the shift of --pds-reg shift and auto, not none"),
-            (["scan", "--model", "toy_a", "--pds-reg", "truncate", "--reg-eps", "1e-3",
-              "--out", "{dir}/s"], "--reg-eps is the shift of --pds-reg shift and auto, not "
-                                   "truncate"),
+            (["scan", "--model", "toy_a", "--pds-reg", "none", "--reg-eps", "1e-3",
+              "--out", "{dir}/s"], "--reg-eps is the shift of --pds-reg shift and auto, not none"),
             (["eig", "--file", "{file}", "--layers", "3"], "--layers sets the ansatz"),
             (["reduce", "--file", "{file}", "--layers", "1"], "--layers sets the ansatz"),
             (["estimate", "--file", "{file}", "--layers", "2"], "--layers sets the ansatz"),
@@ -373,11 +372,11 @@ class TestScanCommand:
 
     def test_failing_gradient_keeps_an_ok_surface_row(self, tmp_path, capsys, monkeypatch):
         # A start whose solve holds but whose gradient fails reads "ok".
-        def failing(values, solved):
-            weights, errors = weights_of(values, solved)
+        def failing(solved):
+            weights, errors = weights_of(solved)
             if not calls:
                 errors[2] = VanishingDenominator("injected")
-            calls.append(len(values))
+            calls.append(len(solved.energy))
             return weights, errors
 
         weights_of, calls = optim._weights, []
@@ -615,6 +614,23 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == "" and f"pdsvqs: error: {message}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_truncate_regularization_exits_one(self, tmp_path, capsys, source):
+        out = tmp_path / "t.csv"
+        argv = ["run", "--model", "h2", "--order", "3", "--max-iters", "1", "--out", str(out)]
+        if source == "flag":
+            argv += ["--pds-reg", "truncate"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"pds_reg": "truncate"}))
+            argv = ["--config", str(path)] + argv
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 1
+        assert captured.out == "" and "invalid choice: 'truncate'" in captured.err
         assert not out.exists()
 
     def test_unset_pds_flags_keep_their_defaults(self, tmp_path, capsys, monkeypatch):

@@ -391,7 +391,7 @@ class TestPreconditionedStepRule:
     def energy_and_gradient(model, theta):
         values = point_moments(model.circuit, theta, model.hamiltonian, 3)
         solved = point_solve(values, 2, RegPolicy("auto"))
-        grad, error = point_gradient(model.circuit, theta, model.hamiltonian, values, solved)
+        grad, error = point_gradient(model.circuit, theta, model.hamiltonian, solved)
         assert error is None
         return solved.energy[0], grad
 
@@ -502,11 +502,11 @@ class TestRunBatch:
     def test_rows_failing_at_different_iterations(self, toy_a, monkeypatch):
         # Iterate k's gradient fails on the first row of the stack, k < 3:
         # start k fails at iteration k, and start 3 runs on to max_iters.
-        def failing(values, solved):
-            weights, errors = weights_of(values, solved)
+        def failing(solved):
+            weights, errors = weights_of(solved)
             if len(calls) < 3:
                 errors[0] = VanishingDenominator(f"injected {len(calls)}")
-            calls.append(len(values))
+            calls.append(len(solved.energy))
             return weights, errors
 
         weights_of, calls = optim._weights, []

@@ -31,6 +31,14 @@ def moments_of_weights(eigenvalues, weights, max_order):
     return np.array([np.sum(w * lam**n) for n in range(max_order + 1)])
 
 
+def moment_matrix(values, order, shift=0.0):
+    """``M[i, j] = m_(2K-i-j)`` (1-based) written out entry by entry, plus
+    ``shift`` on the diagonal."""
+    k = order
+    return np.array([[values[2 * k - i - j] + (shift if i == j else 0.0)
+                      for j in range(1, k + 1)] for i in range(1, k + 1)])
+
+
 class TestSolveBasics:
     def test_first_order_energy_is_mean(self):
         res = point_solve([1.0, 0.7, 1.3], 1)
@@ -66,7 +74,7 @@ class TestHandCraftedTables:
         values = np.array([1.0, 0.0, -1.0, 2.0])
         res = point_solve(values, 2)
         assert res.energy[0] == approx(-1.0, abs=1e-8)
-        weights, errors = _weights(values[None], res)
+        weights, errors = _weights(res)
         assert isinstance(errors[0], VanishingDenominator)
         assert weights.tolist() == [[0.0] * 4]
 
@@ -92,8 +100,9 @@ class TestPolicies:
         return moments_of_weights([-1.0, 0.5], [1.0 - 1e-9, 1e-9], 4)
 
     def test_policy_kind_validation(self):
-        with pytest.raises(ValueError, match="unknown regularization kind"):
-            RegPolicy(kind="ridge")
+        for kind in ("ridge", "truncate"):
+            with pytest.raises(ValueError, match="unknown regularization kind"):
+                RegPolicy(kind=kind)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["shift_eps"])
@@ -118,16 +127,18 @@ class TestPolicies:
         adaptive = point_solve(values, 2, RegPolicy("auto"))
         assert adaptive.cond_m[0] > 1e6
         assert adaptive.applied.tolist() == [True]
-        assert adaptive.kind == "shift"
         assert adaptive.magnitude == approx(1e-6)
+        assert adaptive.matrix[0].tolist() == moment_matrix(values, 2, 1e-6).tolist()
         shifted = point_solve(values, 2, RegPolicy("shift"))
         assert adaptive.x.tolist() == shifted.x.tolist()
 
     def test_auto_threshold_is_configurable(self, monkeypatch):
         monkeypatch.setattr(pds, "_COND_THRESHOLD", 1.0)
-        res = point_solve(self.well_conditioned(), 2, RegPolicy("auto"))
+        values = self.well_conditioned()
+        res = point_solve(values, 2, RegPolicy("auto"))
         assert res.applied.tolist() == [True]
-        assert res.kind == "shift"
+        assert res.magnitude == 1e-6
+        assert res.matrix[0].tolist() == moment_matrix(values, 2, 1e-6).tolist()
 
     def test_shift_solves_displaced_system(self):
         values = self.well_conditioned()
@@ -137,15 +148,27 @@ class TestPolicies:
         y = np.array([values[3], values[2]])
         expected = np.linalg.solve(m + eps * np.eye(2), -y)
         assert res.x[0] == approx(expected, abs=1e-15)
-        assert res.kind == "shift"
+        assert res.applied.tolist() == [True]
         assert res.magnitude == eps
+        assert res.matrix[0].tolist() == (m + eps * np.eye(2)).tolist()
 
-    def test_truncate_drops_small_singular_values(self):
-        res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy("truncate"))
-        # The rank-1 system keeps only the consistent direction; the root
-        # stays at the eigenvalue carried by the moments.
-        assert res.kind == "truncate"
-        assert np.nanmin(abs(res.roots[0] - 1.0)) == approx(0.0, abs=1e-6)
+    def test_mixed_stack_keeps_each_rows_matrix(self):
+        # Rows 1 and 3 cross the auto threshold and are shifted; 0 and 2 are not.
+        values = np.array([self.well_conditioned(), self.near_singular(),
+                           moments_of_weights([-0.7, 1.2], [0.3, 0.7], 4),
+                           moments_of_weights([-2.0, 0.1], [1.0 - 1e-10, 1e-10], 4)])
+        res = _solve_rows(values, 2, RegPolicy("auto"))
+        assert res.applied.tolist() == [False, True, False, True]
+        weights, errors = _weights(res)
+        assert _no_error(errors).all()
+        for b, row in enumerate(values):
+            shift = res.magnitude if res.applied[b] else 0.0
+            assert res.matrix[b].tobytes() == moment_matrix(row, 2, shift).tobytes()
+            alone = _solve_rows(row[None], 2, RegPolicy("auto"))
+            assert alone.applied[0] == res.applied[b]
+            assert res.x[b].tobytes() == alone.x[0].tobytes()
+            assert res.energy[b].tobytes() == alone.energy[0].tobytes()
+            assert weights[b].tobytes() == _weights(alone)[0][0].tobytes()
 
     def test_shift_rescues_singular_table(self):
         res = point_solve([1.0, 1.0, 1.0, 1.0], 2, RegPolicy("shift"))
@@ -160,8 +183,9 @@ class TestPolicies:
         grads[1] = [0.0, -0.3, 0.1, 0.2]
         res = point_solve(values, 2, RegPolicy("auto"))
         assert res.applied.tolist() == [True]
-        assert res.kind == "shift"
-        weights, errors = _weights(values[None], res)
+        assert res.magnitude == approx(1e-6)
+        assert res.matrix[0].tolist() == moment_matrix(values, 2, res.magnitude).tolist()
+        weights, errors = _weights(res)
         assert errors[0] is None
         grad = grads @ weights[0]
         assert np.all(np.isfinite(grad))
@@ -188,7 +212,7 @@ class TestWeightsAgainstForward:
     """The weights contracted with the derivative rows against the
     implicit-function rule solved one parameter at a time."""
 
-    @pytest.mark.parametrize("kind", ["none", "shift", "truncate", "auto"])
+    @pytest.mark.parametrize("kind", ["none", "shift", "auto"])
     @pytest.mark.parametrize("name", ["toy_a", "toy_b", "h2", "heisenberg"])
     def test_contraction_matches_forward_gradient(self, name, kind):
         model = build_model(name)
@@ -202,7 +226,7 @@ class TestWeightsAgainstForward:
                 if res.errors[0] is not None or res.cond_m[0] >= 1e4:
                     continue
                 rows = point_rows(model.circuit, theta, model.hamiltonian, 2 * k - 1)
-                weights, errors = _weights(values[None], res)
+                weights, errors = _weights(res)
                 expected, forward_errors = forward_gradient(values[None], rows[None], res)
                 assert errors[0] is None and forward_errors[0] is None
                 scale = max(1.0, np.abs(expected).max())
@@ -216,10 +240,11 @@ class TestWeightsAgainstForward:
         # solved but whose gradient sees an exactly singular M.
         values = np.array([healthy, [1.0, 0.0, -1.0, 2.0], [1.0] * 4, healthy])
         res = _solve_rows(values, 2, RegPolicy("none"))
+        res.matrix[3] = 0.0
         seen = values.copy()
         seen[3] = 0.0
         grads = np.random.default_rng(2).normal(size=(4, 3, 4))
-        weights, errors = _weights(seen, res)
+        weights, errors = _weights(res)
         forward, forward_errors = forward_gradient(seen, grads, res)
         kinds = [type(e) for e in errors]
         assert kinds == [type(e) for e in forward_errors]
@@ -247,7 +272,8 @@ class TestStartPointAnchors:
         for k in (3, 4):
             res = point_solve(self.tables[k], k, RegPolicy("auto"))
             assert res.applied.tolist() == [True]
-            assert res.kind == "shift"
+            assert res.magnitude == 1e-6
+            assert res.matrix[0].tolist() == moment_matrix(self.tables[k], k, 1e-6).tolist()
         assert isinstance(point_solve(self.tables[4], 4).errors[0], SingularMoments)
 
     def test_fourth_order_shifted_roots(self):
@@ -304,11 +330,10 @@ class TestExactlySingularShift:
         # Rows that solved, then a gradient whose M is exactly singular.
         values = np.array([moments_of_weights([-1.0, 0.5], [0.4, 0.6], 3)] * 2)
         res = _solve_rows(values, 2, RegPolicy("none"))
-        singular = values.copy()
-        singular[1] = 0.0
-        weights, errors = _weights(singular, res)
+        res.matrix[1] = 0.0
+        weights, errors = _weights(res)
         alone = _solve_rows(values[:1], 2, RegPolicy("none"))
-        expected, _ = _weights(values[:1], alone)
+        expected, _ = _weights(alone)
         assert errors[0] is None and weights[0].tolist() == expected[0].tolist()
         assert isinstance(errors[1], SingularMoments)
         assert "gradient solve" in str(errors[1]) and not weights[1].any()
@@ -419,7 +444,7 @@ class TestGradientAgainstDifferences:
                 ) / (12 * h)
             if not np.linalg.norm(fd) >= 1e-2:
                 continue
-            grad, error = point_gradient(model.circuit, theta, model.hamiltonian, values, res)
+            grad, error = point_gradient(model.circuit, theta, model.hamiltonian, res)
             assert error is None
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
             tested += 1
@@ -434,6 +459,6 @@ class TestGradientAgainstDifferences:
             res = point_solve(values, 4)
             if res.errors[0] is not None or res.cond_m[0] >= 1e4:
                 continue
-            grad, error = point_gradient(h2.circuit, theta, h2.hamiltonian, values, res)
+            grad, error = point_gradient(h2.circuit, theta, h2.hamiltonian, res)
             assert error is None
             assert np.linalg.norm(grad) < 1e-6
