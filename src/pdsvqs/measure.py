@@ -70,7 +70,8 @@ def estimate_measurements(
         s: Hermitian weighted Pauli sum.
         epsilon: Target standard error on the total.
         expectations: Optional per-string ``<P>`` keyed by label; strings
-            without an entry use the worst-case variance 1.
+            without an entry use the worst-case variance 1.  A value
+            outside [-1, 1] (NaN too) raises ``ValueError`` naming its label.
         groups: Row-index groups into ``s``, as ``pauli._qwc_rows`` returns,
             that partition its rows (a ``ValueError`` names the first row they
             miss or repeat); defaults to the qubit-wise commuting grouping.
@@ -85,6 +86,9 @@ def estimate_measurements(
     groups = _qwc_rows(s) if groups is None else _row_groups(groups, len(s))
     h, identity, var = _abs(s.coeffs), ~(s.x | s.z).any(axis=1), np.ones(len(s))
     if expectations is not None:
+        for label, value in expectations.items():
+            if not -1.0 <= float(value) <= 1.0:
+                raise ValueError(f"expectation of {label} must lie in [-1, 1], got {value!r}")
         mean = [float(expectations.get(k, 0.0)) for k in _labels(s.x, s.z, s.n_qubits)]
         var = np.maximum(0.0, 1.0 - np.square(mean))
     # Left folds over Python floats, so the total keeps its bits.

@@ -2,19 +2,20 @@
 
 The moment table collects ``<psi(theta)| H^n |psi(theta)>`` for n up to a
 configured order.  Exact moments need only H applied to a vector: with the
-Krylov vectors ``v_j = H^j psi`` of the compiled H, ``<H^n>`` is
-``<v_floor(n/2)| v_ceil(n/2)>``, so orders up to ``2K - 1`` cost K
-applications.  An exact gradient is ``2 Re <d_k psi| w>`` for one adjoint
-vector ``w = sum_n g_n v_n`` of the energy weights g of ``pds``, which
-continues the Krylov list to ``v_{2K-1}``.  The derivative states that an
-ngd or ite iterate holds for its metric are dotted with w; otherwise a
-backward sweep carries ``psi, w`` back through the circuit: two vectors,
-where the walk holds n_params + 1.  Finite-shot runs take the two-point
-rotation shift rule per gate occurrence, with controlled rotations rewritten
-to one-qubit rotations first.  All the shifted states are simulated as one
-stack, handed to the function that gives their moment values: sampled ones
-in a run, exact ones as the reference for the analytic rows.  These routines
-act on stacks of states, one row per point.
+Krylov vectors ``v_j = H^j psi`` of the compiled H, a plain list
+``[v_0 .. v_K]``, ``<H^n>`` is ``<v_floor(n/2)| v_ceil(n/2)>``, so orders up
+to ``2K - 1`` cost K applications.  An exact gradient is
+``2 Re <d_k psi| w>`` for one adjoint vector ``w = sum_n g_n v_n`` of the
+energy weights g of ``pds``, which applies H past ``v_K`` up to
+``v_{2K-1}``.  The derivative states that an ngd or ite iterate holds for
+its metric are dotted with w; otherwise a backward sweep carries ``psi, w``
+back through the circuit: two vectors, where the walk holds n_params + 1.
+Finite-shot runs take the two-point rotation shift rule per gate occurrence,
+with controlled rotations rewritten to one-qubit rotations first.  All the
+shifted states are simulated as one stack, handed to the function that gives
+their moment values: sampled ones in a run, exact ones as the reference for
+the analytic rows.  These routines act on stacks of states, one row per
+point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -93,34 +94,27 @@ def _operator(h: PauliSum, max_order: int) -> CompiledSum:
     return _compiled(h)
 
 
-class _Krylov:
-    """Krylov vectors ``v_j = H^j psi``, each applied on first use.
-
-    ``vectors`` starts as ``[psi]`` or as a list already extended; every
-    vector holds one row per state, shape (..., 2**n).
-    """
-
-    def __init__(self, op: CompiledSum, vectors: list[np.ndarray]) -> None:
-        self.op = op
-        self.vectors = list(vectors)
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        while len(self.vectors) <= j:
-            self.vectors.append(self.op.apply(self.vectors[-1]))
-        return self.vectors[j]
+def _krylov(op: CompiledSum, amps: np.ndarray, k: int) -> list[np.ndarray]:
+    """Krylov vectors ``[v_0 .. v_k]``, ``v_j = H^j psi`` for the states
+    ``amps`` (..., 2**n), each with one row per state."""
+    vectors = [amps]
+    for _ in range(k):
+        vectors.append(op.apply(vectors[-1]))
+    return vectors
 
 
-def _values_from_state(krylov: _Krylov, max_order: int) -> np.ndarray:
-    # <H^n> = <v_floor(n/2) | v_ceil(n/2)>, so order 2K-1 needs K applications.
-    values = np.empty(krylov.vectors[0].shape[:-1] + (max_order + 1,))
+def _values_from_state(vectors: list[np.ndarray], max_order: int) -> np.ndarray:
+    # <H^n> = <v_floor(n/2) | v_ceil(n/2)>, so order 2K-1 needs v_0 .. v_K.
+    values = np.empty(vectors[0].shape[:-1] + (max_order + 1,))
     values[..., 0] = 1.0
     for n in range(1, max_order + 1):
-        values[..., n] = _vdot(krylov[n // 2], krylov[(n + 1) // 2]).real
+        values[..., n] = _vdot(vectors[n // 2], vectors[(n + 1) // 2]).real
     return values
 
 
 def _analytic_rows(
-    krylov: _Krylov,
+    op: CompiledSum,
+    vectors: list[np.ndarray],
     weights: np.ndarray,
     circuit: Circuit,
     thetas: np.ndarray,
@@ -128,16 +122,18 @@ def _analytic_rows(
 ) -> np.ndarray:
     """``sum_n weights_n d<H^n>/d theta_k`` (B, n_params) for weights (B, N),
     as ``2 Re <d_k psi| w>`` with ``w = sum_(n >= 1) weights_n v_n``: the
-    derivative states ``derivs`` (B, n_params, 2**n) an ngd or ite iterate
-    holds are dotted with w; otherwise the backward sweep carries ``psi, w``.
+    Krylov vectors ``vectors`` start at the states ``v_0``, and ``op`` applies
+    the ones past them.  The derivative states ``derivs`` (B, n_params, 2**n)
+    an ngd or ite iterate holds are dotted with w; otherwise the backward
+    sweep carries ``psi, w``.
     """
-    w, v = np.zeros_like(krylov[0]), krylov[0]
+    w, v = np.zeros_like(vectors[0]), vectors[0]
     for n in range(1, weights.shape[1]):
         # Vectors past the held ones are applied here and not kept.
-        v = krylov[n] if n < len(krylov.vectors) else krylov.op.apply(v)
+        v = vectors[n] if n < len(vectors) else op.apply(v)
         w += weights[:, n, None] * v
     if derivs is None:
-        return _adjoint_rows(circuit, thetas, krylov[0], w)
+        return _adjoint_rows(circuit, thetas, vectors[0], w)
     return 2.0 * _vdot(derivs, w[:, None, :]).real
 
 

@@ -23,10 +23,10 @@ decreases the functional sufficiently,
 and otherwise takes the plain step ``theta - eta grad``.  A solver failure
 at the trial point counts as a rejection.  The rule looks only at the
 current point, so a run restarted from any recorded iterate reproduces the
-rest of the trajectory.  An accepted trial point's state, Krylov vectors
-and moments are reused as the next iterate's, so only a rejected step costs
-an extra (energy-only) evaluation.  Plain gradient descent, which every
-finite-shot run is, always takes the step as computed.
+rest of the trajectory.  When the whole stack accepted, the trial points'
+states, Krylov vectors and moments are reused as the next iterate's;
+otherwise the next iterate evaluates every row again.  Plain gradient
+descent, which every finite-shot run is, always takes the step as computed.
 
 ``run_batch`` advances many starting points in lockstep, each layer acting on
 one stack of rows, and applies the rule above row by row; ``run`` is its
@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .moments import MeasurementPlan, hamiltonian_powers
-from .moments import _Krylov, _analytic_rows, _check_shots, _operator
+from .moments import _analytic_rows, _check_shots, _krylov, _operator
 from .moments import _shift_rows, _values_from_state, sampled_moments
 from .pauli import PauliSum
 from .pds import (
@@ -101,11 +101,12 @@ def step(
     smallest eigenvalue falls to ``eps`` relative scale, ``eps`` is added to
     all eigenvalues, so near-null directions get amplified rather than
     crashing the solve.  ``theta`` and ``grad`` are (..., P) and the metric
-    (..., P, P).  An ``eps`` that is not finite and positive raises
-    ``ValueError``.
+    (..., P, P).  An ``eta`` or ``eps`` that is not finite and positive
+    raises ``ValueError``.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    for name, value in (("eta", eta), ("eps", eps)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if metric_matrix is None:
@@ -227,27 +228,14 @@ class Trajectory:
 class _Points:
     """The functional at a stack of points: every field has one row per point.
 
-    ``krylov`` holds the Krylov vectors the moments used (empty in shot mode)
+    ``vectors`` holds the Krylov vectors ``[v_0 .. v_K]`` the moments used,
+    ``v_0`` being the circuit states (in shot mode it is ``[amps]`` alone),
     and ``solved`` the PDS rows, with each row's energy and solver error.
     """
 
-    amps: np.ndarray
-    krylov: list[np.ndarray]
+    vectors: list[np.ndarray]
     values: np.ndarray
     solved: _SolvedRows
-
-
-def _put(dst, rows, src):
-    """Write ``src`` into the ``rows`` of ``dst``, in place; returns ``dst``."""
-    if isinstance(dst, list):
-        for d, v in zip(dst, src):
-            _put(d, rows, v)
-    elif is_dataclass(dst):
-        for f in fields(dst):
-            _put(getattr(dst, f.name), rows, getattr(src, f.name))
-    elif isinstance(dst, np.ndarray):
-        dst[rows] = src
-    return dst
 
 
 def _exact_points(op, circuit, thetas, order, policy, amps=None) -> _Points:
@@ -255,9 +243,9 @@ def _exact_points(op, circuit, thetas, order, policy, amps=None) -> _Points:
     circuit states ``amps`` (simulated when not given)."""
     if amps is None:
         amps = _simulate(circuit, thetas)
-    krylov = _Krylov(op, [amps])
-    values = _values_from_state(krylov, 2 * order - 1)
-    return _Points(amps, krylov.vectors, values, _solve_rows(values, order, policy))
+    vectors = _krylov(op, amps, order)
+    values = _values_from_state(vectors, 2 * order - 1)
+    return _Points(vectors, values, _solve_rows(values, order, policy))
 
 
 def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
@@ -332,12 +320,13 @@ def run_batch(
     ``ngd`` or ``ite`` iterate builds its states and the derivative states
     its metric needs in one forward walk and dots them with ``w``; it steps
     by the sufficient-decrease rule of the module docstring, row by row, and
-    an accepted trial point hands its Krylov vectors on.  A finite-shot run
-    is ``gd`` that contracts g with shift-rule rows; its moments and rows are
-    sampled from every string of the expanded powers of H, grouped into one
-    ``MeasurementPlan``.  An iterate samples its states and every shifted
-    state in one pass, each from one generator seeded by (seed, iteration,
-    its place in the iterate), so equal calls give equal bits.
+    when the whole stack accepted, its trial points are the next iterate's.
+    A finite-shot run is ``gd`` that contracts g with shift-rule rows; its
+    moments and rows are sampled from every string of the expanded powers of
+    H, grouped into one ``MeasurementPlan``.  An iterate samples its states
+    and every shifted state in one pass, each from one generator seeded by
+    (seed, iteration, its place in the iterate), so equal calls give equal
+    bits.
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"``, the records before the failing iterate, the error
@@ -377,30 +366,26 @@ def run_batch(
     slots: list[list[int]] = [[] for _ in theta]  # each start's row in them
     status, error = ["max_iters"] * len(theta), [None] * len(theta)
     live = np.arange(len(theta))  # start index of each row in the stack
-    points = None  # accepted trial points, handed on row by row
-    carried = np.zeros(len(theta), dtype=bool)
+    points = None  # the trial points, when the whole stack accepted
     for iteration in range(max_iters + 1):
         walk = derivs = None
         if shots is not None:
             amps = _simulate(circuit, theta)
             seeds = [seed + int(b) for b in live]
             values, rows = _sampled_table(circuit, theta, amps, plan, shots, seeds, iteration)
-            points = _Points(amps, [], values, _solve_rows(values, order, pds_policy))
+            points = _Points([amps], values, _solve_rows(values, order, pds_policy))
         else:
             # The ngd/ite metric needs derivative states; one walk builds them.
             if metric_kind != "gd":
                 walk = _derivative_states(circuit, theta)
                 derivs = walk[:, 1:]
-            if not carried.all():
-                fresh = _exact_points(
-                    op, circuit, theta[~carried], order, pds_policy,
-                    None if walk is None else walk[~carried, 0],
-                )
-                points = _put(points, ~carried, fresh) if carried.any() else fresh
+            if points is None:
+                points = _exact_points(op, circuit, theta, order, pds_policy,
+                                       None if walk is None else walk[:, 0])
         # Every mode contracts the same energy weights; a failed row's read 0.
         weights, errors = _weights(points.solved)
         grad = ((rows @ weights[..., None])[..., 0] if shots is not None else
-                _analytic_rows(_Krylov(op, points.krylov), weights, circuit, theta, derivs))
+                _analytic_rows(op, points.vectors, weights, circuit, theta, derivs))
         failed = ~_no_error(errors)
         grad[failed] = math.nan
 
@@ -408,14 +393,14 @@ def run_batch(
             metric_matrix = None
             metric_cond = np.ones(len(theta))
         else:
-            metric_matrix = _metric_rows(metric_kind, derivs, points.amps)
+            metric_matrix = _metric_rows(metric_kind, derivs, points.vectors[0])
             w = np.linalg.eigvalsh(metric_matrix)
             metric_cond = np.divide(
                 w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0
             )
         fid = np.full(len(theta), np.nan)
         if ground_basis is not None:
-            overlaps = (ground_adjoint @ points.amps[..., None])[..., 0]
+            overlaps = (ground_adjoint @ points.vectors[0][..., None])[..., 0]
             fid = np.sum(np.abs(overlaps) ** 2, axis=-1)
         grad_norm = np.sqrt(_vdot(grad, grad))
         eta_k = eta if schedule == "constant" else eta / (iteration + 1)
@@ -443,16 +428,16 @@ def run_batch(
             metric_matrix = None if metric_matrix is None else metric_matrix[go]
         trial = step(theta, grad, metric_matrix, eta_k, metric_eps)
         if metric_matrix is None:
-            theta = trial
-            points, carried = None, np.zeros(len(theta), dtype=bool)
+            theta, points = trial, None
             continue
         bound = energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
         points = _exact_points(op, circuit, trial, order, pds_policy)
-        carried = _no_error(points.solved.errors) & (points.solved.energy <= bound)
-        if not carried.all():
-            trial[~carried] = step(theta[~carried], grad[~carried], None, eta_k)
+        accepted = _no_error(points.solved.errors) & (points.solved.energy <= bound)
+        if not accepted.all():
+            trial[~accepted] = step(theta[~accepted], grad[~accepted], None, eta_k)
+            points = None
         theta = trial
-        block[go, -1] = carried
+        block[go, -1] = accepted
     # A failed iterate is not a record; it is the trajectory's failed one.
     return [
         Trajectory(_Records(blocks, r[: len(r) - (e is not None)], circuit.n_params), st, e,

@@ -314,7 +314,7 @@ class PauliSum:
 
     def simplify(self, drop_tol: float = 1e-12) -> "PauliSum":
         """Drop terms whose coefficient magnitude is at most ``drop_tol``."""
-        if drop_tol < 0:
+        if not drop_tol >= 0:  # NaN too
             raise ValueError("drop_tol must be non-negative")
         keep = _abs(self.coeffs) > drop_tol
         return PauliSum(self.n_qubits, self.x[keep], self.z[keep], self.coeffs[keep])

@@ -298,20 +298,14 @@ class CompiledSum:
         return out
 
 
-# The last sum ``_compiled`` compiled, and its CompiledSum.  One slot serves a
-# command that diagonalizes H and then takes its moments, and callers that
-# evaluate many points of one H.
-_last_compiled: tuple[PauliSum, CompiledSum] | None = None
-
-
+# One slot serves a command that diagonalizes H and then takes its moments,
+# and callers that evaluate many points of one H.
+@functools.lru_cache(maxsize=1)
 def _compiled(s: PauliSum) -> CompiledSum:
     """``CompiledSum(s)``, reused when the same sum object comes back: a sum's
-    arrays are read-only, so it cannot have changed.  Any other sum is
-    compiled anew."""
-    global _last_compiled
-    if _last_compiled is None or _last_compiled[0] is not s:
-        _last_compiled = (s, CompiledSum(s))
-    return _last_compiled[1]
+    arrays are read-only, so it cannot have changed, and a sum hashes by its
+    identity.  Any other sum is compiled anew."""
+    return CompiledSum(s)
 
 
 def _derivative_states(circuit: Circuit, thetas: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, _union, sampled_moments
-from pdsvqs.moments import _Krylov, _analytic_rows, _operator, _shift_rows, _values_from_state
+from pdsvqs.moments import _analytic_rows, _krylov, _operator, _shift_rows, _values_from_state
 from pdsvqs.pauli import _qwc_rows
 from pdsvqs.optim import _mix
 from pdsvqs.pds import (
@@ -498,7 +498,7 @@ def per_state_sampled_table(circuit, thetas, amps, plan, shots, seeds, iteration
 
 def _exact_moments(op, max_order):
     """``moments_of`` for ``_shift_rows``: exact moments, the analytic rows' reference."""
-    return lambda amps: _values_from_state(_Krylov(op, [amps]), max_order)
+    return lambda amps: _values_from_state(_krylov(op, amps, (max_order + 1) // 2), max_order)
 
 
 def point_moments(circuit, theta, h, max_order):
@@ -512,13 +512,12 @@ def point_solve(values, order, policy=RegPolicy("none")):
     return _solve_rows(np.asarray(values, dtype=float)[None], order, policy)
 
 
-def _point_krylov(circuit, thetas, h, max_order, method):
-    """Krylov list and derivative states (None for the sweep) at ``thetas``."""
-    op = _operator(h, max_order)
+def _point_states(circuit, thetas, method):
+    """States and derivative states (None for the sweep) at ``thetas``."""
     if method == "sweep":
-        return _Krylov(op, [_simulate(circuit, thetas)]), None
+        return _simulate(circuit, thetas), None
     walk = _derivative_states(circuit, thetas)
-    return _Krylov(op, [walk[:, 0]]), walk[:, 1:]
+    return walk[:, 0], walk[:, 1:]
 
 
 def point_rows(circuit, theta, h, max_order, method="analytic"):
@@ -532,9 +531,10 @@ def point_rows(circuit, theta, h, max_order, method="analytic"):
     if method == "shift":
         op = _operator(h, max_order)
         return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[0]
-    krylov, derivs = _point_krylov(circuit, thetas, h, max_order, method)
+    amps, derivs = _point_states(circuit, thetas, method)
+    op = _operator(h, max_order)
     return np.stack([
-        _analytic_rows(krylov, unit[None], circuit, thetas, derivs)[0]
+        _analytic_rows(op, [amps], unit[None], circuit, thetas, derivs)[0]
         for unit in np.eye(max_order + 1)
     ], axis=1)
 
@@ -545,8 +545,9 @@ def point_gradient(circuit, theta, h, solved, method="analytic"):
     derivative states ("analytic") or the backward sweep ("sweep")."""
     thetas = np.asarray(theta, dtype=float)[None]
     weights, errors = _weights(solved)
-    krylov, derivs = _point_krylov(circuit, thetas, h, 2 * solved.order - 1, method)
-    return _analytic_rows(krylov, weights, circuit, thetas, derivs)[0], errors[0]
+    amps, derivs = _point_states(circuit, thetas, method)
+    op = _operator(h, 2 * solved.order - 1)
+    return _analytic_rows(op, [amps], weights, circuit, thetas, derivs)[0], errors[0]
 
 
 def forward_gradient(values, grads, solved):

@@ -273,7 +273,7 @@ class TestRunCommand:
                 super().__init__(s)
 
         monkeypatch.setattr(statesim, "CompiledSum", Counted)
-        monkeypatch.setattr(statesim, "_last_compiled", None)
+        statesim._compiled.cache_clear()
         path = tmp_path / "chain4.txt"
         serialize_hamiltonian(PauliSum.from_terms(chain_pairs(4)), path)
         main(["run", "--file", str(path), "--max-iters", "2"])

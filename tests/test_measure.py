@@ -30,6 +30,13 @@ class TestEstimate:
         s = PauliSum.from_terms([(0.5, "Z")])
         assert estimate_measurements(s, 0.01, expectations={"Z": 1.0}) == 0.0
 
+    @pytest.mark.parametrize("value", [2.0, -1.5, float("nan"), float("inf")])
+    def test_expectation_outside_the_unit_interval_is_rejected(self, value):
+        # 2.0 would read variance 0 and a budget of 250000; NaN a NaN budget.
+        s = PauliSum.from_terms([(1.0, "XZ"), (0.5, "ZZ")])
+        with pytest.raises(ValueError, match="expectation of XZ must lie in"):
+            estimate_measurements(s, 0.001, expectations={"ZZ": 0.5, "XZ": value})
+
     def test_identity_is_free(self):
         s = PauliSum.from_terms([(3.0, "II"), (0.2, "ZI")])
         only_z = PauliSum.from_terms([(0.2, "ZI")])

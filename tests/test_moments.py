@@ -23,7 +23,6 @@ from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
     MeasurementPlan,
     _analytic_rows,
-    _Krylov,
     _operator,
     _union,
     hamiltonian_powers,
@@ -361,12 +360,11 @@ class TestAdjointSweep:
         walk = _derivative_states(circuit, thetas)
         for max_order in (1, 4, 7):
             op = _operator(h, max_order)
-            walked = _Krylov(op, [walk[:, 0]])
-            swept = _Krylov(op, [_simulate(circuit, thetas)])
+            walked, swept = [walk[:, 0]], [_simulate(circuit, thetas)]
             for unit in np.eye(max_order + 1):
                 weights = np.tile(unit, (batch, 1))
-                expected = _analytic_rows(walked, weights, circuit, thetas, walk[:, 1:])
-                got = _analytic_rows(swept, weights, circuit, thetas)
+                expected = _analytic_rows(op, walked, weights, circuit, thetas, walk[:, 1:])
+                got = _analytic_rows(op, swept, weights, circuit, thetas)
                 assert got.shape == expected.shape == (batch, circuit.n_params)
                 scale = np.abs(expected).max()
                 assert np.all(np.abs(got - expected) <= 1e-12 * scale), (max_order, unit)
@@ -379,7 +377,7 @@ class TestAdjointSweep:
         thetas = np.array([[0.3, -1.1, 0.7], [1.0, 2.0, -0.4]])
         op = _operator(heisenberg.hamiltonian, 3)
         grad = _analytic_rows(
-            _Krylov(op, [_simulate(circuit, thetas)]), np.ones((2, 4)), circuit, thetas
+            op, [_simulate(circuit, thetas)], np.ones((2, 4)), circuit, thetas
         )
         assert np.all(grad[:, :2] == 0.0) and np.abs(grad[:, 2]).max() > 0.1
 

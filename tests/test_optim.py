@@ -110,6 +110,13 @@ class TestStep:
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             step(np.zeros(2), np.ones(2), np.zeros((2, 2)), 0.1, eps=eps)
 
+    @pytest.mark.parametrize("metric", [None, np.eye(2)])
+    @pytest.mark.parametrize("eta", [0.0, -0.05, np.nan, np.inf])
+    def test_rejects_eta_that_is_not_finite_and_positive(self, eta, metric):
+        # The message run_batch gives for the same eta.
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            step(np.zeros(2), np.ones(2), metric, eta)
+
     def test_asymmetric_input_symmetrized(self):
         theta = np.zeros(2)
         grad = np.array([1.0, 0.0])
@@ -486,6 +493,33 @@ class TestRunBatch:
             alone = run(toy_a.hamiltonian, toy_a.circuit, start, **kw)
             assert len(row.records) == len(alone.records)
             assert row.final.theta == approx(alone.final.theta, abs=0)
+
+    def test_trial_points_are_handed_on_only_when_all_accepted(self, toy_a, monkeypatch):
+        # A stepping iterate evaluates its trial points once.  When every row
+        # accepted, they are the next iterate's; otherwise the next iterate
+        # evaluates the whole stack again from its walk.
+        calls, exact_points = [], optim._exact_points
+
+        def counted(op, circuit, thetas, order, policy, amps=None):
+            calls.append(("trial" if amps is None else "walk", len(thetas)))
+            return exact_points(op, circuit, thetas, order, policy, amps)
+
+        monkeypatch.setattr(optim, "_exact_points", counted)
+        grid = [-np.pi + (k + 0.5) * np.pi / 2 for k in range(4)]
+        starts = [(a, b) for a in grid for b in grid]
+        rows = run_batch(toy_a.hamiltonian, toy_a.circuit, starts, order=2,
+                         metric_kind="ngd", max_iters=300, grad_tol=1e-6)
+        expected, seen = [("walk", 16)], set()
+        for i in range(max(len(row.records) for row in rows)):
+            kinds = [row.records[i].preconditioned for row in rows
+                     if len(row.records) > i and row.records[i].preconditioned is not None]
+            if kinds:
+                expected.append(("trial", len(kinds)))
+                if not all(kinds):
+                    expected.append(("walk", len(kinds)))
+                seen.add(all(kinds))
+        assert calls == expected
+        assert seen == {True, False}
 
     def test_failing_row_leaves_the_others_alone(self, h2):
         good = np.array([0.3, -1.2, 2.0, 0.5])

@@ -120,6 +120,12 @@ class TestPauliSum:
         assert len(simplified) == 1
         assert simplified.coefficient("Z") == 0.0
 
+    @pytest.mark.parametrize("drop_tol", [-1e-12, float("nan")])
+    def test_simplify_rejects_a_negative_or_nan_tolerance(self, drop_tol):
+        s = PauliSum.from_terms([(1.0, "X"), (1e-15, "Z")])
+        with pytest.raises(ValueError, match="drop_tol must be non-negative"):
+            s.simplify(drop_tol)
+
     def test_cancellation_then_simplify(self):
         s = PauliSum.from_terms([(1.0, "XY"), (-1.0, "XY")])
         assert len(s) == 1  # merged to an exact zero entry
