@@ -11,11 +11,11 @@ energy weights g of ``pds``, which applies H past ``v_K`` up to
 its metric are dotted with w; otherwise a backward sweep carries ``psi, w``
 back through the circuit: two vectors, where the walk holds n_params + 1.
 Finite-shot runs take the two-point rotation shift rule per gate occurrence,
-with controlled rotations rewritten to one-qubit rotations first.  All the
-shifted states are simulated as one stack, handed to the function that gives
-their moment values: sampled ones in a run, exact ones as the reference for
-the analytic rows.  These routines act on stacks of states, one row per
-point.
+with controlled rotations rewritten to one-qubit rotations first.  The
+circuit states and all the shifted states make one stack, and one call of a
+function of that stack gives every moment value: sampled ones in a run, exact
+ones as the reference for the analytic rows.  These routines act on stacks of
+states, one row per point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -137,30 +137,33 @@ def _analytic_rows(
     return 2.0 * _vdot(derivs, w[:, None, :]).real
 
 
-def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) -> np.ndarray:
-    """Shift-rule rows ``d m_n / d theta_k`` of shape (B, n_params, width).
+def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) -> tuple:
+    """States (B, 2**n) at ``thetas``, their moments (B, width) and the
+    shift-rule rows ``d m_n / d theta_k`` (B, n_params, width).
 
     Controlled rotations are rewritten first.  Each shift, +pi/2 then -pi/2
     at each occurrence of k, adds to one rotation's offset; ``moments_of``
-    gives the moments (exact or sampled) of all S * B shifted states, one
-    stack in shift order, and each adds with weight ``0.5 * multiplier * sign``.
+    gives the moments (exact or sampled) of one stack, the states and then
+    the B shifted states of each shift, and a shift adds with weight
+    ``0.5 * multiplier * sign``.
     """
     b, decomposed = len(thetas), circuit.decomposed
-    rows = np.zeros((b, circuit.n_params, width))
-    positions, _, _, offsets, _ = decomposed._rotations
-    shifts = [(k, positions.index(pos), mult, sign) for k in range(circuit.n_params)
-              for pos, mult in decomposed.occurrences(k) for sign in (1.0, -1.0)]
+    _, columns, multipliers, offsets, _ = decomposed._rotations
+    cols = columns.tolist()
+    # A stable sort on the parameter column keeps gate order; frozen rotations drop.
+    shifts = [(j, sign) for j in sorted(range(len(cols)), key=cols.__getitem__)
+              if cols[j] < circuit.n_params for sign in (1.0, -1.0)]
     table = np.repeat(offsets[None], len(shifts), axis=0)
-    for s, (_, j, _, sign) in enumerate(shifts):
+    for s, (j, sign) in enumerate(shifts):
         table[s, j] += sign * math.pi / 2.0
-    stack = np.empty((0, 1 << circuit.n_qubits))  # a circuit with no bound gate
-    if shifts:
-        stack = _simulate(decomposed, np.tile(thetas, (len(shifts), 1)), table.repeat(b, axis=0))
-    est = moments_of(stack).reshape(len(shifts), b, width)
-    for (k, _, mult, sign), e in zip(shifts, est):
-        rows[:, k] += 0.5 * mult * sign * e
-    rows[..., 0] = 0.0
-    return rows
+    states = [_simulate(circuit, thetas)]
+    if shifts:  # a circuit with no bound gate has no shifted state
+        states.append(_simulate(decomposed, np.tile(thetas, (len(shifts), 1)), table.repeat(b, axis=0)))
+    values = moments_of(np.concatenate(states))
+    rows = np.zeros((b, circuit.n_params, width))
+    for (j, sign), e in zip(shifts, values[b:].reshape(-1, b, width)):
+        rows[:, cols[j]] += 0.5 * multipliers[j] * sign * e  # m_0 = 1: each pair cancels
+    return states[0], values[:b], rows
 
 
 def _union(powers: list[PauliSum]) -> tuple[PauliSum, np.ndarray]:

@@ -332,11 +332,17 @@ def run_batch(
     ``status="error"``, the records before the failing iterate, the error
     object and the failing iterate's record (see ``Trajectory``).  ``thetas``
     of another shape, with no rows or with a non-finite entry raises
-    ``ValueError``, as does an order below 1, an ``eta`` or ``metric_eps``
+    ``ValueError``, as does an ``order``, ``max_iters`` or ``seed`` that is
+    not an integer (numpy integers count, bools do not), an order below 1, a
+    negative ``max_iters``, an ``eta`` or ``metric_eps``
     that is not finite and positive, a ``grad_tol`` that is not finite and
     non-negative, ``shots`` that are not an integer from 2 up to
     ``2**63 - 1``, or ``shots`` with ``metric_kind`` ``ngd`` or ``ite``.
     """
+    for name, value in (("order", order), ("max_iters", max_iters), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    order, max_iters, seed = int(order), int(max_iters), int(seed)
     if order < 1:
         raise ValueError("order must be at least 1")
     if schedule not in _SCHEDULES:
@@ -370,9 +376,8 @@ def run_batch(
     for iteration in range(max_iters + 1):
         walk = derivs = None
         if shots is not None:
-            amps = _simulate(circuit, theta)
             seeds = [seed + int(b) for b in live]
-            values, rows = _sampled_table(circuit, theta, amps, plan, shots, seeds, iteration)
+            amps, values, rows = _sampled_table(circuit, theta, plan, shots, seeds, iteration)
             points = _Points([amps], values, _solve_rows(values, order, pds_policy))
         else:
             # The ngd/ite metric needs derivative states; one walk builds them.
@@ -446,28 +451,19 @@ def run_batch(
     ]
 
 
-def _sampled_table(
-    circuit: Circuit, thetas: np.ndarray, amps: np.ndarray, plan: MeasurementPlan, shots: int,
-    seeds: list[int], iteration: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment values (B, m) and shift-rule gradient rows (B, P, m) from shots.
-
-    ``amps``, the circuit states at ``thetas``, lead the stack of shifted
-    states from ``_shift_rows`` in one sampling pass.  State i of the stack
-    is row ``i % B`` with seed ``_mix(seeds[i % B], iteration, i // B)``: tag
-    0 for the iterate's state and 1, 2, ... for the shifts in their order.
+def _sampled_table(circuit: Circuit, thetas: np.ndarray, plan: MeasurementPlan, shots: int,
+                   seeds: list[int], iteration: int) -> tuple:
+    """States (B, 2**n), sampled moments (B, m) and shift-rule gradient rows
+    (B, P, m) from ``_shift_rows``, all sampled in one pass.  State i of its
+    stack is row ``i % B`` with seed ``_mix(seeds[i % B], iteration, i // B)``:
+    tag 0 for the iterate's state and 1, 2, ... for the shifts in their order.
     """
-    b, own = len(amps), []
-
-    def sampled(shifted: np.ndarray) -> np.ndarray:
-        states = np.concatenate([amps, shifted])
+    def sampled(states: np.ndarray) -> np.ndarray:
+        b = len(thetas)
         mixed = [_mix(seeds[i % b], iteration, i // b) for i in range(len(states))]
-        values = sampled_moments(states, plan, shots, mixed)[0]
-        own.append(values[:b])
-        return values[b:]
+        return sampled_moments(states, plan, shots, mixed)[0]
 
-    rows = _shift_rows(circuit, thetas, sampled, plan.orders)
-    return own[0], rows
+    return _shift_rows(circuit, thetas, sampled, plan.orders)
 
 
 def _mix(seed: int, iteration: int, tag: int) -> int:

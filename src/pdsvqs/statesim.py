@@ -51,7 +51,9 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list in application order plus the initial basis state."""
+    """Gate list in application order plus the initial basis state.  A gate
+    that does not fit the register or the parameters, or whose multiplier or
+    offset is not finite, raises ``ValueError``."""
 
     n_qubits: int
     n_params: int
@@ -64,7 +66,7 @@ class Circuit:
         if len(self.initial_bits) != self.n_qubits or set(self.initial_bits) - {"0", "1"}:
             raise ValueError("initial_bits must be a 0/1 string of length n_qubits")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
             if g.kind not in _ROTATION_KINDS + _FIXED_KINDS:
                 raise ValueError(f"unknown gate kind {g.kind!r}")
             if not 0 <= g.target < self.n_qubits:
@@ -81,6 +83,9 @@ class Circuit:
                 raise ValueError(f"{g.kind} is not parametrized")
             if g.param is not None and not 0 <= g.param < self.n_params:
                 raise ValueError("gate parameter index out of range")
+            if not (math.isfinite(g.multiplier) and math.isfinite(g.offset)):
+                raise ValueError(f"gate {i}: multiplier {g.multiplier!r} and offset "
+                                 f"{g.offset!r} must be finite")
 
     @functools.cached_property
     def _rotations(self) -> tuple:
@@ -95,14 +100,6 @@ class Circuit:
             np.array([g.offset for _, g in rotations]),
             np.array([_GENERATORS[g.kind] for _, g in rotations]).reshape(-1, 2, 2),
         )
-
-    def occurrences(self, param: int) -> list[tuple[int, float]]:
-        """Positions and angle multipliers of every gate bound to ``param``."""
-        return [
-            (pos, g.multiplier)
-            for pos, g in enumerate(self.gates)
-            if g.param == param
-        ]
 
     @functools.cached_property
     def decomposed(self) -> "Circuit":

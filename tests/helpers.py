@@ -469,11 +469,12 @@ def sampled_one(state, plan, shots, seed=0):
     return values[0], errors[0]
 
 
-def per_state_sampled_table(circuit, thetas, amps, plan, shots, seeds, iteration):
-    """``optim._sampled_table`` one state at a time: one ``_simulate`` per
-    (parameter, occurrence, sign) with that one rotation offset shifted, and
-    one ``sampled_moments`` per state, seeded ``_mix(seed, iteration, tag)``
-    with tag 0 for ``amps`` and 1, 2, ... for the shifts in loop order."""
+def per_state_sampled_table(circuit, thetas, plan, shots, seeds, iteration):
+    """``optim._sampled_table`` one state at a time: one ``_simulate`` at
+    ``thetas`` and one per (parameter, gate, sign) of the decomposed circuit's
+    gate loop with that one rotation offset shifted, and one
+    ``sampled_moments`` per state, seeded ``_mix(seed, iteration, tag)`` with
+    tag 0 for the circuit states and 1, 2, ... for the shifts in loop order."""
     def sampled(states, tag):
         return np.array([
             sampled_one(State(a), plan, shots, _mix(s, iteration, tag))[0]
@@ -482,18 +483,22 @@ def per_state_sampled_table(circuit, thetas, amps, plan, shots, seeds, iteration
 
     rows = np.zeros((len(thetas), circuit.n_params, plan.orders))
     decomposed = circuit.decomposed
-    positions, _, _, offsets, _ = decomposed._rotations
+    # Rotation j of the gate list holds offset j; the rewrite leaves no CRY.
+    rotations = [g for g in decomposed.gates if g.kind in ("rx", "ry", "rz")]
+    offsets = np.array([g.offset for g in rotations])
     tag = 0
     for k in range(circuit.n_params):
-        for pos, mult in decomposed.occurrences(k):
+        for j, gate in enumerate(rotations):
+            if gate.param != k:
+                continue
             for sign in (1.0, -1.0):
                 shifted = offsets.copy()
-                shifted[positions.index(pos)] += sign * math.pi / 2.0
+                shifted[j] += sign * math.pi / 2.0
                 tag += 1
                 est = sampled(_simulate(decomposed, thetas, shifted), tag)
-                rows[:, k] += 0.5 * mult * sign * est
-    rows[..., 0] = 0.0
-    return sampled(amps, 0), rows
+                rows[:, k] += 0.5 * gate.multiplier * sign * est
+    amps = _simulate(circuit, thetas)
+    return amps, sampled(amps, 0), rows
 
 
 def _exact_moments(op, max_order):
@@ -530,7 +535,7 @@ def point_rows(circuit, theta, h, max_order, method="analytic"):
     thetas = np.asarray(theta, dtype=float)[None]
     if method == "shift":
         op = _operator(h, max_order)
-        return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[0]
+        return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[2][0]
     amps, derivs = _point_states(circuit, thetas, method)
     op = _operator(h, max_order)
     return np.stack([

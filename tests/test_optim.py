@@ -260,6 +260,23 @@ class TestRunDriver:
                 gradient_method="shift", shots=shots, max_iters=2,
             )
 
+    @pytest.mark.parametrize("option", [
+        {"order": 2.5}, {"order": True}, {"order": 2.0}, {"max_iters": 1.5},
+        {"max_iters": False}, {"max_iters": "3"}, {"seed": 1.5}, {"seed": True},
+    ])
+    @pytest.mark.parametrize("shots", [None, 200])
+    def test_rejects_non_integer_counts(self, toy_a, option, shots):
+        (name, value), = option.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, shots=shots, **option)
+
+    def test_numpy_integer_counts_match_python_ints(self, toy_a):
+        h, circuit, start = toy_a.hamiltonian, toy_a.circuit, toy_a.theta0
+        want = run(h, circuit, start, order=2, max_iters=2, seed=3, shots=200, grad_tol=0.0)
+        got = run(h, circuit, start, order=np.int64(2), max_iters=np.int64(2), seed=np.int32(3),
+                  shots=200, grad_tol=0.0)
+        assert got.records == want.records and got.status == want.status
+
     def test_rejects_negative_max_iters(self, toy_a):
         with pytest.raises(ValueError, match="max_iters must be non-negative"):
             run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, max_iters=-1)

@@ -1,5 +1,6 @@
 """Statevector simulator against independently built dense unitaries."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -62,17 +63,12 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(n_qubits=1, n_params=1, gates=(Gate("ry", 0, param=1),))
 
-    def test_occurrences(self):
-        c = Circuit(
-            n_qubits=2,
-            n_params=1,
-            gates=(
-                Gate("ry", 0, param=0, multiplier=2.0),
-                Gate("ry", 1, param=0),
-                Gate("cnot", 1, control=0),
-            ),
-        )
-        assert c.occurrences(0) == [(0, 2.0), (1, 1.0)]
+    @pytest.mark.parametrize("field", ["multiplier", "offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_rejected_with_its_gate_index(self, field, value):
+        gates = (Gate("ry", 0, param=0), Gate("ry", 1, param=0, **{field: value}))
+        with pytest.raises(ValueError, match="gate 1: multiplier"):
+            Circuit(n_qubits=2, n_params=1, gates=gates)
 
 
 class TestApplyCircuit:
