@@ -24,7 +24,10 @@ module constant.  At K = 1 the functional is ``<H>`` itself: M is exactly
 
 The solve and the weights each act on a stack of moment rows at once and
 record a failing row's error in place of raising it; a row's weights solve
-in the matrix its energy was solved with.
+in the matrix its energy was solved with.  M is symmetric, so its condition
+number is the ratio of its extreme eigenvalue magnitudes.  A row whose
+moments are not all finite (H^n overflowed) records ``SingularMoments``
+without reaching LAPACK.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ __all__ = [
 
 # Relative spread below which a root's imaginary part counts as roundoff.
 _IMAG_TOL = 1e-8
-# Singular-value ratio at which even the strict policy declares M singular.
+# Ratio of M's smallest to largest eigenvalue magnitude (its singular values)
+# at which even the strict policy declares M singular.
 _HARD_SINGULAR = 1e-14
 # Condition number beyond which the ``auto`` policy shifts.  Past
 # cond ~ 1/shift_eps (1e-6 by default) a direct solve carries at least as
@@ -138,6 +142,15 @@ def _where(mask: np.ndarray):
     return slice(None) if mask.all() else mask
 
 
+def _spread(part: np.ndarray, rows, fill) -> np.ndarray:
+    """``part`` of the rows ``_where`` picked, on every row: ``fill`` on the others."""
+    if isinstance(rows, slice):
+        return part
+    out = np.full((len(rows),) + part.shape[1:], fill)
+    out[rows] = part
+    return out
+
+
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix[b] @ x = rhs[b]`` for every row b of the (B, K, K) and
     (B, K) stacks.  A row whose matrix is exactly singular reads NaN, found
@@ -159,60 +172,57 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
     Per row: the Hankel system is solved under the policy, the monic
     polynomial's roots are the eigenvalues of its companion matrix,
     roundoff-sized imaginary parts are truncated and the smallest real root
-    is the energy.  A row whose M is rank-deficient under a direct solve, whose
-    coefficients are not finite (a shifted M still exactly singular), or whose
-    roots are all complex records ``SingularMoments`` or ``ComplexRoots``.
+    is the energy.  A row whose moments are not all finite, whose M is
+    rank-deficient under a direct solve, whose coefficients are not finite (a
+    shifted M still exactly singular), or whose roots are all complex records
+    ``SingularMoments`` or ``ComplexRoots``.
     """
     b, k = len(values), order
     matrix, rhs = _hankel(values, k)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    smax, smin = svals[:, 0], svals[:, -1]
-    cond = np.divide(smax, smin, out=np.full(b, np.inf), where=smin != 0.0)
+    finite = np.isfinite(values[:, : 2 * k]).all(axis=1)  # LAPACK sees no other row
+    rows = _where(finite)
+    # M is symmetric, so its singular values are its eigenvalues' magnitudes.
+    svals = np.sort(np.abs(np.linalg.eigvalsh(matrix[rows])), axis=1)
+    smax, smin = svals[:, -1], svals[:, 0]
+    cond = np.divide(smax, smin, out=np.full(len(smin), np.inf), where=smin != 0.0)
     if policy.kind == "auto":
         applied = ~(cond <= _COND_THRESHOLD)  # an infinite cond is applied
     else:
-        applied = np.full(b, policy.kind != "none")
+        applied = np.full(len(cond), policy.kind != "none")
+    singular = ~applied & (smin <= smax * _HARD_SINGULAR)  # also when smax is 0
+    # A non-finite row is neither shifted nor solved.
+    cond, applied, singular = (_spread(cond, rows, np.nan), _spread(applied, rows, False),
+                               _spread(singular, rows, True))
     if applied.any():  # every eigenvalue of an applied row shifted
         matrix[_where(applied)] += policy.shift_eps * np.eye(k)
-    singular = ~applied & (smin <= smax * _HARD_SINGULAR)  # also when smax is 0
-    x = np.full((b, k), np.nan)
     rows = _where(~singular)
-    x[rows] = _solve(matrix[rows], -rhs[rows])
+    x = _spread(_solve(matrix[rows], -rhs[rows]), rows, np.nan)
     ok = np.isfinite(x).all(axis=1)
 
     rows = _where(ok)
-    companion = np.zeros((b, k, k))[rows]
+    companion = np.zeros((np.count_nonzero(ok), k, k))
     companion[:, 0] = -x[rows]
     companion[:, 1:, :-1] = np.eye(k - 1)
     raw = np.linalg.eigvals(companion)
     imag = np.abs(raw.imag)
     keep = imag <= _IMAG_TOL * np.maximum(1.0, np.abs(raw.real))
-    real = np.sort(np.where(keep, raw.real, np.inf), axis=1)
-    roots = np.full((b, k), np.nan)
-    roots[rows] = np.where(real == np.inf, np.nan, real)
-    imag_residue = np.full(b, np.nan)
-    imag_residue[rows] = imag.max(axis=1)
+    roots = _spread(np.sort(np.where(keep, raw.real, np.nan), axis=1), rows, np.nan)  # NaN last
+    imag_residue = _spread(imag.max(axis=1), rows, np.nan)
     errors = np.full(b, None, dtype=object)
     if np.isnan(roots[:, 0]).any():  # some row failed; a row that did not has a root
-        for i in np.flatnonzero(singular):
+        for i in np.flatnonzero(~finite):
+            bad = ", ".join(f"m_{n}" for n in np.flatnonzero(~np.isfinite(values[i, : 2 * k])))
+            errors[i] = SingularMoments(f"moments {bad} are not finite")
+        for i in np.flatnonzero(singular & finite):
             errors[i] = SingularMoments(f"moment matrix is rank-deficient (cond ~ {cond[i]:.3g}); "
                                         "the trial state spans too few eigenvectors")
         for i in np.flatnonzero(~ok & ~singular):
             errors[i] = SingularMoments(f"moment matrix is singular (cond ~ {cond[i]:.3g})")
         for i in np.flatnonzero(ok & np.isnan(roots[:, 0])):
             errors[i] = ComplexRoots(f"all roots kept imaginary parts up to {imag_residue[i]:.3g}")
-    return _SolvedRows(
-        order=k,
-        x=x,
-        roots=roots,
-        energy=roots[:, 0].copy(),
-        cond_m=cond,
-        imag_residue=imag_residue,
-        applied=applied,
-        magnitude=policy.shift_eps,
-        matrix=matrix,
-        errors=errors,
-    )
+    return _SolvedRows(order=k, x=x, roots=roots, energy=roots[:, 0].copy(), cond_m=cond,
+                       imag_residue=imag_residue, applied=applied, magnitude=policy.shift_eps,
+                       matrix=matrix, errors=errors)
 
 
 def _weights(solved: _SolvedRows) -> tuple[np.ndarray, np.ndarray]:
@@ -227,32 +237,30 @@ def _weights(solved: _SolvedRows) -> tuple[np.ndarray, np.ndarray]:
     vanishes records ``VanishingDenominator`` and one whose ``lambda`` is not
     finite ``SingularMoments``; the weights of all of them read 0.
     """
-    errors = solved.errors.copy()
-    k = solved.order
-    index = np.flatnonzero(_no_error(errors))
-    x, energy = solved.x[index], solved.energy[index]
+    errors, k = solved.errors, solved.order
+    rows = _where(_no_error(errors))
+    x, energy = solved.x[rows], solved.energy[rows]
     # P'(E) = sum_i (K - i) X_i E^(K-i-1) with X_0 = 1; float_power is the C
     # library's pow, the one Python's float power uses.
     powers = np.float_power(energy[:, None], np.arange(k))
     denom = k * powers[:, k - 1]
     for i in range(1, k):
         denom = denom + (k - i) * x[:, i - 1] * powers[:, k - i - 1]
-    lam = _solve(solved.matrix[index], powers[:, ::-1])
+    lam = _solve(solved.matrix[rows], powers[:, ::-1])
     vanishing = np.abs(denom) < 1e-12
     singular = ~vanishing & ~np.isfinite(lam).all(axis=1)
-    if (vanishing | singular).any():
+    failed = vanishing | singular
+    if failed.any():
+        errors, index = errors.copy(), np.flatnonzero(_no_error(errors))
         for i, d in zip(index[vanishing], denom[vanishing]):
             errors[i] = VanishingDenominator(f"polynomial derivative {d:.3g} at the root; "
                                              "gradient undefined")
         for i in index[singular]:
             errors[i] = SingularMoments("moment matrix is singular in the gradient solve")
-        ok = ~(vanishing | singular)
-        index, x, denom, lam = index[ok], x[ok], denom[ok], lam[ok]
+        lam[failed], denom[failed] = 0.0, 1.0  # their weights read 0
     # lambda_i c_j adds to moment 2K - i - j: c reversed onto moments K - i .. 2K - i.
     c = np.concatenate([np.ones((len(x), 1)), x], axis=1)[:, ::-1]
     part = np.zeros((len(x), 2 * k))
     for i in range(1, k + 1):
         part[:, k - i : 2 * k - i + 1] += lam[:, i - 1 : i] * c
-    weights = np.zeros((len(solved.energy), 2 * k))
-    weights[index] = part / denom[:, None]
-    return weights, errors
+    return _spread(part / denom[:, None], rows, 0.0), errors

@@ -165,6 +165,21 @@ class TestRunCommand:
         assert "status=error" in captured.out
         assert "message='iteration 0: moment matrix is singular" in captured.out
 
+    # The Krylov vectors overflow on the way; only the solve's answer is tested here.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale, order, bad", [("1e200", 3, "m_2, m_3, m_4, m_5"),
+                                                   ("1e100", 4, "m_4, m_5, m_6, m_7")])
+    def test_overflowing_moments_exit_two(self, tmp_path, capfd, scale, order, bad):
+        # LAPACK is never handed the non-finite moments, so it neither raises
+        # nor prints its own complaint to stdout.
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{scale} ZI\n{scale} XX\n")
+        code = main(["run", "--file", str(path), "--order", str(order), "--max-iters", "3"])
+        out = capfd.readouterr().out
+        assert code == 2 and "DLASCL" not in out
+        assert out.startswith(f"status=error message='iteration 0: moments {bad} are not finite'")
+
     def test_negative_max_iters_exits_one(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         code = main(

@@ -339,6 +339,116 @@ class TestExactlySingularShift:
         assert "gradient solve" in str(errors[1]) and not weights[1].any()
 
 
+def svd_cond(values, order):
+    """Each row's condition number of M from its singular values."""
+    svals = np.linalg.svd(np.array([moment_matrix(row, order) for row in values]), compute_uv=False)
+    smax, smin = svals[:, 0], svals[:, -1]
+    return np.divide(smax, smin, out=np.full(len(svals), np.inf), where=smin != 0.0)
+
+
+def conditioning_stack(order, rng):
+    """Moment rows (B, 2K) of every conditioning kind, and the mask of the
+    rows whose M is exactly rank-deficient."""
+    k = order
+    psd = [moments_of_weights(rng.uniform(-2.0, 2.0, 2 * k + 1), rng.uniform(0.1, 1.0, 2 * k + 1),
+                              2 * k - 1) for _ in range(8)]
+    indefinite = list(rng.normal(size=(8, 2 * k)))  # a Hankel M of random moments
+    deficient = [moments_of_weights(rng.uniform(-2.0, 2.0, k - 1), rng.uniform(0.1, 1.0, k - 1),
+                                    2 * k - 1) for _ in range(4 if k > 1 else 0)]
+    deficient += [np.zeros(2 * k)]
+    near = []
+    if k > 1:
+        # K levels, one of them weighted delta: cond ~ 1/delta, bisected onto
+        # the auto switch and then moved off it by a relative 1e-8 .. 1e-2.
+        levels = np.linspace(-2.0, 2.0, k)
+
+        def row(delta):
+            return moments_of_weights(levels, [(1 - delta) / (k - 1)] * (k - 1) + [delta], 2 * k - 1)
+
+        lo, hi = -16.0, -2.0  # log10 delta; cond falls as delta grows here
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if svd_cond([row(10**mid)], k)[0] > pds._COND_THRESHOLD else (lo, mid)
+        near = [row(10**lo * (1 + t)) for t in (-1e-2, -1e-4, -1e-6, -1e-8, 1e-8, 1e-6, 1e-4, 1e-2)]
+    values = np.array(psd + indefinite + deficient + near)
+    mask = np.zeros(len(values), dtype=bool)
+    mask[len(psd) + len(indefinite):len(values) - len(near)] = True
+    return values, mask
+
+
+class TestEigenvalueConditioning:
+    """M is symmetric, so the magnitudes of its eigenvalues are its singular
+    values: the condition number and the policy switch are the SVD's."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_cond_matches_the_singular_values(self, order):
+        values, deficient = conditioning_stack(order, np.random.default_rng(order))
+        res = _solve_rows(values, order, RegPolicy("auto"))
+        expected = svd_cond(values, order)
+        # Both are backward stable, so they differ by about eps * cond: to
+        # 1e-6 on every solvable row, and past the hard limit together on
+        # the exactly rank-deficient ones.
+        assert (expected[~deficient] <= 1e12).all()
+        assert res.cond_m[~deficient] == approx(expected[~deficient], rel=1e-6)
+        assert (expected[deficient] > 1 / pds._HARD_SINGULAR).all()
+        assert (res.cond_m[deficient] > 1 / pds._HARD_SINGULAR).all()
+        assert all(isinstance(e, SingularMoments) for e in
+                   _solve_rows(values[deficient], order, RegPolicy("none")).errors)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_auto_switches_where_the_svd_route_did(self, order):
+        values, _ = conditioning_stack(order, np.random.default_rng(order))
+        res = _solve_rows(values, order, RegPolicy("auto"))
+        expected = svd_cond(values, order)
+        near = np.abs(expected / pds._COND_THRESHOLD - 1) < 1e-2
+        assert near.sum() >= 4 and res.applied[near].any() and not res.applied[near].all()
+        outside = np.abs(expected / pds._COND_THRESHOLD - 1) > 1e-6
+        assert res.applied[outside].tolist() == (~(expected <= pds._COND_THRESHOLD))[outside].tolist()
+
+    @pytest.mark.parametrize("kind", ["none", "shift", "auto"])
+    def test_healthy_stack_is_three_lapack_calls(self, monkeypatch, kind):
+        calls = {}
+        for name in ("eigvalsh", "solve", "eigvals", "svd"):
+            def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        values = np.array([moments_of_weights([-1.0, 0.5, 2.0], w, 3)
+                           for w in ([0.4, 0.6, 0.0], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25])])
+        res = _solve_rows(values, 2, RegPolicy(kind))
+        assert _no_error(res.errors).all()
+        assert calls == {"eigvalsh": 1, "solve": 1, "eigvals": 1}
+        calls.clear()
+        _weights(res)
+        assert calls == {"solve": 1}
+
+
+class TestNonFiniteMoments:
+    """A row whose moments overflowed is recorded and kept out of LAPACK."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["none", "shift", "auto"])
+    def test_bad_rows_are_recorded_and_the_others_keep_their_bits(self, kind, bad):
+        healthy = np.array([moments_of_weights([-1.0, 0.5, 2.0, 3.0], [0.4, 0.3, 0.2, 0.1], 5),
+                            moments_of_weights([-2.0, 0.1, 1.0], [0.3, 0.3, 0.4], 5)])
+        values = healthy[[0, 0, 1, 1]]
+        values[1, 4] = bad
+        values[3, 2:] = bad
+        res = _solve_rows(values, 3, RegPolicy(kind))
+        assert [type(e).__name__ for e in res.errors] == ["NoneType", "SingularMoments"] * 2
+        assert str(res.errors[1]) == "moments m_4 are not finite"
+        assert str(res.errors[3]) == "moments m_2, m_3, m_4, m_5 are not finite"
+        assert np.isnan(res.x[1::2]).all() and np.isnan(res.energy[1::2]).all()
+        assert np.isnan(res.cond_m[1::2]).all() and not res.applied[1::2].any()
+        alone = _solve_rows(healthy, 3, RegPolicy(kind))
+        weights, errors = _weights(res)
+        alone_weights, _ = _weights(alone)
+        assert errors.tolist() == res.errors.tolist() and not weights[1::2].any()
+        for field in ("x", "roots", "energy", "cond_m", "applied", "matrix"):
+            assert getattr(res, field)[::2].tobytes() == getattr(alone, field).tobytes()
+        assert weights[::2].tobytes() == alone_weights.tobytes()
+
+
 class TestVariationalChain:
     """The smallest root sits between the ground energy and the mean."""
 
