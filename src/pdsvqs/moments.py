@@ -12,10 +12,11 @@ its metric are dotted with w; otherwise a backward sweep carries ``psi, w``
 back through the circuit: two vectors, where the walk holds n_params + 1.
 Finite-shot runs take the two-point rotation shift rule per gate occurrence,
 with controlled rotations rewritten to one-qubit rotations first.  The
-circuit states and all the shifted states make one stack, and one call of a
-function of that stack gives every moment value: sampled ones in a run, exact
-ones as the reference for the analytic rows.  These routines act on stacks of
-states, one row per point.
+circuit states and all the shifted states make one stack, simulated in one
+pass of the rewritten circuit, and one call of a function of that stack gives
+every moment value: sampled ones in a run, exact ones as the reference for
+the analytic rows.  These routines act on stacks of states, one row per
+point.
 
 Pauli expansions of the powers of H (``hamiltonian_powers``) serve the
 measurement side only: the cost model and the finite-shot emulation, which
@@ -39,7 +40,6 @@ from .statesim import (
     CompiledSum,
     _adjoint_rows,
     _apply_single,
-    _compiled,
     _index_masks,
     _parity,
     _simulate,
@@ -81,17 +81,6 @@ def hamiltonian_powers(h: PauliSum, max_order: int) -> list[PauliSum]:
 
 def _pruned(s: PauliSum) -> PauliSum:
     return s.simplify(DROP_TOL * _abs(s.coeffs).max(initial=0.0))
-
-
-def _operator(h: PauliSum, max_order: int) -> CompiledSum:
-    """Compiled ``h`` for the exact moments, after the argument checks; the
-    compilation is ``statesim._compiled``'s, reused while ``h`` is the same
-    sum object."""
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    if not h.is_hermitian():
-        raise ValueError("moments require a Hermitian operator")
-    return _compiled(h)
 
 
 def _krylov(op: CompiledSum, amps: np.ndarray, k: int) -> list[np.ndarray]:
@@ -141,11 +130,12 @@ def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) ->
     """States (B, 2**n) at ``thetas``, their moments (B, width) and the
     shift-rule rows ``d m_n / d theta_k`` (B, n_params, width).
 
-    Controlled rotations are rewritten first.  Each shift, +pi/2 then -pi/2
-    at each occurrence of k, adds to one rotation's offset; ``moments_of``
-    gives the moments (exact or sampled) of one stack, the states and then
-    the B shifted states of each shift, and a shift adds with weight
-    ``0.5 * multiplier * sign``.
+    Controlled rotations are rewritten first, and one pass of the rewritten
+    circuit simulates a stack of offset blocks of B states each: block 0
+    holds the unshifted offsets, so it is the states, and each later block
+    one shift, +pi/2 then -pi/2 at each occurrence of k, added to one
+    rotation's offset.  ``moments_of`` gives the moments (exact or sampled)
+    of the stack, and a shift adds with weight ``0.5 * multiplier * sign``.
     """
     b, decomposed = len(thetas), circuit.decomposed
     _, columns, multipliers, offsets, _ = decomposed._rotations
@@ -153,17 +143,15 @@ def _shift_rows(circuit: Circuit, thetas: np.ndarray, moments_of, width: int) ->
     # A stable sort on the parameter column keeps gate order; frozen rotations drop.
     shifts = [(j, sign) for j in sorted(range(len(cols)), key=cols.__getitem__)
               if cols[j] < circuit.n_params for sign in (1.0, -1.0)]
-    table = np.repeat(offsets[None], len(shifts), axis=0)
-    for s, (j, sign) in enumerate(shifts):
+    table = np.repeat(offsets[None], 1 + len(shifts), axis=0)
+    for s, (j, sign) in enumerate(shifts, 1):
         table[s, j] += sign * math.pi / 2.0
-    states = [_simulate(circuit, thetas)]
-    if shifts:  # a circuit with no bound gate has no shifted state
-        states.append(_simulate(decomposed, np.tile(thetas, (len(shifts), 1)), table.repeat(b, axis=0)))
-    values = moments_of(np.concatenate(states))
+    states = _simulate(decomposed, np.tile(thetas, (len(table), 1)), table.repeat(b, axis=0))
+    values = moments_of(states)
     rows = np.zeros((b, circuit.n_params, width))
     for (j, sign), e in zip(shifts, values[b:].reshape(-1, b, width)):
         rows[:, cols[j]] += 0.5 * multipliers[j] * sign * e  # m_0 = 1: each pair cancels
-    return states[0], values[:b], rows
+    return states[:b].copy(), values[:b], rows  # a copy frees the stack on return
 
 
 def _union(powers: list[PauliSum]) -> tuple[PauliSum, np.ndarray]:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .moments import MeasurementPlan, hamiltonian_powers
-from .moments import _analytic_rows, _check_shots, _krylov, _operator
+from .moments import _analytic_rows, _check_shots, _krylov
 from .moments import _shift_rows, _values_from_state, sampled_moments
 from .pauli import PauliSum
 from .pds import (
@@ -55,6 +55,7 @@ from .pds import (
 from .statesim import (
     Circuit,
     _basis_adjoint,
+    _compiled,
     _derivative_states,
     _simulate,
     _vdot,
@@ -82,7 +83,6 @@ def _metric_rows(kind: str, derivs: np.ndarray, amps: np.ndarray) -> np.ndarray:
     if kind == "ngd":
         overlaps = _vdot(amps[..., None, :], derivs)
         matrix = matrix - np.real(overlaps.conj()[..., :, None] * overlaps[..., None, :])
-        matrix = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     return matrix
 
 
@@ -359,7 +359,9 @@ def run_batch(
     theta = _check_thetas(circuit, thetas)
     max_order = 2 * order - 1
     if shots is None:
-        op = _operator(hamiltonian, max_order)
+        if not hamiltonian.is_hermitian():
+            raise ValueError("moments require a Hermitian operator")
+        op = _compiled(hamiltonian)
     else:
         shots = _check_shots(shots)
         if metric_kind != "gd":  # the ngd/ite metrics have no sampled estimate

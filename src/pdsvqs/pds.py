@@ -214,8 +214,9 @@ def _solve_rows(values: np.ndarray, order: int, policy: RegPolicy) -> _SolvedRow
             bad = ", ".join(f"m_{n}" for n in np.flatnonzero(~np.isfinite(values[i, : 2 * k])))
             errors[i] = SingularMoments(f"moments {bad} are not finite")
         for i in np.flatnonzero(singular & finite):
-            errors[i] = SingularMoments(f"moment matrix is rank-deficient (cond ~ {cond[i]:.3g}); "
-                                        "the trial state spans too few eigenvectors")
+            errors[i] = SingularMoments(
+                f"moment matrix is rank-deficient (cond >= {1 / _HARD_SINGULAR:.3g}); "
+                "the trial state spans too few eigenvectors")
         for i in np.flatnonzero(~ok & ~singular):
             errors[i] = SingularMoments(f"moment matrix is singular (cond ~ {cond[i]:.3g})")
         for i in np.flatnonzero(ok & np.isnan(roots[:, 0])):

@@ -45,10 +45,10 @@ import numpy as np
 
 from pdsvqs.cli import main
 from pdsvqs.models import MODEL_NAMES, build_model
-from pdsvqs.moments import _krylov, _operator, _values_from_state
+from pdsvqs.moments import _krylov, _values_from_state
 from pdsvqs.optim import run
 from pdsvqs.pds import RegPolicy
-from pdsvqs.statesim import _simulate
+from pdsvqs.statesim import _compiled, _simulate
 
 PATH = Path(__file__).with_name("corpus.json")
 REL_TOL = 1e-10
@@ -75,8 +75,7 @@ def cond_m(model, order: int, thetas) -> np.ndarray:
     exactly singular."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.circuit.n_params)
     amps = _simulate(model.circuit, thetas)
-    op = _operator(model.hamiltonian, 2 * order - 1)
-    values = _values_from_state(_krylov(op, amps, order), 2 * order - 1)
+    values = _values_from_state(_krylov(_compiled(model.hamiltonian), amps, order), 2 * order - 1)
     i = np.arange(1, order + 1)
     s = np.linalg.svd(values[:, 2 * order - i[:, None] - i[None, :]], compute_uv=False)
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] != 0.0)

@@ -28,14 +28,15 @@ import math
 import numpy as np
 
 from pdsvqs.moments import _X_TO_Z, _Y_TO_Z, _union, sampled_moments
-from pdsvqs.moments import _analytic_rows, _krylov, _operator, _shift_rows, _values_from_state
+from pdsvqs.moments import _analytic_rows, _krylov, _shift_rows, _values_from_state
 from pdsvqs.pauli import _qwc_rows
 from pdsvqs.optim import _mix
 from pdsvqs.pds import (
     RegPolicy, SingularMoments, VanishingDenominator, _hankel, _no_error, _solve_rows, _weights,
 )
 from pdsvqs.statesim import (
-    Circuit, Gate, State, _apply_single, _derivative_states, _index_masks, _parity, _simulate,
+    Circuit, Gate, State, _apply_single, _compiled, _derivative_states, _index_masks, _parity,
+    _simulate,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -509,7 +510,7 @@ def _exact_moments(op, max_order):
 def point_moments(circuit, theta, h, max_order):
     """Exact ``<H^n>``, n = 0 .. max_order, at one parameter point."""
     amps = _simulate(circuit, np.asarray(theta, dtype=float)[None])
-    return _exact_moments(_operator(h, max_order), max_order)(amps)[0]
+    return _exact_moments(_compiled(h), max_order)(amps)[0]
 
 
 def point_solve(values, order, policy=RegPolicy("none")):
@@ -534,12 +535,11 @@ def point_rows(circuit, theta, h, max_order, method="analytic"):
     gradient of ``<H^n>`` alone."""
     thetas = np.asarray(theta, dtype=float)[None]
     if method == "shift":
-        op = _operator(h, max_order)
-        return _shift_rows(circuit, thetas, _exact_moments(op, max_order), max_order + 1)[2][0]
+        moments_of = _exact_moments(_compiled(h), max_order)
+        return _shift_rows(circuit, thetas, moments_of, max_order + 1)[2][0]
     amps, derivs = _point_states(circuit, thetas, method)
-    op = _operator(h, max_order)
     return np.stack([
-        _analytic_rows(op, [amps], unit[None], circuit, thetas, derivs)[0]
+        _analytic_rows(_compiled(h), [amps], unit[None], circuit, thetas, derivs)[0]
         for unit in np.eye(max_order + 1)
     ], axis=1)
 
@@ -551,8 +551,7 @@ def point_gradient(circuit, theta, h, solved, method="analytic"):
     thetas = np.asarray(theta, dtype=float)[None]
     weights, errors = _weights(solved)
     amps, derivs = _point_states(circuit, thetas, method)
-    op = _operator(h, 2 * solved.order - 1)
-    return _analytic_rows(op, [amps], weights, circuit, thetas, derivs)[0], errors[0]
+    return _analytic_rows(_compiled(h), [amps], weights, circuit, thetas, derivs)[0], errors[0]
 
 
 def forward_gradient(values, grads, solved):

@@ -23,7 +23,7 @@ from pdsvqs.models import build_model, hardware_efficient_ansatz
 from pdsvqs.moments import (
     MeasurementPlan,
     _analytic_rows,
-    _operator,
+    _shift_rows,
     _union,
     hamiltonian_powers,
     sampled_moments,
@@ -35,6 +35,7 @@ from pdsvqs.statesim import (
     Circuit,
     CompiledSum,
     Gate,
+    _compiled,
     _derivative_states,
     _simulate,
     apply_circuit,
@@ -163,12 +164,12 @@ class TestCompiledOperator:
 
     def test_same_sum_reuses_its_compilation(self, heisenberg):
         h = heisenberg.hamiltonian
-        assert _operator(h, 3) is _operator(h, 5)
+        assert _compiled(h) is _compiled(h)
 
     def test_equal_copy_is_compiled_anew(self, h2):
         h = h2.hamiltonian
-        first = _operator(h, 1)
-        assert _operator(PauliSum.from_terms(h.terms()), 1) is not first
+        first = _compiled(h)
+        assert _compiled(PauliSum.from_terms(h.terms())) is not first
 
     def test_sum_cannot_be_edited(self, h2):
         # The compiled operator is keyed on the sum object, so a sum must not
@@ -233,6 +234,59 @@ class TestMomentGradients:
             up = point_moments(toy_a.circuit, theta + h * e, toy_a.hamiltonian, 1)[1]
             down = point_moments(toy_a.circuit, theta - h * e, toy_a.hamiltonian, 1)[1]
             assert rows[k, 1] == approx((up - down) / (2 * h), abs=1e-8)
+
+
+class TestShiftStack:
+    """``_shift_rows`` simulates the states and every shift-rule state in one
+    stack of the decomposed circuit, whose block 0 holds the unshifted
+    offsets and is returned as the states."""
+
+    @staticmethod
+    def _states(circuit, thetas):
+        stacks = []
+
+        def moments_of(states):
+            stacks.append(states)
+            return np.ones((len(states), 2))
+
+        amps = _shift_rows(circuit, thetas, moments_of, 2)[0]
+        (stack,) = stacks
+        bound = np.count_nonzero(circuit.decomposed._rotations[1] < circuit.n_params)
+        assert len(stack) == len(thetas) * (1 + 2 * bound)
+        assert np.array_equal(amps, stack[: len(thetas)])
+        return amps
+
+    def test_block_zero_is_the_state_bit_for_bit_without_cry(self, rng):
+        # Shared parameters, frozen rotations and multipliers other than 1;
+        # with no CRY the decomposed circuit has the circuit's gates.
+        for n in (1, 2, 3, 4):
+            kinds = ["rx", "ry", "rz", "x"] + (["cnot"] * (n > 1))
+            for _ in range(4):
+                gates = [Gate("ry", 0, param=0, multiplier=-1.5),
+                         Gate("rz", n - 1, param=0, multiplier=2.0, offset=0.3),
+                         Gate("rx", 0, offset=0.7)]
+                for _ in range(12):
+                    kind, target = str(rng.choice(kinds)), int(rng.integers(n))
+                    if kind == "cnot":
+                        gates.append(Gate(kind, target, control=(target + 1) % n))
+                    elif kind == "x":
+                        gates.append(Gate(kind, target))
+                    else:
+                        param = int(rng.integers(4))  # 3 is frozen
+                        gates.append(Gate(kind, target, param=None if param == 3 else param,
+                                          multiplier=float(rng.choice([1.0, 2.0, -0.5, 3.7])),
+                                          offset=float(rng.normal())))
+                circuit = Circuit(n, 3, gates)
+                thetas = rng.uniform(-np.pi, np.pi, size=(3, 3))
+                assert np.array_equal(self._states(circuit, thetas), _simulate(circuit, thetas))
+
+    @pytest.mark.parametrize("name", ["toy_a", "toy_b"])
+    def test_block_zero_is_the_state_to_rounding_with_cry(self, name, rng, request):
+        model = request.getfixturevalue(name)
+        drawn = rng.uniform(-np.pi, np.pi, size=(5, model.circuit.n_params))
+        thetas = np.vstack([model.theta0, drawn])
+        got = self._states(model.circuit, thetas)
+        assert np.abs(got - _simulate(model.circuit, thetas)).max() <= 1e-14
 
 
 def _krylov_cases():
@@ -315,15 +369,6 @@ class TestKrylovMoments:
         got = point_rows(circuit, theta, h, order)
         assert np.all(np.abs(got - rows) <= tol)
 
-    def test_rejects_non_hermitian(self, h2):
-        h = PauliSum.from_terms([(1.0, "XX"), (1j, "ZI")])
-        with pytest.raises(ValueError, match="Hermitian"):
-            _operator(h, 3)
-
-    def test_rejects_order_below_one(self, h2):
-        with pytest.raises(ValueError, match="at least 1"):
-            _operator(h2.hamiltonian, 0)
-
 
 def _sweep_cases():
     """(Hamiltonian, circuit) pairs: the built-in models (toy_a's CRY, toy_b's
@@ -359,7 +404,7 @@ class TestAdjointSweep:
         thetas = rng.uniform(-np.pi, np.pi, size=(batch, circuit.n_params))
         walk = _derivative_states(circuit, thetas)
         for max_order in (1, 4, 7):
-            op = _operator(h, max_order)
+            op = _compiled(h)
             walked, swept = [walk[:, 0]], [_simulate(circuit, thetas)]
             for unit in np.eye(max_order + 1):
                 weights = np.tile(unit, (batch, 1))
@@ -375,7 +420,7 @@ class TestAdjointSweep:
             gates=(Gate("x", 1), Gate("ry", 0, param=2), Gate("cnot", 1, control=0)),
         )
         thetas = np.array([[0.3, -1.1, 0.7], [1.0, 2.0, -0.4]])
-        op = _operator(heisenberg.hamiltonian, 3)
+        op = _compiled(heisenberg.hamiltonian)
         grad = _analytic_rows(
             op, [_simulate(circuit, thetas)], np.ones((2, 4)), circuit, thetas
         )

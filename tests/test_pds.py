@@ -339,6 +339,17 @@ class TestExactlySingularShift:
         assert "gradient solve" in str(errors[1]) and not weights[1].any()
 
 
+class TestRankDeficientMessage:
+    """A row that is singular under a direct solve has cond >= 1/_HARD_SINGULAR;
+    its message reports that bound, since the digits past it are rounding."""
+
+    def test_message_reports_the_bound(self, h2):
+        (traj,) = run_batch(h2.hamiltonian, h2.circuit, h2.theta0[None], order=3,
+                            pds_policy=RegPolicy("none"), max_iters=0)
+        assert traj.message == ("iteration 0: moment matrix is rank-deficient (cond >= 1e+14); "
+                                "the trial state spans too few eigenvectors")
+
+
 def svd_cond(values, order):
     """Each row's condition number of M from its singular values."""
     svals = np.linalg.svd(np.array([moment_matrix(row, order) for row in values]), compute_uv=False)

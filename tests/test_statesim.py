@@ -27,9 +27,9 @@ from pdsvqs.statesim import (
 )
 from pdsvqs import statesim
 from pdsvqs.models import build_model, hardware_efficient_ansatz
-from pdsvqs.moments import _krylov, _operator, _values_from_state
+from pdsvqs.moments import _krylov, _values_from_state
 from pdsvqs.optim import run_batch
-from pdsvqs.statesim import _derivative_states, _parity, _simulate
+from pdsvqs.statesim import _compiled, _derivative_states, _parity, _simulate
 
 
 class TestCircuitValidation:
@@ -147,7 +147,7 @@ class TestApplyPauliSum:
         s = PauliSum.from_terms(pairs)
         v = random_state_vector(rng, 8)
         expected = np.real(v.conj() @ dense_from_pairs(pairs, 3) @ v)
-        got = _values_from_state(_krylov(_operator(s, 1), v[None], 1), 1)[0, 1]
+        got = _values_from_state(_krylov(_compiled(s), v[None], 1), 1)[0, 1]
         assert got == approx(expected, abs=1e-12)
 
 
