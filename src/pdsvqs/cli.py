@@ -185,10 +185,14 @@ def _run_options(args, problem: ModelBundle) -> tuple[dict, float, str | None]:
 
 def _write_csv(path, header, rows) -> None:
     """The schema line, the header and the rows; values that are not strings
-    are printed with 17 significant digits."""
+    are printed with 17 significant digits.  A path that cannot be written
+    raises ``ValueError``."""
     lines = [SCHEMA_LINE, ",".join(header)]
     lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

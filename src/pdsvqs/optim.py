@@ -24,9 +24,9 @@ and otherwise takes the plain step ``theta - eta grad``.  A solver failure
 at the trial point counts as a rejection.  The rule looks only at the
 current point, so a run restarted from any recorded iterate reproduces the
 rest of the trajectory.  When the whole stack accepted, the trial points'
-states, Krylov vectors and moments are reused as the next iterate's;
-otherwise the next iterate evaluates every row again.  Plain gradient
-descent, which every finite-shot run is, always takes the step as computed.
+Krylov vectors, moments and PDS rows are the next iterate's; otherwise the
+next iterate evaluates every row again.  Plain gradient descent, which every
+finite-shot run is, always takes the step as computed.
 
 ``run_batch`` advances many starting points in lockstep, each layer acting on
 one stack of rows, and applies the rule above row by row; ``run`` is its
@@ -47,7 +47,6 @@ from .moments import _shift_rows, _values_from_state, sampled_moments
 from .pauli import PauliSum
 from .pds import (
     RegPolicy,
-    _SolvedRows,
     _no_error,
     _solve_rows,
     _weights,
@@ -224,28 +223,12 @@ class Trajectory:
         return self.records[-1]
 
 
-@dataclass
-class _Points:
-    """The functional at a stack of points: every field has one row per point.
-
-    ``vectors`` holds the Krylov vectors ``[v_0 .. v_K]`` the moments used,
-    ``v_0`` being the circuit states (in shot mode it is ``[amps]`` alone),
-    and ``solved`` the PDS rows, with each row's energy and solver error.
-    """
-
-    vectors: list[np.ndarray]
-    values: np.ndarray
-    solved: _SolvedRows
-
-
-def _exact_points(op, circuit, thetas, order, policy, amps=None) -> _Points:
-    """Krylov vectors, exact moments and functional at ``thetas``, from the
-    circuit states ``amps`` (simulated when not given)."""
-    if amps is None:
-        amps = _simulate(circuit, thetas)
+def _exact_points(op, amps, order, policy) -> tuple:
+    """Krylov vectors ``[v_0 .. v_K]`` of the states ``amps`` (``v_0``), their
+    exact moments (B, 2K) and the PDS rows solved from them."""
     vectors = _krylov(op, amps, order)
     values = _values_from_state(vectors, 2 * order - 1)
-    return _Points(vectors, values, _solve_rows(values, order, policy))
+    return vectors, values, _solve_rows(values, order, policy)
 
 
 def _check_thetas(circuit: Circuit, thetas) -> np.ndarray:
@@ -320,13 +303,13 @@ def run_batch(
     ``ngd`` or ``ite`` iterate builds its states and the derivative states
     its metric needs in one forward walk and dots them with ``w``; it steps
     by the sufficient-decrease rule of the module docstring, row by row, and
-    when the whole stack accepted, its trial points are the next iterate's.
-    A finite-shot run is ``gd`` that contracts g with shift-rule rows; its
-    moments and rows are sampled from every string of the expanded powers of
-    H, grouped into one ``MeasurementPlan``.  An iterate samples its states
-    and every shifted state in one pass, each from one generator seeded by
-    (seed, iteration, its place in the iterate), so equal calls give equal
-    bits.
+    when the whole stack accepted, the Krylov vectors, moments and PDS rows
+    of its trial points are the next iterate's.  A finite-shot run is ``gd``
+    that contracts g with shift-rule rows; its moments and rows are sampled
+    from every string of the expanded powers of H, grouped into one
+    ``MeasurementPlan``.  An iterate samples its states and every shifted
+    state in one pass, each from one generator seeded by (seed, iteration,
+    its place in the iterate), so equal calls give equal bits.
 
     Solver failures do not raise: that row's trajectory comes back with
     ``status="error"``, the records before the failing iterate, the error
@@ -374,25 +357,27 @@ def run_batch(
     slots: list[list[int]] = [[] for _ in theta]  # each start's row in them
     status, error = ["max_iters"] * len(theta), [None] * len(theta)
     live = np.arange(len(theta))  # start index of each row in the stack
-    points = None  # the trial points, when the whole stack accepted
+    points = None  # the trial's (vectors, values, solved), when the whole stack accepted
     for iteration in range(max_iters + 1):
-        walk = derivs = None
+        derivs = None
         if shots is not None:
             seeds = [seed + int(b) for b in live]
             amps, values, rows = _sampled_table(circuit, theta, plan, shots, seeds, iteration)
-            points = _Points([amps], values, _solve_rows(values, order, pds_policy))
+            solved = _solve_rows(values, order, pds_policy)
         else:
-            # The ngd/ite metric needs derivative states; one walk builds them.
+            # The ngd/ite metric needs derivative states; one walk builds them and the states.
             if metric_kind != "gd":
                 walk = _derivative_states(circuit, theta)
                 derivs = walk[:, 1:]
             if points is None:
-                points = _exact_points(op, circuit, theta, order, pds_policy,
-                                       None if walk is None else walk[:, 0])
+                states = _simulate(circuit, theta) if derivs is None else walk[:, 0]
+                points = _exact_points(op, states, order, pds_policy)
+            vectors, values, solved = points
+            amps = vectors[0]
         # Every mode contracts the same energy weights; a failed row's read 0.
-        weights, errors = _weights(points.solved)
+        weights, errors = _weights(solved)
         grad = ((rows @ weights[..., None])[..., 0] if shots is not None else
-                _analytic_rows(op, points.vectors, weights, circuit, theta, derivs))
+                _analytic_rows(op, vectors, weights, circuit, theta, derivs))
         failed = ~_no_error(errors)
         grad[failed] = math.nan
 
@@ -400,19 +385,19 @@ def run_batch(
             metric_matrix = None
             metric_cond = np.ones(len(theta))
         else:
-            metric_matrix = _metric_rows(metric_kind, derivs, points.vectors[0])
+            metric_matrix = _metric_rows(metric_kind, derivs, amps)
             w = np.linalg.eigvalsh(metric_matrix)
             metric_cond = np.divide(
                 w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0
             )
         fid = np.full(len(theta), np.nan)
         if ground_basis is not None:
-            overlaps = (ground_adjoint @ points.vectors[0][..., None])[..., 0]
+            overlaps = (ground_adjoint @ amps[..., None])[..., 0]
             fid = np.sum(np.abs(overlaps) ** 2, axis=-1)
         grad_norm = np.sqrt(_vdot(grad, grad))
         eta_k = eta if schedule == "constant" else eta / (iteration + 1)
         block = np.column_stack([
-            theta, points.solved.roots, points.solved.energy, points.values[:, 1], fid,
+            theta, solved.roots, solved.energy, values[:, 1], fid,
             grad_norm, metric_cond, np.full(len(theta), eta_k), np.full(len(theta), np.nan),
         ])
         blocks.append(block)
@@ -422,7 +407,7 @@ def run_batch(
         # failed row's NaN gradient norm never converges.
         converged = grad_norm < grad_tol
         done = failed | converged | (iteration == max_iters)
-        energy, go = points.solved.energy, ~done
+        energy, go = solved.energy, ~done
         if done.any():
             for i in np.flatnonzero(done):
                 b = live[i]
@@ -438,8 +423,8 @@ def run_batch(
             theta, points = trial, None
             continue
         bound = energy - SUFFICIENT_DECREASE * _vdot(grad, theta - trial)
-        points = _exact_points(op, circuit, trial, order, pds_policy)
-        accepted = _no_error(points.solved.errors) & (points.solved.energy <= bound)
+        points = _exact_points(op, _simulate(circuit, trial), order, pds_policy)
+        accepted = _no_error(points[2].errors) & (points[2].energy <= bound)
         if not accepted.all():
             trial[~accepted] = step(theta[~accepted], grad[~accepted], None, eta_k)
             points = None

@@ -189,6 +189,26 @@ class TestRunCommand:
         assert "max_iters must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_schedule_flag_sets_the_run_schedule(self, tmp_path, capsys, toy_a):
+        out = tmp_path / "f.csv"
+        main(["run", "--model", "toy_a", "--schedule", "inv-iter", "--max-iters", "3",
+              "--out", str(out)])
+        header, rows = read_csv(out)
+        written = np.array([[float(r[header.index(f"theta_{i}")]) for i in (1, 2)] for r in rows])
+        kw = dict(eta=toy_a.eta, max_iters=3)
+        expected = optim.run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0,
+                             schedule="inv_iter", **kw).thetas
+        constant = optim.run(toy_a.hamiltonian, toy_a.circuit, toy_a.theta0, **kw).thetas
+        assert np.array_equal(written, expected)
+        assert not np.array_equal(written, constant)
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["run", "--model", "h2", "--max-iters", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"pdsvqs: error: cannot write {out}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -416,6 +436,14 @@ class TestScanCommand:
         assert code == 1
         assert captured.out == "" and "--grid must be at least 1" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        code = main(["scan", "--model", "toy_a", "--grid", "2", "--max-iters", "2",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"pdsvqs: error: cannot write {out}_starts.csv" in err and "Traceback" not in err
 
     def test_param_index_validation(self, capsys, tmp_path):
         base = ["scan", "--model", "toy_a", "--out", str(tmp_path / "x")]
@@ -735,6 +763,12 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as err:
             main(["--config", str(tmp_path / "no.json"), "run", "--model", "toy_a"])
         assert err.value.code == 1
+
+    def test_config_flag_without_a_path(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--config=", "run", "--model", "h2"])
+        assert err.value.code == 1
+        assert "--config needs a path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("second", ["--config", "--config="])
     def test_repeated_config_rejected(self, tmp_path, capsys, second):

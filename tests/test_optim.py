@@ -528,13 +528,19 @@ class TestRunBatch:
     def test_trial_points_are_handed_on_only_when_all_accepted(self, toy_a, monkeypatch):
         # A stepping iterate evaluates its trial points once.  When every row
         # accepted, they are the next iterate's; otherwise the next iterate
-        # evaluates the whole stack again from its walk.
-        calls, exact_points = [], optim._exact_points
+        # evaluates the whole stack again from its walk's states.
+        calls, walks = [], []
+        exact_points, derivative_states = optim._exact_points, optim._derivative_states
 
-        def counted(op, circuit, thetas, order, policy, amps=None):
-            calls.append(("trial" if amps is None else "walk", len(thetas)))
-            return exact_points(op, circuit, thetas, order, policy, amps)
+        def walked(circuit, thetas):
+            walks.append(derivative_states(circuit, thetas))
+            return walks[-1]
 
+        def counted(op, amps, order, policy):
+            calls.append(("walk" if np.shares_memory(amps, walks[-1]) else "trial", len(amps)))
+            return exact_points(op, amps, order, policy)
+
+        monkeypatch.setattr(optim, "_derivative_states", walked)
         monkeypatch.setattr(optim, "_exact_points", counted)
         grid = [-np.pi + (k + 0.5) * np.pi / 2 for k in range(4)]
         starts = [(a, b) for a in grid for b in grid]

@@ -151,6 +151,17 @@ class TestPauliSum:
         with pytest.raises(ValueError):
             PauliSum.from_terms([(1.0, "XX"), (1.0, "X")])
 
+    def test_empty_terms_have_no_qubit_count(self):
+        with pytest.raises(ValueError, match="cannot infer qubit count of an empty sum"):
+            PauliSum.from_terms([])
+
+    def test_width_mismatch_in_sum_and_product(self):
+        one, two = PauliSum.from_terms([(1.0, "X")]), PauliSum.from_terms([(1.0, "XX")])
+        with pytest.raises(ValueError, match="qubit count mismatch in Pauli sum addition"):
+            one + two
+        with pytest.raises(ValueError, match="qubit count mismatch in Pauli sum product"):
+            one * two
+
     def test_text_round_trip(self, rng):
         s = PauliSum.from_terms(random_pairs(rng, 3, 6)).simplify()
         again = PauliSum.from_text(s.to_text())

@@ -79,6 +79,10 @@ class TestApplyCircuit:
         assert amps[1] == approx(1.0)
         assert np.count_nonzero(amps) == 1
 
+    def test_parameter_count_mismatch(self, h2):
+        with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(3,\)"):
+            apply_circuit(h2.circuit, np.zeros(3))
+
     @pytest.mark.parametrize("kind", ["rx", "ry", "rz"])
     def test_single_rotation_matches_dense(self, kind):
         c = Circuit(n_qubits=1, n_params=1, gates=(Gate(kind, 0, param=0),))
@@ -283,6 +287,14 @@ class TestFidelityAndSpectrum:
         bad = np.ones((4, 2), dtype=complex)
         with pytest.raises(ValueError):
             record_fidelities(random_circuit(rng, 2, 6, 2), np.zeros((1, 2)), bad)
+
+    def test_basis_of_another_dimension_rejected(self, rng):
+        with pytest.raises(ValueError, match="basis dimension does not match the state"):
+            record_fidelities(random_circuit(rng, 2, 6, 2), np.zeros((1, 2)), np.ones((3, 1)))
+
+    def test_exact_eigensystem_rejects_a_non_hermitian_sum(self):
+        with pytest.raises(ValueError, match="eigensystem requires a Hermitian operator"):
+            exact_eigensystem(PauliSum.from_terms([(1j, "XZ")]))
 
     def test_exact_eigensystem_matches_dense(self, rng):
         pairs = random_pairs(rng, 3, 6)
